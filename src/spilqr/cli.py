@@ -164,9 +164,8 @@ def _state_row(state, sys=None, dP=None):
     rho_closed = state.rho_closed
     rho_scaled = state.rho_scaled
     if sys is not None and rho_closed is None:
-        A_cl = sys.A - sys.B @ state.K_tilde
-        rho_closed = matkit.spectral_radius(A_cl)
-        rho_scaled = matkit.spectral_radius(state.cum * A_cl)
+        rho_closed = matkit.spectral_radius(sys.A - sys.B @ state.K_tilde)
+        rho_scaled = state.cum * rho_closed
     return {
         "i": state.i,
         "b": state.b,
@@ -215,13 +214,12 @@ def _rows_from_pi_trace(trace, sys):
     for i, (P, K) in enumerate(trace):
         dP = None if P_prev is None else float(np.linalg.norm(P - P_prev,
                                                               "fro"))
-        A_cl = sys.A - sys.B @ K
+        rho = matkit.spectral_radius(sys.A - sys.B @ K)
         rows.append({
             "i": i, "phase": 2, "b": 1.0, "c": 1.0, "cum": 1.0,
             "P": P.tolist(), "K": K.tolist(),
             "P_norm": float(np.linalg.norm(P, "fro")), "dP_norm": dP,
-            "rho_closed": matkit.spectral_radius(A_cl),
-            "rho_scaled": matkit.spectral_radius(A_cl),
+            "rho_closed": rho, "rho_scaled": rho,
             "bound": None, "sigma_q": None, "fallback": False,
         })
         P_prev = P

@@ -237,12 +237,29 @@ def observability_matrix(A, C):
     return np.vstack(blocks)
 
 
+def _unit_radius(A):
+    """``A / rho(A)``, or ``A`` itself when ``rho(A) = 0``.
+
+    ``(alpha A, B)`` is controllable exactly when ``(A, B)`` is, for any
+    ``alpha != 0``, and the same holds for observability.  Without the
+    rescaling, the Krylov blocks ``A^k B`` of a plant with small
+    ``rho(A)`` shrink below the relative rank tolerance and a
+    controllable plant is rejected.
+    """
+    rho = matkit.spectral_radius(A)
+    return A / rho if rho > 0 else A
+
+
 def is_controllable(sys, tol=RANK_TOL):
-    """Whether the pair (A, B) is controllable (numerical rank test)."""
-    return matkit.numerical_rank(controllability_matrix(sys), tol) == sys.n
+    """Whether the pair (A, B) is controllable (numerical rank test on
+    the controllability matrix of ``(A / rho(A), B)``)."""
+    scaled = LinearSystem(_unit_radius(sys.A), sys.B)
+    return matkit.numerical_rank(controllability_matrix(scaled), tol) == sys.n
 
 
 def is_observable(A, C, tol=RANK_TOL):
-    """Whether the pair (A, C) is observable (numerical rank test)."""
+    """Whether the pair (A, C) is observable (numerical rank test on the
+    observability matrix of ``(A / rho(A), C)``)."""
     A = np.asarray(A, dtype=float)
-    return matkit.numerical_rank(observability_matrix(A, C), tol) == A.shape[0]
+    return matkit.numerical_rank(observability_matrix(_unit_radius(A), C),
+                                 tol) == A.shape[0]

@@ -2,8 +2,9 @@
 
 Provides symmetric (half-)vectorization and its inverse, quadratic-form
 monomial vectors, Kronecker products, spectral radius, singular-value
-helpers, a matrix exponential, and a direct discrete Lyapunov solver.
-All functions are pure and operate on plain ``numpy`` arrays.
+helpers, a matrix exponential, and a Schur-based discrete Lyapunov
+solver whose cost is O(n^3).  All functions are pure and operate on
+plain ``numpy`` arrays.
 
 Conventions
 -----------
@@ -19,8 +20,11 @@ ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``.
 ``(y' ⊗ x') vec(M) == x' M y``.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .exceptions import (
     DimensionMismatchError,
@@ -38,7 +42,8 @@ __all__ = [
 ]
 
 # Reject Lyapunov factors closer to the unit circle than this; the
-# vectorized system becomes near-singular beyond it.
+# triangular systems of the Schur solver, whose diagonals are
+# conj(l_i) l_j - 1 over eigenvalue pairs, become near-singular beyond it.
 STABILITY_MARGIN = 1e-9
 
 
@@ -168,22 +173,61 @@ def matrix_exp(A, t=1.0):
     return scipy.linalg.expm(A * t)
 
 
+def _no_reordering(wr, wi):
+    return False
+
+
+def _complex_schur(F):
+    """Complex Schur form ``F = U T U^H``, ``T`` upper triangular.
+
+    The real Schur form is computed in real arithmetic (LAPACK
+    ``dgees``); each 2 x 2 block of a complex pair is then split by the
+    unitary rotation whose first column is an eigenvector of the block,
+    as in ``scipy.linalg.rsf2csf``.  The rotations act on disjoint index
+    pairs, so they are applied all at once as one block-diagonal ``Q``.
+    Returns ``T``, ``U`` and the eigenvalue moduli.
+    """
+    S, _, wr, wi, Z, _, info = scipy.linalg.lapack.dgees(_no_reordering, F)
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise EigenvalueConvergenceError(
+            f"Schur iteration did not converge (LAPACK info {info})")
+    moduli = np.hypot(wr, wi)
+    blocks = np.flatnonzero(wi > 0).tolist()   # first row of each block
+    if not blocks:
+        return S.astype(complex), Z, moduli
+    Q = np.eye(F.shape[0], dtype=complex)
+    for k in blocks:
+        mu = complex(wr[k] - S[k + 1, k + 1], wi[k])
+        h = math.hypot(abs(mu), S[k + 1, k])
+        c, s = mu / h, S[k + 1, k] / h
+        Q[k, k], Q[k, k + 1] = c, -s
+        Q[k + 1, k], Q[k + 1, k + 1] = s, c.conjugate()
+    T = Q.conj().T @ S @ Q
+    T[[k + 1 for k in blocks], blocks] = 0.0   # round-off below the diagonal
+    return T, Z @ Q, moduli
+
+
 def solve_discrete_lyapunov(F, W, stability_margin=STABILITY_MARGIN):
     """Solve ``F' P F - P + W = 0`` for symmetric ``P``.
 
-    Uses the exact Kronecker vectorization
-    ``(I - F' ⊗ F') vec(P) = vec(W)``; the O(n^6) cost is acceptable at
-    the desk scales (n <= 20) this package targets.  The result is
-    exactly symmetrized, and is positive (semi)definite whenever ``W``
-    is and ``F`` is Schur stable.
+    Schur method of Bartels & Stewart (1972) in the column form of
+    Kitagawa (1977), at O(n^3) cost.  With the complex Schur form
+    ``F = U T U^H``, the unknown ``X = U^H P U`` satisfies
+    ``T^H X T - X + U^H W U = 0``.  Column ``j`` of that equation only
+    involves columns ``0..j`` of ``X``, so ``X`` is found one column at
+    a time, each from a lower-triangular system with diagonal
+    ``conj(l_i) l_j - 1`` over the eigenvalues ``l`` of ``F``.  The
+    result is exactly symmetrized, and is positive (semi)definite
+    whenever ``W`` is and ``F`` is Schur stable.
 
     Raises
     ------
     UnstableMatrixError
-        If ``spectral_radius(F) >= 1 - stability_margin``; the equation
-        is then not safely solvable.
+        If the spectral radius of ``F``, read off its Schur form, is at
+        least ``1 - stability_margin``; the equation is then not safely
+        solvable.
     IllConditionedError
-        If the vectorized system is numerically singular anyway.
+        If the solution is not finite.
     """
     F = _as_matrix(F, "F")
     W = check_symmetric(W, "W")
@@ -191,17 +235,27 @@ def solve_discrete_lyapunov(F, W, stability_margin=STABILITY_MARGIN):
     if F.shape[0] != F.shape[1] or W.shape[0] != n:
         raise DimensionMismatchError(
             f"F {F.shape} and W {W.shape} must be square of equal size")
-    rho = spectral_radius(F)
+    T, U, moduli = _complex_schur(F)
+    rho = float(moduli.max())
     if rho >= 1.0 - stability_margin:
         raise UnstableMatrixError(
             f"F must be Schur stable, spectral radius is {rho:.6g}", rho=rho)
-    lhs = np.eye(n * n) - np.kron(F.T, F.T)
-    try:
-        p = np.linalg.solve(lhs, vec(W))
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            "vectorized Lyapunov system is numerically singular") from exc
-    P = unvec(p, n, n)
+    TH = T.conj().T
+    rhs = -(U.conj().T @ W @ U)
+    X = np.empty((n, n), dtype=complex)
+    THX = np.empty((n, n), dtype=complex)   # T^H X, column by column
+    eye = np.eye(n)
+    lam_conj = T.diagonal().conj()
+    for j in range(n):
+        # (T_jj T^H - I) x_j = rhs_j - T^H X[:, :j] T[:j, j]; the system
+        # matrix is the adjoint of the upper-triangular conj(T_jj) T - I.
+        X[:, j], _ = scipy.linalg.lapack.ztrtrs(
+            lam_conj[j] * T - eye, rhs[:, j] - THX[:, :j] @ T[:j, j],
+            lower=0, trans=2)
+        THX[:, j] = TH @ X[:, j]
+    P = (U @ X @ U.conj().T).real
+    if not np.all(np.isfinite(P)):
+        raise IllConditionedError("Lyapunov solution is not finite")
     return (P + P.T) / 2.0
 
 

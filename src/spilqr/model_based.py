@@ -143,6 +143,20 @@ def scaled_policy_improvement(sys, weights, P, cum):
             "B'PB + R/cum^2 is numerically singular") from exc
 
 
+def _interior_factor(rho_scaled, lam):
+    """Interior point ``1 + lam (r - 1)`` of the admissible interval
+    ``(1, r)``, ``r = 1 / rho_scaled``."""
+    if not 0.0 < lam < 1.0:
+        raise InvalidProblemError("lam must lie strictly between 0 and 1")
+    if rho_scaled >= 1.0:
+        raise InvariantViolatedError(
+            f"scaled loop after improvement must be Schur stable, "
+            f"spectral radius is {rho_scaled:.6g}")
+    r = min(1.0 / rho_scaled, MAX_HEADROOM) if rho_scaled > 0 \
+        else MAX_HEADROOM
+    return 1.0 + lam * (r - 1.0)
+
+
 def choose_c(sys, K_next, cum, lam=0.5):
     """Next scaling factor, the interior point ``1 + lam (r - 1)`` of the
     admissible interval ``(1, r)`` with ``r = 1 / rho(cum (A - B K_next))``.
@@ -151,16 +165,9 @@ def choose_c(sys, K_next, cum, lam=0.5):
     stable; the interior-point rule makes runs reproducible and
     scale-free.  ``lam`` must lie in (0, 1).
     """
-    if not 0.0 < lam < 1.0:
-        raise InvalidProblemError("lam must lie strictly between 0 and 1")
     K_next = np.atleast_2d(np.asarray(K_next, dtype=float))
-    rho = matkit.spectral_radius(cum * (sys.A - sys.B @ K_next))
-    if rho >= 1.0:
-        raise InvariantViolatedError(
-            f"scaled loop after improvement must be Schur stable, "
-            f"spectral radius is {rho:.6g}")
-    r = min(1.0 / rho, MAX_HEADROOM) if rho > 0 else MAX_HEADROOM
-    return 1.0 + lam * (r - 1.0)
+    rho = matkit.spectral_radius(sys.A - sys.B @ K_next)
+    return _interior_factor(cum * rho, lam)
 
 
 def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
@@ -188,7 +195,13 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
         raise InvalidProblemError(
             "the pair (A, sqrt(Q)) must be observable")
 
-    b = choose_b(sys, K, beta)
+    # One eigensolve per iteration: the radius of the improved gain
+    # sets the next factor and is the next record's rho_closed, and
+    # rho(cum (A - B K)) = cum rho(A - B K).
+    if beta <= 0:
+        raise InvalidProblemError("beta must be positive")
+    rho_closed = matkit.spectral_radius(sys.A - sys.B @ K)
+    b = rho_closed + beta
     cum = 1.0 / b
     c = 1.0
     trace = []
@@ -198,34 +211,31 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
             raise MaxIterationsError(
                 f"scaling phase did not finish in {i_max} iterations",
                 last=trace[-1] if trace else None)
-        A_cl = sys.A - sys.B @ K
         P = scaled_policy_evaluation(sys, weights, K, cum)
         trace.append(SpiState(
             i=i, K_tilde=K, P_tilde=P, b=b, c=c, cum=cum,
-            rho_closed=matkit.spectral_radius(A_cl),
-            rho_scaled=matkit.spectral_radius(cum * A_cl)))
-        K_next = scaled_policy_improvement(sys, weights, P, cum)
-        c = choose_c(sys, K_next, cum, lam)
-        K = K_next
+            rho_closed=rho_closed, rho_scaled=cum * rho_closed))
+        K = scaled_policy_improvement(sys, weights, P, cum)
+        rho_closed = matkit.spectral_radius(sys.A - sys.B @ K)
+        c = _interior_factor(cum * rho_closed, lam)
         cum = cum * c
         i += 1
 
     # Handoff: cum >= 1, so K stabilizes the true plant; record the
     # pre-reset factor, then run plain policy iteration at scale 1.
-    A_cl = sys.A - sys.B @ K
     trace.append(SpiState(
         i=i, K_tilde=K, P_tilde=None, b=b, c=c, cum=cum,
-        rho_closed=matkit.spectral_radius(A_cl),
-        rho_scaled=matkit.spectral_radius(cum * A_cl)))
+        rho_closed=rho_closed, rho_scaled=cum * rho_closed))
     handoff_index = i
 
     solution = riccati.hewer_pi(sys, weights, K, tol=tol,
                                 max_iter=max(i_max - i, 1))
-    phase2 = [SpiState(i=handoff_index + j, K_tilde=Kj, P_tilde=Pj,
-                       b=1.0, c=1.0, cum=1.0,
-                       rho_closed=matkit.spectral_radius(sys.A - sys.B @ Kj),
-                       rho_scaled=matkit.spectral_radius(sys.A - sys.B @ Kj))
-              for j, (Pj, Kj) in enumerate(solution.trace)]
+    phase2 = []
+    for j, (Pj, Kj) in enumerate(solution.trace):
+        rho = matkit.spectral_radius(sys.A - sys.B @ Kj)
+        phase2.append(SpiState(i=handoff_index + j, K_tilde=Kj, P_tilde=Pj,
+                               b=1.0, c=1.0, cum=1.0,
+                               rho_closed=rho, rho_scaled=rho))
     total = handoff_index + solution.iterations
     final = riccati.AreSolution(
         P=solution.P, K=solution.K, residual=solution.residual,

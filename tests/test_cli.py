@@ -81,6 +81,23 @@ def test_solve_model_based_reference(tmp_path):
     assert (tmp_path / "trace.csv").exists()
 
 
+def test_solve_trace_radii(tmp_path):
+    # rows carry rho(A - B K) and rho_scaled = cum rho_closed, filled in
+    # by the row builder for the data-driven solver, which does not know A
+    for solver in ("spi-model-free", "vi"):
+        out = tmp_path / solver
+        cfg = write_config(tmp_path / "c.json", model_free_config())
+        assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                         "--solver", solver]) == 0
+        report = json.loads((out / "report.json").read_text())
+        sys_d = cli.build_system(report["config"])
+        for row in report["trace"]:
+            A_cl = sys_d.A - sys_d.B @ np.asarray(row["K"])
+            rho = np.abs(np.linalg.eigvals(A_cl)).max()
+            assert abs(row["rho_closed"] - rho) <= 1e-12 * rho
+            assert row["rho_scaled"] == row["cum"] * row["rho_closed"]
+
+
 def test_solve_rejects_negative_seed_override(tmp_path):
     cfg = write_config(tmp_path / "c.json", model_free_config())
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path),

@@ -162,6 +162,60 @@ def test_controllability_cases():
     assert not lti.is_controllable(sys_u)
 
 
+def _small_radius_plant(seed, n=20, m=2, rho=0.4):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= rho / matkit.spectral_radius(A)
+    return A, rng.standard_normal((n, m))
+
+
+def _pbh_controllable(A, B):
+    n = A.shape[0]
+    return all(np.linalg.matrix_rank(np.hstack([A - lam * np.eye(n), B]))
+               == n for lam in np.linalg.eigvals(A))
+
+
+@pytest.mark.parametrize("seed", [101, 143, 196, 231])
+def test_controllable_small_radius_plant(seed):
+    # A^k B shrinks like 0.4^k; unscaled Krylov blocks fell below the
+    # rank tolerance and these PBH-controllable plants were rejected
+    A, B = _small_radius_plant(seed)
+    assert _pbh_controllable(A, B)
+    assert lti.is_controllable(lti.LinearSystem(A, B))
+    assert lti.is_observable(A.T, B.T)
+
+
+def test_controllability_small_radius_no_false_rejects():
+    for seed in range(1000, 1100):
+        A, B = _small_radius_plant(seed)
+        assert lti.is_controllable(lti.LinearSystem(A, B)), seed
+
+
+def test_controllability_hidden_uncontrollable_block():
+    # a 2-mode block that B cannot reach, hidden by an orthogonal change
+    # of coordinates, is rejected at every scale of A
+    rng = np.random.default_rng(17)
+    n = 20
+    for _ in range(50):
+        A = rng.standard_normal((n, n))
+        A[n - 2:, :n - 2] = 0.0
+        A *= rng.uniform(0.2, 1.2) / matkit.spectral_radius(A)
+        B = np.vstack([rng.standard_normal((n - 2, 2)), np.zeros((2, 2))])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A, B = Q @ A @ Q.T, Q @ B
+        assert not lti.is_controllable(lti.LinearSystem(A, B))
+        assert not lti.is_observable(A.T, B.T)
+
+
+def test_controllability_nilpotent_plant():
+    # rho(A) = 0: no rescaling; a shift chain driven at its head
+    A = np.eye(4, k=-1)
+    assert lti.is_controllable(lti.LinearSystem(A, np.eye(4, 1)))
+    assert not lti.is_controllable(lti.LinearSystem(A, np.eye(4)[:, [3]]))
+    assert lti.is_observable(A, np.eye(4)[[3]])
+    assert not lti.is_observable(A, np.eye(4)[[0]])
+
+
 def test_power_plant_controllable(power_system):
     assert lti.is_controllable(power_system)
     C = lti.controllability_matrix(power_system)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spilqr import matkit
 from spilqr.exceptions import (
@@ -168,6 +169,93 @@ def _series_lyapunov(F, W, terms=10_000):
     return P
 
 
+def _kronecker_lyapunov(F, W):
+    """Independent oracle: the vectorized system
+    ``(I - F' kron F') vec(P) = vec(W)``, O(n^6), for small ``n``."""
+    n = F.shape[0]
+    lhs = np.eye(n * n) - np.kron(F.T, F.T)
+    P = np.linalg.solve(lhs, W.ravel(order="F")).reshape((n, n), order="F")
+    return (P + P.T) / 2.0, np.linalg.cond(lhs)
+
+
+def _lyapunov_factor(rng, n, rho, minus_one, pair_share, coupling):
+    """Orthogonally rotated real quasi-triangular ``F`` with spectral
+    radius ``rho``, attained at ``-rho`` when ``minus_one`` or else by a
+    positive eigenvalue or a complex pair.  Other eigenvalues have
+    moduli in ``[0, rho)``; about ``pair_share`` of the eigenvalues
+    come in complex pairs.  ``coupling`` scales the strictly upper
+    triangle, which sets how far ``F`` is from normal."""
+    T = np.zeros((n, n))
+    k = 0
+    while k < n:
+        r = rho if k == 0 else rng.uniform(0.0, rho)
+        if k == 0 and minus_one:
+            T[0, 0] = -rho
+            k += 1
+        elif n - k >= 2 and rng.random() < pair_share:
+            theta = rng.uniform(0.05, np.pi - 0.05)
+            a, b = r * np.cos(theta), r * np.sin(theta)
+            T[k:k + 2, k:k + 2] = [[a, b], [-b, a]]
+            k += 2
+        else:
+            T[k, k] = r if k == 0 else r * rng.choice([-1.0, 1.0])
+            k += 1
+    # strictly upper entries, less the (k, k+1) entry of each 2 x 2 block
+    upper = np.triu(np.ones((n, n), dtype=bool), 1) & (T.T == 0)
+    T[upper] = coupling / np.sqrt(n) * rng.standard_normal(upper.sum())
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ T @ Q.T
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       log_gap=st.floats(-6.0, -0.05), minus_one=st.booleans(),
+       pair_share=st.floats(0.0, 1.0), coupling=st.floats(0.0, 1.0),
+       definite=st.booleans())
+def test_lyapunov_property_sweep(n, seed, log_gap, minus_one, pair_share,
+                                 coupling, definite):
+    rng = np.random.default_rng(seed)
+    rho = 1.0 - 10.0**log_gap
+    F = _lyapunov_factor(rng, n, rho, minus_one, pair_share, coupling)
+    G = rng.standard_normal((n, n))
+    W = G @ G.T if definite else G + G.T
+    P = matkit.solve_discrete_lyapunov(F, W)
+    assert np.array_equal(P, P.T)
+    # Criterion 8's bound, with 1 + ||W|| widened to ||F||^2 ||P|| when
+    # the solution is large: near the unit circle P grows like
+    # ||W|| / (1 - rho^2), and no solver's residual beats eps ||F||^2 ||P||.
+    res = np.linalg.norm(F.T @ P @ F - P + W)
+    scale = max(1.0 + np.linalg.norm(W),
+                np.linalg.norm(F, 2)**2 * np.linalg.norm(P))
+    assert res <= 1e-9 * scale
+    if n <= 12:
+        P_ref, cond = _kronecker_lyapunov(F, W)
+        err = np.linalg.norm(P - P_ref)
+        assert err <= 1e-12 * cond * np.linalg.norm(P_ref)
+
+
+def test_lyapunov_factor_spectrum():
+    rng = np.random.default_rng(11)
+    for minus_one in (True, False):
+        F = _lyapunov_factor(rng, 9, 1.0 - 1e-6, minus_one, 0.5, 1.0)
+        w = np.linalg.eigvals(F)
+        assert np.abs(w).max() == pytest.approx(1.0 - 1e-6, abs=1e-9)
+        if minus_one:
+            assert w[np.argmax(np.abs(w))].real < 0
+
+
+def test_lyapunov_complex_pairs_match_kronecker():
+    # rotation blocks only: every eigenvalue of F is one of a complex pair
+    rng = np.random.default_rng(12)
+    for n in (2, 4, 6, 10):
+        F = _lyapunov_factor(rng, n, 0.95, False, 1.0, 0.5)
+        W = np.eye(n)
+        P_ref, _ = _kronecker_lyapunov(F, W)
+        P = matkit.solve_discrete_lyapunov(F, W)
+        assert np.abs(np.linalg.eigvals(F).imag).min() > 0
+        assert np.abs(P - P_ref).max() < 1e-12 * np.abs(P_ref).max()
+
+
 def test_lyapunov_zero_factor():
     Q = np.diag([1.0, 2.0])
     assert np.allclose(matkit.solve_discrete_lyapunov(np.zeros((2, 2)), Q), Q)
@@ -219,6 +307,23 @@ def test_lyapunov_rejects_unstable_factor():
     # margin: radius within 1e-9 of 1 is rejected too
     with pytest.raises(UnstableMatrixError):
         matkit.solve_discrete_lyapunov(np.diag([1.0 - 1e-12, 0.5]), np.eye(2))
+
+
+def test_lyapunov_rejects_unstable_complex_pair():
+    # rotation by 0.3 rad at modulus 1.2: the radius comes from the pair
+    a, b = 1.2 * np.cos(0.3), 1.2 * np.sin(0.3)
+    F = np.array([[a, b, 0.0], [-b, a, 0.0], [0.0, 0.0, 0.1]])
+    with pytest.raises(UnstableMatrixError) as err:
+        matkit.solve_discrete_lyapunov(F, np.eye(3))
+    assert err.value.rho == pytest.approx(1.2, rel=1e-12)
+
+
+def test_lyapunov_stable_at_margin_edge():
+    # radius 1 - 1e-8 lies inside the margin and is solved
+    F = np.diag([-(1.0 - 1e-8), 0.5])
+    P = matkit.solve_discrete_lyapunov(F, np.eye(2))
+    assert P[0, 0] == pytest.approx(1.0 / (1.0 - (1.0 - 1e-8)**2),
+                                    rel=1e-7)
 
 
 def test_is_positive_definite():

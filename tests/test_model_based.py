@@ -219,3 +219,31 @@ def test_gain_sequence_covers_all_updates(power_system, power_weights):
     gains = report.gain_sequence()
     assert len(gains) == report.handoff_index + len(report.phase2_trace)
     assert np.array_equal(gains[-1], report.solution.K)
+
+
+def test_solver_trace_radii(power_system, power_weights):
+    report = model_based.spi_model_based(power_system, power_weights,
+                                         K0_ZERO, tol=1e-8)
+    A, B = power_system.A, power_system.B
+    for s in report.phase1_trace + report.phase2_trace:
+        rho = matkit.spectral_radius(A - B @ s.K_tilde)
+        assert s.rho_closed == pytest.approx(rho, rel=1e-12)
+        assert s.rho_scaled == s.cum * s.rho_closed
+    assert report.b == report.phase1_trace[0].rho_closed + 1.0
+
+
+def test_solver_one_eigensolve_per_iteration(power_system, power_weights,
+                                             monkeypatch):
+    calls = []
+    radius = matkit.spectral_radius
+    monkeypatch.setattr(matkit, "spectral_radius",
+                        lambda A: calls.append(1) or radius(A))
+    report = model_based.spi_model_based(power_system, power_weights,
+                                         K0_ZERO, tol=1e-8)
+    # one per phase-1 record (the starting gain's, then the improved
+    # gain's at each scaling iteration) and one per phase-2 record, plus
+    # the controllability and observability tests and Hewer's start
+    # check; the Lyapunov guard reads its radius off the Schur form
+    assert report.handoff_index >= 2
+    assert len(calls) == (len(report.phase1_trace)
+                          + len(report.phase2_trace) + 3)
