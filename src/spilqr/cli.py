@@ -10,6 +10,7 @@ controls log verbosity only and never affects numerics.
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -17,13 +18,15 @@ import sys
 import time
 from importlib import resources
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import matkit, model_based, model_free, riccati
 from .exceptions import (
     ConfigError,
     DivergenceError,
+    InvalidProblemError,
     SpilqrError,
 )
 from .lti import (
@@ -54,6 +57,16 @@ def _load_schema():
         return json.load(f)
 
 
+@functools.cache
+def _validator():
+    """The config validator, built once per process after one check of
+    the packaged schema against its metaschema."""
+    schema = _load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_config(path):
     """Read and schema-validate a JSON experiment configuration."""
     try:
@@ -65,11 +78,12 @@ def load_config(path):
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}") from exc
-    try:
-        jsonschema.validate(cfg, _load_schema())
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate raises, without its per-call metaschema
+    # check and validator build
+    error = best_match(_validator().iter_errors(cfg))
+    if error is not None:
         raise ConfigError(
-            f"{path}: field {exc.json_path}: {exc.message}") from exc
+            f"{path}: field {error.json_path}: {error.message}") from error
     return cfg
 
 
@@ -342,10 +356,10 @@ def cmd_solve(cfg, out_dir, seed=None, solver=None):
 
     oracle = None
     try:
-        ref = riccati.value_iteration(sys_d, weights, tol=1e-12)
+        ref = riccati.dare_reference(sys_d, weights)
         oracle = {"P": ref.P.tolist(), "K": ref.K.tolist(),
-                  "method": "value-iteration", "tol": 1e-12}
-    except SpilqrError as exc:  # pragma: no cover - oracle rarely fails
+                  "method": "scipy-dare", "residual": ref.residual}
+    except InvalidProblemError as exc:
         log.warning("reference solve failed, report has no oracle: %s", exc)
 
     report = {
@@ -504,7 +518,7 @@ def cmd_compare(cfg, out_dir, seed=None):
     gain_tol = comp.get("gain_tol", 1e-4)
     params = _params(cfg)
 
-    ref = riccati.value_iteration(sys_d, weights, tol=1e-12)
+    ref = riccati.dare_reference(sys_d, weights)
     data = None
     if "spi-model-free" in solvers:
         traj = collect_trajectory(sys_d, cfg, seed)

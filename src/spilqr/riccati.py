@@ -1,15 +1,18 @@
 """Ground-truth machinery for the discrete-time LQR fixed point.
 
 Contains the algebraic Riccati residual, the classical policy iteration
-that needs a stabilizing start (Hewer's method), and a value-iteration
-baseline that converges from any positive semidefinite seed.  The
-value iteration doubles as the independent oracle used throughout the
-test suite.
+that needs a stabilizing start (Hewer's method), a value-iteration
+baseline that converges from any positive semidefinite seed, and the
+verified reference solve.  Value iteration doubles as the independent
+oracle used throughout the test suite; the CLI's reference is
+:func:`dare_reference`, one Schur-method DARE solve whose result is
+checked before it is returned.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import matkit
 from .exceptions import (
@@ -22,11 +25,15 @@ from .exceptions import (
 
 __all__ = [
     "AreSolution", "are_residual", "optimal_gain", "riccati_step",
-    "hewer_pi", "value_iteration",
+    "hewer_pi", "value_iteration", "dare_reference",
 ]
 
 PI_MAX_ITER = 100
 VI_MAX_ITER = 100_000
+
+# A reference whose Riccati residual exceeds this share of max(1, ||P||_F)
+# is rejected.
+DARE_RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -157,3 +164,47 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=VI_MAX_ITER):
     raise MaxIterationsError(
         f"value iteration did not converge in {max_iter} iterations",
         last=(P, None))
+
+
+def dare_reference(sys, weights):
+    """Optimal pair from one Schur-method solve of the discrete ARE.
+
+    Calls ``scipy.linalg.solve_discrete_are`` (the generalized Schur
+    method of Laub and of Arnold & Laub) and verifies the result before
+    returning it: ``P`` is finite and positive semidefinite, the gain it
+    induces makes ``A - BK`` Schur stable, and the Riccati residual is at
+    most ``DARE_RESIDUAL_RTOL * max(1, ||P||_F)``.  ``iterations`` is 0:
+    the solve is direct.
+
+    Raises
+    ------
+    InvalidProblemError
+        If the solve fails or its result fails a check, typically because
+        the plant has no stabilizing Riccati solution; the message names
+        the reason.
+    """
+    try:
+        P = scipy.linalg.solve_discrete_are(sys.A, sys.B, weights.Q,
+                                            weights.R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise InvalidProblemError(
+            f"DARE solve failed, no stabilizing solution: {exc}") from exc
+    if not np.all(np.isfinite(P)):
+        raise InvalidProblemError("DARE solution has non-finite entries")
+    P = (P + P.T) / 2.0
+    if np.linalg.eigvalsh(P).min() < -matkit.pd_tolerance(P):
+        raise InvalidProblemError(
+            "DARE solution is not positive semidefinite")
+    K = optimal_gain(sys, weights, P)
+    rho = matkit.spectral_radius(sys.A - sys.B @ K)
+    if rho >= 1.0:
+        raise InvalidProblemError(
+            f"DARE solution does not stabilize the plant "
+            f"(spectral radius {rho:.6g})")
+    residual = are_residual(sys, weights, P)
+    bound = DARE_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(P, "fro")))
+    if not residual <= bound:
+        raise InvalidProblemError(
+            f"DARE solution has Riccati residual {residual:.3e} "
+            f"above {bound:.3e}")
+    return AreSolution(P=P, K=K, residual=residual, iterations=0)

@@ -1,8 +1,12 @@
 import json
+import logging
 
+import jsonschema
 import numpy as np
+import pytest
 
-from spilqr import cli
+from spilqr import cli, riccati
+from spilqr.exceptions import ConfigError
 
 from conftest import POWER_K_REF, POWER_P_REF
 
@@ -24,6 +28,14 @@ def model_based_config():
             "solver": "spi-model-based",
             "params": {"K0": [[0.0, 0.0, 0.0]], "beta": 1.0, "lambda": 0.5,
                        "tol": 1e-05, "i_max": 500}}
+
+
+# Plant with an uncontrollable unstable mode that the cost does not see:
+# value iteration converges, but no gain stabilizes the plant, so the DARE
+# has no stabilizing solution.
+UNSTABILIZABLE = {
+    "system": {"A": [[1.5, 0.0], [0.0, 0.5]], "B": [[0.0], [1.0]]},
+    "weights": {"Q": [[0.0, 0.0], [0.0, 1.0]], "R": [[1.0]]}}
 
 
 def model_free_config():
@@ -345,3 +357,105 @@ def test_shipped_configs_are_valid():
     root = pathlib.Path(__file__).resolve().parents[1] / "configs"
     for path in sorted(root.glob("*.json")):
         cli.load_config(str(path))
+
+
+def test_load_config_checks_schema_once(tmp_path, monkeypatch):
+    cls = jsonschema.validators.validator_for(cli._load_schema())
+    check_schema = cls.check_schema
+    calls = []
+
+    def counting(schema):
+        calls.append(schema)
+        return check_schema(schema)
+
+    monkeypatch.setattr(cls, "check_schema", counting)
+    cli._validator.cache_clear()
+    cfg = write_config(tmp_path / "c.json", model_based_config())
+    cli.load_config(cfg)
+    cli.load_config(cfg)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("edit, keyword", [
+    (lambda c: c["params"].update(beta="one"), "type"),
+    (lambda c: c.update(extra=1), "additionalProperties"),
+    (lambda c: c.update(system={"A_c": POWER_AC, "B_c": POWER_BC}), "oneOf"),
+    (lambda c: c.update(seed=-1), "minimum"),
+    # best_match descends into the oneOf branch that nearly matched
+    (lambda c: c["params"].update(delta={"rate": 0.5, "x": 1}),
+     "additionalProperties"),
+], ids=["wrong-type", "extra-property", "oneOf-miss", "negative-seed",
+        "oneOf-branch"])
+def test_config_error_text_matches_jsonschema(tmp_path, edit, keyword):
+    cfg_dict = model_based_config()
+    edit(cfg_dict)
+    cfg = write_config(tmp_path / "c.json", cfg_dict)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg_dict, cli._load_schema())
+    exc = expected.value
+    assert exc.validator == keyword
+    with pytest.raises(ConfigError) as got:
+        cli.load_config(cfg)
+    assert str(got.value) == f"{cfg}: field {exc.json_path}: {exc.message}"
+
+
+@pytest.fixture
+def value_iteration_calls(monkeypatch):
+    calls = []
+    value_iteration = riccati.value_iteration
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return value_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "value_iteration", counting)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["spi-model-based", "spi-model-free",
+                                    "hewer"])
+def test_solve_reference_needs_no_value_iteration(tmp_path, solver,
+                                                  value_iteration_calls):
+    cfg_dict = model_free_config()
+    cfg_dict["params"]["K0"] = POWER_K_REF.tolist()
+    cfg = write_config(tmp_path / "c.json", cfg_dict)
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path),
+                     "--solver", solver]) == 0
+    assert value_iteration_calls == []
+    oracle = json.loads((tmp_path / "report.json").read_text())["oracle"]
+    assert oracle["method"] == "scipy-dare"
+    assert 0.0 <= oracle["residual"] <= 1e-8 * np.linalg.norm(oracle["P"])
+    assert np.abs(np.asarray(oracle["P"]) - POWER_P_REF).max() < 1e-4
+
+
+def test_compare_runs_value_iteration_only_for_vi(tmp_path,
+                                                  value_iteration_calls):
+    cfg = write_config(tmp_path / "c.json", {
+        "system": SYSTEM_CONT, "weights": WEIGHTS, "seed": 11,
+        "compare": {"solvers": ["spi-model-based", "vi", "hewer"],
+                    "trials": 3}})
+    assert cli.main(["compare", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+    assert len(value_iteration_calls) == 3
+
+
+def test_solve_unstabilizable_plant_has_no_oracle(tmp_path, caplog):
+    cfg = write_config(tmp_path / "c.json", dict(UNSTABILIZABLE, solver="vi"))
+    with caplog.at_level(logging.WARNING, logger="spilqr"):
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["oracle"] is None
+    assert any(r.levelno == logging.WARNING
+               and "reference solve failed" in r.getMessage()
+               for r in caplog.records)
+
+
+def test_compare_unstabilizable_plant_exit_code(tmp_path):
+    cfg = write_config(tmp_path / "c.json", dict(
+        UNSTABILIZABLE, seed=3, compare={"solvers": ["vi"], "trials": 2}))
+    assert cli.main(["compare", "--config", cfg,
+                     "--out", str(tmp_path)]) == 3
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"]["type"] == "InvalidProblemError"
+    assert not (tmp_path / "comparison.csv").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spilqr import lti, matkit, riccati
 from spilqr.exceptions import (
@@ -143,3 +144,47 @@ def test_scipy_dare_cross_check(power_system, power_weights):
         power_system.A, power_system.B, power_weights.Q, power_weights.R)
     sol = riccati.value_iteration(power_system, power_weights, tol=1e-12)
     assert np.abs(sol.P - P_ref).max() < 1e-7
+
+
+def _rel(X, Y):
+    return np.linalg.norm(X - Y) / np.linalg.norm(Y)
+
+
+def test_dare_reference_matches_value_iteration(power_system, power_weights,
+                                                power_oracle, corpus):
+    cases = [(power_system, power_weights, power_oracle)] + [
+        (case["sys"], case["weights"],
+         riccati.value_iteration(case["sys"], case["weights"], tol=1e-12))
+        for case in corpus]
+    for sys_d, weights, vi in cases:
+        ref = riccati.dare_reference(sys_d, weights)
+        assert _rel(ref.P, vi.P) <= 1e-10
+        assert _rel(ref.K, vi.K) <= 1e-10
+        assert ref.residual == riccati.are_residual(sys_d, weights, ref.P)
+        assert np.array_equal(ref.P, ref.P.T)
+
+
+@pytest.mark.parametrize("Q", [np.eye(2), np.diag([0.0, 1.0])],
+                         ids=["mode-weighted", "mode-unweighted"])
+def test_dare_reference_rejects_unstabilizable_plant(Q):
+    # the first mode (1.5) is unstable and the input cannot reach it
+    sys_d = lti.LinearSystem(np.diag([1.5, 0.5]), np.array([[0.0], [1.0]]))
+    weights = lti.CostWeights(Q, np.eye(1))
+    with pytest.raises(InvalidProblemError, match="no stabilizing"):
+        riccati.dare_reference(sys_d, weights)
+
+
+@pytest.mark.parametrize("bad_P, reason", [
+    (lambda P: np.full_like(P, np.nan), "non-finite"),
+    (lambda P: -P, "not positive semidefinite"),
+    # K = 0 leaves the open-loop unstable plant as it is
+    (lambda P: np.zeros_like(P), "does not stabilize"),
+    (lambda P: P * (1.0 + 1e-6), "residual"),
+], ids=["non-finite", "indefinite", "not-stabilizing", "residual"])
+def test_dare_reference_verifies_the_solve(power_system, power_weights,
+                                           monkeypatch, bad_P, reason):
+    P_opt = riccati.dare_reference(power_system, power_weights).P
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                        lambda *args: bad_P(P_opt))
+    with pytest.raises(InvalidProblemError, match=reason):
+        riccati.dare_reference(power_system, power_weights)
