@@ -16,7 +16,9 @@ verified DARE reference),
 (experiment runner).
 """
 
-from . import benchmarks, cli, lti, matkit, model_based, model_free, riccati
+import importlib
+
+from . import benchmarks, lti, matkit, model_based, model_free, riccati
 from .exceptions import (
     ConfigError,
     DimensionMismatchError,
@@ -46,6 +48,16 @@ from .model_free import (
 from .riccati import AreSolution, hewer_pi, value_iteration
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The CLI (argparse, jsonschema) loads on first use, so that a plain
+    # ``import spilqr`` stays light and ``python -m spilqr.cli`` does not
+    # find the module already imported.
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "LinearSystem", "CostWeights", "Trajectory",

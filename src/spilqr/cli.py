@@ -22,10 +22,11 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from . import matkit, model_based, model_free, riccati
+from . import model_based, model_free, riccati
 from .exceptions import (
     ConfigError,
     DivergenceError,
+    EigenvalueConvergenceError,
     InvalidProblemError,
     SpilqrError,
 )
@@ -174,12 +175,31 @@ def collect_trajectory(sys, cfg, seed):
 # ---------------------------------------------------------------------------
 # report serialization
 
-def _state_row(state, sys=None, dP=None):
-    rho_closed = state.rho_closed
-    rho_scaled = state.rho_scaled
-    if sys is not None and rho_closed is None:
-        rho_closed = matkit.spectral_radius(sys.A - sys.B @ state.K_tilde)
-        rho_scaled = state.cum * rho_closed
+def _closed_loop_radii(sys, gains):
+    """``rho(A - B K)`` for each gain, from one eigensolve of the stack.
+
+    Stacked ``np.linalg.eigvals`` runs the same LAPACK ``dgeev`` on each
+    matrix, so every radius equals :func:`matkit.spectral_radius` of its
+    matrix; non-finite matrices are rejected as there.
+    """
+    if not gains:
+        return []
+    F = np.array([sys.A - sys.B @ K for K in gains])
+    if not np.all(np.isfinite(F)):
+        raise InvalidProblemError("A - BK has non-finite entries")
+    try:
+        w = np.linalg.eigvals(F)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigenvalueConvergenceError(
+            f"eigenvalue iteration did not converge: {exc}") from exc
+    return np.abs(w).max(axis=1).tolist()
+
+
+def _state_row(state, dP, rho_closed):
+    """Report row of a scaling record; ``rho_closed`` is ``rho(A - B K)``
+    of its gain, and gives the scaled radius when the record has none."""
+    rho_scaled = (state.rho_scaled if state.rho_closed is not None
+                  else state.cum * rho_closed)
     return {
         "i": state.i,
         "b": state.b,
@@ -199,36 +219,32 @@ def _state_row(state, sys=None, dP=None):
 
 
 def _rows_from_report(report, sys):
+    states = report.phase1_trace + report.phase2_trace
+    radii = iter(_closed_loop_radii(
+        sys, [s.K_tilde for s in states if s.rho_closed is None]))
     rows = []
-    P_prev = None
-    for s in report.phase1_trace:
-        dP = None
-        if s.P_tilde is not None and P_prev is not None:
-            dP = float(np.linalg.norm(s.P_tilde - P_prev, "fro"))
-        row = _state_row(s, sys, dP)
-        row["phase"] = 1
-        rows.append(row)
-        if s.P_tilde is not None:
-            P_prev = s.P_tilde
-    P_prev = None
-    for s in report.phase2_trace:
-        dP = None
-        if P_prev is not None:
-            dP = float(np.linalg.norm(s.P_tilde - P_prev, "fro"))
-        row = _state_row(s, sys, dP)
-        row["phase"] = 2
-        rows.append(row)
-        P_prev = s.P_tilde
+    for phase, trace in ((1, report.phase1_trace), (2, report.phase2_trace)):
+        P_prev = None
+        for s in trace:
+            dP = None
+            if s.P_tilde is not None and P_prev is not None:
+                dP = float(np.linalg.norm(s.P_tilde - P_prev, "fro"))
+            rho = s.rho_closed if s.rho_closed is not None else next(radii)
+            row = _state_row(s, dP, rho)
+            row["phase"] = phase
+            rows.append(row)
+            if s.P_tilde is not None:
+                P_prev = s.P_tilde
     return rows
 
 
 def _rows_from_pi_trace(trace, sys):
+    radii = _closed_loop_radii(sys, [K for _, K in trace])
     rows = []
     P_prev = None
-    for i, (P, K) in enumerate(trace):
+    for i, ((P, K), rho) in enumerate(zip(trace, radii)):
         dP = None if P_prev is None else float(np.linalg.norm(P - P_prev,
                                                               "fro"))
-        rho = matkit.spectral_radius(sys.A - sys.B @ K)
         rows.append({
             "i": i, "phase": 2, "b": 1.0, "c": 1.0, "cum": 1.0,
             "P": P.tolist(), "K": K.tolist(),
@@ -264,9 +280,10 @@ def _write_trace_csv(path, rows):
 
 
 def _write_json(path, obj):
+    """Compact JSON from the C encoder, written at once."""
+    text = json.dumps(obj, sort_keys=True)
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +616,10 @@ def cmd_plotdata(report_path, out_dir):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="spilqr",
         description="Discrete-time LQR via scaling policy iteration")

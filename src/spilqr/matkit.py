@@ -20,6 +20,7 @@ ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``.
 ``(y' ⊗ x') vec(M) == x' M y``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -67,8 +68,14 @@ def check_symmetric(S, name="matrix", rtol=1e-10):
     return (S + S.T) / 2.0
 
 
+@functools.cache
 def _triu_indices(n):
-    return np.triu_indices(n)
+    """Row-major upper-triangle indices of an ``n x n`` matrix, built once
+    per size and shared read-only."""
+    i, j = np.triu_indices(n)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
 
 
 def vecs(S):

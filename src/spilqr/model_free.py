@@ -146,6 +146,14 @@ def check_rank_condition(data, tol=1e-8):
     return matkit.numerical_rank(stacked, tol) == unknown_count(data.n, data.m)
 
 
+def _kron_eye(M, n):
+    """``np.kron(M, np.eye(n))``, as the broadcast product that
+    ``np.kron`` computes, without its per-call reshaping overhead."""
+    r, c = M.shape
+    return (M[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(
+        r * n, c * n)
+
+
 def assemble_theta_gamma(data, K, cum, weights):
     """Regressor matrix and right-hand side for one iteration.
 
@@ -164,7 +172,7 @@ def assemble_theta_gamma(data, K, cum, weights):
     d_Kx = matkit.vecv_rows(data.states @ K.T)
     theta = np.hstack([
         g2 * data.D_x - data.d_x,
-        -2.0 * g2 * (data.delta_xx @ np.kron(K.T, np.eye(data.n))
+        -2.0 * g2 * (data.delta_xx @ _kron_eye(K.T, data.n)
                      + data.delta_ux),
         g2 * (d_Kx - data.d_u),
     ])

@@ -9,10 +9,12 @@ oracle used throughout the test suite; the CLI's reference is
 checked before it is returned.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from . import matkit
 from .exceptions import (
@@ -144,6 +146,21 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=VI_MAX_ITER):
 
     Slower than policy iteration but needs no stabilizing start; serves
     as the independent route to the Riccati solution in the tests.
+    ``sys``, ``weights`` and ``P0`` are validated once; each sweep then
+    runs the arithmetic of :func:`riccati_step`, so the iterates, the
+    trace and the iteration count are those of the ``riccati_step``
+    recursion.
+
+    Raises
+    ------
+    InvalidProblemError
+        If ``P0`` is not positive semidefinite, or if the step between
+        sweeps stops being finite (the recursion diverges, as it does
+        on a plant with an unstabilizable mode that the cost sees).
+    SingularMatrixError
+        If ``R + B'PB`` is numerically singular.
+    MaxIterationsError
+        If the tolerance is not met within ``max_iter`` sweeps.
     """
     if P0 is None:
         P = np.zeros((sys.n, sys.n))
@@ -151,11 +168,26 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=VI_MAX_ITER):
         P = matkit.check_symmetric(P0, "P0")
         if np.linalg.eigvalsh(P).min() < -matkit.pd_tolerance(P):
             raise InvalidProblemError("P0 must be positive semidefinite")
+    P = _check_dims(sys, weights, P)
+    A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
+    At, Bt = A.T, B.T
     trace = []
     for k in range(max_iter):
-        P_next, K = riccati_step(sys, weights, P)
+        # riccati_step: K = (R + B'PB)^{-1} B'PA, P' = Q + A'P(A - BK)
+        BtP = Bt @ P
+        _, _, K, info = scipy.linalg.lapack.dgesv(R + BtP @ B, BtP @ A)
+        if info > 0:
+            raise SingularMatrixError("R + B'PB is numerically singular")
+        K = np.ascontiguousarray(K)   # C order, as np.linalg.solve returns
+        P_next = Q + At @ P @ (A - B @ K)
+        P_next = (P_next + P_next.T) / 2.0
         trace.append((P, K))
-        if np.linalg.norm(P_next - P, "fro") < tol:
+        d = (P_next - P).ravel()
+        step = math.sqrt(d.dot(d))   # np.linalg.norm(P_next - P, "fro")
+        if not math.isfinite(step):
+            raise InvalidProblemError(
+                f"value iteration diverged at sweep {k + 1}")
+        if step < tol:
             K_final = optimal_gain(sys, weights, P_next)
             return AreSolution(P=P_next, K=K_final,
                                residual=are_residual(sys, weights, P_next),

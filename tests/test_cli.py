@@ -1,11 +1,15 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
-from spilqr import cli, riccati
+import spilqr
+from spilqr import cli, matkit, riccati
 from spilqr.exceptions import ConfigError
 
 from conftest import POWER_K_REF, POWER_P_REF
@@ -459,3 +463,83 @@ def test_compare_unstabilizable_plant_exit_code(tmp_path):
     err = json.loads((tmp_path / "error.json").read_text())
     assert err["error"]["type"] == "InvalidProblemError"
     assert not (tmp_path / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("solver", ["vi", "hewer", "spi-model-free"])
+def test_trace_radii_equal_spectral_radius(tmp_path, solver):
+    # the row builder's one stacked eigensolve gives every row the radius
+    # that matkit.spectral_radius gives its matrix
+    cfg_dict = model_free_config()
+    cfg_dict["params"]["K0"] = (POWER_K_REF * 0.5).tolist()
+    cfg = write_config(tmp_path / "c.json", cfg_dict)
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path),
+                     "--solver", solver]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    sys_d = cli.build_system(report["config"])
+    assert len(report["trace"]) > 1
+    for row in report["trace"]:
+        rho = matkit.spectral_radius(sys_d.A - sys_d.B @ np.asarray(row["K"]))
+        assert row["rho_closed"] == rho
+
+
+def test_closed_loop_radii_of_no_gains(power_system):
+    assert cli._closed_loop_radii(power_system, []) == []
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    cfg = write_config(tmp_path / "c.json", model_free_config())
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "a"),
+                     "--solver", "vi", "--seed", "99"]) == 0
+    assert cli.main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "b")]) == 0
+    ra = json.loads((tmp_path / "a" / "report.json").read_text())
+    rb = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert (ra["solver"], ra["seed"]) == ("vi", 99)
+    assert (rb["solver"], rb["seed"]) == ("spi-model-free", 7)
+
+
+@pytest.mark.parametrize("solver", ["vi", "spi-model-free"])
+def test_report_parses_like_the_indented_text(tmp_path, monkeypatch, solver):
+    written = {}
+    write_json = cli._write_json
+
+    def capture(path, obj):
+        written[path] = obj
+        write_json(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    cfg = write_config(tmp_path / "c.json", model_free_config())
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path),
+                     "--solver", solver]) == 0
+    path = str(tmp_path / "report.json")
+    text = (tmp_path / "report.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    indented = json.dumps(written[path], indent=2, sort_keys=True) + "\n"
+    assert json.loads(text) == json.loads(indented)
+
+
+def _run_python(*args):
+    src = os.path.dirname(os.path.dirname(spilqr.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "spilqr.cli",
+                       "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: spilqr" in proc.stdout
+
+
+def test_package_import_loads_cli_on_first_use():
+    proc = _run_python("-c", (
+        "import sys, spilqr\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        "assert 'spilqr.cli' not in sys.modules\n"
+        "from spilqr import cli\n"
+        "assert spilqr.cli is cli is sys.modules['spilqr.cli']\n"))
+    assert proc.returncode == 0, proc.stderr

@@ -345,3 +345,14 @@ def test_sym_sqrt():
 def test_check_symmetric_rejects_asymmetry():
     with pytest.raises(InvalidProblemError):
         matkit.check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_triu_indices_built_once_and_read_only():
+    i, j = matkit._triu_indices(4)
+    assert matkit._triu_indices(4)[0] is i
+    assert np.array_equal(i, np.triu_indices(4)[0])
+    assert np.array_equal(j, np.triu_indices(4)[1])
+    with pytest.raises(ValueError):
+        i[0] = 1
+    with pytest.raises(ValueError):
+        j[0] = 1

@@ -364,3 +364,19 @@ def test_solver_rejects_bad_gain_shape(power_data, power_weights):
     with pytest.raises(InvalidProblemError):
         model_free.spi_model_free(power_data, np.zeros((2, 3)),
                                   power_weights)
+
+
+@pytest.mark.parametrize("shape, n", [((3, 1), 3), ((4, 2), 4), ((2, 3), 1),
+                                      ((1, 1), 5)])
+def test_kron_eye_matches_numpy_kron(shape, n):
+    rng = np.random.default_rng(sum(shape) + n)
+    M = rng.standard_normal(shape)
+    M.flat[0] = -0.0
+    M.flat[-1] = -abs(M.flat[-1]) if M.size > 1 else -0.0
+    for X in (M, M.T, np.asfortranarray(M)):
+        got = model_free._kron_eye(X, n)
+        want = np.kron(X, np.eye(n))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        # -0.0 times 1.0 and any negative times 0.0 give -0.0 in both
+        assert np.array_equal(np.signbit(got), np.signbit(want))

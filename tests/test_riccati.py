@@ -188,3 +188,68 @@ def test_dare_reference_verifies_the_solve(power_system, power_weights,
                         lambda *args: bad_P(P_opt))
     with pytest.raises(InvalidProblemError, match=reason):
         riccati.dare_reference(power_system, power_weights)
+
+
+def riccati_step_recursion(sys_d, weights, tol):
+    """Value iteration spelled out with the public one-sweep function."""
+    P = np.zeros((sys_d.n, sys_d.n))
+    trace = []
+    while True:
+        P_next, K = riccati.riccati_step(sys_d, weights, P)
+        trace.append((P, K))
+        if np.linalg.norm(P_next - P, "fro") < tol:
+            return (P_next, riccati.optimal_gain(sys_d, weights, P_next),
+                    trace)
+        P = P_next
+
+
+def assert_same_recursion(sys_d, weights, close):
+    sol = riccati.value_iteration(sys_d, weights, tol=1e-10)
+    P, K, trace = riccati_step_recursion(sys_d, weights, tol=1e-10)
+    assert sol.iterations == len(trace) == len(sol.trace)
+    assert close(sol.P, P) and close(sol.K, K)
+    for (P_a, K_a), (P_b, K_b) in zip(sol.trace, trace):
+        assert close(P_a, P_b) and close(K_a, K_b)
+
+
+def random_plant(rng, n, m):
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.5, 1.2) / matkit.spectral_radius(A)
+    return (lti.LinearSystem(A, rng.standard_normal((n, m))),
+            lti.CostWeights(np.eye(n), np.eye(m)))
+
+
+def test_value_iteration_is_the_riccati_step_recursion_single_input(
+        power_system, power_weights, corpus):
+    # one input: every sweep solves a 1 x 1 system, bit for bit
+    cases = [(power_system, power_weights)] + [
+        (case["sys"], case["weights"]) for case in corpus
+        if case["sys"].m == 1]
+    assert len(cases) >= 11
+    for sys_d, weights in cases:
+        assert_same_recursion(sys_d, weights, np.array_equal)
+
+
+def test_value_iteration_is_the_riccati_step_recursion_multi_input(corpus):
+    # LAPACK builds may order the m x m elimination differently
+    def close(X, Y):
+        return np.allclose(X, Y, rtol=1e-13, atol=0.0)
+
+    rng = np.random.default_rng(31)
+    cases = [(case["sys"], case["weights"]) for case in corpus
+             if case["sys"].m == 2]
+    cases += [random_plant(rng, int(rng.integers(3, 6)), 3)
+              for _ in range(10)]
+    for sys_d, weights in cases:
+        assert_same_recursion(sys_d, weights, close)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_value_iteration_fails_fast_on_unstabilizable_weighted_mode():
+    # the unstable mode (1.5) is unreachable and Q weights it: P grows
+    # like 1.5^(2k) until it overflows, near sweep 875
+    sys_d = lti.LinearSystem(np.diag([1.5, 0.5]), np.array([[0.0], [1.0]]))
+    weights = lti.CostWeights(np.eye(2), np.eye(1))
+    with pytest.raises(InvalidProblemError, match="diverged"):
+        riccati.value_iteration(sys_d, weights, max_iter=1000)
+
