@@ -10,8 +10,8 @@ destabilizing, feedback gain.  Two solver families are provided:
 
 Supporting modules: :mod:`spilqr.matkit` (matrix kernels),
 :mod:`spilqr.lti` (plants, discretization, simulation),
-:mod:`spilqr.riccati` (policy/value iteration ground truth and the
-verified DARE reference),
+:mod:`spilqr.riccati` (the two-phase policy-iteration loop, value
+iteration and the verified DARE reference),
 :mod:`spilqr.benchmarks` (test plants), :mod:`spilqr.cli`
 (experiment runner).
 """

@@ -43,8 +43,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
 
-SOLVERS = ("hewer", "vi", "spi-model-based", "spi-model-free")
-
 log = logging.getLogger("spilqr")
 
 
@@ -195,64 +193,47 @@ def _closed_loop_radii(sys, gains):
     return np.abs(w).max(axis=1).tolist()
 
 
-def _state_row(state, dP, rho_closed):
-    """Report row of a scaling record; ``rho_closed`` is ``rho(A - B K)``
-    of its gain, and gives the scaled radius when the record has none."""
-    rho_scaled = (state.rho_scaled if state.rho_closed is not None
-                  else state.cum * rho_closed)
-    return {
-        "i": state.i,
-        "b": state.b,
-        "c": state.c,
-        "cum": state.cum,
-        "P": None if state.P_tilde is None else state.P_tilde.tolist(),
-        "K": state.K_tilde.tolist(),
-        "P_norm": (None if state.P_tilde is None
-                   else float(np.linalg.norm(state.P_tilde, "fro"))),
-        "dP_norm": dP,
-        "rho_closed": rho_closed,
-        "rho_scaled": rho_scaled,
-        "bound": state.bound,
-        "sigma_q": state.sigma_q,
-        "fallback": state.fallback,
-    }
-
-
-def _rows_from_report(report, sys):
-    states = report.phase1_trace + report.phase2_trace
-    radii = iter(_closed_loop_radii(
-        sys, [s.K_tilde for s in states if s.rho_closed is None]))
+def _rows(result, sys):
+    """Report rows of a solve, one per record of ``(phase, records)``: a
+    scaling solve's two phases, or a Hewer/value-iteration trace as scale-1
+    phase-2 records.  A record without ``rho_closed`` takes
+    ``rho(A - B K)`` from one stacked eigensolve, and every row's scaled
+    radius is ``cum`` times it."""
+    if isinstance(result, riccati.SpiReport):
+        phases = [(1, result.phase1_trace), (2, result.phase2_trace)]
+    else:
+        phases = [(2, [riccati.SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0,
+                                        c=1.0, cum=1.0)
+                       for i, (P, K) in enumerate(result.trace)])]
+    radii = iter(_closed_loop_radii(sys, [
+        s.K_tilde for _, records in phases for s in records
+        if s.rho_closed is None]))
     rows = []
-    for phase, trace in ((1, report.phase1_trace), (2, report.phase2_trace)):
+    for phase, records in phases:
         P_prev = None
-        for s in trace:
-            dP = None
-            if s.P_tilde is not None and P_prev is not None:
-                dP = float(np.linalg.norm(s.P_tilde - P_prev, "fro"))
+        for s in records:
+            P = s.P_tilde
             rho = s.rho_closed if s.rho_closed is not None else next(radii)
-            row = _state_row(s, dP, rho)
-            row["phase"] = phase
-            rows.append(row)
-            if s.P_tilde is not None:
-                P_prev = s.P_tilde
-    return rows
-
-
-def _rows_from_pi_trace(trace, sys):
-    radii = _closed_loop_radii(sys, [K for _, K in trace])
-    rows = []
-    P_prev = None
-    for i, ((P, K), rho) in enumerate(zip(trace, radii)):
-        dP = None if P_prev is None else float(np.linalg.norm(P - P_prev,
-                                                              "fro"))
-        rows.append({
-            "i": i, "phase": 2, "b": 1.0, "c": 1.0, "cum": 1.0,
-            "P": P.tolist(), "K": K.tolist(),
-            "P_norm": float(np.linalg.norm(P, "fro")), "dP_norm": dP,
-            "rho_closed": rho, "rho_scaled": rho,
-            "bound": None, "sigma_q": None, "fallback": False,
-        })
-        P_prev = P
+            rows.append({
+                "i": s.i,
+                "phase": phase,
+                "b": s.b,
+                "c": s.c,
+                "cum": s.cum,
+                "P": None if P is None else P.tolist(),
+                "K": s.K_tilde.tolist(),
+                "P_norm": (None if P is None
+                           else float(np.linalg.norm(P, "fro"))),
+                "dP_norm": (None if P is None or P_prev is None
+                            else float(np.linalg.norm(P - P_prev, "fro"))),
+                "rho_closed": rho,
+                "rho_scaled": s.cum * rho,
+                "bound": s.bound,
+                "sigma_q": s.sigma_q,
+                "fallback": s.fallback,
+            })
+            if P is not None:
+                P_prev = P
     return rows
 
 
@@ -270,9 +251,7 @@ def _write_trace_csv(path, rows):
                 val = row.get(col)
                 if val is None:
                     out.append("")
-                elif isinstance(val, bool):
-                    out.append(str(int(val)))
-                elif isinstance(val, (int, np.integer)):
+                elif isinstance(val, (int, np.integer)):  # bool included
                     out.append(str(int(val)))
                 else:
                     out.append(_fmt(float(val)))
@@ -302,57 +281,32 @@ def cmd_discretize(cfg, out_dir, seed=None):
     return EXIT_OK
 
 
-def _run_solver(name, sys_d, weights, cfg, seed):
-    """Dispatch one solver run; returns (rows, solution, extras, elapsed)."""
-    params = _params(cfg)
-    tol = params.get("tol", 1e-5)
-    K0 = _matrix(params.get("K0", np.zeros((sys_d.m, sys_d.n))))
-    extras = {}
+# Solver names, each with its iteration budget when params has no i_max.
+SOLVERS = {"hewer": riccati.PI_MAX_ITER, "vi": riccati.VI_MAX_ITER,
+           "spi-model-based": 500, "spi-model-free": 500}
 
+
+def _run(name, sys_d, weights, K0, P0, data, params, tol, i_max):
+    """Run one solver; returns its library result (an ``AreSolution`` or a
+    ``SpiReport``) and the elapsed seconds."""
+    t0 = time.perf_counter()
     if name == "hewer":
-        i_max = params.get("i_max", riccati.PI_MAX_ITER)
-        t0 = time.perf_counter()
-        sol = riccati.hewer_pi(sys_d, weights, K0, tol=tol, max_iter=i_max)
-        elapsed = time.perf_counter() - t0
-        rows = _rows_from_pi_trace(sol.trace, sys_d)
+        result = riccati.hewer_pi(sys_d, weights, K0, tol=tol,
+                                  max_iter=i_max)
     elif name == "vi":
-        i_max = params.get("i_max", riccati.VI_MAX_ITER)
-        P0 = params.get("P0")
-        P0 = None if P0 is None else _matrix(P0)
-        t0 = time.perf_counter()
-        sol = riccati.value_iteration(sys_d, weights, P0=P0, tol=tol,
-                                      max_iter=i_max)
-        elapsed = time.perf_counter() - t0
-        rows = _rows_from_pi_trace(sol.trace, sys_d)
+        result = riccati.value_iteration(sys_d, weights, P0=P0, tol=tol,
+                                         max_iter=i_max)
     elif name == "spi-model-based":
-        i_max = params.get("i_max", 500)
-        t0 = time.perf_counter()
-        report = model_based.spi_model_based(
+        result = model_based.spi_model_based(
             sys_d, weights, K0, beta=params.get("beta", 1.0),
             lam=params.get("lambda", 0.5), tol=tol, i_max=i_max)
-        elapsed = time.perf_counter() - t0
-        sol = report.solution
-        rows = _rows_from_report(report, sys_d)
-        extras = {"b": report.b, "handoff_index": report.handoff_index}
-    elif name == "spi-model-free":
-        i_max = params.get("i_max", 500)
-        traj = collect_trajectory(sys_d, cfg, seed)
-        data = model_free.build_regression_data(traj)
-        t0 = time.perf_counter()
-        report = model_free.spi_model_free(
+    else:
+        result = model_free.spi_model_free(
             data, K0, weights, b_init=params.get("b_init", 1.0),
             delta=_delta_from_config(params),
             lam=params.get("lambda", 0.5), tol=tol, i_max=i_max,
             max_probes=params.get("max_probes", 200))
-        elapsed = time.perf_counter() - t0
-        sol = report.solution
-        rows = _rows_from_report(report, sys_d)
-        extras = {"b": report.b, "handoff_index": report.handoff_index,
-                  "probes": report.probes,
-                  "c_fallbacks": report.c_fallbacks}
-    else:
-        raise ConfigError(f"unknown solver '{name}'")
-    return rows, sol, extras, elapsed
+    return result, time.perf_counter() - t0
 
 
 def cmd_solve(cfg, out_dir, seed=None, solver=None):
@@ -365,10 +319,20 @@ def cmd_solve(cfg, out_dir, seed=None, solver=None):
     weights = build_weights(cfg)
     _check_consistency(sys_d, weights, cfg)
     seed = _resolve_seed(cfg, seed)
-    if name == "spi-model-free" and seed is None:
-        raise ConfigError("spi-model-free requires a seed")
 
-    rows, sol, extras, elapsed = _run_solver(name, sys_d, weights, cfg, seed)
+    params = _params(cfg)
+    K0 = _matrix(params.get("K0", np.zeros((sys_d.m, sys_d.n))))
+    P0 = params.get("P0")
+    P0 = None if P0 is None else _matrix(P0)
+    data = None
+    if name == "spi-model-free":
+        traj = collect_trajectory(sys_d, cfg, seed)
+        data = model_free.build_regression_data(traj)
+    result, elapsed = _run(name, sys_d, weights, K0, P0, data, params,
+                           params.get("tol", 1e-5),
+                           params.get("i_max", SOLVERS[name]))
+    sol = getattr(result, "solution", result)
+    rows = _rows(result, sys_d)
     residual = riccati.are_residual(sys_d, weights, sol.P)
 
     oracle = None
@@ -391,7 +355,10 @@ def cmd_solve(cfg, out_dir, seed=None, solver=None):
         "oracle": oracle,
         "wall_time_s": elapsed,
     }
-    report.update(extras)
+    if isinstance(result, riccati.SpiReport):
+        report.update(b=result.b, handoff_index=result.handoff_index)
+    if name == "spi-model-free":
+        report.update(probes=result.probes, c_fallbacks=result.c_fallbacks)
     report_path = os.path.join(out_dir, "report.json")
     _write_json(report_path, report)
     _write_trace_csv(os.path.join(out_dir, "trace.csv"), rows)
@@ -467,59 +434,18 @@ def _write_trajectory_csv(path, traj):
             writer.writerow(row)
 
 
-def _gain_distance_index(gains, K_ref, tol):
-    """Index of the first gain within ``tol`` of the reference, else None."""
+def _iterations_to_tolerance(result, K_ref, tol):
+    """Index of the first gain of a solve, starting gain included, within
+    ``tol`` of the reference, plus the data-driven solver's divisor probes;
+    ``None`` when no gain comes that close."""
+    sol = getattr(result, "solution", result)
+    # scaling records up to the handoff, whose gain starts sol.trace
+    gains = [s.K_tilde for s in getattr(result, "phase1_trace", [])[:-1]]
+    gains += [K for _, K in sol.trace] + [sol.K]
     for idx, K in enumerate(gains):
         if np.linalg.norm(K - K_ref, "fro") < tol:
-            return idx
+            return idx + getattr(result, "probes", 0)
     return None
-
-
-def _compare_one(name, sys_d, weights, K0, P0, data, params, K_ref, tol):
-    """Run one solver for the comparison harness.
-
-    Returns (iterations-to-tolerance, elapsed seconds); iterations
-    count every regression/recursion performed, including divisor
-    probes for the data-driven solver.
-    """
-    run_tol = 1e-9
-    if name == "vi":
-        t0 = time.perf_counter()
-        sol = riccati.value_iteration(sys_d, weights, P0=P0, tol=run_tol)
-        elapsed = time.perf_counter() - t0
-        gains = [K for _, K in sol.trace] + [sol.K]
-        idx = _gain_distance_index(gains, K_ref, tol)
-        return idx, elapsed
-    if name == "hewer":
-        t0 = time.perf_counter()
-        sol = riccati.hewer_pi(sys_d, weights, K0, tol=run_tol)
-        elapsed = time.perf_counter() - t0
-        gains = [K for _, K in sol.trace] + [sol.K]
-        idx = _gain_distance_index(gains, K_ref, tol)
-        return idx, elapsed
-    if name == "spi-model-based":
-        t0 = time.perf_counter()
-        report = model_based.spi_model_based(
-            sys_d, weights, K0, beta=params.get("beta", 1.0),
-            lam=params.get("lambda", 0.5), tol=run_tol,
-            i_max=params.get("i_max", 500))
-        elapsed = time.perf_counter() - t0
-        gains = [K0] + report.gain_sequence()
-        idx = _gain_distance_index(gains, K_ref, tol)
-        return idx, elapsed
-    if name == "spi-model-free":
-        t0 = time.perf_counter()
-        report = model_free.spi_model_free(
-            data, K0, weights, b_init=params.get("b_init", 1.0),
-            delta=_delta_from_config(params),
-            lam=params.get("lambda", 0.5), tol=run_tol,
-            i_max=params.get("i_max", 500),
-            max_probes=params.get("max_probes", 200))
-        elapsed = time.perf_counter() - t0
-        gains = [K0] + report.gain_sequence()
-        idx = _gain_distance_index(gains, K_ref, tol)
-        return None if idx is None else idx + report.probes, elapsed
-    raise ConfigError(f"unknown solver '{name}'")
 
 
 def cmd_compare(cfg, out_dir, seed=None):
@@ -550,14 +476,18 @@ def cmd_compare(cfg, out_dir, seed=None):
         P0 = G.T @ G + 1e-3 * np.eye(sys_d.n)
         K0 = riccati.optimal_gain(sys_d, weights, P0)
         for name in solvers:
+            # Hewer's method and value iteration run to their library
+            # budgets here; the scaling solvers read params.i_max.
+            i_max = SOLVERS[name] if name in ("hewer", "vi") \
+                else params.get("i_max", SOLVERS[name])
             try:
-                iters, elapsed = _compare_one(
-                    name, sys_d, weights, K0, P0, data, params, ref.K,
-                    gain_tol)
+                result, elapsed = _run(name, sys_d, weights, K0, P0, data,
+                                       params, 1e-9, i_max)
             except SpilqrError as exc:
                 log.info("trial %d solver %s failed: %s", t, name, exc)
                 results[name]["failures"] += 1
                 continue
+            iters = _iterations_to_tolerance(result, ref.K, gain_tol)
             if iters is None:
                 results[name]["failures"] += 1
             else:
@@ -636,7 +566,7 @@ def _build_parser():
 
     p = sub.add_parser("solve", help="run a solver and write its report")
     common(p)
-    p.add_argument("--solver", choices=SOLVERS, default=None,
+    p.add_argument("--solver", choices=tuple(SOLVERS), default=None,
                    help="override the config solver selection")
     common(sub.add_parser("discretize",
                           help="zero-order-hold discretize a continuous plant"))

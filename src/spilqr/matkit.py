@@ -1,10 +1,9 @@
 """Dense real-matrix kernels used by every solver module.
 
 Provides symmetric (half-)vectorization and its inverse, quadratic-form
-monomial vectors, Kronecker products, spectral radius, singular-value
-helpers, a matrix exponential, and a Schur-based discrete Lyapunov
-solver whose cost is O(n^3).  All functions are pure and operate on
-plain ``numpy`` arrays.
+monomial vectors, spectral radius, numerical rank, a matrix exponential,
+and a Schur-based discrete Lyapunov solver whose cost is O(n^3).  All
+functions are pure and operate on plain ``numpy`` arrays.
 
 Conventions
 -----------
@@ -36,8 +35,8 @@ from .exceptions import (
 )
 
 __all__ = [
-    "vecs", "unvecs", "vecv", "vecv_rows", "vec", "unvec", "kron",
-    "spectral_radius", "min_singular_value", "numerical_rank",
+    "vecs", "unvecs", "vecv", "vecv_rows", "vec", "unvec",
+    "spectral_radius", "numerical_rank",
     "matrix_exp", "solve_discrete_lyapunov",
     "is_positive_definite", "pd_tolerance", "sym_sqrt", "check_symmetric",
 ]
@@ -135,11 +134,6 @@ def unvec(v, rows, cols):
     return v.reshape((rows, cols), order="F")
 
 
-def kron(A, B):
-    """Kronecker product (thin wrapper kept for a uniform kernel surface)."""
-    return np.kron(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-
-
 def spectral_radius(A):
     """Largest eigenvalue modulus of a square matrix."""
     A = _as_matrix(A, "A")
@@ -151,12 +145,6 @@ def spectral_radius(A):
         raise EigenvalueConvergenceError(
             f"eigenvalue iteration did not converge: {exc}") from exc
     return float(np.abs(w).max())
-
-
-def min_singular_value(A):
-    """Smallest singular value of a (possibly rectangular) matrix."""
-    A = _as_matrix(A, "A")
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 def numerical_rank(A, tol):

@@ -16,7 +16,7 @@ per-iteration inflation factor is chosen from data via the gate matrix
 Schur stable; otherwise the factor stays at 1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,18 +25,16 @@ from .exceptions import (
     DimensionMismatchError,
     InsufficientSamplesError,
     InvalidProblemError,
-    MaxIterationsError,
     ProbesExhaustedError,
     RankDeficientError,
     SingularMatrixError,
 )
-from .model_based import SpiReport, SpiState
 
 __all__ = [
     "RegressionData", "RegressionSolution", "ScalingBound", "BSearchResult",
     "build_regression_data", "check_rank_condition",
     "assemble_theta_gamma", "solve_regression", "model_free_gain_update",
-    "search_b", "scaling_bound", "choose_c_model_free", "spi_model_free",
+    "search_b", "scaling_bound", "spi_model_free",
 ]
 
 EPS_INVERTIBLE = 1e-8
@@ -281,27 +279,15 @@ def scaling_bound(P, K_next, weights, eps_inv=EPS_INVERTIBLE):
                         sigma_min=sigma_min, bound=bound)
 
 
-def _c_from_bound(sb, lam, eps_margin):
+def _c_from_bound(sb, lam):
     """Interior-point factor from a :class:`ScalingBound`; returns
     ``(c, fallback)`` where ``fallback`` flags a headroom at or below 1
     (not covered by the selection rule, factor forced to 1)."""
     if not sb.invertible:
         return 1.0, False
-    if sb.bound <= 1.0 + eps_margin:
+    if sb.bound <= 1.0 + EPS_MARGIN:
         return 1.0, True
     return 1.0 + lam * (sb.bound - 1.0), False
-
-
-def choose_c_model_free(P, K_next, weights, lam=0.5,
-                        eps_inv=EPS_INVERTIBLE, eps_margin=EPS_MARGIN):
-    """Next inflation factor from data: 1 when the gate matrix is
-    singular (or leaves no headroom), otherwise the interior point
-    ``1 + lam (bound - 1)`` of ``(1, bound)``."""
-    if not 0.0 < lam < 1.0:
-        raise InvalidProblemError("lam must lie strictly between 0 and 1")
-    c, _ = _c_from_bound(scaling_bound(P, K_next, weights, eps_inv),
-                         lam, eps_margin)
-    return c
 
 
 def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
@@ -309,88 +295,38 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     """Solve the LQR problem from recorded data and an arbitrary
     starting gain, never touching the plant matrices.
 
-    Runs the divisor probe, then loop 1 (scaled regression, gain
-    update, data-driven factor choice) until the cumulative factor over
-    the divisor reaches 1, then loop 2 (the same regression at scale 1,
-    i.e. data-driven policy iteration) until consecutive value matrices
-    differ by less than ``tol``.  Convergence is only checked between
-    two loop-2 iterates, never across the handoff.
+    Runs the divisor probe, then :func:`riccati.scaling_pi`: loop 1
+    (scaled regression, gain update, data-driven factor choice) until the
+    cumulative factor over the divisor reaches 1, then loop 2 (the same
+    regression at scale 1, i.e. data-driven policy iteration) until
+    consecutive value matrices differ by less than ``tol``.  The accepted
+    probe's regression is the first evaluation; ``i_max`` bounds the
+    evaluations of both loops, probes excluded.
 
     Returns a :class:`SpiReport`.  ``solution.residual`` is ``None``
     because the solver has no model to evaluate the Riccati equation
     against; compute it externally when the plant is known.
     """
-    if i_max < 1:
-        raise InvalidProblemError("i_max must be at least 1")
+    K = riccati.check_start(K0, data.m, data.n, lam, i_max)
     if not check_rank_condition(data):
         raise RankDeficientError(
             "data fails the excitation rank condition; collect a longer "
             "or richer trajectory")
-    K = np.atleast_2d(np.asarray(K0, dtype=float))
-    if K.shape != (data.m, data.n):
-        raise InvalidProblemError(
-            f"K0 must be {data.m} x {data.n}, got {K.shape}")
-
     found = search_b(data, K, weights, b_init=b_init, delta=delta,
                      max_probes=max_probes)
-    b = found.b
-    cum = 1.0 / b
-    c = 1.0
-    c_fallbacks = 0
-    trace = []
-    sol = found.solution  # regression at iteration 0 already done
-    i = 0
-    while cum < 1.0:
-        if i >= i_max:
-            raise MaxIterationsError(
-                f"scaling loop did not finish in {i_max} iterations",
-                last=trace[-1] if trace else None)
-        if sol is None:
-            sol = _solve_iteration(data, K, cum, weights)
+    # The accepted probe regressed K0 at scale 1/b, the first evaluation.
+    pending = [found.solution]
+
+    def step(K, cum, scaling):
+        sol = pending.pop() if pending else _solve_iteration(data, K, cum,
+                                                             weights)
         K_next = model_free_gain_update(sol, weights, cum)
+        if not scaling:
+            return sol.P, K_next, 1.0, {}
         sb = scaling_bound(sol.P, K_next, weights)
-        c_next, fallback = _c_from_bound(sb, lam, EPS_MARGIN)
-        c_fallbacks += fallback
-        trace.append(SpiState(
-            i=i, K_tilde=K, P_tilde=sol.P, b=b, c=c, cum=cum,
-            bound=sb.bound, sigma_q=sb.sigma_min, fallback=fallback))
-        K = K_next
-        c = c_next
-        cum = cum * c
-        sol = None
-        i += 1
+        c, fallback = _c_from_bound(sb, lam)
+        return sol.P, K_next, c, {"bound": sb.bound, "sigma_q": sb.sigma_min,
+                                  "fallback": fallback}
 
-    trace.append(SpiState(i=i, K_tilde=K, P_tilde=None, b=b, c=c, cum=cum))
-    handoff_index = i
-
-    # Loop 2: scale fixed at 1; plain data-driven policy iteration.
-    phase2 = []
-    pi_trace = []
-    P_prev = None
-    j = 0
-    while True:
-        if handoff_index + j >= i_max:
-            raise MaxIterationsError(
-                f"post-handoff iteration did not converge within the "
-                f"{i_max} iteration budget",
-                last=phase2[-1] if phase2 else None)
-        sol = _solve_iteration(data, K, 1.0, weights)
-        K_next = model_free_gain_update(sol, weights, 1.0)
-        phase2.append(SpiState(
-            i=handoff_index + j, K_tilde=K, P_tilde=sol.P,
-            b=1.0, c=1.0, cum=1.0))
-        pi_trace.append((sol.P, K))
-        if P_prev is not None and \
-                np.linalg.norm(sol.P - P_prev, "fro") < tol:
-            K = K_next
-            break
-        P_prev = sol.P
-        K = K_next
-        j += 1
-
-    solution = riccati.AreSolution(
-        P=sol.P, K=K, residual=None,
-        iterations=handoff_index + j + 1, trace=pi_trace)
-    return SpiReport(phase1_trace=trace, handoff_index=handoff_index,
-                     phase2_trace=phase2, solution=solution, b=b,
-                     probes=found.probes, c_fallbacks=c_fallbacks)
+    report = riccati.scaling_pi(step, K, found.b, tol, i_max)
+    return replace(report, probes=found.probes)

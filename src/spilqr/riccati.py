@@ -1,16 +1,20 @@
-"""Ground-truth machinery for the discrete-time LQR fixed point.
+"""Ground-truth machinery for the discrete-time LQR fixed point, and the
+two-phase loop that every policy-iteration solver runs on.
 
-Contains the algebraic Riccati residual, the classical policy iteration
-that needs a stabilizing start (Hewer's method), a value-iteration
-baseline that converges from any positive semidefinite seed, and the
-verified reference solve.  Value iteration doubles as the independent
-oracle used throughout the test suite; the CLI's reference is
-:func:`dare_reference`, one Schur-method DARE solve whose result is
+Contains the algebraic Riccati residual; :func:`scaling_pi`, the
+scaling policy-iteration loop shared by both scaling solvers and by
+Hewer's method, with its records :class:`SpiState` and
+:class:`SpiReport`; the classical policy iteration that needs a
+stabilizing start (Hewer's method, the loop with divisor 1); a
+value-iteration baseline that converges from any positive semidefinite
+seed; and the verified reference solve.  Value iteration doubles as the
+independent oracle used throughout the test suite; the CLI's reference
+is :func:`dare_reference`, one Schur-method DARE solve whose result is
 checked before it is returned.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -26,8 +30,9 @@ from .exceptions import (
 )
 
 __all__ = [
-    "AreSolution", "are_residual", "optimal_gain", "riccati_step",
-    "hewer_pi", "value_iteration", "dare_reference",
+    "AreSolution", "SpiState", "SpiReport", "are_residual", "optimal_gain",
+    "riccati_step", "check_start", "scaling_pi", "hewer_pi",
+    "value_iteration", "dare_reference",
 ]
 
 PI_MAX_ITER = 100
@@ -45,10 +50,11 @@ class AreSolution:
     ``P`` is the symmetric positive definite value matrix, ``K`` the
     corresponding feedback gain, ``residual`` the Frobenius norm of the
     Riccati equation at ``P`` (``None`` when the solver had no model to
-    evaluate it against), ``iterations`` the number of iterations the
-    producing solver performed, and ``trace`` the per-iteration
-    ``(P_i, K_i)`` pairs where ``K_i`` is the gain whose evaluation
-    produced ``P_i``.
+    evaluate it against), ``iterations`` the work the producing solver
+    did (policy evaluations for the policy-iteration solvers, sweeps for
+    value iteration), and ``trace`` the per-iteration ``(P_i, K_i)``
+    pairs where ``K_i`` is the gain whose evaluation produced ``P_i``
+    (for the scaling solvers, the scale-1 phase only).
     """
 
     P: np.ndarray
@@ -56,6 +62,79 @@ class AreSolution:
     residual: float | None
     iterations: int
     trace: list = field(default_factory=list, repr=False)
+
+
+@dataclass(frozen=True)
+class SpiState:
+    """One iteration record of :func:`scaling_pi`.
+
+    ``K_tilde`` is the gain in force at iteration ``i`` and ``P_tilde``
+    its evaluation under the effective plant scaling ``cum`` (``None``
+    for the handoff record, whose evaluation happens at scale 1 in the
+    next phase).  ``c`` is the scaling factor that produced this
+    record's ``cum``; ``c == 1`` at iteration 0 and everywhere in the
+    final phase.  ``bound``/``sigma_q``/``fallback`` describe the
+    data-driven choice of the *next* factor made at this iteration.
+    Diagnostic fields are filled only where the producing solver can
+    compute them without touching the plant matrices.
+    """
+
+    i: int
+    K_tilde: np.ndarray
+    P_tilde: np.ndarray | None
+    b: float
+    c: float
+    cum: float
+    rho_closed: float | None = None   # rho(A - B K), model-based only
+    bound: float | None = None        # scaling headroom, data-driven only
+    sigma_q: float | None = None      # smallest singular value of the gate
+    fallback: bool = False            # headroom <= 1, factor forced to 1
+
+    @property
+    def rho_scaled(self):
+        """``rho(cum (A - B K)) = cum rho(A - B K)``; ``None`` without
+        ``rho_closed``."""
+        return None if self.rho_closed is None else self.cum * self.rho_closed
+
+
+@dataclass(frozen=True)
+class SpiReport:
+    """Full record of a scaling solve.
+
+    ``phase1_trace`` holds the scaling iterations 0..handoff_index; its
+    last record is the handoff state with ``cum >= 1``.  ``phase2_trace``
+    holds the plain policy-iteration records at scale 1.  ``solution``
+    is the converged Riccati pair.  ``probes`` counts the divisor probes
+    of the data-driven solver.
+    """
+
+    phase1_trace: list
+    phase2_trace: list
+    solution: AreSolution
+    b: float
+    probes: int = 0
+
+    @property
+    def handoff_index(self):
+        return len(self.phase1_trace) - 1
+
+    @property
+    def handoff_state(self):
+        return self.phase1_trace[-1]
+
+    @property
+    def c_fallbacks(self):
+        """Scaling iterations whose headroom forced the factor to 1."""
+        return sum(s.fallback for s in self.phase1_trace)
+
+    def gain_sequence(self):
+        """All gains produced by the solve, in order, excluding the
+        starting gain: scaling updates, then plain updates, then the
+        final gain."""
+        gains = [s.K_tilde for s in self.phase1_trace[1:]]
+        gains += [s.K_tilde for s in self.phase2_trace[1:]]
+        gains.append(self.solution.K)
+        return gains
 
 
 def _check_dims(sys, weights, P):
@@ -97,14 +176,77 @@ def riccati_step(sys, weights, P):
     return (P_next + P_next.T) / 2.0, K
 
 
+def check_start(K0, m, n, lam, i_max):
+    """The starting gain of a scaling solve as an ``m x n`` array, once the
+    solve's factor weight ``lam`` lies in (0, 1) and its budget ``i_max``
+    is at least 1; raises :class:`InvalidProblemError` otherwise."""
+    if i_max < 1:
+        raise InvalidProblemError("i_max must be at least 1")
+    if not 0.0 < lam < 1.0:
+        raise InvalidProblemError("lam must lie strictly between 0 and 1")
+    K = np.atleast_2d(np.asarray(K0, dtype=float))
+    if K.shape != (m, n):
+        raise InvalidProblemError(f"K0 must be {m} x {n}, got {K.shape}")
+    return K
+
+
+def scaling_pi(step, K0, b, tol, i_max):
+    """Two-phase scaling policy iteration around one evaluation step.
+
+    ``step(K, cum, scaling)`` evaluates gain ``K`` on the plant scaled by
+    ``cum``, improves it, and returns ``(P, K_next, c, fields)``: the value
+    matrix, the improved gain, the next factor (read only while
+    ``scaling``) and extra :class:`SpiState` fields for this record.
+    Phase 1 starts at ``cum = 1 / b`` and multiplies in each factor until
+    ``cum >= 1``; phase 2 steps at scale 1 until consecutive value
+    matrices differ by less than ``tol`` in Frobenius norm.  The handoff
+    record between them has no value matrix and takes the fields of
+    phase 2's first record, whose gain it shares.  With ``b = 1`` this is
+    Hewer's method.
+
+    Returns a :class:`SpiReport`; ``solution.iterations`` counts the
+    calls to ``step`` (the policy evaluations), ``solution.residual`` is
+    ``None``.  Raises :class:`MaxIterationsError` if converging would
+    take more than ``i_max`` evaluations.
+    """
+    K, cum, c = K0, 1.0 / b, 1.0
+    phase1, phase2 = [], []
+    for i in range(i_max):
+        if cum < 1.0:
+            P, K_next, c_next, fields = step(K, cum, True)
+            phase1.append(SpiState(i=i, K_tilde=K, P_tilde=P, b=b, c=c,
+                                   cum=cum, **fields))
+            K, c, cum = K_next, c_next, cum * c_next
+            continue
+        P, K_next, _, fields = step(K, 1.0, False)
+        if not phase2:
+            phase1.append(SpiState(i=i, K_tilde=K, P_tilde=None, b=b, c=c,
+                                   cum=cum, **fields))
+        phase2.append(SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0, c=1.0,
+                               cum=1.0, **fields))
+        if len(phase2) > 1 and \
+                np.linalg.norm(P - phase2[-2].P_tilde, "fro") < tol:
+            solution = AreSolution(
+                P=P, K=K_next, residual=None, iterations=i + 1,
+                trace=[(s.P_tilde, s.K_tilde) for s in phase2])
+            return SpiReport(phase1_trace=phase1, phase2_trace=phase2,
+                             solution=solution, b=b)
+        K = K_next
+    raise MaxIterationsError(
+        f"policy iteration did not converge in {i_max} iterations "
+        f"(cumulative factor {cum:.6g})",
+        last=(phase2 or phase1 or [None])[-1])
+
+
 def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=PI_MAX_ITER):
     """Policy iteration from a stabilizing gain.
 
     Alternates policy evaluation (a discrete Lyapunov solve for the
     closed loop) with policy improvement until consecutive value
-    matrices differ by less than ``tol`` in Frobenius norm.  The value
-    sequence decreases monotonically to the Riccati solution and every
-    iterate keeps the loop Schur stable.
+    matrices differ by less than ``tol`` in Frobenius norm: phase 2 of
+    :func:`scaling_pi`.  The value sequence decreases monotonically to
+    the Riccati solution and every iterate keeps the loop Schur stable.
+    ``iterations`` counts the policy evaluations, at most ``max_iter``.
 
     Raises
     ------
@@ -112,7 +254,7 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=PI_MAX_ITER):
         If ``rho(A - B K0) >= 1``; use the scaling solvers when no
         stabilizing gain is available.
     MaxIterationsError
-        If the tolerance is not met within ``max_iter`` iterations.
+        If the tolerance is not met within ``max_iter`` evaluations.
     """
     K = np.atleast_2d(np.asarray(K0, dtype=float))
     if K.shape != (sys.m, sys.n):
@@ -123,22 +265,14 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=PI_MAX_ITER):
         raise NotStabilizingError(
             f"initial gain does not stabilize the plant "
             f"(spectral radius {rho0:.6g})", rho=rho0)
-    trace = []
-    P_prev = None
-    for i in range(max_iter):
+
+    def step(K, cum, scaling):
         W = weights.Q + K.T @ weights.R @ K
         P = matkit.solve_discrete_lyapunov(sys.A - sys.B @ K, W)
-        K_next = optimal_gain(sys, weights, P)
-        trace.append((P, K))
-        if P_prev is not None and np.linalg.norm(P - P_prev, "fro") < tol:
-            return AreSolution(P=P, K=K_next,
-                               residual=are_residual(sys, weights, P),
-                               iterations=i, trace=trace)
-        P_prev = P
-        K = K_next
-    raise MaxIterationsError(
-        f"policy iteration did not converge in {max_iter} iterations",
-        last=trace[-1] if trace else None)
+        return P, optimal_gain(sys, weights, P), 1.0, {}
+
+    sol = scaling_pi(step, K, 1.0, tol, max_iter).solution
+    return replace(sol, residual=are_residual(sys, weights, sol.P))
 
 
 def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=VI_MAX_ITER):

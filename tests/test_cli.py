@@ -300,9 +300,9 @@ def test_compare_trivial_start_converges_immediately(power_system,
     P0 = power_oracle.P
     K0 = riccati.optimal_gain(power_system, power_weights, P0)
     for name in ("vi", "hewer", "spi-model-based", "spi-model-free"):
-        iters, _ = cli._compare_one(
-            name, power_system, power_weights, K0, P0, power_data,
-            {}, power_oracle.K, 1e-4)
+        result, _ = cli._run(name, power_system, power_weights, K0, P0,
+                             power_data, {}, 1e-9, cli.SOLVERS[name])
+        iters = cli._iterations_to_tolerance(result, power_oracle.K, 1e-4)
         assert iters is not None and iters <= 2, (name, iters)
 
 

@@ -240,10 +240,10 @@ def test_solver_one_eigensolve_per_iteration(power_system, power_weights,
                         lambda A: calls.append(1) or radius(A))
     report = model_based.spi_model_based(power_system, power_weights,
                                          K0_ZERO, tol=1e-8)
-    # one per phase-1 record (the starting gain's, then the improved
-    # gain's at each scaling iteration) and one per phase-2 record, plus
-    # the controllability and observability tests and Hewer's start
-    # check; the Lyapunov guard reads its radius off the Schur form
+    # one for the starting gain and one for the improved gain of each
+    # evaluation, as many as there are records, plus the controllability
+    # and observability tests; the Lyapunov guard reads its radius off
+    # the Schur form
     assert report.handoff_index >= 2
     assert len(calls) == (len(report.phase1_trace)
-                          + len(report.phase2_trace) + 3)
+                          + len(report.phase2_trace) + 2)

@@ -250,7 +250,7 @@ def test_theta_full_column_rank_when_excited(power_system, power_weights,
     theta, _ = model_free.assemble_theta_gamma(power_data, K0_ZERO, 1.0 / b,
                                                power_weights)
     assert matkit.numerical_rank(theta, 1e-10) == theta.shape[1]
-    assert matkit.min_singular_value(theta) > 1e-8
+    assert np.linalg.svd(theta, compute_uv=False)[-1] > 1e-8
 
 
 def test_search_b_exhausts_probes(power_data, power_weights):
@@ -265,8 +265,8 @@ def test_scaling_bound_singular_gate(power_weights):
     sb = model_free.scaling_bound(np.eye(3), K0_ZERO, power_weights)
     assert not sb.invertible
     assert sb.bound is None
-    assert model_free.choose_c_model_free(np.eye(3), K0_ZERO,
-                                          power_weights) == 1.0
+    # factor 1, and not a fallback: the rule does not apply
+    assert model_free._c_from_bound(sb, 0.5) == (1.0, False)
 
 
 def test_choose_c_first_benchmark_iteration(power_system, power_weights,
@@ -281,8 +281,13 @@ def test_choose_c_first_benchmark_iteration(power_system, power_weights,
     assert sb.invertible
     assert sb.bound == pytest.approx(1.0862, abs=1e-3)
     assert sb.sigma_min == pytest.approx(1.4659, abs=1e-3)
-    c = model_free.choose_c_model_free(found.solution.P, K1, power_weights)
-    assert 1.0 < c < sb.bound
+    # the solver records that bound at iteration 0 and the factor it
+    # chose from it at iteration 1
+    report = model_free.spi_model_free(power_data, K0_ZERO, power_weights,
+                                       b_init=1.0, delta=0.1)
+    first, second = report.phase1_trace[:2]
+    assert (first.bound, first.sigma_q) == (sb.bound, sb.sigma_min)
+    assert 1.0 < second.c < sb.bound
 
 
 def test_choose_c_interval_property(power_system, power_weights, power_data):
@@ -292,15 +297,32 @@ def test_choose_c_interval_property(power_system, power_weights, power_data):
                                            cum)
     sb = model_free.scaling_bound(found.solution.P, K1, power_weights)
     for lam in (0.05, 0.5, 0.95):
-        c = model_free.choose_c_model_free(found.solution.P, K1,
+        report = model_free.spi_model_free(power_data, K0_ZERO,
                                            power_weights, lam=lam)
+        c = report.phase1_trace[1].c
+        assert c == 1.0 + lam * (sb.bound - 1.0)
         assert 1.0 < c < sb.bound
 
 
-def test_choose_c_rejects_bad_lambda(power_weights):
-    with pytest.raises(InvalidProblemError):
-        model_free.choose_c_model_free(2 * np.eye(3), K0_ZERO, power_weights,
-                                       lam=0.0)
+@pytest.mark.parametrize("solver", ["spi-model-based", "spi-model-free"])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.5])
+def test_solvers_reject_lam_outside_unit_interval(
+        power_system, power_weights, power_data, monkeypatch, solver, lam):
+    # rejected before any policy evaluation or divisor probe
+    calls = []
+    for module, name in ((matkit, "solve_discrete_lyapunov"),
+                         (model_free, "solve_regression")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original:
+                            calls.append(1) or f(*a))
+    with pytest.raises(InvalidProblemError, match="lam"):
+        if solver == "spi-model-based":
+            model_based.spi_model_based(power_system, power_weights,
+                                        K0_ZERO, lam=lam)
+        else:
+            model_free.spi_model_free(power_data, K0_ZERO, power_weights,
+                                      lam=lam)
+    assert calls == []
 
 
 def test_solver_power_plant_reference(power_data, power_weights):

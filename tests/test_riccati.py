@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spilqr import lti, matkit, riccati
+from spilqr import lti, matkit, model_based, model_free, riccati
 from spilqr.exceptions import (
     InvalidProblemError,
     MaxIterationsError,
@@ -54,7 +54,8 @@ def test_optimal_gain_scalar_formula():
 def test_hewer_fixed_point(power_system, power_weights, power_oracle):
     sol = riccati.hewer_pi(power_system, power_weights, power_oracle.K,
                            tol=1e-9)
-    assert sol.iterations == 1
+    # two policy evaluations: the second confirms the first
+    assert sol.iterations == 2
     assert np.abs(sol.P - power_oracle.P).max() < 1e-8
 
 
@@ -102,6 +103,50 @@ def test_hewer_iteration_budget(power_system, power_weights, power_oracle):
     with pytest.raises(MaxIterationsError):
         riccati.hewer_pi(power_system, power_weights, power_oracle.K,
                          tol=0.0, max_iter=3)
+
+
+def solve_by(solver, sys_d, weights, K_opt, data, tol, i_max=500):
+    """The solution of one policy-iteration solver on the power plant:
+    Hewer's method from half the optimal gain, the scaling solvers from
+    the zero gain."""
+    if solver == "hewer":
+        return riccati.hewer_pi(sys_d, weights, 0.5 * K_opt, tol=tol,
+                                max_iter=i_max)
+    if solver == "spi-model-based":
+        return model_based.spi_model_based(
+            sys_d, weights, np.zeros((1, 3)), tol=tol, i_max=i_max).solution
+    return model_free.spi_model_free(data, np.zeros((1, 3)), weights,
+                                     tol=tol, i_max=i_max).solution
+
+
+POLICY_ITERATION_SOLVERS = ["hewer", "spi-model-based", "spi-model-free"]
+
+
+@pytest.mark.parametrize("solver", POLICY_ITERATION_SOLVERS)
+def test_iterations_count_evaluations_within_budget(
+        power_system, power_weights, power_oracle, power_data, solver):
+    # a solve that reports k iterations, one per policy evaluation, runs
+    # within a budget of k and not within k - 1
+    def solve(i_max):
+        return solve_by(solver, power_system, power_weights, power_oracle.K,
+                        power_data, 1e-9, i_max)
+
+    k = solve(500).iterations
+    assert solve(k).iterations == k
+    with pytest.raises(MaxIterationsError):
+        solve(k - 1)
+
+
+@pytest.mark.parametrize("solver", POLICY_ITERATION_SOLVERS)
+def test_policy_iteration_stops_at_first_step_below_tol(
+        power_system, power_weights, power_oracle, power_data, solver):
+    tol = 1e-6
+    sol = solve_by(solver, power_system, power_weights, power_oracle.K,
+                   power_data, tol)
+    steps = [np.linalg.norm(P_b - P_a, "fro")
+             for (P_a, _), (P_b, _) in zip(sol.trace, sol.trace[1:])]
+    assert steps[-1] < tol
+    assert all(step >= tol for step in steps[:-1])
 
 
 def test_value_iteration_fixed_point(power_system, power_weights,
