@@ -26,7 +26,7 @@ print("eigenvalues of A:", np.round(np.linalg.eigvals(sys_d.A), 4))
 x0 = benchmarks.POWER_PLANT_X0
 
 # --- open loop: the small unstable mode grows ------------------------------
-open_loop = lti.simulate(sys_d, x0, lti.zero_policy(1), 1000)
+open_loop = lti.simulate(sys_d, x0, lambda k, x: np.zeros(1), 1000)
 norms = np.linalg.norm(open_loop.states, axis=1)
 print(f"\nopen loop: |x_0| = {norms[0]:.3f}, |x_500| = {norms[500]:.3f}, "
       f"|x_1000| = {norms[1000]:.3f}  (diverging)")

@@ -114,18 +114,18 @@ def build_weights(cfg):
         raise ConfigError(f"invalid weights: {exc}") from exc
 
 
-def _params(cfg):
-    return cfg.get("params", {})
-
-
-def _check_consistency(sys_d, weights, cfg):
-    """Cross-field dimension checks that the JSON schema cannot express."""
+def _problem(cfg, seed):
+    """Plant, weights, seed and params of a ``solve`` or ``compare``
+    config: ``seed`` overrides the config seed when given.  Runs the
+    cross-field dimension checks that the JSON schema cannot express."""
+    sys_d = build_system(cfg)
+    weights = build_weights(cfg)
     n, m = sys_d.n, sys_d.m
     if weights.Q.shape != (n, n):
         raise ConfigError(f"Q must be {n} x {n}, got {weights.Q.shape}")
     if weights.R.shape != (m, m):
         raise ConfigError(f"R must be {m} x {m}, got {weights.R.shape}")
-    params = _params(cfg)
+    params = cfg.get("params", {})
     if "K0" in params and _matrix(params["K0"]).shape != (m, n):
         raise ConfigError(f"params.K0 must be {m} x {n}")
     if "P0" in params and _matrix(params["P0"]).shape != (n, n):
@@ -133,6 +133,10 @@ def _check_consistency(sys_d, weights, cfg):
     data_cfg = params.get("data", {})
     if "x0" in data_cfg and len(data_cfg["x0"]) != n:
         raise ConfigError(f"params.data.x0 must have length {n}")
+    seed = int(seed) if seed is not None else cfg.get("seed")
+    if seed is not None and seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return sys_d, weights, seed, params
 
 
 def _delta_from_config(params):
@@ -143,17 +147,9 @@ def _delta_from_config(params):
     return delta
 
 
-def _resolve_seed(cfg, override):
-    seed = int(override) if override is not None else cfg.get("seed")
-    if seed is not None and seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return seed
-
-
 def collect_trajectory(sys, cfg, seed):
     """Roll out the plant under probing input as configured."""
-    params = _params(cfg)
-    data_cfg = params.get("data", {})
+    data_cfg = cfg.get("params", {}).get("data", {})
     if seed is None:
         raise ConfigError("a seed is required for data-driven runs")
     if "x0" not in data_cfg:
@@ -241,21 +237,24 @@ CSV_COLUMNS = ("i", "phase", "b", "c", "cum", "P_norm", "dP_norm",
                "rho_closed", "rho_scaled", "bound", "sigma_q", "fallback")
 
 
-def _write_trace_csv(path, rows):
+def _cell(val):
+    if isinstance(val, float):   # np.float64 included; the common case
+        return _fmt(val)
+    if val is None:
+        return ""
+    if isinstance(val, (int, np.integer)):  # bool included
+        return str(int(val))
+    return val if isinstance(val, str) else _fmt(float(val))
+
+
+def _write_csv(path, header, rows):
+    """CSV with a header line; in each row ``None`` is written empty,
+    integers (bools included) as integers and other numbers by
+    :func:`_fmt`."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            out = []
-            for col in CSV_COLUMNS:
-                val = row.get(col)
-                if val is None:
-                    out.append("")
-                elif isinstance(val, (int, np.integer)):  # bool included
-                    out.append(str(int(val)))
-                else:
-                    out.append(_fmt(float(val)))
-            writer.writerow(out)
+        writer.writerow(header)
+        writer.writerows([_cell(val) for val in row] for row in rows)
 
 
 def _write_json(path, obj):
@@ -268,13 +267,14 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_discretize(cfg, out_dir, seed=None):
+def cmd_discretize(args):
+    cfg = load_config(args.config)
     spec = cfg.get("system", {})
     if "A_c" not in spec:
         raise ConfigError("discretize requires a continuous system "
                           "(A_c, B_c, sample_time)")
     sys_d = build_system(cfg)
-    path = os.path.join(out_dir, "discrete_system.json")
+    path = os.path.join(args.out, "discrete_system.json")
     _write_json(path, {"A": sys_d.A.tolist(), "B": sys_d.B.tolist(),
                        "sample_time": spec["sample_time"]})
     print(f"wrote {path}")
@@ -309,18 +309,14 @@ def _run(name, sys_d, weights, K0, P0, data, params, tol, i_max):
     return result, time.perf_counter() - t0
 
 
-def cmd_solve(cfg, out_dir, seed=None, solver=None):
-    name = solver or cfg.get("solver")
+def cmd_solve(args):
+    cfg = load_config(args.config)
+    name = args.solver or cfg.get("solver")
     if name is None:
         raise ConfigError("no solver selected (config 'solver' or --solver)")
     if name not in SOLVERS:
         raise ConfigError(f"unknown solver '{name}'")
-    sys_d = build_system(cfg)
-    weights = build_weights(cfg)
-    _check_consistency(sys_d, weights, cfg)
-    seed = _resolve_seed(cfg, seed)
-
-    params = _params(cfg)
+    sys_d, weights, seed, params = _problem(cfg, args.seed)
     K0 = _matrix(params.get("K0", np.zeros((sys_d.m, sys_d.n))))
     P0 = params.get("P0")
     P0 = None if P0 is None else _matrix(P0)
@@ -359,9 +355,10 @@ def cmd_solve(cfg, out_dir, seed=None, solver=None):
         report.update(b=result.b, handoff_index=result.handoff_index)
     if name == "spi-model-free":
         report.update(probes=result.probes, c_fallbacks=result.c_fallbacks)
-    report_path = os.path.join(out_dir, "report.json")
+    report_path = os.path.join(args.out, "report.json")
     _write_json(report_path, report)
-    _write_trace_csv(os.path.join(out_dir, "trace.csv"), rows)
+    _write_csv(os.path.join(args.out, "trace.csv"), CSV_COLUMNS,
+               ([row.get(col) for col in CSV_COLUMNS] for row in rows))
     print(f"{name}: {sol.iterations} iterations, residual {residual:.3e}, "
           f"wrote {report_path}")
     return EXIT_OK
@@ -384,7 +381,8 @@ def _load_gain(cfg, sys_d):
     return np.zeros((sys_d.m, sys_d.n))
 
 
-def cmd_simulate(cfg, out_dir, seed=None):
+def cmd_simulate(args):
+    cfg = load_config(args.config)
     sys_d = build_system(cfg)
     sim = cfg.get("simulate")
     if sim is None:
@@ -402,36 +400,25 @@ def cmd_simulate(cfg, out_dir, seed=None):
             return np.zeros(sys_d.m)
         return -K @ x
 
-    path = os.path.join(out_dir, "trajectory.csv")
+    path = os.path.join(args.out, "trajectory.csv")
     truncated_at = None
     try:
         traj = simulate(sys_d, x0, policy, steps)
     except DivergenceError as exc:
         traj = exc.partial
         truncated_at = exc.step
-    _write_trajectory_csv(path, traj)
+    header = ["k"] + [f"x{i + 1}" for i in range(traj.n)] \
+        + [f"u{i + 1}" for i in range(traj.m)]
+    no_input = [None] * traj.m
+    _write_csv(path, header, (
+        [k, *x, *(traj.inputs[k] if k < traj.length else no_input)]
+        for k, x in enumerate(traj.states)))
     if truncated_at is not None:
         print(f"divergence at step {truncated_at}; truncated trajectory "
               f"written to {path}", file=sys.stderr)
         return EXIT_DIVERGENCE
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _write_trajectory_csv(path, traj):
-    n, m = traj.n, traj.m
-    header = ["k"] + [f"x{i + 1}" for i in range(n)] \
-        + [f"u{i + 1}" for i in range(m)]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for k in range(traj.states.shape[0]):
-            row = [str(k)] + [_fmt(v) for v in traj.states[k]]
-            if k < traj.length:
-                row += [_fmt(v) for v in traj.inputs[k]]
-            else:
-                row += [""] * m
-            writer.writerow(row)
 
 
 def _iterations_to_tolerance(result, K_ref, tol):
@@ -448,18 +435,15 @@ def _iterations_to_tolerance(result, K_ref, tol):
     return None
 
 
-def cmd_compare(cfg, out_dir, seed=None):
-    sys_d = build_system(cfg)
-    weights = build_weights(cfg)
-    _check_consistency(sys_d, weights, cfg)
-    seed = _resolve_seed(cfg, seed)
+def cmd_compare(args):
+    cfg = load_config(args.config)
+    sys_d, weights, seed, params = _problem(cfg, args.seed)
     if seed is None:
         raise ConfigError("compare requires a seed")
     comp = cfg.get("compare", {})
     solvers = comp.get("solvers", ["spi-model-free", "vi"])
     trials = comp.get("trials", 100)
     gain_tol = comp.get("gain_tol", 1e-4)
-    params = _params(cfg)
 
     ref = riccati.dare_reference(sys_d, weights)
     data = None
@@ -494,24 +478,23 @@ def cmd_compare(cfg, out_dir, seed=None):
                 results[name]["iters"].append(iters)
                 results[name]["times"].append(elapsed)
 
-    path = os.path.join(out_dir, "comparison.csv")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["solver", "trials", "failures",
-                         "mean_iterations", "mean_wall_time_s"])
-        for name in solvers:
-            r = results[name]
-            mean_it = np.mean(r["iters"]) if r["iters"] else float("nan")
-            mean_t = np.mean(r["times"]) if r["times"] else float("nan")
-            writer.writerow([name, str(trials), str(r["failures"]),
-                             _fmt(mean_it), _fmt(mean_t)])
-            print(f"{name}: mean iterations {mean_it:.1f}, mean time "
-                  f"{mean_t * 1e3:.2f} ms, failures {r['failures']}")
+    table = []
+    for name in solvers:
+        r = results[name]
+        mean_it = np.mean(r["iters"]) if r["iters"] else float("nan")
+        mean_t = np.mean(r["times"]) if r["times"] else float("nan")
+        table.append([name, trials, r["failures"], mean_it, mean_t])
+        print(f"{name}: mean iterations {mean_it:.1f}, mean time "
+              f"{mean_t * 1e3:.2f} ms, failures {r['failures']}")
+    path = os.path.join(args.out, "comparison.csv")
+    _write_csv(path, ["solver", "trials", "failures", "mean_iterations",
+                      "mean_wall_time_s"], table)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_plotdata(report_path, out_dir):
+def cmd_plotdata(args):
+    report_path = args.report
     try:
         with open(report_path) as f:
             report = json.load(f)
@@ -522,25 +505,18 @@ def cmd_plotdata(report_path, out_dir):
         raise ConfigError(
             f"{report_path} has no oracle solution; run 'solve' on a "
             f"config with a known plant first")
-    P_ref = _matrix(oracle["P"])
-    K_ref = _matrix(oracle["K"])
-    trace = report.get("trace", [])
-
-    p_path = os.path.join(out_dir, "p_error.dat")
-    k_path = os.path.join(out_dir, "k_error.dat")
-    with open(p_path, "w") as f:
-        f.write("# iteration  frobenius_error_P\n")
-        for row in trace:
-            if row.get("P") is None:
-                continue
-            err = np.linalg.norm(_matrix(row["P"]) - P_ref, "fro")
-            f.write(f"{row['i']} {_fmt(err)}\n")
-    with open(k_path, "w") as f:
-        f.write("# iteration  frobenius_error_K\n")
-        for row in trace:
-            err = np.linalg.norm(_matrix(row["K"]) - K_ref, "fro")
-            f.write(f"{row['i']} {_fmt(err)}\n")
-    print(f"wrote {p_path} and {k_path}")
+    paths = []
+    for key in ("P", "K"):
+        ref = _matrix(oracle[key])
+        path = os.path.join(args.out, f"{key.lower()}_error.dat")
+        with open(path, "w") as f:
+            f.write(f"# iteration  frobenius_error_{key}\n")
+            for row in report.get("trace", []):
+                if row.get(key) is not None:   # the handoff row has no P
+                    err = np.linalg.norm(_matrix(row[key]) - ref, "fro")
+                    f.write(f"{row['i']} {_fmt(err)}\n")
+        paths.append(path)
+    print(f"wrote {paths[0]} and {paths[1]}")
     return EXIT_OK
 
 
@@ -549,32 +525,36 @@ def cmd_plotdata(report_path, out_dir):
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process; parsing leaves it
-    unchanged."""
+    unchanged.  Each subcommand sets ``run``, its ``cmd_*`` function."""
     parser = argparse.ArgumentParser(
         prog="spilqr",
         description="Discrete-time LQR via scaling policy iteration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True,
-                           help="path to the JSON experiment config")
+    def command(name, run, summary, seed=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("--config", required=True,
+                       help="path to the JSON experiment config")
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
+        return p
 
-    p = sub.add_parser("solve", help="run a solver and write its report")
-    common(p)
-    p.add_argument("--solver", choices=tuple(SOLVERS), default=None,
-                   help="override the config solver selection")
-    common(sub.add_parser("discretize",
-                          help="zero-order-hold discretize a continuous plant"))
-    common(sub.add_parser("simulate", help="roll out a trajectory to CSV"))
-    common(sub.add_parser("compare",
-                          help="multi-trial solver comparison table"))
+    command("solve", cmd_solve, "run a solver and write its report",
+            seed=True).add_argument(
+        "--solver", choices=tuple(SOLVERS), default=None,
+        help="override the config solver selection")
+    command("discretize", cmd_discretize,
+            "zero-order-hold discretize a continuous plant")
+    command("simulate", cmd_simulate, "roll out a trajectory to CSV")
+    command("compare", cmd_compare, "multi-trial solver comparison table",
+            seed=True)
     p = sub.add_parser("plotdata",
                        help="extract convergence curves from a report")
+    p.set_defaults(run=cmd_plotdata)
     p.add_argument("--report", required=True, help="path to a report.json")
     p.add_argument("--out", default=".")
     return parser
@@ -587,22 +567,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     try:
-        if args.command == "solve":
-            cfg = load_config(args.config)
-            return cmd_solve(cfg, args.out, seed=args.seed,
-                             solver=args.solver)
-        if args.command == "discretize":
-            cfg = load_config(args.config)
-            return cmd_discretize(cfg, args.out, seed=args.seed)
-        if args.command == "simulate":
-            cfg = load_config(args.config)
-            return cmd_simulate(cfg, args.out, seed=args.seed)
-        if args.command == "compare":
-            cfg = load_config(args.config)
-            return cmd_compare(cfg, args.out, seed=args.seed)
-        if args.command == "plotdata":
-            return cmd_plotdata(args.report, args.out)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

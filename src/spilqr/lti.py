@@ -5,6 +5,7 @@ trajectory simulation, and structural (controllability/observability) checks.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import matkit
 from .exceptions import (
@@ -16,9 +17,7 @@ from .exceptions import (
 __all__ = [
     "LinearSystem", "CostWeights", "Trajectory",
     "zoh_discretize", "simulate", "exploration_input",
-    "gain_policy", "zero_policy",
-    "controllability_matrix", "observability_matrix",
-    "is_controllable", "is_observable",
+    "controllability_matrix", "is_controllable", "is_observable",
 ]
 
 RANK_TOL = 1e-8
@@ -129,7 +128,10 @@ def zoh_discretize(A_c, B_c, T):
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A_c
     M[:n, n:] = B_c
-    E = matkit.matrix_exp(M, T)
+    # expm maps some non-finite entries (-inf) to finite ones
+    if not np.all(np.isfinite(M)):
+        raise InvalidProblemError("A_c and B_c must be finite")
+    E = scipy.linalg.expm(M * T)
     return LinearSystem(E[:n, :n], E[:n, n:])
 
 
@@ -137,8 +139,8 @@ def simulate(sys, x0, policy, steps, divergence_limit=DIVERGENCE_LIMIT):
     """Roll the plant forward for ``steps`` transitions.
 
     ``policy`` is any callable ``(k, x) -> u`` producing the input at
-    step ``k`` given the current state; see :func:`gain_policy` and
-    :func:`exploration_input`.
+    step ``k`` given the current state, such as ``lambda k, x: -K @ x``
+    for state feedback or :func:`exploration_input` for probing.
 
     Raises
     ------
@@ -192,26 +194,6 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     return policy
 
 
-def gain_policy(K):
-    """State feedback ``u = -K x``."""
-    K = np.asarray(K, dtype=float)
-
-    def policy(k, x):
-        return -K @ x
-
-    return policy
-
-
-def zero_policy(m):
-    """Open loop: ``u = 0``."""
-    u = np.zeros(m)
-
-    def policy(k, x):
-        return u
-
-    return policy
-
-
 def controllability_matrix(sys):
     """Block matrix ``[B, AB, ..., A^{n-1} B]``."""
     blocks = []
@@ -222,44 +204,27 @@ def controllability_matrix(sys):
     return np.hstack(blocks)
 
 
-def observability_matrix(A, C):
-    """Block matrix ``[C; CA; ...; CA^{n-1}]``."""
+def is_controllable(sys, tol=RANK_TOL):
+    """Whether the pair (A, B) is controllable (numerical rank test on
+    the controllability matrix of ``(A / rho(A), B)``, or of ``(A, B)``
+    when ``rho(A) = 0``).
+
+    ``(alpha A, B)`` is controllable exactly when ``(A, B)`` is, for any
+    ``alpha != 0``.  Without the rescaling, the Krylov blocks ``A^k B`` of
+    a plant with small ``rho(A)`` shrink below the relative rank tolerance
+    and a controllable plant is rejected.
+    """
+    rho = matkit.spectral_radius(sys.A)
+    scaled = LinearSystem(sys.A / rho if rho > 0 else sys.A, sys.B)
+    return matkit.numerical_rank(controllability_matrix(scaled), tol) == sys.n
+
+
+def is_observable(A, C, tol=RANK_TOL):
+    """Whether the pair (A, C) is observable: by duality, whether the
+    pair (A', C') is controllable."""
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape[1] != A.shape[0]:
         raise DimensionMismatchError(
             f"C must have {A.shape[0]} columns, got {C.shape}")
-    blocks = []
-    M = C
-    for _ in range(A.shape[0]):
-        blocks.append(M)
-        M = M @ A
-    return np.vstack(blocks)
-
-
-def _unit_radius(A):
-    """``A / rho(A)``, or ``A`` itself when ``rho(A) = 0``.
-
-    ``(alpha A, B)`` is controllable exactly when ``(A, B)`` is, for any
-    ``alpha != 0``, and the same holds for observability.  Without the
-    rescaling, the Krylov blocks ``A^k B`` of a plant with small
-    ``rho(A)`` shrink below the relative rank tolerance and a
-    controllable plant is rejected.
-    """
-    rho = matkit.spectral_radius(A)
-    return A / rho if rho > 0 else A
-
-
-def is_controllable(sys, tol=RANK_TOL):
-    """Whether the pair (A, B) is controllable (numerical rank test on
-    the controllability matrix of ``(A / rho(A), B)``)."""
-    scaled = LinearSystem(_unit_radius(sys.A), sys.B)
-    return matkit.numerical_rank(controllability_matrix(scaled), tol) == sys.n
-
-
-def is_observable(A, C, tol=RANK_TOL):
-    """Whether the pair (A, C) is observable (numerical rank test on the
-    observability matrix of ``(A / rho(A), C)``)."""
-    A = np.asarray(A, dtype=float)
-    return matkit.numerical_rank(observability_matrix(_unit_radius(A), C),
-                                 tol) == A.shape[0]
+    return is_controllable(LinearSystem(A.T, C.T), tol)

@@ -1,9 +1,9 @@
 """Dense real-matrix kernels used by every solver module.
 
 Provides symmetric (half-)vectorization and its inverse, quadratic-form
-monomial vectors, spectral radius, numerical rank, a matrix exponential,
-and a Schur-based discrete Lyapunov solver whose cost is O(n^3).  All
-functions are pure and operate on plain ``numpy`` arrays.
+monomial vectors, spectral radius, numerical rank, and a Schur-based
+discrete Lyapunov solver whose cost is O(n^3).  All functions are pure
+and operate on plain ``numpy`` arrays.
 
 Conventions
 -----------
@@ -23,7 +23,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .exceptions import (
@@ -37,7 +36,7 @@ from .exceptions import (
 __all__ = [
     "vecs", "unvecs", "vecv", "vecv_rows", "vec", "unvec",
     "spectral_radius", "numerical_rank",
-    "matrix_exp", "solve_discrete_lyapunov",
+    "solve_discrete_lyapunov",
     "is_positive_definite", "pd_tolerance", "sym_sqrt", "check_symmetric",
 ]
 
@@ -156,16 +155,6 @@ def numerical_rank(A, tol):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-def matrix_exp(A, t=1.0):
-    """Matrix exponential ``exp(A t)`` (scaling-and-squaring Pade core)."""
-    A = _as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"A must be square, got {A.shape}")
-    if not np.isfinite(t):
-        raise InvalidProblemError("t must be finite")
-    return scipy.linalg.expm(A * t)
 
 
 def _no_reordering(wr, wi):

@@ -30,22 +30,13 @@ from .riccati import SpiReport, SpiState
 
 __all__ = [
     "SpiState", "SpiReport",
-    "choose_b", "scaled_policy_evaluation", "scaled_policy_improvement",
+    "scaled_policy_evaluation", "scaled_policy_improvement",
     "choose_c", "spi_model_based",
 ]
 
 # Guard against a nilpotent scaled loop (rho == 0): cap the scaling
 # headroom so the interior rule never produces an infinite factor.
 MAX_HEADROOM = 1e12
-
-
-def choose_b(sys, K0, beta=1.0):
-    """Scaling divisor ``b = rho(A - B K0) + beta``, strictly above the
-    closed-loop spectral radius so the shrunken loop is Schur stable."""
-    if beta <= 0:
-        raise InvalidProblemError("beta must be positive")
-    K0 = np.atleast_2d(np.asarray(K0, dtype=float))
-    return matkit.spectral_radius(sys.A - sys.B @ K0) + beta
 
 
 def scaled_policy_evaluation(sys, weights, K, cum):
@@ -116,13 +107,14 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     starting gain, using full knowledge of the plant matrices.
 
     Runs :func:`riccati.scaling_pi` with divisor ``b = rho(A - B K0) +
-    beta`` and a step of Lyapunov evaluation, scaled improvement and the
-    interior-point factor.  Phase 1 runs scaled policy iteration until
-    the cumulative factor over ``b`` reaches 1, at which point the
-    current gain stabilizes the true plant; phase 2 is plain policy
-    iteration from that gain, stopped when consecutive value matrices
-    differ by less than ``tol``.  ``i_max`` bounds the policy
-    evaluations of both phases together.
+    beta``, strictly above the closed-loop spectral radius so the
+    shrunken loop is Schur stable, and a step of Lyapunov evaluation,
+    scaled improvement and the interior-point factor.  Phase 1 runs
+    scaled policy iteration until the cumulative factor over ``b``
+    reaches 1, at which point the current gain stabilizes the true
+    plant; phase 2 is plain policy iteration from that gain, stopped
+    when consecutive value matrices differ by less than ``tol``.
+    ``i_max`` bounds the policy evaluations of both phases together.
 
     Returns a :class:`SpiReport`; ``report.solution`` carries the
     converged pair and its Riccati residual.
@@ -136,18 +128,24 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     if beta <= 0:
         raise InvalidProblemError("beta must be positive")
 
-    # One eigensolve per evaluation: the radius of the improved gain
-    # sets the next factor and is the next record's rho_closed.
+    # One eigensolve per record: a scaling step takes the radius of its
+    # improved gain, which sets the next factor and is the next record's
+    # rho_closed; a scale-1 step takes its own gain's radius unless the
+    # step before it already did, so the final gain's is never computed.
     rho = matkit.spectral_radius(sys.A - sys.B @ K)
 
     def step(K, cum, scaling):
         nonlocal rho
         P = scaled_policy_evaluation(sys, weights, K, cum)
         K_next = scaled_policy_improvement(sys, weights, P, cum)
+        if rho is None:
+            rho = matkit.spectral_radius(sys.A - sys.B @ K)
         fields = {"rho_closed": rho}
+        if not scaling:
+            rho = None
+            return P, K_next, 1.0, fields
         rho = matkit.spectral_radius(sys.A - sys.B @ K_next)
-        c = _interior_factor(cum * rho, lam) if scaling else 1.0
-        return P, K_next, c, fields
+        return P, K_next, _interior_factor(cum * rho, lam), fields
 
     report = riccati.scaling_pi(step, K, rho + beta, tol, i_max)
     sol = report.solution

@@ -31,7 +31,7 @@ from .exceptions import (
 )
 
 __all__ = [
-    "RegressionData", "RegressionSolution", "ScalingBound", "BSearchResult",
+    "RegressionData", "RegressionSolution", "ScalingBound",
     "build_regression_data", "check_rank_condition",
     "assemble_theta_gamma", "solve_regression", "model_free_gain_update",
     "search_b", "scaling_bound", "spi_model_free",
@@ -86,27 +86,15 @@ class RegressionSolution:
 class ScalingBound:
     """Inflation headroom extracted from a regressed value matrix.
 
-    ``matrix`` is the gate ``P - Q - K'RK``; when it is numerically
-    invertible, ``bound`` is ``sigma_min(P matrix^{-1})^{1/2}`` and any
-    factor in ``(1, bound)`` preserves stability of the inflated loop.
-    ``bound`` is ``None`` when the gate is treated as singular.
+    ``sigma_min`` is the smallest singular value of the gate
+    ``G = P - Q - K'RK``.  When the gate is numerically invertible,
+    ``bound`` is ``sigma_min(P G^{-1})^{1/2}`` and any factor in
+    ``(1, bound)`` preserves stability of the inflated loop; ``bound`` is
+    ``None`` when the gate is treated as singular.
     """
 
-    matrix: np.ndarray
-    invertible: bool
     sigma_min: float
     bound: float | None
-
-
-@dataclass(frozen=True)
-class BSearchResult:
-    """Outcome of the scaling-divisor probe: the accepted divisor, the
-    positive definite value matrix that certified it, and the number of
-    regressions performed."""
-
-    b: float
-    solution: RegressionSolution
-    probes: int
 
 
 def build_regression_data(traj):
@@ -231,7 +219,9 @@ def search_b(data, K0, weights, b_init=1.0, delta=0.1, max_probes=200):
     positive definite (which certifies that the shrunken closed loop is
     Schur stable under ``K0``).  ``delta`` is either a constant step or
     a callable ``probe_index -> step`` (probe indices start at 1) for
-    growing schedules.
+    growing schedules.  Returns ``(b, solution, probes)``: the accepted
+    divisor, the positive definite regression that certified it, and the
+    number of regressions performed.
 
     Raises
     ------
@@ -247,7 +237,7 @@ def search_b(data, K0, weights, b_init=1.0, delta=0.1, max_probes=200):
     for probe in range(1, max_probes + 1):
         sol = _solve_iteration(data, K0, 1.0 / b, weights)
         if matkit.is_positive_definite(sol.P):
-            return BSearchResult(b=b, solution=sol, probes=probe)
+            return b, sol, probe
         increment = step(probe)
         if increment <= 0:
             raise InvalidProblemError("delta steps must be positive")
@@ -271,19 +261,17 @@ def scaling_bound(P, K_next, weights, eps_inv=EPS_INVERTIBLE):
     sv = np.linalg.svd(gate, compute_uv=False)
     sigma_min = float(sv[-1])
     if sv[0] == 0.0 or sigma_min <= eps_inv * sv[0]:
-        return ScalingBound(matrix=gate, invertible=False,
-                            sigma_min=sigma_min, bound=None)
+        return ScalingBound(sigma_min=sigma_min, bound=None)
     ratio = P @ np.linalg.inv(gate)
     bound = float(np.sqrt(np.linalg.svd(ratio, compute_uv=False)[-1]))
-    return ScalingBound(matrix=gate, invertible=True,
-                        sigma_min=sigma_min, bound=bound)
+    return ScalingBound(sigma_min=sigma_min, bound=bound)
 
 
 def _c_from_bound(sb, lam):
     """Interior-point factor from a :class:`ScalingBound`; returns
     ``(c, fallback)`` where ``fallback`` flags a headroom at or below 1
     (not covered by the selection rule, factor forced to 1)."""
-    if not sb.invertible:
+    if sb.bound is None:
         return 1.0, False
     if sb.bound <= 1.0 + EPS_MARGIN:
         return 1.0, True
@@ -309,13 +297,16 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     """
     K = riccati.check_start(K0, data.m, data.n, lam, i_max)
     if not check_rank_condition(data):
+        unknowns = unknown_count(data.n, data.m)
         raise RankDeficientError(
-            "data fails the excitation rank condition; collect a longer "
-            "or richer trajectory")
-    found = search_b(data, K, weights, b_init=b_init, delta=delta,
-                     max_probes=max_probes)
+            f"data fails the excitation rank condition: {data.l} samples "
+            f"do not excite all {unknowns} regression unknowns, which takes "
+            f"at least {unknowns} samples; collect a longer or richer "
+            f"trajectory")
+    b, accepted, probes = search_b(data, K, weights, b_init=b_init,
+                                   delta=delta, max_probes=max_probes)
     # The accepted probe regressed K0 at scale 1/b, the first evaluation.
-    pending = [found.solution]
+    pending = [accepted]
 
     def step(K, cum, scaling):
         sol = pending.pop() if pending else _solve_iteration(data, K, cum,
@@ -328,5 +319,5 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
         return sol.P, K_next, c, {"bound": sb.bound, "sigma_q": sb.sigma_min,
                                   "fallback": fallback}
 
-    report = riccati.scaling_pi(step, K, found.b, tol, i_max)
-    return replace(report, probes=found.probes)
+    report = riccati.scaling_pi(step, K, b, tol, i_max)
+    return replace(report, probes=probes)

@@ -208,6 +208,22 @@ def test_simulate_closed_loop_settles(tmp_path):
     assert last[4] == ""  # no input beyond the final state
 
 
+@pytest.mark.parametrize("command, section", [
+    ("simulate", {"simulate": {"x0": [0.1, 0.1, 0.2], "steps": 5}}),
+    ("discretize", {}),
+])
+def test_seed_flag_rejected_where_it_does_nothing(tmp_path, capsys, command,
+                                                  section):
+    cfg = write_config(tmp_path / "c.json", {"system": SYSTEM_CONT,
+                                             **section})
+    args = [command, "--config", cfg, "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_simulate_open_loop_grows(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "system": SYSTEM_CONT,

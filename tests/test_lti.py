@@ -34,6 +34,17 @@ def test_zoh_integrator_of_identity():
     sys_d = lti.zoh_discretize(np.zeros((2, 2)), np.eye(2), 0.5)
     assert np.allclose(sys_d.A, np.eye(2))
     assert np.allclose(sys_d.B, 0.5 * np.eye(2))
+    sys_d = lti.zoh_discretize(np.zeros((3, 3)), np.ones((3, 1)), 2.5)
+    assert np.allclose(sys_d.A, np.eye(3))
+    assert np.allclose(sys_d.B, 2.5 * np.ones((3, 1)))
+
+
+def test_zoh_nilpotent_closed_form():
+    # exp(A_c T) = I + A_c T exactly when A_c^2 = 0
+    A_c = np.array([[0.0, 1.0], [0.0, 0.0]])
+    sys_d = lti.zoh_discretize(A_c, np.array([[0.0], [1.0]]), 1.0)
+    assert np.allclose(sys_d.A, [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
+    assert np.allclose(sys_d.B, [[0.5], [1.0]], atol=1e-14)
 
 
 def test_zoh_scalar_closed_form():
@@ -44,6 +55,9 @@ def test_zoh_scalar_closed_form():
 
 def test_zoh_power_plant_matches_reference():
     A_c, B_c = benchmarks.power_plant_continuous()
+    assert np.array_equal(A_c, [[-12.5, 0.0, 5.0],
+                                [10.0, -10.0, 0.0],
+                                [0.0, 6.0, -0.05]])
     sys_d = lti.zoh_discretize(A_c, B_c, 0.01)
     assert np.abs(sys_d.A - POWER_A_REF).max() < 5e-5
     assert np.abs(sys_d.B - POWER_B_REF).max() < 5e-5
@@ -71,11 +85,24 @@ def test_zoh_commutes_with_block_diagonal():
 def test_zoh_rejects_bad_sample_time():
     with pytest.raises(InvalidProblemError):
         lti.zoh_discretize(np.eye(2), np.ones((2, 1)), 0.0)
+    with pytest.raises(InvalidProblemError):
+        lti.zoh_discretize(np.eye(2), np.ones((2, 1)), np.nan)
+
+
+def test_zoh_rejects_nonfinite():
+    cases = [(np.array([[np.inf]]), np.ones((1, 1))),
+             (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 1))),
+             (np.eye(2), np.array([[-np.inf], [1.0]])),
+             # expm maps this plant to finite matrices, A = B = 0
+             (np.array([[-np.inf]]), np.zeros((1, 1)))]
+    for A_c, B_c in cases:
+        with pytest.raises(InvalidProblemError):
+            lti.zoh_discretize(A_c, B_c, 0.1)
 
 
 def test_simulate_zero_dynamics():
     sys_d = lti.LinearSystem(np.zeros((2, 2)), np.ones((2, 1)))
-    traj = lti.simulate(sys_d, [1.0, 2.0], lti.zero_policy(1), 5)
+    traj = lti.simulate(sys_d, [1.0, 2.0], lambda k, x: np.zeros(1), 5)
     assert np.array_equal(traj.states[0], [1.0, 2.0])
     assert np.abs(traj.states[1:]).max() == 0.0
     assert traj.length == 5
@@ -110,23 +137,26 @@ def test_simulate_stabilized_loop_decays():
     A_cl = Vq @ np.diag([0.9, 0.5, -0.3]) @ Vq.T
     sys_d = lti.LinearSystem(A_cl, np.zeros((3, 1)))
     x0 = np.array([1.0, -1.0, 0.5])
-    traj = lti.simulate(sys_d, x0, lti.zero_policy(1), 200)
+    traj = lti.simulate(sys_d, x0, lambda k, x: np.zeros(1), 200)
     assert np.linalg.norm(traj.states[-1]) < 1e-6 * np.linalg.norm(x0)
 
 
 def test_simulate_divergence_guard():
     sys_d = lti.LinearSystem(np.array([[2.0]]), np.array([[0.0]]))
     with pytest.raises(DivergenceError) as err:
-        lti.simulate(sys_d, [1.0], lti.zero_policy(1), 60)
+        lti.simulate(sys_d, [1.0], lambda k, x: np.zeros(1), 60)
     assert err.value.step <= 60
     partial = err.value.partial
     assert partial.states.shape[0] == err.value.step + 1
 
 
 def test_gain_policy_sign():
+    # state feedback enters the plant as u = -K x
+    sys_d = lti.LinearSystem(np.eye(2), np.array([[1.0], [0.0]]))
     K = np.array([[2.0, 0.0]])
-    policy = lti.gain_policy(K)
-    assert np.array_equal(policy(0, np.array([1.0, 5.0])), [-2.0])
+    traj = lti.simulate(sys_d, [1.0, 5.0], lambda k, x: -K @ x, 1)
+    assert np.array_equal(traj.inputs[0], [-2.0])
+    assert np.array_equal(traj.states[1], [-1.0, 5.0])
 
 
 def test_exploration_input_zero_frequency():

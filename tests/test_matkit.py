@@ -141,30 +141,6 @@ def test_numerical_rank_rejects_bad_tol():
         matkit.numerical_rank(np.eye(2), 0.0)
 
 
-def test_matrix_exp_zero():
-    assert np.allclose(matkit.matrix_exp(np.zeros((3, 3)), 2.5), np.eye(3))
-
-
-def test_matrix_exp_nilpotent():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(matkit.matrix_exp(A, 1.0),
-                       [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
-
-
-def test_matrix_exp_power_plant_block():
-    A_c = np.array([[-12.5, 0.0, 5.0],
-                    [10.0, -10.0, 0.0],
-                    [0.0, 6.0, -0.05]])
-    assert np.abs(matkit.matrix_exp(A_c, 0.01) - POWER_A_REF).max() < 5e-5
-
-
-def test_matrix_exp_rejects_nonfinite():
-    with pytest.raises(InvalidProblemError):
-        matkit.matrix_exp(np.array([[np.inf]]), 1.0)
-    with pytest.raises(InvalidProblemError):
-        matkit.matrix_exp(np.eye(2), np.nan)
-
-
 def _series_lyapunov(F, W, terms=10_000):
     """Independent oracle: truncated sum of (F')^k W F^k."""
     P = np.zeros_like(W)

@@ -14,30 +14,40 @@ from conftest import POWER_K_REF, POWER_P_REF
 K0_ZERO = np.zeros((1, 3))
 
 
-def test_choose_b_power_plant(power_system):
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    assert b == pytest.approx(2.0176, abs=1e-3)
+# The solver's divisor is b = rho(A - B K0) + beta, reported as report.b.
+
+def test_choose_b_power_plant(power_system, power_weights):
+    report = model_based.spi_model_based(power_system, power_weights,
+                                         K0_ZERO, beta=1.0)
+    assert report.b == matkit.spectral_radius(power_system.A) + 1.0
+    assert report.b == pytest.approx(2.0176, abs=1e-3)
 
 
 def test_choose_b_stable_loop():
     sys_d = lti.LinearSystem(np.diag([0.5, -0.1]), np.eye(2))
-    assert model_based.choose_b(sys_d, np.zeros((2, 2)), beta=1.0) == \
-        pytest.approx(1.5)
+    weights = lti.CostWeights(np.eye(2), np.eye(2))
+    report = model_based.spi_model_based(sys_d, weights, np.zeros((2, 2)),
+                                         beta=1.0)
+    assert report.b == pytest.approx(1.5)
 
 
-def test_choose_b_always_shrinks_below_one(power_system):
+def test_choose_b_always_shrinks_below_one(power_system, power_weights):
     rng = np.random.default_rng(30)
     for _ in range(20):
         K0 = rng.standard_normal((1, 3)) * rng.uniform(0, 5)
-        b = model_based.choose_b(power_system, K0, beta=0.31)
-        rho = matkit.spectral_radius(
-            (power_system.A - power_system.B @ K0) / b)
-        assert rho < 1.0
+        report = model_based.spi_model_based(power_system, power_weights,
+                                             K0, beta=0.31)
+        F = power_system.A - power_system.B @ K0
+        assert report.b == matkit.spectral_radius(F) + 0.31
+        assert matkit.spectral_radius(F / report.b) < 1.0
+        assert report.phase1_trace[0].rho_scaled < 1.0
 
 
-def test_choose_b_rejects_nonpositive_beta(power_system):
-    with pytest.raises(InvalidProblemError):
-        model_based.choose_b(power_system, K0_ZERO, beta=0.0)
+def test_choose_b_rejects_nonpositive_beta(power_system, power_weights):
+    for beta in (0.0, -0.5):
+        with pytest.raises(InvalidProblemError):
+            model_based.spi_model_based(power_system, power_weights,
+                                        K0_ZERO, beta=beta)
 
 
 def test_evaluation_at_zero_scale(power_system, power_weights):
@@ -59,8 +69,7 @@ def test_evaluation_at_unit_scale_is_policy_evaluation(power_system,
 
 
 def test_evaluation_first_scaled_iterate(power_system, power_weights):
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    cum = 1.0 / b
+    cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     P = model_based.scaled_policy_evaluation(power_system, power_weights,
                                              K0_ZERO, cum)
     assert matkit.is_positive_definite(P)
@@ -93,8 +102,7 @@ def test_improvement_zero_value_matrix(power_system, power_weights):
 
 def test_choose_c_interior_point(power_system, power_weights):
     # first scaling iteration of the benchmark run
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    cum = 1.0 / b
+    cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     P0 = model_based.scaled_policy_evaluation(power_system, power_weights,
                                               K0_ZERO, cum)
     K1 = model_based.scaled_policy_improvement(power_system, power_weights,
@@ -108,8 +116,7 @@ def test_choose_c_interior_point(power_system, power_weights):
 
 
 def test_choose_c_respects_interval(power_system, power_weights):
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    cum = 1.0 / b
+    cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     P0 = model_based.scaled_policy_evaluation(power_system, power_weights,
                                               K0_ZERO, cum)
     K1 = model_based.scaled_policy_improvement(power_system, power_weights,
@@ -240,10 +247,10 @@ def test_solver_one_eigensolve_per_iteration(power_system, power_weights,
                         lambda A: calls.append(1) or radius(A))
     report = model_based.spi_model_based(power_system, power_weights,
                                          K0_ZERO, tol=1e-8)
-    # one for the starting gain and one for the improved gain of each
-    # evaluation, as many as there are records, plus the controllability
-    # and observability tests; the Lyapunov guard reads its radius off
-    # the Schur form
+    # one per record (the starting gain's, each scaling step's improved
+    # gain, each later scale-1 step's own gain; never the final gain's),
+    # plus the controllability test and its dual, the observability
+    # test; the Lyapunov guard reads its radius off the Schur form
     assert report.handoff_index >= 2
     assert len(calls) == (len(report.phase1_trace)
-                          + len(report.phase2_trace) + 2)
+                          + len(report.phase2_trace) + 1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,7 @@ def test_theta_gamma_zero_gain_structure(power_data, power_weights):
 def test_theta_gamma_rowwise_identity(power_system, power_weights,
                                       power_data):
     # the evaluation identity holds sample by sample at the true blocks
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    cum = 1.0 / b
+    cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     P, M, L = _true_blocks(power_system, power_weights, K0_ZERO, cum)
     z = np.concatenate([matkit.vecs(P), matkit.vec(M), matkit.vecs(L)])
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, cum,
@@ -100,8 +101,7 @@ def test_theta_gamma_rowwise_identity(power_system, power_weights,
 
 def test_regression_recovers_true_blocks(power_system, power_weights,
                                          power_data):
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    cum = 1.0 / b
+    cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     P, M, L = _true_blocks(power_system, power_weights, K0_ZERO, cum)
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, cum,
                                                    power_weights)
@@ -143,8 +143,7 @@ def test_regression_uniqueness_by_perturbation(power_system, power_weights,
                                                power_data):
     # any nonzero perturbation of the solution strictly increases the
     # residual (least-squares at an interpolating optimum)
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    cum = 1.0 / b
+    cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, cum,
                                                    power_weights)
     sol = model_free.solve_regression(theta, gamma, 3, 1)
@@ -179,8 +178,7 @@ def test_gain_update_unit_scale_reduction(power_system, power_weights,
 
 def test_gain_update_matches_model_based(power_system, power_weights,
                                          power_data):
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
-    cum = 1.0 / b
+    cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, cum,
                                                    power_weights)
     sol = model_free.solve_regression(theta, gamma, 3, 1)
@@ -193,13 +191,13 @@ def test_gain_update_matches_model_based(power_system, power_weights,
 
 
 def test_search_b_power_plant(power_data, power_weights, power_system):
-    found = model_free.search_b(power_data, K0_ZERO, power_weights,
-                                b_init=1.0, delta=0.1)
-    assert found.b == pytest.approx(1.1)
-    assert found.probes == 2  # the initial candidate failed once
-    assert matkit.is_positive_definite(found.solution.P)
+    b, sol, probes = model_free.search_b(power_data, K0_ZERO, power_weights,
+                                         b_init=1.0, delta=0.1)
+    assert b == pytest.approx(1.1)
+    assert probes == 2  # the initial candidate failed once
+    assert matkit.is_positive_definite(sol.P)
     # checked against the plant the solver never saw
-    rho = matkit.spectral_radius(power_system.A / found.b)
+    rho = matkit.spectral_radius(power_system.A / b)
     assert rho < 1.0
 
 
@@ -212,16 +210,17 @@ def test_search_b_stable_plant_needs_no_increment():
     traj = lti.simulate(sys_d, rng.uniform(-0.5, 0.5, 3),
                         lti.exploration_input(1, seed=5), 30)
     data = model_free.build_regression_data(traj)
-    found = model_free.search_b(data, np.zeros((1, 3)), weights, b_init=1.0)
-    assert found.b == 1.0
-    assert found.probes == 1
+    b, _, probes = model_free.search_b(data, np.zeros((1, 3)), weights,
+                                       b_init=1.0)
+    assert b == 1.0
+    assert probes == 1
 
 
 def test_search_b_growing_schedule(power_data, power_weights):
-    found = model_free.search_b(power_data, K0_ZERO, power_weights,
-                                b_init=1.0, delta=lambda i: 0.7 * i)
-    assert found.b == pytest.approx(1.7)
-    assert found.probes == 2
+    b, _, probes = model_free.search_b(power_data, K0_ZERO, power_weights,
+                                       b_init=1.0, delta=lambda i: 0.7 * i)
+    assert b == pytest.approx(1.7)
+    assert probes == 2
 
 
 def test_search_b_monotone_in_divisor(power_data, power_weights, corpus):
@@ -232,21 +231,21 @@ def test_search_b_monotone_in_divisor(power_data, power_weights, corpus):
         sol = model_free.solve_regression(theta, gamma, data.n, data.m)
         return matkit.is_positive_definite(sol.P)
 
-    found = model_free.search_b(power_data, K0_ZERO, power_weights)
+    b, _, _ = model_free.search_b(power_data, K0_ZERO, power_weights)
     for extra in (0.1, 0.2, 0.5, 2.0):
-        assert pd_at(power_data, K0_ZERO, power_weights, found.b + extra)
+        assert pd_at(power_data, K0_ZERO, power_weights, b + extra)
     for case in corpus[:8]:
-        found = model_free.search_b(case["data"], case["K0"],
-                                    case["weights"])
+        b, _, _ = model_free.search_b(case["data"], case["K0"],
+                                      case["weights"])
         for extra in (0.1, 1.0):
             assert pd_at(case["data"], case["K0"], case["weights"],
-                         found.b + extra)
+                         b + extra)
 
 
 def test_theta_full_column_rank_when_excited(power_system, power_weights,
                                              power_data):
     # excitation plus a stable scaled loop makes the regressor injective
-    b = model_based.choose_b(power_system, K0_ZERO, beta=1.0)
+    b = matkit.spectral_radius(power_system.A) + 1.0
     theta, _ = model_free.assemble_theta_gamma(power_data, K0_ZERO, 1.0 / b,
                                                power_weights)
     assert matkit.numerical_rank(theta, 1e-10) == theta.shape[1]
@@ -263,7 +262,6 @@ def test_search_b_exhausts_probes(power_data, power_weights):
 def test_scaling_bound_singular_gate(power_weights):
     # P equal to Q makes the gate exactly zero: no usable headroom
     sb = model_free.scaling_bound(np.eye(3), K0_ZERO, power_weights)
-    assert not sb.invertible
     assert sb.bound is None
     # factor 1, and not a fallback: the rule does not apply
     assert model_free._c_from_bound(sb, 0.5) == (1.0, False)
@@ -272,13 +270,11 @@ def test_scaling_bound_singular_gate(power_weights):
 def test_choose_c_first_benchmark_iteration(power_system, power_weights,
                                             power_data):
     # reproduce the first data-driven scaling decision of the benchmark
-    found = model_free.search_b(power_data, K0_ZERO, power_weights,
-                                b_init=1.0, delta=0.1)
-    cum = 1.0 / found.b
-    K1 = model_free.model_free_gain_update(found.solution, power_weights,
-                                           cum)
-    sb = model_free.scaling_bound(found.solution.P, K1, power_weights)
-    assert sb.invertible
+    b, sol, _ = model_free.search_b(power_data, K0_ZERO, power_weights,
+                                    b_init=1.0, delta=0.1)
+    K1 = model_free.model_free_gain_update(sol, power_weights, 1.0 / b)
+    sb = model_free.scaling_bound(sol.P, K1, power_weights)
+    assert sb.bound is not None
     assert sb.bound == pytest.approx(1.0862, abs=1e-3)
     assert sb.sigma_min == pytest.approx(1.4659, abs=1e-3)
     # the solver records that bound at iteration 0 and the factor it
@@ -291,11 +287,9 @@ def test_choose_c_first_benchmark_iteration(power_system, power_weights,
 
 
 def test_choose_c_interval_property(power_system, power_weights, power_data):
-    found = model_free.search_b(power_data, K0_ZERO, power_weights)
-    cum = 1.0 / found.b
-    K1 = model_free.model_free_gain_update(found.solution, power_weights,
-                                           cum)
-    sb = model_free.scaling_bound(found.solution.P, K1, power_weights)
+    b, sol, _ = model_free.search_b(power_data, K0_ZERO, power_weights)
+    K1 = model_free.model_free_gain_update(sol, power_weights, 1.0 / b)
+    sb = model_free.scaling_bound(sol.P, K1, power_weights)
     for lam in (0.05, 0.5, 0.95):
         report = model_free.spi_model_free(power_data, K0_ZERO,
                                            power_weights, lam=lam)
@@ -378,8 +372,12 @@ def test_solver_agrees_with_model_based(power_system, power_weights,
 def test_solver_requires_rank_condition(power_weights):
     traj = lti.Trajectory(states=np.zeros((31, 3)), inputs=np.zeros((30, 1)))
     data = model_free.build_regression_data(traj)
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(RankDeficientError) as err:
         model_free.spi_model_free(data, K0_ZERO, power_weights)
+    # the message names the sample count and the unknowns to excite
+    numbers = re.findall(r"\d+", str(err.value))
+    assert str(data.l) in numbers
+    assert str(model_free.unknown_count(3, 1)) in numbers
 
 
 def test_solver_rejects_bad_gain_shape(power_data, power_weights):
