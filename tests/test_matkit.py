@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spilqr import matkit
+from spilqr import lti, matkit
 from spilqr.exceptions import (
     DimensionMismatchError,
     InvalidProblemError,
@@ -139,6 +139,22 @@ def test_numerical_rank_cases():
 def test_numerical_rank_rejects_bad_tol():
     with pytest.raises(InvalidProblemError):
         matkit.numerical_rank(np.eye(2), 0.0)
+
+
+# The state-transition matrix exp(A_c T) is the A block of the
+# zero-order-hold discretization.
+def test_matrix_exp_zero():
+    sys_d = lti.zoh_discretize(np.zeros((3, 3)), np.ones((3, 1)), 2.5)
+    assert np.allclose(sys_d.A, np.eye(3))
+    assert np.allclose(sys_d.B, 2.5 * np.ones((3, 1)))
+
+
+def test_matrix_exp_power_plant_block():
+    A_c = np.array([[-12.5, 0.0, 5.0],
+                    [10.0, -10.0, 0.0],
+                    [0.0, 6.0, -0.05]])
+    sys_d = lti.zoh_discretize(A_c, np.zeros((3, 1)), 0.01)
+    assert np.abs(sys_d.A - POWER_A_REF).max() < 5e-5
 
 
 def _series_lyapunov(F, W, terms=10_000):
