@@ -67,10 +67,13 @@ def _validator():
 
 
 def load_config(path):
-    """Read and schema-validate a JSON experiment configuration."""
+    """Read and schema-validate a JSON experiment configuration; ``NaN``
+    and ``Infinity``, which pass the schema's bounds, are refused."""
+    def reject(name):
+        raise ConfigError(f"{path}: {name} is not a valid number")
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -425,10 +428,9 @@ def _iterations_to_tolerance(result, K_ref, tol):
     """Index of the first gain of a solve, starting gain included, within
     ``tol`` of the reference, plus the data-driven solver's divisor probes;
     ``None`` when no gain comes that close."""
-    sol = getattr(result, "solution", result)
-    # scaling records up to the handoff, whose gain starts sol.trace
-    gains = [s.K_tilde for s in getattr(result, "phase1_trace", [])[:-1]]
-    gains += [K for _, K in sol.trace] + [sol.K]
+    gains = ([result.phase1_trace[0].K_tilde, *result.gain_sequence()]
+             if isinstance(result, riccati.SpiReport)
+             else [K for _, K in result.trace] + [result.K])
     for idx, K in enumerate(gains):
         if np.linalg.norm(K - K_ref, "fro") < tol:
             return idx + getattr(result, "probes", 0)

@@ -21,7 +21,6 @@ from . import matkit, riccati
 from .exceptions import (
     InvalidProblemError,
     InvariantViolatedError,
-    SingularMatrixError,
     UnstableMatrixError,
     UnstableScaledSystemError,
 )
@@ -62,16 +61,8 @@ def scaled_policy_improvement(sys, weights, P, cum):
 
     At ``cum == 1`` this is the ordinary policy-improvement step.
     """
-    if cum <= 0:
-        raise InvalidProblemError("cum must be positive")
-    P = matkit.check_symmetric(P, "P")
-    B = sys.B
-    inner = B.T @ P @ B + weights.R / cum**2
-    try:
-        return np.linalg.solve(inner, B.T @ P @ sys.A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "B'PB + R/cum^2 is numerically singular") from exc
+    BtP = sys.B.T @ matkit.check_symmetric(P, "P")
+    return riccati._improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R, cum)
 
 
 def _interior_factor(rho_scaled, lam):
@@ -119,13 +110,13 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     Returns a :class:`SpiReport`; ``report.solution`` carries the
     converged pair and its Riccati residual.
     """
-    K = riccati.check_start(K0, sys.m, sys.n, lam, i_max)
+    K = riccati.check_start(K0, sys.m, sys.n, lam, tol, i_max)
     if not is_controllable(sys):
         raise InvalidProblemError("the pair (A, B) must be controllable")
     if not is_observable(sys.A, matkit.sym_sqrt(weights.Q)):
         raise InvalidProblemError(
             "the pair (A, sqrt(Q)) must be observable")
-    if beta <= 0:
+    if not beta > 0:
         raise InvalidProblemError("beta must be positive")
 
     # One eigensolve per record: a scaling step takes the radius of its

@@ -27,7 +27,6 @@ from .exceptions import (
     InvalidProblemError,
     ProbesExhaustedError,
     RankDeficientError,
-    SingularMatrixError,
 )
 
 __all__ = [
@@ -48,27 +47,25 @@ def unknown_count(n, m):
 
 @dataclass(frozen=True)
 class RegressionData:
-    """Sample blocks built once from a recorded trajectory.
+    """A recorded trajectory and the sample blocks that no gain changes.
 
-    Row ``k`` of every block derives from the same time index:
-    ``delta_xx`` holds ``x_k ⊗ x_k``, ``delta_ux`` holds ``u_k ⊗ x_k``,
-    ``d_x``/``D_x`` hold the quadratic monomials of ``x_k`` / ``x_{k+1}``,
-    and ``d_u`` those of ``u_k``.  ``states`` retains ``x_0..x_{l-1}``
-    because the gain-dependent block must be rebuilt each iteration.
+    Row ``k`` of every block derives from the same time index: ``states``
+    and ``inputs`` hold ``x_k`` and ``u_k``, ``d_x``/``D_x`` the quadratic
+    monomials of ``x_k`` / ``x_{k+1}`` and ``d_u`` those of ``u_k``.  Every
+    regression block is linear in these, so the store is O(l (n + m)^2).
     """
 
-    delta_xx: np.ndarray
-    delta_ux: np.ndarray
     d_x: np.ndarray
     D_x: np.ndarray
     d_u: np.ndarray
     states: np.ndarray
+    inputs: np.ndarray
     n: int
     m: int
 
     @property
     def l(self):
-        return self.delta_xx.shape[0]
+        return self.states.shape[0]
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,13 @@ class ScalingBound:
     bound: float | None
 
 
+def _row_kron(V, X):
+    """Row ``k`` is ``V[k] ⊗ X[k]``."""
+    return (V[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+
+
 def build_regression_data(traj):
-    """Assemble all sample blocks from one trajectory.
+    """Sample blocks of one trajectory: states, inputs, their monomials.
 
     Requires at least ``unknown_count(n, m)`` transitions; more samples
     improve conditioning.
@@ -111,33 +113,22 @@ def build_regression_data(traj):
     X = traj.states[:l]
     X_next = traj.states[1:l + 1]
     U = traj.inputs
-    delta_xx = (X[:, :, None] * X[:, None, :]).reshape(l, n * n)
-    delta_ux = (U[:, :, None] * X[:, None, :]).reshape(l, m * n)
     return RegressionData(
-        delta_xx=delta_xx,
-        delta_ux=delta_ux,
         d_x=matkit.vecv_rows(X),
         D_x=matkit.vecv_rows(X_next),
         d_u=matkit.vecv_rows(U),
         states=X.copy(),
+        inputs=U.copy(),
         n=n, m=m)
 
 
 def check_rank_condition(data, tol=1e-8):
-    """Persistent-excitation test: the stacked blocks
-    ``[delta_xx, delta_ux, d_u]`` must have rank equal to the number of
-    regression unknowns (the state block contributes only its
-    symmetric part)."""
-    stacked = np.hstack([data.delta_xx, data.delta_ux, data.d_u])
+    """Persistent-excitation test: the rows ``[x_k ⊗ x_k, u_k ⊗ x_k, d_u]``
+    must have rank equal to the number of regression unknowns (the state
+    block contributes only its symmetric part)."""
+    X, U = data.states, data.inputs
+    stacked = np.hstack([_row_kron(X, X), _row_kron(U, X), data.d_u])
     return matkit.numerical_rank(stacked, tol) == unknown_count(data.n, data.m)
-
-
-def _kron_eye(M, n):
-    """``np.kron(M, np.eye(n))``, as the broadcast product that
-    ``np.kron`` computes, without its per-call reshaping overhead."""
-    r, c = M.shape
-    return (M[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(
-        r * n, c * n)
 
 
 def assemble_theta_gamma(data, K, cum, weights):
@@ -146,23 +137,24 @@ def assemble_theta_gamma(data, K, cum, weights):
     The linear system ``theta @ [vecs(P); vec(M); vecs(L)] = -gamma``
     restates, row by row, the evaluation identity of gain ``K`` on the
     plant scaled by ``cum``, written along the recorded trajectory.
-    Column blocks are ordered packed-P, vectorized-M, packed-L.
+    Column blocks are ordered packed-P, vectorized-M, packed-L; the M
+    block's row ``k`` is ``(u_k + K x_k) ⊗ x_k`` and ``gamma_k`` is
+    ``x_k' W x_k`` with ``W = Q + K'RK``.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape != (data.m, data.n):
         raise DimensionMismatchError(
             f"K must be {data.m} x {data.n}, got {K.shape}")
-    if cum <= 0:
+    if not cum > 0:
         raise InvalidProblemError("cum must be positive")
     g2 = cum * cum
-    d_Kx = matkit.vecv_rows(data.states @ K.T)
+    X, XKt = data.states, data.states @ K.T
     theta = np.hstack([
         g2 * data.D_x - data.d_x,
-        -2.0 * g2 * (data.delta_xx @ _kron_eye(K.T, data.n)
-                     + data.delta_ux),
-        g2 * (d_Kx - data.d_u),
+        -2.0 * g2 * _row_kron(data.inputs + XKt, X),
+        g2 * (matkit.vecv_rows(XKt) - data.d_u),
     ])
-    gamma = data.delta_xx @ matkit.vec(weights.Q + K.T @ weights.R @ K)
+    gamma = ((X @ (weights.Q + K.T @ weights.R @ K)) * X).sum(axis=1)
     return theta, gamma
 
 
@@ -196,14 +188,7 @@ def model_free_gain_update(sol, weights, cum):
     """Improved gain ``(L + R / cum^2)^{-1} M'`` from regressed blocks;
     coincides with the model-based improvement when the blocks are
     exact."""
-    if cum <= 0:
-        raise InvalidProblemError("cum must be positive")
-    inner = sol.L + weights.R / cum**2
-    try:
-        return np.linalg.solve(inner, sol.M.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "L + R/cum^2 is numerically singular") from exc
+    return riccati._improved_gain(sol.L, sol.M.T, weights.R, cum)
 
 
 def _solve_iteration(data, K, cum, weights):
@@ -229,18 +214,18 @@ def search_b(data, K0, weights, b_init=1.0, delta=0.1, max_probes=200):
         When ``max_probes`` candidates all fail; the system may be
         uncontrollable or the data degenerate.
     """
-    if b_init < 1.0:
+    if not b_init >= 1.0:
         raise InvalidProblemError("b_init must be at least 1")
     step = delta if callable(delta) else (lambda i: delta)
     K0 = np.atleast_2d(np.asarray(K0, dtype=float))
     b = float(b_init)
     for probe in range(1, max_probes + 1):
+        increment = step(probe)
+        if not increment > 0:
+            raise InvalidProblemError("delta steps must be positive")
         sol = _solve_iteration(data, K0, 1.0 / b, weights)
         if matkit.is_positive_definite(sol.P):
             return b, sol, probe
-        increment = step(probe)
-        if increment <= 0:
-            raise InvalidProblemError("delta steps must be positive")
         b += increment
     raise ProbesExhaustedError(
         f"no scaling divisor found in {max_probes} probes "
@@ -295,7 +280,7 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     because the solver has no model to evaluate the Riccati equation
     against; compute it externally when the plant is known.
     """
-    K = riccati.check_start(K0, data.m, data.n, lam, i_max)
+    K = riccati.check_start(K0, data.m, data.n, lam, tol, i_max)
     if not check_rank_condition(data):
         unknowns = unknown_count(data.n, data.m)
         raise RankDeficientError(

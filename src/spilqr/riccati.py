@@ -147,16 +147,22 @@ def _check_dims(sys, weights, P):
     return P
 
 
-def optimal_gain(sys, weights, P):
-    """Feedback gain ``(R + B'PB)^{-1} B'PA`` induced by a value matrix."""
-    P = _check_dims(sys, weights, P)
-    A, B = sys.A, sys.B
-    inner = weights.R + B.T @ P @ B
+def _improved_gain(L, N, R, cum=1.0):
+    """Policy improvement of every solver: ``(L + R / cum^2)^{-1} N`` on the
+    plant scaled by ``cum``, ``L = B'PB`` and ``N = B'PA`` exact or fitted."""
+    if not cum > 0:
+        raise InvalidProblemError("cum must be positive")
     try:
-        return np.linalg.solve(inner, B.T @ P @ A)
+        return np.linalg.solve(L + R / cum**2, N)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
-            "R + B'PB is numerically singular") from exc
+            "B'PB + R/cum^2 is numerically singular") from exc
+
+
+def optimal_gain(sys, weights, P):
+    """Feedback gain ``(R + B'PB)^{-1} B'PA`` induced by a value matrix."""
+    BtP = sys.B.T @ _check_dims(sys, weights, P)
+    return _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
 
 
 def are_residual(sys, weights, P):
@@ -176,12 +182,14 @@ def riccati_step(sys, weights, P):
     return (P_next + P_next.T) / 2.0, K
 
 
-def check_start(K0, m, n, lam, i_max):
-    """The starting gain of a scaling solve as an ``m x n`` array, once the
-    solve's factor weight ``lam`` lies in (0, 1) and its budget ``i_max``
-    is at least 1; raises :class:`InvalidProblemError` otherwise."""
+def check_start(K0, m, n, lam, tol, i_max):
+    """The starting gain of a scaling solve as an ``m x n`` array, once its
+    factor weight ``lam`` lies in (0, 1), ``tol`` > 0 and ``i_max`` >= 1;
+    raises :class:`InvalidProblemError` otherwise, NaN included."""
     if i_max < 1:
         raise InvalidProblemError("i_max must be at least 1")
+    if not tol > 0:
+        raise InvalidProblemError("tol must be positive")
     if not 0.0 < lam < 1.0:
         raise InvalidProblemError("lam must lie strictly between 0 and 1")
     K = np.atleast_2d(np.asarray(K0, dtype=float))
@@ -250,12 +258,16 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=PI_MAX_ITER):
 
     Raises
     ------
+    InvalidProblemError
+        If ``tol`` is NaN or negative.
     NotStabilizingError
         If ``rho(A - B K0) >= 1``; use the scaling solvers when no
         stabilizing gain is available.
     MaxIterationsError
         If the tolerance is not met within ``max_iter`` evaluations.
     """
+    if not tol >= 0:
+        raise InvalidProblemError("tol must be nonnegative")
     K = np.atleast_2d(np.asarray(K0, dtype=float))
     if K.shape != (sys.m, sys.n):
         raise DimensionMismatchError(
@@ -288,14 +300,17 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=VI_MAX_ITER):
     Raises
     ------
     InvalidProblemError
-        If ``P0`` is not positive semidefinite, or if the step between
-        sweeps stops being finite (the recursion diverges, as it does
-        on a plant with an unstabilizable mode that the cost sees).
+        If ``tol`` is NaN or negative, ``P0`` is not positive semidefinite,
+        or the step between sweeps stops being finite (the recursion
+        diverges, as it does on a plant with an unstabilizable mode that
+        the cost sees).
     SingularMatrixError
         If ``R + B'PB`` is numerically singular.
     MaxIterationsError
         If the tolerance is not met within ``max_iter`` sweeps.
     """
+    if not tol >= 0:
+        raise InvalidProblemError("tol must be nonnegative")
     if P0 is None:
         P = np.zeros((sys.n, sys.n))
     else:

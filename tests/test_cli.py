@@ -172,6 +172,22 @@ def test_solve_rejects_schema_violation(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("config, key", [
+    (model_free_config, "b_init"), (model_free_config, "delta"),
+    (model_free_config, "tol"), (model_based_config, "beta"),
+])
+def test_solve_rejects_nan_parameter(tmp_path, capsys, config, key):
+    # json accepts NaN and the schema's bounds compare false against it,
+    # so the loader refuses the constant itself
+    cfg_dict = config()
+    cfg_dict["params"][key] = float("nan")
+    cfg = write_config(tmp_path / "c.json", cfg_dict)
+    assert "NaN" in (tmp_path / "c.json").read_text()
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"{cfg}: NaN" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_solve_rejects_invalid_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from spilqr import lti, matkit, model_based, model_free, riccati
 from spilqr.exceptions import (
@@ -16,6 +17,11 @@ from conftest import POWER_K_REF, POWER_P_REF
 K0_ZERO = np.zeros((1, 3))
 
 
+def row_kron(V, X):
+    """Row ``k`` is ``np.kron(V[k], X[k])``."""
+    return np.array([np.kron(v, x) for v, x in zip(V, X)])
+
+
 def test_build_blocks_scalar_hand_example():
     # hand-computable scalar blocks; the third transition only satisfies
     # the minimum-sample precondition (3 unknowns for n = m = 1)
@@ -24,27 +30,33 @@ def test_build_blocks_scalar_hand_example():
     data = model_free.build_regression_data(traj)
     assert np.array_equal(data.d_x[:2], [[1.0], [4.0]])
     assert np.array_equal(data.D_x[:2], [[4.0], [16.0]])
-    assert np.array_equal(data.delta_ux[:2], [[1.0], [4.0]])
+    assert np.array_equal(data.states, [[1.0], [2.0], [4.0]])
+    assert np.array_equal(data.inputs, [[1.0], [2.0], [4.0]])
+    assert np.array_equal(row_kron(data.inputs, data.states)[:2],
+                          [[1.0], [4.0]])
     assert np.array_equal(data.d_u[:2], [[1.0], [4.0]])
-    assert np.array_equal(data.delta_xx[:2], [[1.0], [4.0]])
+    assert np.array_equal(row_kron(data.states, data.states)[:2],
+                          [[1.0], [4.0]])
 
 
 def test_build_blocks_shapes(power_data):
     assert data_shapes(power_data) == \
-        ((30, 9), (30, 3), (30, 6), (30, 6), (30, 1))
+        ((30, 3), (30, 1), (30, 6), (30, 6), (30, 1))
+    assert power_data.l == 30
 
 
 def data_shapes(data):
-    return (data.delta_xx.shape, data.delta_ux.shape, data.d_x.shape,
+    return (data.states.shape, data.inputs.shape, data.d_x.shape,
             data.D_x.shape, data.d_u.shape)
 
 
 def test_build_blocks_quadratic_form_rows(power_data):
     rng = np.random.default_rng(40)
     M = rng.standard_normal((3, 3))
+    delta_xx = row_kron(power_data.states, power_data.states)
     for k in (0, 7, 29):
         x = power_data.states[k]
-        got = power_data.delta_xx[k] @ matkit.vec(M)
+        got = delta_xx[k] @ matkit.vec(M)
         assert got == pytest.approx(x @ M @ x, rel=1e-12, abs=1e-12)
 
 
@@ -82,9 +94,10 @@ def test_theta_gamma_zero_gain_structure(power_data, power_weights):
     assert theta.shape == (30, 10)
     # with a zero gain the middle block reduces to the input-state rows
     # and the last block to the input monomials
-    assert np.allclose(theta[:, 6:9], -2 * cum**2 * power_data.delta_ux)
+    X, U = power_data.states, power_data.inputs
+    assert np.allclose(theta[:, 6:9], -2 * cum**2 * row_kron(U, X))
     assert np.allclose(theta[:, 9:], -cum**2 * power_data.d_u)
-    assert np.allclose(gamma, power_data.delta_xx @ matkit.vec(
+    assert np.allclose(gamma, row_kron(X, X) @ matkit.vec(
         power_weights.Q))
 
 
@@ -97,6 +110,53 @@ def test_theta_gamma_rowwise_identity(power_system, power_weights,
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, cum,
                                                    power_weights)
     assert np.abs(theta @ z + gamma).max() < 1e-8
+
+
+def _gain_case(m):
+    """A plant with ``m`` inputs, its recorded data, a nonzero gain and a
+    scale at which that gain's shrunken loop is Schur stable."""
+    rng = np.random.default_rng(60 + m)
+    n = 3 if m == 1 else 4
+    sys_d = lti.LinearSystem(rng.standard_normal((n, n)) / np.sqrt(n),
+                             rng.standard_normal((n, m)))
+    weights = lti.CostWeights(np.eye(n), np.diag(np.arange(1.0, m + 1)))
+    l = model_free.unknown_count(n, m) + 10
+    traj = lti.simulate(sys_d, rng.uniform(-1, 1, n),
+                        lti.exploration_input(m, seed=60 + m), l)
+    K = rng.standard_normal((m, n))
+    cum = 1.0 / (matkit.spectral_radius(sys_d.A - sys_d.B @ K) + 1.0)
+    return (sys_d, weights, model_free.build_regression_data(traj), K,
+            cum)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_theta_gamma_rowwise_identity_nonzero_gain(m):
+    sys_d, weights, data, K, cum = _gain_case(m)
+    P, M, L = _true_blocks(sys_d, weights, K, cum)
+    z = np.concatenate([matkit.vecs(P), matkit.vec(M), matkit.vecs(L)])
+    theta, gamma = model_free.assemble_theta_gamma(data, K, cum, weights)
+    assert np.abs(theta @ z + gamma).max() < 1e-9 * np.abs(gamma).max()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_theta_gamma_match_kronecker_formula(m):
+    # the Kronecker-product form of the blocks: theta's M block is
+    # (x ⊗ x)'(K' ⊗ I) + (u ⊗ x)' and gamma is (x ⊗ x)' vec(Q + K'RK)
+    _, weights, data, K, cum = _gain_case(m)
+    X, U, g2 = data.states, data.inputs, cum * cum
+    delta_xx, delta_ux = row_kron(X, X), row_kron(U, X)
+    want_theta = np.hstack([
+        g2 * data.D_x - data.d_x,
+        -2.0 * g2 * (delta_xx @ np.kron(K.T, np.eye(data.n)) + delta_ux),
+        g2 * (matkit.vecv_rows(X @ K.T) - data.d_u),
+    ])
+    want_gamma = delta_xx @ matkit.vec(weights.Q + K.T @ weights.R @ K)
+    theta, gamma = model_free.assemble_theta_gamma(data, K, cum, weights)
+    assert theta.shape == want_theta.shape
+    assert np.abs(theta - want_theta).max() <= \
+        1e-12 * np.abs(want_theta).max()
+    assert np.abs(gamma - want_gamma).max() <= \
+        1e-12 * np.abs(want_gamma).max()
 
 
 def test_regression_recovers_true_blocks(power_system, power_weights,
@@ -319,6 +379,47 @@ def test_solvers_reject_lam_outside_unit_interval(
     assert calls == []
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("solver, params", [
+    ("hewer", {"tol": NAN}),
+    ("vi", {"tol": NAN}),
+    ("spi-model-based", {"tol": NAN}),
+    ("spi-model-based", {"beta": NAN}),
+    ("spi-model-free", {"tol": NAN}),
+    ("spi-model-free", {"b_init": NAN}),
+    ("spi-model-free", {"delta": NAN}),
+], ids=["hewer-tol", "vi-tol", "mb-tol", "mb-beta", "mf-tol", "mf-b_init",
+        "mf-delta"])
+def test_solvers_reject_nan_parameters(
+        power_system, power_weights, power_data, monkeypatch, solver, params):
+    # NaN compares false against every bound, so each check is written to
+    # fail on it; the solve is rejected before any policy evaluation,
+    # value-iteration sweep or regression
+    calls = []
+    for module, name in ((matkit, "solve_discrete_lyapunov"),
+                         (model_free, "solve_regression"),
+                         (scipy.linalg.lapack, "dgesv")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original:
+                            calls.append(1) or f(*a))
+    name = next(iter(params))
+    with pytest.raises(InvalidProblemError, match=name):
+        if solver == "hewer":
+            riccati.hewer_pi(power_system, power_weights, POWER_K_REF,
+                             **params)
+        elif solver == "vi":
+            riccati.value_iteration(power_system, power_weights, **params)
+        elif solver == "spi-model-based":
+            model_based.spi_model_based(power_system, power_weights,
+                                        K0_ZERO, **params)
+        else:
+            model_free.spi_model_free(power_data, K0_ZERO, power_weights,
+                                      **params)
+    assert calls == []
+
+
 def test_solver_power_plant_reference(power_data, power_weights):
     report = model_free.spi_model_free(power_data, K0_ZERO, power_weights,
                                        b_init=1.0, delta=0.1, tol=1e-5)
@@ -384,19 +485,3 @@ def test_solver_rejects_bad_gain_shape(power_data, power_weights):
     with pytest.raises(InvalidProblemError):
         model_free.spi_model_free(power_data, np.zeros((2, 3)),
                                   power_weights)
-
-
-@pytest.mark.parametrize("shape, n", [((3, 1), 3), ((4, 2), 4), ((2, 3), 1),
-                                      ((1, 1), 5)])
-def test_kron_eye_matches_numpy_kron(shape, n):
-    rng = np.random.default_rng(sum(shape) + n)
-    M = rng.standard_normal(shape)
-    M.flat[0] = -0.0
-    M.flat[-1] = -abs(M.flat[-1]) if M.size > 1 else -0.0
-    for X in (M, M.T, np.asfortranarray(M)):
-        got = model_free._kron_eye(X, n)
-        want = np.kron(X, np.eye(n))
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        # -0.0 times 1.0 and any negative times 0.0 give -0.0 in both
-        assert np.array_equal(np.signbit(got), np.signbit(want))
