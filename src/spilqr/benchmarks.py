@@ -19,6 +19,11 @@ __all__ = [
 
 POWER_PLANT_SAMPLE_TIME = 0.01
 POWER_PLANT_X0 = np.array([0.1, 0.1, 0.2])
+RANDOM_N_CHOICES = (2, 3, 4)
+RANDOM_M_CHOICES = (1, 2)
+RANDOM_PLANT_RHO = (0.4, 1.15)
+RANDOM_GAIN_RHO = (0.5, 3.0)
+RANDOM_GAIN_TRIES = 200
 
 
 def power_plant_continuous(T_g=0.08, T_t=0.1, T_p=20.0, R_g=2.5,
@@ -49,37 +54,35 @@ def power_plant_weights():
     return CostWeights(Q=np.eye(3), R=np.eye(1))
 
 
-def random_controllable_system(rng, n_choices=(2, 3, 4), m_choices=(1, 2),
-                               rho_range=(0.4, 1.15)):
-    """Random controllable plant with open-loop spectral radius drawn
-    from ``rho_range``.
+def random_controllable_system(rng):
+    """Random controllable plant, sizes from ``RANDOM_N_CHOICES`` and
+    ``RANDOM_M_CHOICES``, open-loop spectral radius from ``RANDOM_PLANT_RHO``.
 
     The radius cap keeps open-loop probing trajectories well enough
     conditioned for data-driven solves.
     """
     from .lti import is_controllable
     while True:
-        n = int(rng.choice(n_choices))
-        m = int(rng.choice(m_choices))
+        n = int(rng.choice(RANDOM_N_CHOICES))
+        m = int(rng.choice(RANDOM_M_CHOICES))
         A = rng.standard_normal((n, n))
         rho = spectral_radius(A)
         if rho < 1e-9:
             continue
-        A *= rng.uniform(*rho_range) / rho
+        A *= rng.uniform(*RANDOM_PLANT_RHO) / rho
         B = rng.standard_normal((n, m))
         sys = LinearSystem(A, B)
         if is_controllable(sys):
             return sys
 
 
-def random_destabilizing_gain(rng, sys, rho_range=(0.5, 3.0),
-                              max_tries=200):
+def random_destabilizing_gain(rng, sys):
     """Random starting gain whose closed loop has spectral radius inside
-    ``rho_range`` (typically destabilizing)."""
+    ``RANDOM_GAIN_RHO`` (typically destabilizing)."""
     G = rng.standard_normal((sys.m, sys.n))
-    for _ in range(max_tries):
+    for _ in range(RANDOM_GAIN_TRIES):
         K0 = rng.uniform(0.0, 6.0) * G
         rho = spectral_radius(sys.A - sys.B @ K0)
-        if rho_range[0] <= rho <= rho_range[1]:
+        if RANDOM_GAIN_RHO[0] <= rho <= RANDOM_GAIN_RHO[1]:
             return K0
     raise RuntimeError("could not place the closed-loop radius in range")

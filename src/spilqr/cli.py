@@ -22,11 +22,10 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from . import model_based, model_free, riccati
+from . import matkit, model_based, model_free, riccati
 from .exceptions import (
     ConfigError,
     DivergenceError,
-    EigenvalueConvergenceError,
     InvalidProblemError,
     SpilqrError,
 )
@@ -66,20 +65,25 @@ def _validator():
     return cls(schema)
 
 
-def load_config(path):
-    """Read and schema-validate a JSON experiment configuration; ``NaN``
-    and ``Infinity``, which pass the schema's bounds, are refused."""
+def _read_json(path, what):
+    """Parse the JSON file of a config, gain file or report (``what``);
+    ``NaN`` and ``Infinity``, which pass the schema's bounds, are refused."""
     def reject(name):
         raise ConfigError(f"{path}: {name} is not a valid number")
     try:
         with open(path) as f:
-            cfg = json.load(f, parse_constant=reject)
+            return json.load(f, parse_constant=reject)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}") from exc
+
+
+def load_config(path):
+    """Read and schema-validate a JSON experiment configuration."""
+    cfg = _read_json(path, "config")
     # the error jsonschema.validate raises, without its per-call metaschema
     # check and validator build
     error = best_match(_validator().iter_errors(cfg))
@@ -107,22 +111,18 @@ def build_system(cfg):
         raise ConfigError(f"invalid system: {exc}") from exc
 
 
-def build_weights(cfg):
-    spec = cfg.get("weights")
-    if spec is None:
-        raise ConfigError("config is missing the 'weights' section")
-    try:
-        return CostWeights(_matrix(spec["Q"]), _matrix(spec["R"]))
-    except SpilqrError as exc:
-        raise ConfigError(f"invalid weights: {exc}") from exc
-
-
 def _problem(cfg, seed):
     """Plant, weights, seed and params of a ``solve`` or ``compare``
     config: ``seed`` overrides the config seed when given.  Runs the
     cross-field dimension checks that the JSON schema cannot express."""
     sys_d = build_system(cfg)
-    weights = build_weights(cfg)
+    spec = cfg.get("weights")
+    if spec is None:
+        raise ConfigError("config is missing the 'weights' section")
+    try:
+        weights = CostWeights(_matrix(spec["Q"]), _matrix(spec["R"]))
+    except SpilqrError as exc:
+        raise ConfigError(f"invalid weights: {exc}") from exc
     n, m = sys_d.n, sys_d.m
     if weights.Q.shape != (n, n):
         raise ConfigError(f"Q must be {n} x {n}, got {weights.Q.shape}")
@@ -142,14 +142,6 @@ def _problem(cfg, seed):
     return sys_d, weights, seed, params
 
 
-def _delta_from_config(params):
-    delta = params.get("delta", 0.1)
-    if isinstance(delta, dict):
-        rate = delta["rate"]
-        return lambda probe: rate * probe
-    return delta
-
-
 def collect_trajectory(sys, cfg, seed):
     """Roll out the plant under probing input as configured."""
     data_cfg = cfg.get("params", {}).get("data", {})
@@ -159,38 +151,13 @@ def collect_trajectory(sys, cfg, seed):
         raise ConfigError("params.data.x0 is required for data-driven runs")
     x0 = np.asarray(data_cfg["x0"], dtype=float)
     l = data_cfg.get("l", model_free.unknown_count(sys.n, sys.m) + 20)
-    noise = data_cfg.get("noise", {})
-    policy = exploration_input(
-        sys.m,
-        num_terms=noise.get("num_terms", 100),
-        freq_low=noise.get("freq_low", -10.0),
-        freq_high=noise.get("freq_high", 10.0),
-        seed=seed)
+    # the schema admits only exploration_input's parameter names here
+    policy = exploration_input(sys.m, seed=seed, **data_cfg.get("noise", {}))
     return simulate(sys, x0, policy, l)
 
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-def _closed_loop_radii(sys, gains):
-    """``rho(A - B K)`` for each gain, from one eigensolve of the stack.
-
-    Stacked ``np.linalg.eigvals`` runs the same LAPACK ``dgeev`` on each
-    matrix, so every radius equals :func:`matkit.spectral_radius` of its
-    matrix; non-finite matrices are rejected as there.
-    """
-    if not gains:
-        return []
-    F = np.array([sys.A - sys.B @ K for K in gains])
-    if not np.all(np.isfinite(F)):
-        raise InvalidProblemError("A - BK has non-finite entries")
-    try:
-        w = np.linalg.eigvals(F)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenvalueConvergenceError(
-            f"eigenvalue iteration did not converge: {exc}") from exc
-    return np.abs(w).max(axis=1).tolist()
-
 
 def _rows(result, sys):
     """Report rows of a solve, one per record of ``(phase, records)``: a
@@ -204,9 +171,9 @@ def _rows(result, sys):
         phases = [(2, [riccati.SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0,
                                         c=1.0, cum=1.0)
                        for i, (P, K) in enumerate(result.trace)])]
-    radii = iter(_closed_loop_radii(sys, [
-        s.K_tilde for _, records in phases for s in records
-        if s.rho_closed is None]))
+    F = np.array([sys.A - sys.B @ s.K_tilde for _, records in phases
+                  for s in records if s.rho_closed is None])
+    radii = iter(matkit.spectral_radius(F.reshape(-1, sys.n, sys.n)).tolist())
     rows = []
     for phase, records in phases:
         P_prev = None
@@ -286,12 +253,23 @@ def cmd_discretize(args):
 
 # Solver names, each with its iteration budget when params has no i_max.
 SOLVERS = {"hewer": riccati.PI_MAX_ITER, "vi": riccati.VI_MAX_ITER,
-           "spi-model-based": 500, "spi-model-free": 500}
+           "spi-model-based": riccati.SPI_MAX_ITER,
+           "spi-model-free": riccati.SPI_MAX_ITER}
+
+# The params keys each scaling solver takes ("lambda" is its lam); a key the
+# config leaves unset takes the library default.
+SETTINGS = {"spi-model-based": ("beta", "lambda"),
+            "spi-model-free": ("b_init", "delta", "lambda", "max_probes")}
 
 
 def _run(name, sys_d, weights, K0, P0, data, params, tol, i_max):
     """Run one solver; returns its library result (an ``AreSolution`` or a
     ``SpiReport``) and the elapsed seconds."""
+    opts = {("lam" if key == "lambda" else key): params[key]
+            for key in SETTINGS.get(name, ()) if key in params}
+    if isinstance(opts.get("delta"), dict):   # growing schedule {"rate"}
+        rate = opts["delta"]["rate"]
+        opts["delta"] = lambda probe: rate * probe
     t0 = time.perf_counter()
     if name == "hewer":
         result = riccati.hewer_pi(sys_d, weights, K0, tol=tol,
@@ -300,15 +278,11 @@ def _run(name, sys_d, weights, K0, P0, data, params, tol, i_max):
         result = riccati.value_iteration(sys_d, weights, P0=P0, tol=tol,
                                          max_iter=i_max)
     elif name == "spi-model-based":
-        result = model_based.spi_model_based(
-            sys_d, weights, K0, beta=params.get("beta", 1.0),
-            lam=params.get("lambda", 0.5), tol=tol, i_max=i_max)
+        result = model_based.spi_model_based(sys_d, weights, K0, tol=tol,
+                                             i_max=i_max, **opts)
     else:
-        result = model_free.spi_model_free(
-            data, K0, weights, b_init=params.get("b_init", 1.0),
-            delta=_delta_from_config(params),
-            lam=params.get("lambda", 0.5), tol=tol, i_max=i_max,
-            max_probes=params.get("max_probes", 200))
+        result = model_free.spi_model_free(data, K0, weights, tol=tol,
+                                           i_max=i_max, **opts)
     return result, time.perf_counter() - t0
 
 
@@ -321,8 +295,7 @@ def cmd_solve(args):
         raise ConfigError(f"unknown solver '{name}'")
     sys_d, weights, seed, params = _problem(cfg, args.seed)
     K0 = _matrix(params.get("K0", np.zeros((sys_d.m, sys_d.n))))
-    P0 = params.get("P0")
-    P0 = None if P0 is None else _matrix(P0)
+    P0 = _matrix(params["P0"]) if "P0" in params else None
     data = None
     if name == "spi-model-free":
         traj = collect_trajectory(sys_d, cfg, seed)
@@ -372,12 +345,7 @@ def _load_gain(cfg, sys_d):
     if sim.get("gain") is not None:
         return _matrix(sim["gain"])
     if "gain_file" in sim:
-        try:
-            with open(sim["gain_file"]) as f:
-                payload = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(
-                f"cannot read gain file {sim['gain_file']}: {exc}") from exc
+        payload = _read_json(sim["gain_file"], "gain file")
         if "K" not in payload:
             raise ConfigError(f"{sim['gain_file']} has no 'K' entry")
         return _matrix(payload["K"])
@@ -453,7 +421,7 @@ def cmd_compare(args):
         traj = collect_trajectory(sys_d, cfg, seed)
         data = model_free.build_regression_data(traj)
 
-    results = {name: {"iters": [], "times": [], "failures": 0}
+    results = {name: {"iters": [], "times": [], "failed": []}
                for name in solvers}
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     for t, ss in enumerate(child_seeds):
@@ -466,28 +434,32 @@ def cmd_compare(args):
             # budgets here; the scaling solvers read params.i_max.
             i_max = SOLVERS[name] if name in ("hewer", "vi") \
                 else params.get("i_max", SOLVERS[name])
+            r = results[name]
             try:
                 result, elapsed = _run(name, sys_d, weights, K0, P0, data,
                                        params, 1e-9, i_max)
             except SpilqrError as exc:
                 log.info("trial %d solver %s failed: %s", t, name, exc)
-                results[name]["failures"] += 1
+                r["failed"].append(f"{type(exc).__name__}: {exc}")
                 continue
             iters = _iterations_to_tolerance(result, ref.K, gain_tol)
             if iters is None:
-                results[name]["failures"] += 1
+                r["failed"].append("no gain came within gain_tol")
             else:
-                results[name]["iters"].append(iters)
-                results[name]["times"].append(elapsed)
+                r["iters"].append(iters)
+                r["times"].append(elapsed)
 
     table = []
     for name in solvers:
         r = results[name]
+        if not r["iters"]:   # every trial failed
+            log.warning("%s failed all %d trials, the first with %s", name,
+                        trials, r["failed"][0])
         mean_it = np.mean(r["iters"]) if r["iters"] else float("nan")
         mean_t = np.mean(r["times"]) if r["times"] else float("nan")
-        table.append([name, trials, r["failures"], mean_it, mean_t])
+        table.append([name, trials, len(r["failed"]), mean_it, mean_t])
         print(f"{name}: mean iterations {mean_it:.1f}, mean time "
-              f"{mean_t * 1e3:.2f} ms, failures {r['failures']}")
+              f"{mean_t * 1e3:.2f} ms, failures {len(r['failed'])}")
     path = os.path.join(args.out, "comparison.csv")
     _write_csv(path, ["solver", "trials", "failures", "mean_iterations",
                       "mean_wall_time_s"], table)
@@ -496,16 +468,11 @@ def cmd_compare(args):
 
 
 def cmd_plotdata(args):
-    report_path = args.report
-    try:
-        with open(report_path) as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read report {report_path}: {exc}") from exc
+    report = _read_json(args.report, "report")
     oracle = report.get("oracle")
     if not oracle:
         raise ConfigError(
-            f"{report_path} has no oracle solution; run 'solve' on a "
+            f"{args.report} has no oracle solution; run 'solve' on a "
             f"config with a known plant first")
     paths = []
     for key in ("P", "K"):

@@ -20,7 +20,6 @@ __all__ = [
     "controllability_matrix", "is_controllable", "is_observable",
 ]
 
-RANK_TOL = 1e-8
 DIVERGENCE_LIMIT = 1e12
 
 
@@ -135,7 +134,7 @@ def zoh_discretize(A_c, B_c, T):
     return LinearSystem(E[:n, :n], E[:n, n:])
 
 
-def simulate(sys, x0, policy, steps, divergence_limit=DIVERGENCE_LIMIT):
+def simulate(sys, x0, policy, steps):
     """Roll the plant forward for ``steps`` transitions.
 
     ``policy`` is any callable ``(k, x) -> u`` producing the input at
@@ -145,7 +144,7 @@ def simulate(sys, x0, policy, steps, divergence_limit=DIVERGENCE_LIMIT):
     Raises
     ------
     DivergenceError
-        When the state norm exceeds ``divergence_limit``; the exception
+        When the state norm exceeds ``DIVERGENCE_LIMIT``; the exception
         carries the step index and the truncated trajectory.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -162,9 +161,9 @@ def simulate(sys, x0, policy, steps, divergence_limit=DIVERGENCE_LIMIT):
                 f"policy returned {u.size} inputs, expected {sys.m}")
         U[k] = u
         X[k + 1] = sys.A @ X[k] + sys.B @ u
-        if np.linalg.norm(X[k + 1]) > divergence_limit:
+        if np.linalg.norm(X[k + 1]) > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"state norm exceeded {divergence_limit:g} at step {k + 1}",
+                f"state norm exceeded {DIVERGENCE_LIMIT:g} at step {k + 1}",
                 step=k + 1,
                 partial=Trajectory(X[:k + 2], U[:k + 1]))
     return Trajectory(X, U)
@@ -204,7 +203,7 @@ def controllability_matrix(sys):
     return np.hstack(blocks)
 
 
-def is_controllable(sys, tol=RANK_TOL):
+def is_controllable(sys):
     """Whether the pair (A, B) is controllable (numerical rank test on
     the controllability matrix of ``(A / rho(A), B)``, or of ``(A, B)``
     when ``rho(A) = 0``).
@@ -216,10 +215,11 @@ def is_controllable(sys, tol=RANK_TOL):
     """
     rho = matkit.spectral_radius(sys.A)
     scaled = LinearSystem(sys.A / rho if rho > 0 else sys.A, sys.B)
-    return matkit.numerical_rank(controllability_matrix(scaled), tol) == sys.n
+    return matkit.numerical_rank(controllability_matrix(scaled),
+                                 matkit.RANK_TOL) == sys.n
 
 
-def is_observable(A, C, tol=RANK_TOL):
+def is_observable(A, C):
     """Whether the pair (A, C) is observable: by duality, whether the
     pair (A', C') is controllable."""
     A = np.asarray(A, dtype=float)
@@ -227,4 +227,4 @@ def is_observable(A, C, tol=RANK_TOL):
     if C.shape[1] != A.shape[0]:
         raise DimensionMismatchError(
             f"C must have {A.shape[0]} columns, got {C.shape}")
-    return is_controllable(LinearSystem(A.T, C.T), tol)
+    return is_controllable(LinearSystem(A.T, C.T))

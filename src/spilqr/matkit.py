@@ -44,6 +44,12 @@ __all__ = [
 # triangular systems of the Schur solver, whose diagonals are
 # conj(l_i) l_j - 1 over eigenvalue pairs, become near-singular beyond it.
 STABILITY_MARGIN = 1e-9
+# Largest asymmetry, relative to 1 + max |S_ij|, of a symmetric matrix.
+SYMMETRY_RTOL = 1e-10
+# Eigenvalues at or below PD_RTOL (1 + ||S||_2) do not count as positive.
+PD_RTOL = 1e-10
+# Relative cutoff of the controllability and excitation rank tests.
+RANK_TOL = 1e-8
 
 
 def _as_matrix(A, name="matrix"):
@@ -55,13 +61,13 @@ def _as_matrix(A, name="matrix"):
     return A
 
 
-def check_symmetric(S, name="matrix", rtol=1e-10):
+def check_symmetric(S, name="matrix"):
     """Validate (near-)symmetry and return the exactly symmetrized copy."""
     S = _as_matrix(S, name)
     if S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got {S.shape}")
     scale = 1.0 + np.abs(S).max()
-    if np.abs(S - S.T).max() > rtol * scale:
+    if np.abs(S - S.T).max() > SYMMETRY_RTOL * scale:
         raise InvalidProblemError(f"{name} is not symmetric")
     return (S + S.T) / 2.0
 
@@ -134,16 +140,20 @@ def unvec(v, rows, cols):
 
 
 def spectral_radius(A):
-    """Largest eigenvalue modulus of a square matrix."""
-    A = _as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
+    """Largest eigenvalue modulus of a square matrix, or an array of the
+    radii of a stack ``(..., n, n)``, one LAPACK ``dgeev`` per matrix."""
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise InvalidProblemError("A has non-finite entries")
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise DimensionMismatchError(f"A must be square, got {A.shape}")
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenvalueConvergenceError(
             f"eigenvalue iteration did not converge: {exc}") from exc
-    return float(np.abs(w).max())
+    rho = np.abs(w).max(axis=-1)
+    return float(rho) if A.ndim == 2 else rho
 
 
 def numerical_rank(A, tol):
@@ -191,7 +201,7 @@ def _complex_schur(F):
     return T, Z @ Q, moduli
 
 
-def solve_discrete_lyapunov(F, W, stability_margin=STABILITY_MARGIN):
+def solve_discrete_lyapunov(F, W):
     """Solve ``F' P F - P + W = 0`` for symmetric ``P``.
 
     Schur method of Bartels & Stewart (1972) in the column form of
@@ -208,7 +218,7 @@ def solve_discrete_lyapunov(F, W, stability_margin=STABILITY_MARGIN):
     ------
     UnstableMatrixError
         If the spectral radius of ``F``, read off its Schur form, is at
-        least ``1 - stability_margin``; the equation is then not safely
+        least ``1 - STABILITY_MARGIN``; the equation is then not safely
         solvable.
     IllConditionedError
         If the solution is not finite.
@@ -221,7 +231,7 @@ def solve_discrete_lyapunov(F, W, stability_margin=STABILITY_MARGIN):
             f"F {F.shape} and W {W.shape} must be square of equal size")
     T, U, moduli = _complex_schur(F)
     rho = float(moduli.max())
-    if rho >= 1.0 - stability_margin:
+    if rho >= 1.0 - STABILITY_MARGIN:
         raise UnstableMatrixError(
             f"F must be Schur stable, spectral radius is {rho:.6g}", rho=rho)
     TH = T.conj().T
@@ -245,20 +255,18 @@ def solve_discrete_lyapunov(F, W, stability_margin=STABILITY_MARGIN):
 
 def pd_tolerance(S):
     """Eigenvalue threshold below which a symmetric matrix does not count
-    as positive definite: ``1e-10 (1 + ||S||_2)``."""
+    as positive definite: ``PD_RTOL (1 + ||S||_2)``."""
     S = np.asarray(S, dtype=float)
     if S.size == 0:
-        return 1e-10
-    return 1e-10 * (1.0 + float(np.linalg.norm(S, 2)))
+        return PD_RTOL
+    return PD_RTOL * (1.0 + float(np.linalg.norm(S, 2)))
 
 
-def is_positive_definite(S, tol=None):
-    """Whether all eigenvalues of symmetric ``S`` exceed the tolerance."""
+def is_positive_definite(S):
+    """Whether all eigenvalues of symmetric S exceed :func:`pd_tolerance`."""
     S = check_symmetric(S, "S")
     w = np.linalg.eigvalsh(S)
-    if tol is None:
-        tol = 1e-10 * (1.0 + float(np.abs(w).max(initial=0.0)))
-    return bool(np.all(w > tol))
+    return bool(np.all(w > PD_RTOL * (1.0 + np.abs(w).max(initial=0.0))))
 
 
 def sym_sqrt(S):

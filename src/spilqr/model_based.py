@@ -93,7 +93,7 @@ def choose_c(sys, K_next, cum, lam=0.5):
 
 
 def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
-                    i_max=500):
+                    i_max=riccati.SPI_MAX_ITER):
     """Solve the LQR problem from an arbitrary (possibly destabilizing)
     starting gain, using full knowledge of the plant matrices.
 

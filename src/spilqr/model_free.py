@@ -122,13 +122,14 @@ def build_regression_data(traj):
         n=n, m=m)
 
 
-def check_rank_condition(data, tol=1e-8):
+def check_rank_condition(data):
     """Persistent-excitation test: the rows ``[x_k ⊗ x_k, u_k ⊗ x_k, d_u]``
     must have rank equal to the number of regression unknowns (the state
     block contributes only its symmetric part)."""
     X, U = data.states, data.inputs
     stacked = np.hstack([_row_kron(X, X), _row_kron(U, X), data.d_u])
-    return matkit.numerical_rank(stacked, tol) == unknown_count(data.n, data.m)
+    return (matkit.numerical_rank(stacked, matkit.RANK_TOL)
+            == unknown_count(data.n, data.m))
 
 
 def assemble_theta_gamma(data, K, cum, weights):
@@ -232,11 +233,11 @@ def search_b(data, K0, weights, b_init=1.0, delta=0.1, max_probes=200):
         f"(last candidate {b:.6g})")
 
 
-def scaling_bound(P, K_next, weights, eps_inv=EPS_INVERTIBLE):
+def scaling_bound(P, K_next, weights):
     """Inflation headroom of a regressed value matrix.
 
     The gate is ``P - Q - K_next' R K_next``; it counts as invertible
-    when its smallest singular value exceeds ``eps_inv`` times its
+    when its smallest singular value exceeds ``EPS_INVERTIBLE`` times its
     spectral norm.
     """
     P = matkit.check_symmetric(P, "P")
@@ -245,7 +246,7 @@ def scaling_bound(P, K_next, weights, eps_inv=EPS_INVERTIBLE):
     gate = (gate + gate.T) / 2.0
     sv = np.linalg.svd(gate, compute_uv=False)
     sigma_min = float(sv[-1])
-    if sv[0] == 0.0 or sigma_min <= eps_inv * sv[0]:
+    if sv[0] == 0.0 or sigma_min <= EPS_INVERTIBLE * sv[0]:
         return ScalingBound(sigma_min=sigma_min, bound=None)
     ratio = P @ np.linalg.inv(gate)
     bound = float(np.sqrt(np.linalg.svd(ratio, compute_uv=False)[-1]))
@@ -264,7 +265,7 @@ def _c_from_bound(sb, lam):
 
 
 def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
-                   tol=1e-5, i_max=500, max_probes=200):
+                   tol=1e-5, i_max=riccati.SPI_MAX_ITER, max_probes=200):
     """Solve the LQR problem from recorded data and an arbitrary
     starting gain, never touching the plant matrices.
 

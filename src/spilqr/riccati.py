@@ -37,6 +37,7 @@ __all__ = [
 
 PI_MAX_ITER = 100
 VI_MAX_ITER = 100_000
+SPI_MAX_ITER = 500
 
 # A reference whose Riccati residual exceeds this share of max(1, ||P||_F)
 # is rejected.

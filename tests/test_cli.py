@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ POWER_AC = [[-12.5, 0.0, 5.0], [10.0, -10.0, 0.0], [0.0, 6.0, -0.05]]
 POWER_BC = [[0.0], [12.5], [0.0]]
 SYSTEM_CONT = {"A_c": POWER_AC, "B_c": POWER_BC, "sample_time": 0.01}
 WEIGHTS = {"Q": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], "R": [[1.0]]}
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 DATA = {"l": 30, "x0": [0.1, 0.1, 0.2],
         "noise": {"num_terms": 100, "freq_low": -10.0, "freq_high": 10.0}}
 
@@ -307,6 +309,103 @@ def test_simulate_gain_file(tmp_path):
     assert np.linalg.norm(last) < 1e-3
 
 
+def test_simulate_rejects_nan_gain_file(tmp_path, capsys):
+    # the gain file is read like the config: NaN is refused, so no
+    # trajectory of NaN rows is written
+    gain_file = tmp_path / "gain.json"
+    gain_file.write_text('{"K": [[NaN, 0.0, 0.0]]}')
+    cfg = json.loads((CONFIGS / "power_simulate_closed_loop.json").read_text())
+    cfg["simulate"]["gain"] = None
+    cfg["simulate"]["gain_file"] = str(gain_file)
+    cfg = write_config(tmp_path / "sim.json", cfg)
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+    assert f"{gain_file}: NaN is not a valid number" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def _set(path, value):
+    """Config edit: set the entry at ``path`` (a tuple of keys)."""
+    def edit(cfg, tmp_path):
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return edit
+
+
+def _drop(*path):
+    """Config edit: delete the entry at ``path``."""
+    def edit(cfg, tmp_path):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return edit
+
+
+def _gain_file(text):
+    """Config edit: a simulate section whose gain comes from a file."""
+    def edit(cfg, tmp_path):
+        path = tmp_path / "gain.json"
+        if text is not None:
+            path.write_text(text)
+        cfg["simulate"] = {"x0": [0.1, 0.1, 0.2], "steps": 10,
+                           "gain_file": str(path)}
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("solve", _set(("weights", "R"), [[1.0, 0.0], [0.0, 1.0]]),
+     "R must be 1 x 1"),
+    ("solve", _set(("params", "K0"), [[0.0, 0.0]]), "params.K0 must be 1 x 3"),
+    ("solve", _set(("params", "P0"), [[1.0]]), "params.P0 must be 3 x 3"),
+    ("solve", _set(("params", "data", "x0"), [0.1]),
+     "params.data.x0 must have length 3"),
+    ("solve", _drop("weights"), "missing the 'weights' section"),
+    ("solve", _drop("params", "data", "x0"), "params.data.x0 is required"),
+    ("solve", _drop("solver"), "no solver selected"),
+    ("simulate", lambda cfg, tmp_path: None,
+     "missing the 'simulate' section"),
+    ("simulate", _set(("simulate",), {"x0": [0.1, 0.1, 0.2], "steps": 10,
+                                      "gain": [[1.0, 2.0]]}),
+     "gain must be 1 x 3"),
+    ("simulate", _gain_file(None), "cannot read gain file"),
+    ("simulate", _gain_file('{"P": [[1.0]]}'), "has no 'K' entry"),
+], ids=["R-shape", "K0-shape", "P0-shape", "x0-length", "no-weights",
+        "no-x0", "no-solver", "no-simulate", "gain-shape", "no-gain-file",
+        "gain-file-without-K"])
+def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, command,
+                                                edit, message):
+    cfg = json.loads(json.dumps(model_free_config()))   # a deep copy
+    edit(cfg, tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config",
+                     write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_compare_warns_when_a_solver_fails_every_trial(tmp_path, caplog):
+    # Hewer's method needs a stabilizing start, and no gain optimal for a
+    # random P0 stabilizes the power plant
+    cfg = write_config(tmp_path / "c.json", {
+        "system": SYSTEM_CONT, "weights": WEIGHTS, "seed": 11,
+        "compare": {"solvers": ["hewer", "vi"], "trials": 3}})
+    with caplog.at_level(logging.WARNING, logger="spilqr"):
+        assert cli.main(["compare", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("hewer failed all 3 trials")
+    assert "NotStabilizingError: initial gain does not stabilize" \
+        in warnings[0]
+    rows = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert rows[1].startswith("hewer,3,3,nan,nan")
+
+
 def test_compare_smoke(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "system": SYSTEM_CONT, "weights": WEIGHTS, "seed": 11,
@@ -372,6 +471,15 @@ def test_plotdata_requires_oracle(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_plotdata_rejects_nan_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text('{"trace": [], "oracle": {"P": [[NaN]], "K": [[0.0]]}}')
+    assert cli.main(["plotdata", "--report", str(report),
+                     "--out", str(tmp_path)]) == 2
+    assert f"{report}: NaN is not a valid number" in capsys.readouterr().err
+    assert not (tmp_path / "p_error.dat").exists()
+
+
 def test_plotdata_empty_trace(tmp_path):
     (tmp_path / "report.json").write_text(json.dumps({
         "trace": [], "oracle": {"P": [[1.0]], "K": [[0.0]]}}))
@@ -389,9 +497,7 @@ def test_missing_config_file(tmp_path):
 
 
 def test_shipped_configs_are_valid():
-    import pathlib
-    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for path in sorted(root.glob("*.json")):
+    for path in sorted(CONFIGS.glob("*.json")):
         cli.load_config(str(path))
 
 
@@ -515,7 +621,10 @@ def test_trace_radii_equal_spectral_radius(tmp_path, solver):
 
 
 def test_closed_loop_radii_of_no_gains(power_system):
-    assert cli._closed_loop_radii(power_system, []) == []
+    # a trace without gains gives the row builder an empty stack to solve
+    empty = riccati.AreSolution(P=np.eye(3), K=np.zeros((1, 3)),
+                                residual=None, iterations=0)
+    assert cli._rows(empty, power_system) == []
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):

@@ -111,6 +111,37 @@ def test_spectral_radius_homogeneity():
 def test_spectral_radius_requires_square():
     with pytest.raises(DimensionMismatchError):
         matkit.spectral_radius(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        matkit.spectral_radius(np.ones((4, 2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        matkit.spectral_radius(np.ones(3))
+
+
+def test_stacked_spectral_radius_matches_each_matrix(corpus):
+    # one stacked eigensolve gives every matrix the radius, bit for bit,
+    # that a call on that matrix alone gives
+    by_size = {}
+    for case in corpus:
+        sys_d, K0 = case["sys"], case["K0"]
+        for scale in (0.0, 0.5, 1.0):
+            by_size.setdefault(sys_d.n, []).append(
+                sys_d.A - sys_d.B @ (scale * K0))
+    assert len(by_size) > 1
+    for F in by_size.values():
+        F = np.array(F)
+        radii = matkit.spectral_radius(F)
+        assert radii.shape == (len(F),)
+        assert radii.tolist() == [matkit.spectral_radius(f) for f in F]
+        assert np.array_equal(
+            matkit.spectral_radius(F[:, None]), radii[:, None])
+    assert matkit.spectral_radius(np.empty((0, 3, 3))).shape == (0,)
+
+
+def test_stacked_spectral_radius_rejects_nonfinite():
+    F = np.zeros((2, 3, 3))
+    F[1, 0, 0] = np.nan
+    with pytest.raises(InvalidProblemError):
+        matkit.spectral_radius(F)
 
 
 def _min_singular_value(A):

@@ -105,6 +105,14 @@ def test_hewer_iteration_budget(power_system, power_weights, power_oracle):
                          tol=0.0, max_iter=3)
 
 
+def test_value_iteration_budget(power_system, power_weights):
+    with pytest.raises(MaxIterationsError, match="in 3 iterations") as info:
+        riccati.value_iteration(power_system, power_weights, tol=0.0,
+                                max_iter=3)
+    P, K = info.value.last
+    assert P.shape == (3, 3) and K is None
+
+
 def solve_by(solver, sys_d, weights, K_opt, data, tol, i_max=500):
     """The solution of one policy-iteration solver on the power plant:
     Hewer's method from half the optimal gain, the scaling solvers from
