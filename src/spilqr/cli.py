@@ -93,53 +93,61 @@ def load_config(path):
     return cfg
 
 
-def _matrix(value):
-    return np.asarray(value, dtype=float)
+def _matrix(value, what, shape=None):
+    """``value`` as a float matrix, of ``shape`` when given; raises
+    :class:`ConfigError` naming ``what`` otherwise."""
+    try:
+        M = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):   # ragged or non-numeric
+        M = None
+    if M is None or M.ndim != 2:
+        raise ConfigError(f"{what} is not a numeric matrix")
+    if shape is not None and M.shape != shape:
+        raise ConfigError(f"{what} must be {shape[0]} x {shape[1]}, "
+                          f"got {M.shape}")
+    return M
 
 
 def build_system(cfg):
     """Materialize the plant, discretizing a continuous one if needed."""
-    spec = cfg.get("system")
-    if spec is None:
-        raise ConfigError("config is missing the 'system' section")
+    spec = cfg["system"]   # the schema requires it
     try:
         if "A" in spec:
-            return LinearSystem(_matrix(spec["A"]), _matrix(spec["B"]))
-        return zoh_discretize(_matrix(spec["A_c"]), _matrix(spec["B_c"]),
+            return LinearSystem(_matrix(spec["A"], "system.A"),
+                                _matrix(spec["B"], "system.B"))
+        return zoh_discretize(_matrix(spec["A_c"], "system.A_c"),
+                              _matrix(spec["B_c"], "system.B_c"),
                               spec["sample_time"])
     except SpilqrError as exc:
         raise ConfigError(f"invalid system: {exc}") from exc
 
 
 def _problem(cfg, seed):
-    """Plant, weights, seed and params of a ``solve`` or ``compare``
-    config: ``seed`` overrides the config seed when given.  Runs the
-    cross-field dimension checks that the JSON schema cannot express."""
+    """Plant, weights, seed, params and starting ``K0`` (zero when unset)
+    and ``P0`` (``None``) of a ``solve`` or ``compare`` config: ``seed``
+    overrides the config seed when given.  Runs the cross-field dimension
+    checks that the JSON schema cannot express."""
     sys_d = build_system(cfg)
     spec = cfg.get("weights")
     if spec is None:
         raise ConfigError("config is missing the 'weights' section")
+    n, m = sys_d.n, sys_d.m
+    Q, R = _matrix(spec["Q"], "Q", (n, n)), _matrix(spec["R"], "R", (m, m))
     try:
-        weights = CostWeights(_matrix(spec["Q"]), _matrix(spec["R"]))
+        weights = CostWeights(Q, R)
     except SpilqrError as exc:
         raise ConfigError(f"invalid weights: {exc}") from exc
-    n, m = sys_d.n, sys_d.m
-    if weights.Q.shape != (n, n):
-        raise ConfigError(f"Q must be {n} x {n}, got {weights.Q.shape}")
-    if weights.R.shape != (m, m):
-        raise ConfigError(f"R must be {m} x {m}, got {weights.R.shape}")
     params = cfg.get("params", {})
-    if "K0" in params and _matrix(params["K0"]).shape != (m, n):
-        raise ConfigError(f"params.K0 must be {m} x {n}")
-    if "P0" in params and _matrix(params["P0"]).shape != (n, n):
-        raise ConfigError(f"params.P0 must be {n} x {n}")
+    K0 = _matrix(params.get("K0", np.zeros((m, n))), "params.K0", (m, n))
+    P0 = _matrix(params["P0"], "params.P0", (n, n)) if "P0" in params \
+        else None
     data_cfg = params.get("data", {})
     if "x0" in data_cfg and len(data_cfg["x0"]) != n:
         raise ConfigError(f"params.data.x0 must have length {n}")
     seed = int(seed) if seed is not None else cfg.get("seed")
     if seed is not None and seed < 0:
         raise ConfigError("seed must be nonnegative")
-    return sys_d, weights, seed, params
+    return sys_d, weights, seed, params, K0, P0
 
 
 def collect_trajectory(sys, cfg, seed):
@@ -159,47 +167,42 @@ def collect_trajectory(sys, cfg, seed):
 # ---------------------------------------------------------------------------
 # report serialization
 
+# A Hewer/value-iteration record, once its i and matrices are filled in.
+SCALE_1 = vars(riccati.SpiState(i=0, K_tilde=None, P_tilde=None, b=1.0,
+                                c=1.0, cum=1.0))
+
+
 def _rows(result, sys):
-    """Report rows of a solve, one per record of ``(phase, records)``: a
-    scaling solve's two phases, or a Hewer/value-iteration trace as scale-1
-    phase-2 records.  A record without ``rho_closed`` takes
-    ``rho(A - B K)`` from one stacked eigensolve, and every row's scaled
-    radius is ``cum`` times it."""
+    """Report rows of a solve: per phase, each record's fields (those of a
+    :class:`riccati.SpiState`) with its matrices as lists and its norms and
+    radii.  Hewer/value-iteration pairs are scale-1 phase-2 records.  A
+    record without ``rho_closed`` takes it from one stacked eigensolve."""
     if isinstance(result, riccati.SpiReport):
-        phases = [(1, result.phase1_trace), (2, result.phase2_trace)]
+        phases = [(1, [vars(s) for s in result.phase1_trace]),
+                  (2, [vars(s) for s in result.phase2_trace])]
     else:
-        phases = [(2, [riccati.SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0,
-                                        c=1.0, cum=1.0)
+        phases = [(2, [dict(SCALE_1, i=i, K_tilde=K, P_tilde=P)
                        for i, (P, K) in enumerate(result.trace)])]
-    F = np.array([sys.A - sys.B @ s.K_tilde for _, records in phases
-                  for s in records if s.rho_closed is None])
+    F = np.array([sys.A - sys.B @ s["K_tilde"] for _, records in phases
+                  for s in records if s["rho_closed"] is None])
     radii = iter(matkit.spectral_radius(F.reshape(-1, sys.n, sys.n)).tolist())
     rows = []
     for phase, records in phases:
         P_prev = None
         for s in records:
-            P = s.P_tilde
-            rho = s.rho_closed if s.rho_closed is not None else next(radii)
-            rows.append({
-                "i": s.i,
-                "phase": phase,
-                "b": s.b,
-                "c": s.c,
-                "cum": s.cum,
-                "P": None if P is None else P.tolist(),
-                "K": s.K_tilde.tolist(),
-                "P_norm": (None if P is None
-                           else float(np.linalg.norm(P, "fro"))),
-                "dP_norm": (None if P is None or P_prev is None
-                            else float(np.linalg.norm(P - P_prev, "fro"))),
-                "rho_closed": rho,
-                "rho_scaled": s.cum * rho,
-                "bound": s.bound,
-                "sigma_q": s.sigma_q,
-                "fallback": s.fallback,
-            })
+            P = s["P_tilde"]
+            rho = next(radii) if s["rho_closed"] is None else s["rho_closed"]
+            row = dict(s, phase=phase, K=s["K_tilde"].tolist(),
+                       rho_closed=rho, rho_scaled=s["cum"] * rho,
+                       P=None, P_norm=None, dP_norm=None)
+            del row["K_tilde"], row["P_tilde"]
             if P is not None:
+                row.update(P=P.tolist(),
+                           P_norm=float(np.linalg.norm(P, "fro")))
+                if P_prev is not None:
+                    row["dP_norm"] = float(np.linalg.norm(P - P_prev, "fro"))
                 P_prev = P
+            rows.append(row)
     return rows
 
 
@@ -239,7 +242,7 @@ def _write_json(path, obj):
 
 def cmd_discretize(args):
     cfg = load_config(args.config)
-    spec = cfg.get("system", {})
+    spec = cfg["system"]
     if "A_c" not in spec:
         raise ConfigError("discretize requires a continuous system "
                           "(A_c, B_c, sample_time)")
@@ -251,38 +254,37 @@ def cmd_discretize(args):
     return EXIT_OK
 
 
-# Solver names, each with its iteration budget when params has no i_max.
-SOLVERS = {"hewer": riccati.PI_MAX_ITER, "vi": riccati.VI_MAX_ITER,
-           "spi-model-based": riccati.SPI_MAX_ITER,
-           "spi-model-free": riccati.SPI_MAX_ITER}
+SOLVERS = ("hewer", "vi", "spi-model-based", "spi-model-free")
 
-# The params keys each scaling solver takes ("lambda" is its lam); a key the
-# config leaves unset takes the library default.
-SETTINGS = {"spi-model-based": ("beta", "lambda"),
-            "spi-model-free": ("b_init", "delta", "lambda", "max_probes")}
+# The params keys each solver takes, each mapped to its library keyword; a
+# key the config leaves unset takes the library default.
+SETTINGS = {
+    "hewer": {"i_max": "max_iter"}, "vi": {"i_max": "max_iter"},
+    "spi-model-based": {"beta": "beta", "lambda": "lam", "i_max": "i_max"},
+    "spi-model-free": {"b_init": "b_init", "delta": "delta", "lambda": "lam",
+                       "max_probes": "max_probes", "i_max": "i_max"}}
 
 
-def _run(name, sys_d, weights, K0, P0, data, params, tol, i_max):
-    """Run one solver; returns its library result (an ``AreSolution`` or a
-    ``SpiReport``) and the elapsed seconds."""
-    opts = {("lam" if key == "lambda" else key): params[key]
-            for key in SETTINGS.get(name, ()) if key in params}
+def _run(name, sys_d, weights, K0, P0, data, params, tol):
+    """Run one solver with the settings ``params`` holds; returns its
+    library result (an ``AreSolution`` or a ``SpiReport``) and the elapsed
+    seconds."""
+    opts = {kw: params[key] for key, kw in SETTINGS[name].items()
+            if key in params}
     if isinstance(opts.get("delta"), dict):   # growing schedule {"rate"}
         rate = opts["delta"]["rate"]
         opts["delta"] = lambda probe: rate * probe
     t0 = time.perf_counter()
     if name == "hewer":
-        result = riccati.hewer_pi(sys_d, weights, K0, tol=tol,
-                                  max_iter=i_max)
+        result = riccati.hewer_pi(sys_d, weights, K0, tol=tol, **opts)
     elif name == "vi":
         result = riccati.value_iteration(sys_d, weights, P0=P0, tol=tol,
-                                         max_iter=i_max)
+                                         **opts)
     elif name == "spi-model-based":
         result = model_based.spi_model_based(sys_d, weights, K0, tol=tol,
-                                             i_max=i_max, **opts)
+                                             **opts)
     else:
-        result = model_free.spi_model_free(data, K0, weights, tol=tol,
-                                           i_max=i_max, **opts)
+        result = model_free.spi_model_free(data, K0, weights, tol=tol, **opts)
     return result, time.perf_counter() - t0
 
 
@@ -291,21 +293,18 @@ def cmd_solve(args):
     name = args.solver or cfg.get("solver")
     if name is None:
         raise ConfigError("no solver selected (config 'solver' or --solver)")
-    if name not in SOLVERS:
-        raise ConfigError(f"unknown solver '{name}'")
-    sys_d, weights, seed, params = _problem(cfg, args.seed)
-    K0 = _matrix(params.get("K0", np.zeros((sys_d.m, sys_d.n))))
-    P0 = _matrix(params["P0"]) if "P0" in params else None
+    sys_d, weights, seed, params, K0, P0 = _problem(cfg, args.seed)
     data = None
     if name == "spi-model-free":
         traj = collect_trajectory(sys_d, cfg, seed)
         data = model_free.build_regression_data(traj)
     result, elapsed = _run(name, sys_d, weights, K0, P0, data, params,
-                           params.get("tol", 1e-5),
-                           params.get("i_max", SOLVERS[name]))
+                           params.get("tol", 1e-5))
     sol = getattr(result, "solution", result)
     rows = _rows(result, sys_d)
-    residual = riccati.are_residual(sys_d, weights, sol.P)
+    # only the data-driven solver, which never sees the plant, leaves it unset
+    residual = (sol.residual if sol.residual is not None
+                else riccati.are_residual(sys_d, weights, sol.P))
 
     oracle = None
     try:
@@ -340,16 +339,18 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _load_gain(cfg, sys_d):
-    sim = cfg.get("simulate", {})
+def _load_gain(sim, shape):
+    """The ``shape`` gain of a simulate section: inline, the ``K`` of a
+    gain file, or zero."""
     if sim.get("gain") is not None:
-        return _matrix(sim["gain"])
-    if "gain_file" in sim:
-        payload = _read_json(sim["gain_file"], "gain file")
-        if "K" not in payload:
-            raise ConfigError(f"{sim['gain_file']} has no 'K' entry")
-        return _matrix(payload["K"])
-    return np.zeros((sys_d.m, sys_d.n))
+        return _matrix(sim["gain"], "gain", shape)
+    if "gain_file" not in sim:
+        return np.zeros(shape)
+    path = sim["gain_file"]
+    payload = _read_json(path, "gain file")
+    if not isinstance(payload, dict) or "K" not in payload:
+        raise ConfigError(f"{path} has no 'K' entry")
+    return _matrix(payload["K"], f"gain in {path}", shape)
 
 
 def cmd_simulate(args):
@@ -358,10 +359,7 @@ def cmd_simulate(args):
     sim = cfg.get("simulate")
     if sim is None:
         raise ConfigError("config is missing the 'simulate' section")
-    K = _load_gain(cfg, sys_d)
-    if K.shape != (sys_d.m, sys_d.n):
-        raise ConfigError(
-            f"gain must be {sys_d.m} x {sys_d.n}, got {K.shape}")
+    K = _load_gain(sim, (sys_d.m, sys_d.n))
     x0 = np.asarray(sim["x0"], dtype=float)
     steps = sim["steps"]
     open_loop = sim.get("open_loop_steps", 0)
@@ -407,7 +405,7 @@ def _iterations_to_tolerance(result, K_ref, tol):
 
 def cmd_compare(args):
     cfg = load_config(args.config)
-    sys_d, weights, seed, params = _problem(cfg, args.seed)
+    sys_d, weights, seed, params, _, _ = _problem(cfg, args.seed)
     if seed is None:
         raise ConfigError("compare requires a seed")
     comp = cfg.get("compare", {})
@@ -431,13 +429,12 @@ def cmd_compare(args):
         K0 = riccati.optimal_gain(sys_d, weights, P0)
         for name in solvers:
             # Hewer's method and value iteration run to their library
-            # budgets here; the scaling solvers read params.i_max.
-            i_max = SOLVERS[name] if name in ("hewer", "vi") \
-                else params.get("i_max", SOLVERS[name])
+            # budgets here; the scaling solvers read params.
             r = results[name]
             try:
-                result, elapsed = _run(name, sys_d, weights, K0, P0, data,
-                                       params, 1e-9, i_max)
+                result, elapsed = _run(
+                    name, sys_d, weights, K0, P0, data,
+                    {} if name in ("hewer", "vi") else params, 1e-9)
             except SpilqrError as exc:
                 log.info("trial %d solver %s failed: %s", t, name, exc)
                 r["failed"].append(f"{type(exc).__name__}: {exc}")
@@ -467,23 +464,40 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def cmd_plotdata(args):
-    report = _read_json(args.report, "report")
+def _error_curves(report, path):
+    """Per key ``P`` and ``K``, the ``(i, ||X_i - X_oracle||_F)`` curve of
+    a solve report's trace; any other form of report is a config error."""
+    if not isinstance(report, dict):
+        raise ConfigError(f"{path} is not a JSON object")
     oracle = report.get("oracle")
     if not oracle:
-        raise ConfigError(
-            f"{args.report} has no oracle solution; run 'solve' on a "
-            f"config with a known plant first")
-    paths = []
+        raise ConfigError(f"{path} has no oracle solution; run 'solve' on a "
+                          f"config with a known plant first")
+    trace = report.get("trace", [])
+    if not (isinstance(oracle, dict) and isinstance(trace, list) and all(
+            isinstance(row, dict) and isinstance(row.get("i"), int)
+            for row in trace)):
+        raise ConfigError(f"{path}: 'oracle' must be an object and 'trace' "
+                          f"a list of rows with an integer 'i'")
+    curves = {}
     for key in ("P", "K"):
-        ref = _matrix(oracle[key])
+        ref = _matrix(oracle.get(key), f"{path}: oracle {key}")
+        curves[key] = [   # the handoff row has no P
+            (row["i"], np.linalg.norm(_matrix(
+                row[key], f"{path}: {key} of trace row {row['i']}",
+                ref.shape) - ref, "fro"))
+            for row in trace if row.get(key) is not None]
+    return curves
+
+
+def cmd_plotdata(args):
+    curves = _error_curves(_read_json(args.report, "report"), args.report)
+    paths = []
+    for key, curve in curves.items():
         path = os.path.join(args.out, f"{key.lower()}_error.dat")
         with open(path, "w") as f:
             f.write(f"# iteration  frobenius_error_{key}\n")
-            for row in report.get("trace", []):
-                if row.get(key) is not None:   # the handoff row has no P
-                    err = np.linalg.norm(_matrix(row[key]) - ref, "fro")
-                    f.write(f"{row['i']} {_fmt(err)}\n")
+            f.writelines(f"{i} {_fmt(err)}\n" for i, err in curve)
         paths.append(path)
     print(f"wrote {paths[0]} and {paths[1]}")
     return EXIT_OK
@@ -514,7 +528,7 @@ def _build_parser():
 
     command("solve", cmd_solve, "run a solver and write its report",
             seed=True).add_argument(
-        "--solver", choices=tuple(SOLVERS), default=None,
+        "--solver", choices=SOLVERS, default=None,
         help="override the config solver selection")
     command("discretize", cmd_discretize,
             "zero-order-hold discretize a continuous plant")

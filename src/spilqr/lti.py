@@ -64,7 +64,7 @@ class CostWeights:
     def __post_init__(self):
         Q = matkit.check_symmetric(self.Q, "Q")
         R = matkit.check_symmetric(self.R, "R")
-        if np.linalg.eigvalsh(Q).min() < -matkit.pd_tolerance(Q):
+        if not matkit.is_positive_semidefinite(Q):
             raise InvalidProblemError("Q must be positive semidefinite")
         if not matkit.is_positive_definite(R):
             raise InvalidProblemError("R must be positive definite")

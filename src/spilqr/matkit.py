@@ -36,8 +36,8 @@ from .exceptions import (
 __all__ = [
     "vecs", "unvecs", "vecv", "vecv_rows", "vec", "unvec",
     "spectral_radius", "numerical_rank",
-    "solve_discrete_lyapunov",
-    "is_positive_definite", "pd_tolerance", "sym_sqrt", "check_symmetric",
+    "solve_discrete_lyapunov", "check_symmetric",
+    "is_positive_definite", "is_positive_semidefinite", "sym_sqrt",
 ]
 
 # Reject Lyapunov factors closer to the unit circle than this; the
@@ -46,7 +46,7 @@ __all__ = [
 STABILITY_MARGIN = 1e-9
 # Largest asymmetry, relative to 1 + max |S_ij|, of a symmetric matrix.
 SYMMETRY_RTOL = 1e-10
-# Eigenvalues at or below PD_RTOL (1 + ||S||_2) do not count as positive.
+# Eigenvalues w at or below PD_RTOL (1 + max |w|) do not count as positive.
 PD_RTOL = 1e-10
 # Relative cutoff of the controllability and excitation rank tests.
 RANK_TOL = 1e-8
@@ -253,20 +253,21 @@ def solve_discrete_lyapunov(F, W):
     return (P + P.T) / 2.0
 
 
-def pd_tolerance(S):
-    """Eigenvalue threshold below which a symmetric matrix does not count
-    as positive definite: ``PD_RTOL (1 + ||S||_2)``."""
-    S = np.asarray(S, dtype=float)
-    if S.size == 0:
-        return PD_RTOL
-    return PD_RTOL * (1.0 + float(np.linalg.norm(S, 2)))
+def _threshold(w):
+    """Definiteness threshold ``PD_RTOL (1 + max |w|)`` of eigenvalues w."""
+    return PD_RTOL * (1.0 + np.abs(w).max(initial=0.0))
 
 
 def is_positive_definite(S):
-    """Whether all eigenvalues of symmetric S exceed :func:`pd_tolerance`."""
-    S = check_symmetric(S, "S")
-    w = np.linalg.eigvalsh(S)
-    return bool(np.all(w > PD_RTOL * (1.0 + np.abs(w).max(initial=0.0))))
+    """Whether every eigenvalue of symmetric S exceeds :func:`_threshold`."""
+    w = np.linalg.eigvalsh(check_symmetric(S, "S"))
+    return bool(np.all(w > _threshold(w)))
+
+
+def is_positive_semidefinite(S):
+    """Whether no eigenvalue of symmetric S is below ``-_threshold``."""
+    w = np.linalg.eigvalsh(check_symmetric(S, "S"))
+    return bool(np.all(w >= -_threshold(w)))
 
 
 def sym_sqrt(S):
@@ -276,6 +277,6 @@ def sym_sqrt(S):
     """
     S = check_symmetric(S, "S")
     w, V = np.linalg.eigh(S)
-    if w.min(initial=0.0) < -pd_tolerance(S):
+    if np.any(w < -_threshold(w)):
         raise InvalidProblemError("matrix is not positive semidefinite")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T

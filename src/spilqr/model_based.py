@@ -77,7 +77,7 @@ def _interior_factor(rho_scaled, lam):
     return 1.0 + lam * (r - 1.0)
 
 
-def choose_c(sys, K_next, cum, lam=0.5):
+def choose_c(sys, K_next, cum, lam):
     """Next scaling factor, the interior point ``1 + lam (r - 1)`` of the
     admissible interval ``(1, r)`` with ``r = 1 / rho(cum (A - B K_next))``.
 

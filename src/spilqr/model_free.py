@@ -197,7 +197,7 @@ def _solve_iteration(data, K, cum, weights):
     return solve_regression(theta, gamma, data.n, data.m)
 
 
-def search_b(data, K0, weights, b_init=1.0, delta=0.1, max_probes=200):
+def search_b(data, K0, weights, b_init, delta, max_probes):
     """Find a scaling divisor from data alone.
 
     Probes ``b_init, b_init + step_1, b_init + step_1 + step_2, ...``

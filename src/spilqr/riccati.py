@@ -35,8 +35,6 @@ __all__ = [
     "value_iteration", "dare_reference",
 ]
 
-PI_MAX_ITER = 100
-VI_MAX_ITER = 100_000
 SPI_MAX_ITER = 500
 
 # A reference whose Riccati residual exceeds this share of max(1, ||P||_F)
@@ -247,7 +245,7 @@ def scaling_pi(step, K0, b, tol, i_max):
         last=(phase2 or phase1 or [None])[-1])
 
 
-def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=PI_MAX_ITER):
+def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     """Policy iteration from a stabilizing gain.
 
     Alternates policy evaluation (a discrete Lyapunov solve for the
@@ -288,7 +286,7 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=PI_MAX_ITER):
     return replace(sol, residual=are_residual(sys, weights, sol.P))
 
 
-def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=VI_MAX_ITER):
+def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     """Fixed-point Riccati recursion from any positive semidefinite seed.
 
     Slower than policy iteration but needs no stabilizing start; serves
@@ -312,12 +310,10 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=VI_MAX_ITER):
     """
     if not tol >= 0:
         raise InvalidProblemError("tol must be nonnegative")
-    if P0 is None:
-        P = np.zeros((sys.n, sys.n))
-    else:
-        P = matkit.check_symmetric(P0, "P0")
-        if np.linalg.eigvalsh(P).min() < -matkit.pd_tolerance(P):
-            raise InvalidProblemError("P0 must be positive semidefinite")
+    P = (np.zeros((sys.n, sys.n)) if P0 is None
+         else matkit.check_symmetric(P0, "P0"))
+    if not matkit.is_positive_semidefinite(P):
+        raise InvalidProblemError("P0 must be positive semidefinite")
     P = _check_dims(sys, weights, P)
     A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
     At, Bt = A.T, B.T
@@ -374,9 +370,8 @@ def dare_reference(sys, weights):
     if not np.all(np.isfinite(P)):
         raise InvalidProblemError("DARE solution has non-finite entries")
     P = (P + P.T) / 2.0
-    if np.linalg.eigvalsh(P).min() < -matkit.pd_tolerance(P):
-        raise InvalidProblemError(
-            "DARE solution is not positive semidefinite")
+    if not matkit.is_positive_semidefinite(P):
+        raise InvalidProblemError("DARE solution is not positive semidefinite")
     K = optimal_gain(sys, weights, P)
     rho = matkit.spectral_radius(sys.A - sys.B @ K)
     if rho >= 1.0:

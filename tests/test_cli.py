@@ -1,7 +1,9 @@
+import csv
 import json
 import logging
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -372,9 +374,21 @@ def _gain_file(text):
      "gain must be 1 x 3"),
     ("simulate", _gain_file(None), "cannot read gain file"),
     ("simulate", _gain_file('{"P": [[1.0]]}'), "has no 'K' entry"),
+    ("solve", _set(("system",), {"A": [[0.5, 0.0]], "B": [[1.0]]}),
+     "invalid system: A must be square"),
+    ("solve", _set(("weights", "Q"), [[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1]]),
+     "invalid weights: Q is not symmetric"),
+    ("solve", _set(("weights", "Q"), [[1.0, 0, 0], [0, 1.0], [0, 0, 1.0]]),
+     "Q is not a numeric matrix"),
+    ("simulate", _gain_file("3"), "has no 'K' entry"),
+    ("simulate", _gain_file('{"K": [[1.0, 2.0]]}'), "must be 1 x 3"),
+    ("simulate", _gain_file('{"K": [[1.0], [2.0, 3.0]]}'),
+     "is not a numeric matrix"),
 ], ids=["R-shape", "K0-shape", "P0-shape", "x0-length", "no-weights",
         "no-x0", "no-solver", "no-simulate", "gain-shape", "no-gain-file",
-        "gain-file-without-K"])
+        "gain-file-without-K", "A-not-square", "Q-not-symmetric",
+        "Q-ragged", "gain-file-not-an-object", "gain-file-K-shape",
+        "gain-file-K-ragged"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, command,
                                                 edit, message):
     cfg = json.loads(json.dumps(model_free_config()))   # a deep copy
@@ -432,9 +446,38 @@ def test_compare_trivial_start_converges_immediately(power_system,
     K0 = riccati.optimal_gain(power_system, power_weights, P0)
     for name in ("vi", "hewer", "spi-model-based", "spi-model-free"):
         result, _ = cli._run(name, power_system, power_weights, K0, P0,
-                             power_data, {}, 1e-9, cli.SOLVERS[name])
+                             power_data, {}, 1e-9)
         iters = cli._iterations_to_tolerance(result, power_oracle.K, 1e-4)
         assert iters is not None and iters <= 2, (name, iters)
+
+
+def test_compare_counts_a_solve_that_never_reaches_gain_tol(tmp_path,
+                                                         caplog):
+    cfg = write_config(tmp_path / "c.json", {
+        "system": SYSTEM_CONT, "weights": WEIGHTS, "seed": 11,
+        "compare": {"solvers": ["vi"], "trials": 2, "gain_tol": 1e-300}})
+    with caplog.at_level(logging.WARNING, logger="spilqr"):
+        assert cli.main(["compare", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "vi failed all 2 trials, the first with no gain came within "
+        "gain_tol"]
+    rows = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert rows[1] == "vi,2,2,nan,nan"
+
+
+def test_solve_divergent_data_collection_exit_code(tmp_path, capsys):
+    # the probing rollout of an unstable scalar plant leaves the state
+    # bound before the data is complete
+    cfg = write_config(tmp_path / "c.json", {
+        "system": {"A": [[3.0]], "B": [[1.0]]},
+        "weights": {"Q": [[1.0]], "R": [[1.0]]},
+        "solver": "spi-model-free", "seed": 7,
+        "params": {"data": {"l": 40, "x0": [0.1]}}})
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 4
+    assert "state norm exceeded 1e+12 at step 25" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_compare_requires_seed(tmp_path):
@@ -480,6 +523,36 @@ def test_plotdata_rejects_nan_report(tmp_path, capsys):
     assert not (tmp_path / "p_error.dat").exists()
 
 
+ORACLE = {"P": np.eye(3).tolist(), "K": [[0.0, 0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("report, message", [
+    ([1, 2], "is not a JSON object"),
+    ({"oracle": 5}, "'oracle' must be an object"),
+    ({"oracle": {"P": [[1.0]]}}, "oracle K is not a numeric matrix"),
+    ({"oracle": ORACLE, "trace": [{"K": [[0.0, 0.0, 0.0]]}]},
+     "integer 'i'"),
+    # a 1 x 3 P would broadcast against the 3 x 3 oracle
+    ({"oracle": ORACLE, "trace": [{"i": 0, "P": [[1.0, 2.0, 3.0]]}]},
+     "P of trace row 0 must be 3 x 3, got (1, 3)"),
+    # the P curve is whole; the K of the last row is not
+    ({"oracle": ORACLE, "trace": [
+        {"i": 0, "P": ORACLE["P"], "K": ORACLE["K"]},
+        {"i": 1, "P": ORACLE["P"], "K": [[0.0, 0.0]]}]},
+     "K of trace row 1 must be 1 x 3, got (1, 2)"),
+], ids=["not-an-object", "oracle-not-an-object", "oracle-without-K",
+        "row-without-i", "P-broadcast", "K-shape-in-last-row"])
+def test_plotdata_rejects_malformed_report(tmp_path, capsys, report,
+                                           message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    out = tmp_path / "out"
+    assert cli.main(["plotdata", "--report", str(path),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_plotdata_empty_trace(tmp_path):
     (tmp_path / "report.json").write_text(json.dumps({
         "trace": [], "oracle": {"P": [[1.0]], "K": [[0.0]]}}))
@@ -494,6 +567,35 @@ def test_plotdata_empty_trace(tmp_path):
 def test_missing_config_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
+
+
+# trace.csv of each solver on the shipped data-driven config; a change that
+# moves the numerics on purpose regenerates these files
+REFERENCE = pathlib.Path(__file__).resolve().parent / "reference"
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+@pytest.mark.parametrize("solver", ["vi", "spi-model-based", "spi-model-free"])
+def test_shipped_trace_matches_reference(tmp_path, solver):
+    assert cli.main(["solve", "--config",
+                     str(CONFIGS / "power_model_free.json"),
+                     "--solver", solver, "--out", str(tmp_path)]) == 0
+    got = _csv_rows(tmp_path / "trace.csv")
+    want = _csv_rows(REFERENCE / f"power_model_free_{solver}_trace.csv")
+    assert got[0] == want[0]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for i, (row, ref) in enumerate(zip(got[1:], want[1:])):
+        for column, cell, expected in zip(want[0], row, ref):
+            where = (i, column, cell, expected)
+            if expected == "" or re.fullmatch(r"-?\d+", expected):
+                assert cell == expected, where
+            else:   # BLAS builds may differ in the last bits
+                assert abs(float(cell) - float(expected)) \
+                    <= 1e-10 * abs(float(expected)), where
 
 
 def test_shipped_configs_are_valid():

@@ -260,3 +260,30 @@ def test_power_plant_observable(power_system, power_weights):
 def test_trajectory_validation():
     with pytest.raises(DimensionMismatchError):
         lti.Trajectory(np.zeros((3, 2)), np.zeros((3, 1)))
+
+
+def test_simulate_validates_shapes(power_system):
+    with pytest.raises(DimensionMismatchError, match="x0 has length 2"):
+        lti.simulate(power_system, [0.1, 0.1], lambda k, x: np.zeros(1), 5)
+    with pytest.raises(DimensionMismatchError, match="policy returned 2"):
+        lti.simulate(power_system, [0.1, 0.1, 0.2],
+                     lambda k, x: np.zeros(2), 5)
+
+
+def test_zoh_discretize_validates_shapes():
+    with pytest.raises(DimensionMismatchError, match="A_c must be square"):
+        lti.zoh_discretize(np.ones((2, 3)), np.ones((2, 1)), 0.1)
+    with pytest.raises(DimensionMismatchError, match="B_c must have 2 rows"):
+        lti.zoh_discretize(np.eye(2), np.ones((3, 1)), 0.1)
+
+
+def test_is_observable_validates_output_matrix():
+    with pytest.raises(DimensionMismatchError, match="C must have 2 columns"):
+        lti.is_observable(np.eye(2), np.ones((1, 3)))
+
+
+def test_exploration_input_validates_parameters():
+    with pytest.raises(InvalidProblemError, match="num_terms"):
+        lti.exploration_input(1, num_terms=0)
+    with pytest.raises(InvalidProblemError, match="freq_low"):
+        lti.exploration_input(1, freq_low=1.0, freq_high=-1.0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from spilqr import lti, matkit
 from spilqr.exceptions import (
     DimensionMismatchError,
+    IllConditionedError,
     InvalidProblemError,
     UnstableMatrixError,
 )
@@ -361,6 +362,34 @@ def test_is_positive_definite():
     assert matkit.is_positive_definite(np.eye(2))
     assert not matkit.is_positive_definite(np.diag([1.0, 0.0]))
     assert not matkit.is_positive_definite(np.diag([1.0, -0.1]))
+
+
+def test_is_positive_semidefinite():
+    assert matkit.is_positive_semidefinite(np.eye(2))
+    assert matkit.is_positive_semidefinite(np.diag([1.0, 0.0]))
+    assert not matkit.is_positive_semidefinite(np.diag([1.0, -0.1]))
+
+
+def test_definiteness_threshold_scales_with_largest_eigenvalue():
+    # an eigenvalue w counts as zero within PD_RTOL (1 + max |w|), the same
+    # bound for both definiteness tests and for sym_sqrt's check
+    big = 1e6
+    tol = matkit.PD_RTOL * (1.0 + big)
+    assert matkit.is_positive_definite(np.diag([big, 2.0 * tol]))
+    assert not matkit.is_positive_definite(np.diag([big, 0.5 * tol]))
+    assert matkit.is_positive_semidefinite(np.diag([big, -0.5 * tol]))
+    assert not matkit.is_positive_semidefinite(np.diag([big, -2.0 * tol]))
+    assert np.array_equal(matkit.sym_sqrt(np.diag([big, -0.5 * tol])),
+                          np.diag([1e3, 0.0]))
+    with pytest.raises(InvalidProblemError):
+        matkit.sym_sqrt(np.diag([big, -2.0 * tol]))
+
+
+def test_lyapunov_rejects_overflowing_solution():
+    # P = W / (1 - 0.99^2), about 5e308, exceeds the largest double; the
+    # back-substitution's inf arithmetic may warn on the way to the error
+    with np.errstate(invalid="ignore"), pytest.raises(IllConditionedError):
+        matkit.solve_discrete_lyapunov(0.99 * np.eye(2), 1e307 * np.eye(2))
 
 
 def test_sym_sqrt():

@@ -135,6 +135,14 @@ def test_choose_c_interval_collapses_near_unit_radius():
     assert 1.0 < c < 1.0 / 0.999
 
 
+def test_choose_c_caps_the_headroom_of_a_nilpotent_loop():
+    # rho(A - B K) = 0 leaves (1, inf) admissible; the factor stays finite
+    sys_d = lti.LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                             np.array([[0.0], [1.0]]))
+    c = model_based.choose_c(sys_d, np.zeros((1, 2)), 0.5, lam=0.5)
+    assert c == 1.0 + 0.5 * (model_based.MAX_HEADROOM - 1.0)
+
+
 def test_choose_c_rejects_violated_invariant(power_system):
     with pytest.raises(InvariantViolatedError):
         model_based.choose_c(power_system, K0_ZERO, 1.0, lam=0.5)

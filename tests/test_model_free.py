@@ -6,6 +6,7 @@ import scipy.linalg.lapack
 
 from spilqr import lti, matkit, model_based, model_free, riccati
 from spilqr.exceptions import (
+    DimensionMismatchError,
     InsufficientSamplesError,
     InvalidProblemError,
     ProbesExhaustedError,
@@ -252,7 +253,8 @@ def test_gain_update_matches_model_based(power_system, power_weights,
 
 def test_search_b_power_plant(power_data, power_weights, power_system):
     b, sol, probes = model_free.search_b(power_data, K0_ZERO, power_weights,
-                                         b_init=1.0, delta=0.1)
+                                         b_init=1.0, delta=0.1,
+                                         max_probes=200)
     assert b == pytest.approx(1.1)
     assert probes == 2  # the initial candidate failed once
     assert matkit.is_positive_definite(sol.P)
@@ -271,14 +273,15 @@ def test_search_b_stable_plant_needs_no_increment():
                         lti.exploration_input(1, seed=5), 30)
     data = model_free.build_regression_data(traj)
     b, _, probes = model_free.search_b(data, np.zeros((1, 3)), weights,
-                                       b_init=1.0)
+                                       b_init=1.0, delta=0.1, max_probes=200)
     assert b == 1.0
     assert probes == 1
 
 
 def test_search_b_growing_schedule(power_data, power_weights):
     b, _, probes = model_free.search_b(power_data, K0_ZERO, power_weights,
-                                       b_init=1.0, delta=lambda i: 0.7 * i)
+                                       b_init=1.0, delta=lambda i: 0.7 * i,
+                                       max_probes=200)
     assert b == pytest.approx(1.7)
     assert probes == 2
 
@@ -291,12 +294,14 @@ def test_search_b_monotone_in_divisor(power_data, power_weights, corpus):
         sol = model_free.solve_regression(theta, gamma, data.n, data.m)
         return matkit.is_positive_definite(sol.P)
 
-    b, _, _ = model_free.search_b(power_data, K0_ZERO, power_weights)
+    b, _, _ = model_free.search_b(power_data, K0_ZERO, power_weights,
+                                  b_init=1.0, delta=0.1, max_probes=200)
     for extra in (0.1, 0.2, 0.5, 2.0):
         assert pd_at(power_data, K0_ZERO, power_weights, b + extra)
     for case in corpus[:8]:
         b, _, _ = model_free.search_b(case["data"], case["K0"],
-                                      case["weights"])
+                                      case["weights"], b_init=1.0,
+                                      delta=0.1, max_probes=200)
         for extra in (0.1, 1.0):
             assert pd_at(case["data"], case["K0"], case["weights"],
                          b + extra)
@@ -319,6 +324,19 @@ def test_search_b_exhausts_probes(power_data, power_weights):
                             max_probes=3)
 
 
+def test_regression_validates_shapes(power_data, power_weights):
+    with pytest.raises(DimensionMismatchError, match="K must be 1 x 3"):
+        model_free.assemble_theta_gamma(power_data, np.zeros((1, 2)), 0.5,
+                                        power_weights)
+    with pytest.raises(InvalidProblemError, match="cum must be positive"):
+        model_free.assemble_theta_gamma(power_data, K0_ZERO, 0.0,
+                                        power_weights)
+    theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, 0.5,
+                                                   power_weights)
+    with pytest.raises(DimensionMismatchError, match="expected 10"):
+        model_free.solve_regression(theta[:, :-1], gamma, 3, 1)
+
+
 def test_scaling_bound_singular_gate(power_weights):
     # P equal to Q makes the gate exactly zero: no usable headroom
     sb = model_free.scaling_bound(np.eye(3), K0_ZERO, power_weights)
@@ -331,7 +349,7 @@ def test_choose_c_first_benchmark_iteration(power_system, power_weights,
                                             power_data):
     # reproduce the first data-driven scaling decision of the benchmark
     b, sol, _ = model_free.search_b(power_data, K0_ZERO, power_weights,
-                                    b_init=1.0, delta=0.1)
+                                    b_init=1.0, delta=0.1, max_probes=200)
     K1 = model_free.model_free_gain_update(sol, power_weights, 1.0 / b)
     sb = model_free.scaling_bound(sol.P, K1, power_weights)
     assert sb.bound is not None
@@ -347,7 +365,8 @@ def test_choose_c_first_benchmark_iteration(power_system, power_weights,
 
 
 def test_choose_c_interval_property(power_system, power_weights, power_data):
-    b, sol, _ = model_free.search_b(power_data, K0_ZERO, power_weights)
+    b, sol, _ = model_free.search_b(power_data, K0_ZERO, power_weights,
+                                    b_init=1.0, delta=0.1, max_probes=200)
     K1 = model_free.model_free_gain_update(sol, power_weights, 1.0 / b)
     sb = model_free.scaling_bound(sol.P, K1, power_weights)
     for lam in (0.05, 0.5, 0.95):
@@ -358,25 +377,42 @@ def test_choose_c_interval_property(power_system, power_weights, power_data):
         assert 1.0 < c < sb.bound
 
 
-@pytest.mark.parametrize("solver", ["spi-model-based", "spi-model-free"])
-@pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.5])
-def test_solvers_reject_lam_outside_unit_interval(
-        power_system, power_weights, power_data, monkeypatch, solver, lam):
-    # rejected before any policy evaluation or divisor probe
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Policy evaluations and divisor probes run, one entry each."""
     calls = []
     for module, name in ((matkit, "solve_discrete_lyapunov"),
                          (model_free, "solve_regression")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=original:
                             calls.append(1) or f(*a))
+    return calls
+
+
+def run_scaling_solver(solver, system, weights, data, **opts):
+    if solver == "spi-model-based":
+        return model_based.spi_model_based(system, weights, K0_ZERO, **opts)
+    return model_free.spi_model_free(data, K0_ZERO, weights, **opts)
+
+
+@pytest.mark.parametrize("solver", ["spi-model-based", "spi-model-free"])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.5])
+def test_solvers_reject_lam_outside_unit_interval(
+        power_system, power_weights, power_data, evaluations, solver, lam):
+    # rejected before any policy evaluation or divisor probe
     with pytest.raises(InvalidProblemError, match="lam"):
-        if solver == "spi-model-based":
-            model_based.spi_model_based(power_system, power_weights,
-                                        K0_ZERO, lam=lam)
-        else:
-            model_free.spi_model_free(power_data, K0_ZERO, power_weights,
-                                      lam=lam)
-    assert calls == []
+        run_scaling_solver(solver, power_system, power_weights, power_data,
+                           lam=lam)
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("solver", ["spi-model-based", "spi-model-free"])
+def test_solvers_reject_empty_budget(power_system, power_weights, power_data,
+                                     evaluations, solver):
+    with pytest.raises(InvalidProblemError, match="i_max must be at least 1"):
+        run_scaling_solver(solver, power_system, power_weights, power_data,
+                           i_max=0)
+    assert evaluations == []
 
 
 NAN = float("nan")

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from spilqr import lti, matkit, model_based, model_free, riccati
 from spilqr.exceptions import (
+    DimensionMismatchError,
     InvalidProblemError,
     MaxIterationsError,
     NotStabilizingError,
@@ -63,6 +64,11 @@ def test_hewer_rejects_nonstabilizing_start(power_system, power_weights):
     with pytest.raises(NotStabilizingError) as err:
         riccati.hewer_pi(power_system, power_weights, np.zeros((1, 3)))
     assert err.value.rho == pytest.approx(1.0176, abs=1e-3)
+
+
+def test_hewer_rejects_misshapen_start(power_system, power_weights):
+    with pytest.raises(DimensionMismatchError, match="K0 must be 1 x 3"):
+        riccati.hewer_pi(power_system, power_weights, np.zeros((1, 2)))
 
 
 def test_hewer_matches_value_iteration_on_stable_plant():
