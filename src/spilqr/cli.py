@@ -159,8 +159,11 @@ def collect_trajectory(sys, cfg, seed):
         raise ConfigError("params.data.x0 is required for data-driven runs")
     x0 = np.asarray(data_cfg["x0"], dtype=float)
     l = data_cfg.get("l", model_free.unknown_count(sys.n, sys.m) + 20)
-    # the schema admits only exploration_input's parameter names here
-    policy = exploration_input(sys.m, seed=seed, **data_cfg.get("noise", {}))
+    try:   # the schema admits only exploration_input's parameter names
+        policy = exploration_input(sys.m, seed=seed,
+                                   **data_cfg.get("noise", {}))
+    except InvalidProblemError as exc:   # before any file is written
+        raise ConfigError(f"invalid params.data.noise: {exc}") from exc
     return simulate(sys, x0, policy, l)
 
 
@@ -360,6 +363,8 @@ def cmd_simulate(args):
     if sim is None:
         raise ConfigError("config is missing the 'simulate' section")
     K = _load_gain(sim, (sys_d.m, sys_d.n))
+    if len(sim["x0"]) != sys_d.n:
+        raise ConfigError(f"simulate.x0 must have length {sys_d.n}")
     x0 = np.asarray(sim["x0"], dtype=float)
     steps = sim["steps"]
     open_loop = sim.get("open_loop_steps", 0)

@@ -221,10 +221,13 @@ def is_controllable(sys):
 
 def is_observable(A, C):
     """Whether the pair (A, C) is observable: by duality, whether the
-    pair (A', C') is controllable."""
+    pair (A', C') is controllable.  A ``C`` of full column rank decides
+    it alone, as the observability matrix ``[C; CA; ...]`` contains C."""
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape[1] != A.shape[0]:
         raise DimensionMismatchError(
             f"C must have {A.shape[0]} columns, got {C.shape}")
-    return is_controllable(LinearSystem(A.T, C.T))
+    dual = LinearSystem(A.T, C.T)
+    return (matkit.numerical_rank(dual.B, matkit.RANK_TOL) == dual.n
+            or is_controllable(dual))

@@ -1,8 +1,9 @@
 """Dense real-matrix kernels used by every solver module.
 
 Provides symmetric (half-)vectorization and its inverse, quadratic-form
-monomial vectors, spectral radius, numerical rank, and a Schur-based
-discrete Lyapunov solver whose cost is O(n^3).  All functions are pure
+monomial vectors, spectral radius, numerical rank, the complex Schur
+form with the spectral radius read off it, and a Schur-based discrete
+Lyapunov solver whose cost is O(n^3).  All functions are pure
 and operate on plain ``numpy`` arrays.
 
 Conventions
@@ -20,7 +21,6 @@ ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``.
 """
 
 import functools
-import math
 
 import numpy as np
 import scipy.linalg.lapack
@@ -35,7 +35,7 @@ from .exceptions import (
 
 __all__ = [
     "vecs", "unvecs", "vecv", "vecv_rows", "vec", "unvec",
-    "spectral_radius", "numerical_rank",
+    "spectral_radius", "numerical_rank", "schur",
     "solve_discrete_lyapunov", "check_symmetric",
     "is_positive_definite", "is_positive_semidefinite", "sym_sqrt",
 ]
@@ -157,48 +157,75 @@ def spectral_radius(A):
 
 
 def numerical_rank(A, tol):
-    """Number of singular values above ``tol`` times the largest one."""
+    """Number of singular values above ``tol`` times the largest one; a
+    wide matrix takes them from its transpose, the faster LAPACK path."""
     if tol <= 0:
         raise InvalidProblemError("tol must be positive")
     A = _as_matrix(A, "A")
-    s = np.linalg.svd(A, compute_uv=False)
+    s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A,
+                      compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def _no_reordering(wr, wi):
-    return False
+def schur(F):
+    """Complex Schur form ``F = U T U^H`` of a real square matrix, ``T``
+    upper triangular and ``U`` unitary, and its spectral radius ``rho``.
 
-
-def _complex_schur(F):
-    """Complex Schur form ``F = U T U^H``, ``T`` upper triangular.
-
-    The real Schur form is computed in real arithmetic (LAPACK
-    ``dgees``); each 2 x 2 block of a complex pair is then split by the
-    unitary rotation whose first column is an eigenvector of the block,
-    as in ``scipy.linalg.rsf2csf``.  The rotations act on disjoint index
-    pairs, so they are applied all at once as one block-diagonal ``Q``.
-    Returns ``T``, ``U`` and the eigenvalue moduli.
-    """
-    S, _, wr, wi, Z, _, info = scipy.linalg.lapack.dgees(_no_reordering, F)
+    LAPACK ``dgees`` gives the real Schur form and the eigenvalues, whose
+    largest modulus is ``rho``.  Each 2 x 2 block of a complex pair is
+    split by the rotation whose first column is an eigenvector of the
+    block, as in ``scipy.linalg.rsf2csf``, all of them as one ``Q``."""
+    F = _as_matrix(F, "F")
+    if F.shape[0] != F.shape[1]:
+        raise DimensionMismatchError(f"F must be square, got {F.shape}")
+    S, _, wr, wi, Z, _, info = scipy.linalg.lapack.dgees(
+        lambda wr, wi: False, F)
     if info != 0:  # pragma: no cover - LAPACK failure
         raise EigenvalueConvergenceError(
             f"Schur iteration did not converge (LAPACK info {info})")
-    moduli = np.hypot(wr, wi)
-    blocks = np.flatnonzero(wi > 0).tolist()   # first row of each block
-    if not blocks:
-        return S.astype(complex), Z, moduli
-    Q = np.eye(F.shape[0], dtype=complex)
-    for k in blocks:
-        mu = complex(wr[k] - S[k + 1, k + 1], wi[k])
-        h = math.hypot(abs(mu), S[k + 1, k])
-        c, s = mu / h, S[k + 1, k] / h
-        Q[k, k], Q[k, k + 1] = c, -s
-        Q[k + 1, k], Q[k + 1, k + 1] = s, c.conjugate()
+    rho = float(np.hypot(wr, wi).max())
+    k = np.flatnonzero(wi > 0)   # first row of each block
+    if k.size == 0:
+        return S.astype(complex), Z.astype(complex), rho
+    mu = wr[k] - S[k + 1, k + 1] + 1j * wi[k]
+    h = np.hypot(np.abs(mu), S[k + 1, k])
+    c, s = mu / h, S[k + 1, k] / h
+    Q = np.eye(len(F), dtype=complex)
+    Q[k, k], Q[k, k + 1] = c, -s
+    Q[k + 1, k], Q[k + 1, k + 1] = s, c.conj()
     T = Q.conj().T @ S @ Q
-    T[[k + 1 for k in blocks], blocks] = 0.0   # round-off below the diagonal
-    return T, Z @ Q, moduli
+    T[k + 1, k] = 0.0   # round-off below the diagonal
+    return T, Z @ Q, rho
+
+
+def _stein(T, U, rho, W):
+    """Back-substitution of :func:`solve_discrete_lyapunov` on the Schur
+    factor ``(T, U, rho)`` of ``F``: the n systems come from one broadcast,
+    in the layout ``ztrtrs`` reads in place, and row ``j`` of ``X``/``THX``
+    is column ``j`` of ``X``/``T^H X``."""
+    if rho >= 1.0 - STABILITY_MARGIN:
+        raise UnstableMatrixError(
+            f"F must be Schur stable, spectral radius is {rho:.6g}", rho=rho)
+    n = T.shape[0]
+    TT = T.T.copy()                  # row j: column j of T
+    TH = TT.conj()
+    diag = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        systems = T.diagonal().conj()[:, None, None] * TT
+        systems[:, diag, diag] -= 1.0   # systems[j].T: conj(T_jj) T - I
+        rhs = -(U.T @ W @ U.conj())   # row j: column j of -U^H W U
+        X, THX = np.empty((2, n, n), dtype=complex)
+        for j in range(n):
+            X[j], _ = scipy.linalg.lapack.ztrtrs(
+                systems[j].T, rhs[j] - TT[j, :j] @ THX[:j],
+                lower=0, trans=2, overwrite_b=1)
+            THX[j] = TH @ X[j]
+        P = (U @ X.T @ U.conj().T).real
+    if not np.all(np.isfinite(P)):
+        raise IllConditionedError("Lyapunov solution is not finite")
+    return (P + P.T) / 2.0
 
 
 def solve_discrete_lyapunov(F, W):
@@ -206,12 +233,12 @@ def solve_discrete_lyapunov(F, W):
 
     Schur method of Bartels & Stewart (1972) in the column form of
     Kitagawa (1977), at O(n^3) cost.  With the complex Schur form
-    ``F = U T U^H``, the unknown ``X = U^H P U`` satisfies
-    ``T^H X T - X + U^H W U = 0``.  Column ``j`` of that equation only
-    involves columns ``0..j`` of ``X``, so ``X`` is found one column at
-    a time, each from a lower-triangular system with diagonal
-    ``conj(l_i) l_j - 1`` over the eigenvalues ``l`` of ``F``.  The
-    result is exactly symmetrized, and is positive (semi)definite
+    ``F = U T U^H`` of :func:`schur`, the unknown ``X = U^H P U``
+    satisfies ``T^H X T - X + U^H W U = 0``.  Column ``j`` of that
+    equation only involves columns ``0..j`` of ``X``, so ``X`` is found
+    one column at a time, each from a lower-triangular system with
+    diagonal ``conj(l_i) l_j - 1`` over the eigenvalues ``l`` of ``F``.
+    The result is exactly symmetrized, and is positive (semi)definite
     whenever ``W`` is and ``F`` is Schur stable.
 
     Raises
@@ -225,32 +252,10 @@ def solve_discrete_lyapunov(F, W):
     """
     F = _as_matrix(F, "F")
     W = check_symmetric(W, "W")
-    n = F.shape[0]
-    if F.shape[0] != F.shape[1] or W.shape[0] != n:
+    if F.shape[0] != F.shape[1] or W.shape[0] != F.shape[0]:
         raise DimensionMismatchError(
             f"F {F.shape} and W {W.shape} must be square of equal size")
-    T, U, moduli = _complex_schur(F)
-    rho = float(moduli.max())
-    if rho >= 1.0 - STABILITY_MARGIN:
-        raise UnstableMatrixError(
-            f"F must be Schur stable, spectral radius is {rho:.6g}", rho=rho)
-    TH = T.conj().T
-    rhs = -(U.conj().T @ W @ U)
-    X = np.empty((n, n), dtype=complex)
-    THX = np.empty((n, n), dtype=complex)   # T^H X, column by column
-    eye = np.eye(n)
-    lam_conj = T.diagonal().conj()
-    for j in range(n):
-        # (T_jj T^H - I) x_j = rhs_j - T^H X[:, :j] T[:j, j]; the system
-        # matrix is the adjoint of the upper-triangular conj(T_jj) T - I.
-        X[:, j], _ = scipy.linalg.lapack.ztrtrs(
-            lam_conj[j] * T - eye, rhs[:, j] - THX[:, :j] @ T[:j, j],
-            lower=0, trans=2)
-        THX[:, j] = TH @ X[:, j]
-    P = (U @ X @ U.conj().T).real
-    if not np.all(np.isfinite(P)):
-        raise IllConditionedError("Lyapunov solution is not finite")
-    return (P + P.T) / 2.0
+    return _stein(*schur(F), W)
 
 
 def _threshold(w):

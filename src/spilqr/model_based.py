@@ -38,6 +38,17 @@ __all__ = [
 MAX_HEADROOM = 1e12
 
 
+def _evaluate(factor, W, cum):
+    """Solve ``cum^2 F' P F - P + W = 0`` on the Schur factor of ``F``."""
+    T, U, rho = factor
+    try:
+        return matkit._stein(cum * T, U, cum * rho, W)
+    except UnstableMatrixError as exc:
+        raise UnstableScaledSystemError(
+            f"scaled closed loop is not Schur stable at factor {cum:.6g} "
+            f"(spectral radius {exc.rho:.6g})", rho=exc.rho) from exc
+
+
 def scaled_policy_evaluation(sys, weights, K, cum):
     """Evaluate gain ``K`` on the plant scaled by ``cum``: solve
     ``cum^2 (A-BK)' P (A-BK) - P + Q + K'RK = 0``.
@@ -46,14 +57,8 @@ def scaled_policy_evaluation(sys, weights, K, cum):
     weights satisfy their definiteness requirements.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    F = cum * (sys.A - sys.B @ K)
-    W = weights.Q + K.T @ weights.R @ K
-    try:
-        return matkit.solve_discrete_lyapunov(F, W)
-    except UnstableMatrixError as exc:
-        raise UnstableScaledSystemError(
-            f"scaled closed loop is not Schur stable at factor {cum:.6g} "
-            f"(spectral radius {exc.rho:.6g})", rho=exc.rho) from exc
+    W = matkit.check_symmetric(weights.Q + K.T @ weights.R @ K, "W")
+    return _evaluate(matkit.schur(sys.A - sys.B @ K), W, cum)
 
 
 def scaled_policy_improvement(sys, weights, P, cum):
@@ -119,26 +124,28 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     if not beta > 0:
         raise InvalidProblemError("beta must be positive")
 
-    # One eigensolve per record: a scaling step takes the radius of its
-    # improved gain, which sets the next factor and is the next record's
-    # rho_closed; a scale-1 step takes its own gain's radius unless the
-    # step before it already did, so the final gain's is never computed.
-    rho = matkit.spectral_radius(sys.A - sys.B @ K)
+    # One Schur factorization per evaluation: a scaling step factors its
+    # improved gain (next factor, rho_closed, evaluation); a scale-1 step
+    # factors its own gain if not handed one, so the final gain never is.
+    A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
+    factor = matkit.schur(A - B @ K)
 
     def step(K, cum, scaling):
-        nonlocal rho
-        P = scaled_policy_evaluation(sys, weights, K, cum)
-        K_next = scaled_policy_improvement(sys, weights, P, cum)
-        if rho is None:
-            rho = matkit.spectral_radius(sys.A - sys.B @ K)
-        fields = {"rho_closed": rho}
+        nonlocal factor
+        if factor is None:
+            factor = matkit.schur(A - B @ K)
+        W = Q + K.T @ R @ K
+        P = _evaluate(factor, (W + W.T) / 2.0, cum)
+        BtP = B.T @ P   # P comes out of the solve exactly symmetric
+        K_next = riccati._improved_gain(BtP @ B, BtP @ A, R, cum)
+        fields = {"rho_closed": factor[2]}
         if not scaling:
-            rho = None
+            factor = None
             return P, K_next, 1.0, fields
-        rho = matkit.spectral_radius(sys.A - sys.B @ K_next)
-        return P, K_next, _interior_factor(cum * rho, lam), fields
+        factor = matkit.schur(A - B @ K_next)
+        return P, K_next, _interior_factor(cum * factor[2], lam), fields
 
-    report = riccati.scaling_pi(step, K, rho + beta, tol, i_max)
+    report = riccati.scaling_pi(step, K, factor[2] + beta, tol, i_max)
     sol = report.solution
     return replace(report, solution=replace(
         sol, residual=riccati.are_residual(sys, weights, sol.P)))

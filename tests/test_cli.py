@@ -401,6 +401,30 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, command,
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command, config, path, value, message", [
+    ("simulate", "power_simulate_open_loop.json", ("simulate", "x0"),
+     [0.1, 0.2], "simulate.x0 must have length 3"),
+    ("solve", "power_model_free.json", ("params", "data", "noise"),
+     {"freq_low": 1.0, "freq_high": -1.0},
+     "invalid params.data.noise: freq_low must not exceed freq_high"),
+], ids=["simulate-x0-length", "noise-frequency-order"])
+def test_shipped_config_edits_are_config_errors(tmp_path, capsys, command,
+                                                config, path, value,
+                                                message):
+    # both used to reach the library and exit 3 with an error.json
+    cfg = json.loads((CONFIGS / config).read_text())
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    out = tmp_path / "out"
+    assert cli.main([command, "--config",
+                     write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_compare_warns_when_a_solver_fails_every_trial(tmp_path, caplog):
     # Hewer's method needs a stabilizing start, and no gain optimal for a
     # random P0 stabilizes the power plant

@@ -257,6 +257,61 @@ def test_power_plant_observable(power_system, power_weights):
                              matkit.sym_sqrt(power_weights.Q))
 
 
+def _test_plants():
+    """The plants of the controllability tests above."""
+    yield np.diag([1.0, 2.0]), np.array([[1.0], [1.0]])
+    yield np.eye(2), np.array([[1.0], [0.0]])
+    for seed in (101, 143, 196, 231, *range(1000, 1020)):
+        yield _small_radius_plant(seed)
+    rng = np.random.default_rng(17)
+    n = 20
+    for _ in range(50):
+        A = rng.standard_normal((n, n))
+        A[n - 2:, :n - 2] = 0.0
+        A *= rng.uniform(0.2, 1.2) / matkit.spectral_radius(A)
+        B = np.vstack([rng.standard_normal((n - 2, 2)), np.zeros((2, 2))])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        yield Q @ A @ Q.T, Q @ B
+    A = np.eye(4, k=-1)
+    yield A, np.eye(4, 1)
+    yield A, np.eye(4)[:, [3]]
+    yield POWER_A_REF, POWER_B_REF
+
+
+def test_rank_decisions_on_plants_match_untransposed_svd():
+    # numerical_rank takes the singular values of a wide Krylov matrix
+    # from its transpose; each decision is that of the matrix as given
+    for A, B in _test_plants():
+        for pair in ((A, B), (A.T, B)):
+            rho = matkit.spectral_radius(pair[0])
+            K = lti.controllability_matrix(lti.LinearSystem(
+                pair[0] / rho if rho > 0 else pair[0], pair[1]))
+            s = np.linalg.svd(K, compute_uv=False)
+            assert matkit.numerical_rank(K, matkit.RANK_TOL) \
+                == np.count_nonzero(s > matkit.RANK_TOL * s[0])
+
+
+def test_observable_full_rank_output_skips_krylov(monkeypatch):
+    # a C of full column rank decides observability for every A; a
+    # rank-deficient C still takes the Krylov test
+    built = []
+    krylov = lti.controllability_matrix
+    monkeypatch.setattr(lti, "controllability_matrix",
+                        lambda sys: built.append(sys) or krylov(sys))
+    rng = np.random.default_rng(19)
+    for A, _ in _test_plants():
+        n = A.shape[0]
+        C = rng.standard_normal((n + 1, n))
+        assert lti.is_observable(A, C)
+        assert lti.is_observable(A, np.eye(n))
+    assert built == []
+    A, B = _small_radius_plant(101)
+    assert lti.is_observable(A.T, B.T)
+    assert len(built) == 1
+    assert not lti.is_observable(np.eye(2), np.array([[1.0, 0.0]]))
+    assert len(built) == 2
+
+
 def test_trajectory_validation():
     with pytest.raises(DimensionMismatchError):
         lti.Trajectory(np.zeros((3, 2)), np.zeros((3, 1)))

@@ -145,6 +145,50 @@ def test_stacked_spectral_radius_rejects_nonfinite():
         matkit.spectral_radius(F)
 
 
+def test_schur_radius_matches_spectral_radius(corpus):
+    # the radius read off the Schur form is the eigensolve's, at the
+    # corpus closed loops under K0 and under the zero gain
+    for case in corpus:
+        sys_d = case["sys"]
+        for F in (sys_d.A - sys_d.B @ case["K0"], sys_d.A):
+            rho = matkit.spectral_radius(F)
+            assert abs(matkit.schur(F)[2] - rho) <= 1e-13 * max(1.0, rho)
+
+
+def test_schur_factorization():
+    # F = U T U^H with U unitary and T upper triangular, every 2 x 2 block
+    # of the real Schur form split, with and without complex pairs
+    rng = np.random.default_rng(13)
+    for n, pair_share in ((1, 0.0), (5, 0.0), (6, 1.0), (9, 0.5), (20, 0.5)):
+        F = _lyapunov_factor(rng, n, 0.9, False, pair_share, 1.0)
+        T, U, rho = matkit.schur(F)
+        assert np.array_equal(T, np.triu(T))
+        assert np.abs(U.conj().T @ U - np.eye(n)).max() < 1e-13
+        assert np.abs(U @ T @ U.conj().T - F).max() < 1e-13
+        assert rho == pytest.approx(0.9, rel=1e-12)
+        assert rho == pytest.approx(np.abs(T.diagonal()).max(), rel=1e-12)
+    with pytest.raises(DimensionMismatchError):
+        matkit.schur(np.ones((2, 3)))
+    with pytest.raises(InvalidProblemError):
+        matkit.schur(np.array([[np.inf]]))
+
+
+def test_numerical_rank_of_wide_matrix_matches_untransposed_svd():
+    # wide matrices take their singular values from the transpose; the
+    # rank decisions are those of the matrix as given, rank-deficient
+    # ones included
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 30, size=2)
+        k = int(rng.integers(1, min(rows, cols) + 1))
+        M = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+        M *= 10.0 ** rng.uniform(-6.0, 6.0)
+        for A in (M, M.T):
+            s = np.linalg.svd(A, compute_uv=False)
+            assert matkit.numerical_rank(A, matkit.RANK_TOL) \
+                == np.count_nonzero(s > matkit.RANK_TOL * s[0]) == k
+
+
 def _min_singular_value(A):
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
@@ -387,8 +431,9 @@ def test_definiteness_threshold_scales_with_largest_eigenvalue():
 
 def test_lyapunov_rejects_overflowing_solution():
     # P = W / (1 - 0.99^2), about 5e308, exceeds the largest double; the
-    # back-substitution's inf arithmetic may warn on the way to the error
-    with np.errstate(invalid="ignore"), pytest.raises(IllConditionedError):
+    # back-substitution's inf arithmetic raises the named error, not a
+    # numpy warning, also when warnings are errors
+    with pytest.raises(IllConditionedError):
         matkit.solve_discrete_lyapunov(0.99 * np.eye(2), 1e307 * np.eye(2))
 
 

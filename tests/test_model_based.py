@@ -249,16 +249,42 @@ def test_solver_trace_radii(power_system, power_weights):
 
 def test_solver_one_eigensolve_per_iteration(power_system, power_weights,
                                              monkeypatch):
-    calls = []
-    radius = matkit.spectral_radius
+    factored, radii = [], []
+    schur, radius = matkit.schur, matkit.spectral_radius
+    monkeypatch.setattr(matkit, "schur",
+                        lambda F: factored.append(F) or schur(F))
     monkeypatch.setattr(matkit, "spectral_radius",
-                        lambda A: calls.append(1) or radius(A))
+                        lambda A: radii.append(A) or radius(A))
     report = model_based.spi_model_based(power_system, power_weights,
                                          K0_ZERO, tol=1e-8)
-    # one per record (the starting gain's, each scaling step's improved
-    # gain, each later scale-1 step's own gain; never the final gain's),
-    # plus the controllability test and its dual, the observability
-    # test; the Lyapunov guard reads its radius off the Schur form
+    A, B = power_system.A, power_system.B
+    # one Schur factorization per policy evaluation, of the evaluated
+    # gain's closed loop, which also gives the record's radius and the
+    # next factor; never the final gain's
+    evaluated = [s.K_tilde for s in report.phase1_trace + report.phase2_trace
+                 if s.P_tilde is not None]
     assert report.handoff_index >= 2
-    assert len(calls) == (len(report.phase1_trace)
-                          + len(report.phase2_trace) + 1)
+    assert len(factored) == len(evaluated) == report.solution.iterations
+    for F, K in zip(factored, evaluated):
+        assert np.array_equal(F, A - B @ K)
+    assert not any(np.array_equal(F, A - B @ report.solution.K)
+                   for F in factored)
+    # one eigensolve per solve: the controllability test's rho(A); the
+    # full-rank sqrt(Q) decides observability without one
+    assert len(radii) == 1
+    assert np.array_equal(radii[0], A)
+
+
+def test_shared_factor_evaluation_matches_lyapunov_solve(corpus):
+    # the step scales the Schur factor of A - BK by cum instead of
+    # factoring cum (A - BK) again
+    for case in corpus:
+        sys_d, weights, K = case["sys"], case["weights"], case["K0"]
+        F = sys_d.A - sys_d.B @ K
+        W = weights.Q + K.T @ weights.R @ K
+        factor = matkit.schur(F)
+        for cum in (0.0, 0.5 / (factor[2] + 1.0), 0.9 / factor[2]):
+            P = model_based._evaluate(factor, (W + W.T) / 2.0, cum)
+            P_ref = matkit.solve_discrete_lyapunov(cum * F, W)
+            assert np.linalg.norm(P - P_ref) \
+                <= 1e-13 * np.linalg.norm(P_ref)
