@@ -281,7 +281,7 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     because the solver has no model to evaluate the Riccati equation
     against; compute it externally when the plant is known.
     """
-    K = riccati.check_start(K0, data.m, data.n, lam, tol, i_max)
+    K = riccati.check_start(K0, weights, data.m, data.n, lam, tol, i_max)
     if not check_rank_condition(data):
         unknowns = unknown_count(data.n, data.m)
         raise RankDeficientError(

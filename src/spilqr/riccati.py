@@ -4,13 +4,13 @@ two-phase loop that every policy-iteration solver runs on.
 Contains the algebraic Riccati residual; :func:`scaling_pi`, the
 scaling policy-iteration loop shared by both scaling solvers and by
 Hewer's method, with its records :class:`SpiState` and
-:class:`SpiReport`; the classical policy iteration that needs a
-stabilizing start (Hewer's method, the loop with divisor 1); a
-value-iteration baseline that converges from any positive semidefinite
-seed; and the verified reference solve.  Value iteration doubles as the
-independent oracle used throughout the test suite; the CLI's reference
-is :func:`dare_reference`, one Schur-method DARE solve whose result is
-checked before it is returned.
+:class:`SpiReport`, and its model-based evaluation step; the classical
+policy iteration that needs a stabilizing start (Hewer's method, that
+step with divisor 1); a value-iteration baseline that converges from
+any positive semidefinite seed; and the verified reference solve.
+Value iteration doubles as the independent oracle used throughout the
+test suite; the CLI's reference is :func:`dare_reference`, one
+Schur-method DARE solve whose result is checked before it is returned.
 """
 
 import math
@@ -24,9 +24,12 @@ from . import matkit
 from .exceptions import (
     DimensionMismatchError,
     InvalidProblemError,
+    InvariantViolatedError,
     MaxIterationsError,
     NotStabilizingError,
     SingularMatrixError,
+    UnstableMatrixError,
+    UnstableScaledSystemError,
 )
 
 __all__ = [
@@ -40,6 +43,9 @@ SPI_MAX_ITER = 500
 # A reference whose Riccati residual exceeds this share of max(1, ||P||_F)
 # is rejected.
 DARE_RESIDUAL_RTOL = 1e-8
+
+# Cap on the scaling headroom 1/rho, finite even for a nilpotent loop.
+MAX_HEADROOM = 1e12
 
 
 @dataclass(frozen=True)
@@ -136,13 +142,17 @@ class SpiReport:
         return gains
 
 
+def _check_weights(weights, n, m):
+    if weights.Q.shape[0] != n or weights.R.shape[0] != m:
+        raise DimensionMismatchError("weights do not match system dimensions")
+
+
 def _check_dims(sys, weights, P):
     P = matkit.check_symmetric(P, "P")
     if P.shape[0] != sys.n:
         raise DimensionMismatchError(
             f"P must be {sys.n} x {sys.n}, got {P.shape}")
-    if weights.Q.shape[0] != sys.n or weights.R.shape[0] != sys.m:
-        raise DimensionMismatchError("weights do not match system dimensions")
+    _check_weights(weights, sys.n, sys.m)
     return P
 
 
@@ -164,13 +174,16 @@ def optimal_gain(sys, weights, P):
     return _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
 
 
+def _residual(sys, weights, P, K):
+    """:func:`are_residual` of ``P`` whose gain ``K`` is already known."""
+    res = sys.A.T @ P @ sys.A - P - sys.A.T @ P @ sys.B @ K + weights.Q
+    return float(np.linalg.norm(res, "fro"))
+
+
 def are_residual(sys, weights, P):
     """Frobenius norm of ``A'PA - P - A'PB (R + B'PB)^{-1} B'PA + Q``."""
     P = _check_dims(sys, weights, P)
-    A = sys.A
-    K = optimal_gain(sys, weights, P)
-    res = A.T @ P @ A - P - A.T @ P @ sys.B @ K + weights.Q
-    return float(np.linalg.norm(res, "fro"))
+    return _residual(sys, weights, P, optimal_gain(sys, weights, P))
 
 
 def riccati_step(sys, weights, P):
@@ -181,10 +194,12 @@ def riccati_step(sys, weights, P):
     return (P_next + P_next.T) / 2.0, K
 
 
-def check_start(K0, m, n, lam, tol, i_max):
-    """The starting gain of a scaling solve as an ``m x n`` array, once its
-    factor weight ``lam`` lies in (0, 1), ``tol`` > 0 and ``i_max`` >= 1;
-    raises :class:`InvalidProblemError` otherwise, NaN included."""
+def check_start(K0, weights, m, n, lam, tol, i_max):
+    """The starting gain of a scaling solve as an ``m x n`` array, once
+    ``weights`` fit ``n``/``m``, ``lam`` lies in (0, 1), ``tol`` > 0 and
+    ``i_max`` >= 1; raises :class:`InvalidProblemError` otherwise, NaN
+    included (:class:`DimensionMismatchError` for the weights)."""
+    _check_weights(weights, n, m)
     if i_max < 1:
         raise InvalidProblemError("i_max must be at least 1")
     if not tol > 0:
@@ -195,6 +210,53 @@ def check_start(K0, m, n, lam, tol, i_max):
     if K.shape != (m, n):
         raise InvalidProblemError(f"K0 must be {m} x {n}, got {K.shape}")
     return K
+
+
+def _evaluate(factor, W, cum):
+    """Solve ``cum^2 F' P F - P + W = 0`` on the Schur factor of ``F``."""
+    T, U, rho = factor
+    try:
+        return matkit._stein(cum * T, U, cum * rho, W)
+    except UnstableMatrixError as exc:
+        raise UnstableScaledSystemError(
+            f"scaled closed loop is not Schur stable at factor {cum:.6g} "
+            f"(spectral radius {exc.rho:.6g})", rho=exc.rho) from exc
+
+
+def _interior_factor(rho, lam):
+    """Interior point ``1 + lam (r - 1)`` of the admissible interval
+    ``(1, r)``, ``r = 1 / rho`` for the scaled-loop radius ``rho``."""
+    if rho >= 1.0:
+        raise InvariantViolatedError(
+            f"scaled loop after improvement must be Schur stable, "
+            f"spectral radius is {rho:.6g}")
+    r = min(1.0 / rho, MAX_HEADROOM) if rho > 0 else MAX_HEADROOM
+    return 1.0 + lam * (r - 1.0)
+
+
+def _model_step(sys, weights, K0, lam):
+    """The model-based ``step`` of :func:`scaling_pi` from gain ``K0``
+    (Lyapunov evaluation, scaled improvement, interior-point factor of
+    weight ``lam``) and ``rho(A - B K0)``.  One Schur factorization per
+    evaluation: a scaling step factors its improved gain for the next one,
+    a scale-1 step its own gain unless handed one; the final gain never."""
+    A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
+    factor = matkit.schur(A - B @ K0)
+
+    def step(K, cum, scaling):
+        nonlocal factor
+        if factor is None:
+            factor = matkit.schur(A - B @ K)
+        W = Q + K.T @ R @ K
+        P = _evaluate(factor, (W + W.T) / 2.0, cum)
+        BtP = B.T @ P   # P comes out of the solve exactly symmetric
+        K_next = _improved_gain(BtP @ B, BtP @ A, R, cum)
+        rho = factor[2]
+        factor = matkit.schur(A - B @ K_next) if scaling else None
+        c = _interior_factor(cum * factor[2], lam) if scaling else 1.0
+        return P, K_next, c, {"rho_closed": rho}
+
+    return step, factor[2]
 
 
 def scaling_pi(step, K0, b, tol, i_max):
@@ -248,42 +310,41 @@ def scaling_pi(step, K0, b, tol, i_max):
 def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     """Policy iteration from a stabilizing gain.
 
-    Alternates policy evaluation (a discrete Lyapunov solve for the
-    closed loop) with policy improvement until consecutive value
-    matrices differ by less than ``tol`` in Frobenius norm: phase 2 of
-    :func:`scaling_pi`.  The value sequence decreases monotonically to
-    the Riccati solution and every iterate keeps the loop Schur stable.
+    Phase 2 of :func:`scaling_pi` on the model-based step of model-based
+    SPI: policy evaluation (a Lyapunov solve) alternates with policy
+    improvement until consecutive value matrices differ by less than
+    ``tol`` in Frobenius norm.  The value sequence decreases monotonically
+    to the Riccati solution and every iterate keeps the loop Schur stable.
     ``iterations`` counts the policy evaluations, at most ``max_iter``.
 
     Raises
     ------
     InvalidProblemError
         If ``tol`` is NaN or negative.
+    DimensionMismatchError
+        If ``K0`` or the weights do not match the plant.
     NotStabilizingError
-        If ``rho(A - B K0) >= 1``; use the scaling solvers when no
-        stabilizing gain is available.
+        If ``rho(A - B K0) >= 1`` (read off the first Schur factor); use
+        the scaling solvers when no stabilizing gain is available.
+    UnstableScaledSystemError
+        If ``rho(A - B K0)`` lies within ``matkit.STABILITY_MARGIN`` of 1.
     MaxIterationsError
         If the tolerance is not met within ``max_iter`` evaluations.
     """
     if not tol >= 0:
         raise InvalidProblemError("tol must be nonnegative")
+    _check_weights(weights, sys.n, sys.m)
     K = np.atleast_2d(np.asarray(K0, dtype=float))
     if K.shape != (sys.m, sys.n):
         raise DimensionMismatchError(
             f"K0 must be {sys.m} x {sys.n}, got {K.shape}")
-    rho0 = matkit.spectral_radius(sys.A - sys.B @ K)
+    step, rho0 = _model_step(sys, weights, K, None)   # b = 1 never scales
     if rho0 >= 1.0:
         raise NotStabilizingError(
             f"initial gain does not stabilize the plant "
             f"(spectral radius {rho0:.6g})", rho=rho0)
-
-    def step(K, cum, scaling):
-        W = weights.Q + K.T @ weights.R @ K
-        P = matkit.solve_discrete_lyapunov(sys.A - sys.B @ K, W)
-        return P, optimal_gain(sys, weights, P), 1.0, {}
-
     sol = scaling_pi(step, K, 1.0, tol, max_iter).solution
-    return replace(sol, residual=are_residual(sys, weights, sol.P))
+    return replace(sol, residual=_residual(sys, weights, sol.P, sol.K))
 
 
 def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
@@ -334,9 +395,9 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
             raise InvalidProblemError(
                 f"value iteration diverged at sweep {k + 1}")
         if step < tol:
-            K_final = optimal_gain(sys, weights, P_next)
-            return AreSolution(P=P_next, K=K_final,
-                               residual=are_residual(sys, weights, P_next),
+            K = optimal_gain(sys, weights, P_next)
+            return AreSolution(P=P_next, K=K,
+                               residual=_residual(sys, weights, P_next, K),
                                iterations=k + 1, trace=trace)
         P = P_next
     raise MaxIterationsError(
@@ -361,6 +422,7 @@ def dare_reference(sys, weights):
         the plant has no stabilizing Riccati solution; the message names
         the reason.
     """
+    _check_weights(weights, sys.n, sys.m)
     try:
         P = scipy.linalg.solve_discrete_are(sys.A, sys.B, weights.Q,
                                             weights.R)
@@ -378,7 +440,7 @@ def dare_reference(sys, weights):
         raise InvalidProblemError(
             f"DARE solution does not stabilize the plant "
             f"(spectral radius {rho:.6g})")
-    residual = are_residual(sys, weights, P)
+    residual = _residual(sys, weights, P, K)
     bound = DARE_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(P, "fro")))
     if not residual <= bound:
         raise InvalidProblemError(

@@ -593,9 +593,11 @@ def test_missing_config_file(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-# trace.csv of each solver on the shipped data-driven config; a change that
-# moves the numerics on purpose regenerates these files
+# trace.csv of each solver on the shipped data-driven config, Hewer's method
+# from the stabilizing HEWER_K0; a change that moves the numerics on purpose
+# regenerates these files
 REFERENCE = pathlib.Path(__file__).resolve().parent / "reference"
+HEWER_K0 = [[0.2, 0.4, 0.6]]
 
 
 def _csv_rows(path):
@@ -603,10 +605,15 @@ def _csv_rows(path):
         return list(csv.reader(f))
 
 
-@pytest.mark.parametrize("solver", ["vi", "spi-model-based", "spi-model-free"])
+@pytest.mark.parametrize("solver", ["vi", "spi-model-based", "spi-model-free",
+                                    "hewer"])
 def test_shipped_trace_matches_reference(tmp_path, solver):
-    assert cli.main(["solve", "--config",
-                     str(CONFIGS / "power_model_free.json"),
+    config = str(CONFIGS / "power_model_free.json")
+    if solver == "hewer":
+        cfg = json.loads(pathlib.Path(config).read_text())
+        cfg["params"]["K0"] = HEWER_K0
+        config = write_config(tmp_path / "hewer.json", cfg)
+    assert cli.main(["solve", "--config", config,
                      "--solver", solver, "--out", str(tmp_path)]) == 0
     got = _csv_rows(tmp_path / "trace.csv")
     want = _csv_rows(REFERENCE / f"power_model_free_{solver}_trace.csv")

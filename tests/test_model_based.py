@@ -50,6 +50,20 @@ def test_choose_b_rejects_nonpositive_beta(power_system, power_weights):
                                         K0_ZERO, beta=beta)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+def test_beta_refused_before_any_eigensolve(power_system, power_weights,
+                                            monkeypatch, beta):
+    calls = []
+    for name in ("schur", "spectral_radius"):
+        original = getattr(matkit, name)
+        monkeypatch.setattr(matkit, name, lambda A, f=original:
+                            calls.append(A) or f(A))
+    with pytest.raises(InvalidProblemError, match="beta"):
+        model_based.spi_model_based(power_system, power_weights, K0_ZERO,
+                                    beta=beta)
+    assert calls == []
+
+
 def test_evaluation_at_zero_scale(power_system, power_weights):
     K = np.array([[0.2, -0.1, 0.4]])
     P = model_based.scaled_policy_evaluation(power_system, power_weights,
@@ -140,7 +154,7 @@ def test_choose_c_caps_the_headroom_of_a_nilpotent_loop():
     sys_d = lti.LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]),
                              np.array([[0.0], [1.0]]))
     c = model_based.choose_c(sys_d, np.zeros((1, 2)), 0.5, lam=0.5)
-    assert c == 1.0 + 0.5 * (model_based.MAX_HEADROOM - 1.0)
+    assert c == 1.0 + 0.5 * (riccati.MAX_HEADROOM - 1.0)
 
 
 def test_choose_c_rejects_violated_invariant(power_system):
@@ -187,8 +201,13 @@ def test_solver_phase2_is_policy_iteration(power_system, power_weights):
                                          K0_ZERO, tol=1e-8)
     K_handoff = report.handoff_state.K_tilde
     pi = riccati.hewer_pi(power_system, power_weights, K_handoff, tol=1e-8)
-    assert np.abs(report.solution.P - pi.P).max() < 1e-12
+    # both run the same model-based step: bit-identical iterates
     assert len(report.phase2_trace) == len(pi.trace)
+    for s, (P, K) in zip(report.phase2_trace, pi.trace):
+        assert np.array_equal(s.P_tilde, P)
+        assert np.array_equal(s.K_tilde, K)
+    assert np.array_equal(report.solution.P, pi.P)
+    assert np.array_equal(report.solution.K, pi.K)
 
 
 def test_solver_stable_start_still_converges(power_weights, power_oracle,
@@ -284,7 +303,7 @@ def test_shared_factor_evaluation_matches_lyapunov_solve(corpus):
         W = weights.Q + K.T @ weights.R @ K
         factor = matkit.schur(F)
         for cum in (0.0, 0.5 / (factor[2] + 1.0), 0.9 / factor[2]):
-            P = model_based._evaluate(factor, (W + W.T) / 2.0, cum)
+            P = riccati._evaluate(factor, (W + W.T) / 2.0, cum)
             P_ref = matkit.solve_discrete_lyapunov(cum * F, W)
             assert np.linalg.norm(P - P_ref) \
                 <= 1e-13 * np.linalg.norm(P_ref)

@@ -456,6 +456,42 @@ def test_solvers_reject_nan_parameters(
     assert calls == []
 
 
+# A plant of n = 3, m = 1 against a 2 x 2 Q or a 2 x 2 R.
+MISMATCHED_WEIGHTS = {
+    "Q": lti.CostWeights(np.eye(2), np.eye(1)),
+    "R": lti.CostWeights(np.eye(3), np.eye(2)),
+}
+ENTRY_POINTS = {
+    "hewer": lambda sys_d, weights, data:
+        riccati.hewer_pi(sys_d, weights, POWER_K_REF),
+    "vi": lambda sys_d, weights, data:
+        riccati.value_iteration(sys_d, weights),
+    "dare": lambda sys_d, weights, data:
+        riccati.dare_reference(sys_d, weights),
+    "spi-model-based": lambda sys_d, weights, data:
+        model_based.spi_model_based(sys_d, weights, K0_ZERO),
+    "spi-model-free": lambda sys_d, weights, data:
+        model_free.spi_model_free(data, K0_ZERO, weights),
+}
+
+
+@pytest.mark.parametrize("solver", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", MISMATCHED_WEIGHTS)
+def test_solvers_reject_mismatched_weights(power_system, power_data,
+                                           monkeypatch, solver, bad):
+    # the library's named error, before any Schur factorization or
+    # regression, instead of a numpy broadcasting error from inside them
+    calls = []
+    for module, name in ((matkit, "schur"), (model_free, "solve_regression")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original:
+                            calls.append(1) or f(*a))
+    with pytest.raises(DimensionMismatchError, match="weights"):
+        ENTRY_POINTS[solver](power_system, MISMATCHED_WEIGHTS[bad],
+                             power_data)
+    assert calls == []
+
+
 def test_solver_power_plant_reference(power_data, power_weights):
     report = model_free.spi_model_free(power_data, K0_ZERO, power_weights,
                                        b_init=1.0, delta=0.1, tol=1e-5)

@@ -71,6 +71,29 @@ def test_hewer_rejects_misshapen_start(power_system, power_weights):
         riccati.hewer_pi(power_system, power_weights, np.zeros((1, 2)))
 
 
+def test_hewer_one_schur_factorization_per_evaluation(power_system,
+                                                      power_weights,
+                                                      monkeypatch):
+    factored, radii = [], []
+    schur, radius = matkit.schur, matkit.spectral_radius
+    monkeypatch.setattr(matkit, "schur",
+                        lambda F: factored.append(F) or schur(F))
+    monkeypatch.setattr(matkit, "spectral_radius",
+                        lambda A: radii.append(A) or radius(A))
+    sol = riccati.hewer_pi(power_system, power_weights, [[0.2, 0.4, 0.6]],
+                           tol=1e-10)
+    A, B = power_system.A, power_system.B
+    # one factorization per evaluation, of the evaluated gain's closed
+    # loop; the first also gives the stabilizing check its rho(A - B K0),
+    # and the final gain is never factored
+    assert sol.iterations >= 3
+    assert len(factored) == len(sol.trace) == sol.iterations
+    for F, (_, K) in zip(factored, sol.trace):
+        assert np.array_equal(F, A - B @ K)
+    assert not any(np.array_equal(F, A - B @ sol.K) for F in factored)
+    assert radii == []
+
+
 def test_hewer_matches_value_iteration_on_stable_plant():
     rng = np.random.default_rng(20)
     for _ in range(5):
@@ -161,6 +184,28 @@ def test_policy_iteration_stops_at_first_step_below_tol(
              for (P_a, _), (P_b, _) in zip(sol.trace, sol.trace[1:])]
     assert steps[-1] < tol
     assert all(step >= tol for step in steps[:-1])
+
+
+@pytest.mark.parametrize("solver", ["hewer", "vi", "spi-model-based",
+                                    "dare"])
+def test_residual_is_are_residual_of_the_solution(power_system,
+                                                  power_weights, corpus,
+                                                  solver):
+    # each solver takes the residual from the gain it already holds; its
+    # P is exactly symmetric, so that is are_residual(P) bit for bit
+    cases = [(power_system, power_weights, np.zeros((1, 3)))] + [
+        (case["sys"], case["weights"], case["K0"]) for case in corpus[:10]]
+    for sys_d, weights, K0 in cases:
+        if solver == "hewer":
+            K_opt = riccati.dare_reference(sys_d, weights).K
+            sol = riccati.hewer_pi(sys_d, weights, 0.5 * K_opt)
+        elif solver == "vi":
+            sol = riccati.value_iteration(sys_d, weights)
+        elif solver == "spi-model-based":
+            sol = model_based.spi_model_based(sys_d, weights, K0).solution
+        else:
+            sol = riccati.dare_reference(sys_d, weights)
+        assert sol.residual == riccati.are_residual(sys_d, weights, sol.P)
 
 
 def test_value_iteration_fixed_point(power_system, power_weights,
