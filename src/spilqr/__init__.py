@@ -25,9 +25,7 @@ from .exceptions import (
     DivergenceError,
     EigenvalueConvergenceError,
     IllConditionedError,
-    InsufficientSamplesError,
     InvalidProblemError,
-    InvariantViolatedError,
     MaxIterationsError,
     NotStabilizingError,
     ProbesExhaustedError,
@@ -69,8 +67,7 @@ __all__ = [
     "benchmarks", "cli",
     "SpilqrError", "ConfigError", "DimensionMismatchError",
     "DivergenceError", "EigenvalueConvergenceError", "IllConditionedError",
-    "InsufficientSamplesError", "InvalidProblemError",
-    "InvariantViolatedError", "MaxIterationsError", "NotStabilizingError",
+    "InvalidProblemError", "MaxIterationsError", "NotStabilizingError",
     "ProbesExhaustedError", "RankDeficientError", "SingularMatrixError",
     "UnstableMatrixError", "UnstableScaledSystemError",
 ]

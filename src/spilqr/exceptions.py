@@ -72,23 +72,14 @@ class DivergenceError(SpilqrError):
         self.partial = partial
 
 
-class InsufficientSamplesError(SpilqrError, ValueError):
-    """Trajectory is too short to determine the regression unknowns."""
-
-
 class RankDeficientError(SpilqrError):
-    """The data matrix is rank deficient: the trajectory is not exciting
-    enough and should be re-collected with richer probing input."""
+    """The data matrix is rank deficient: the trajectory is too short or not
+    exciting enough; re-collect it longer or with richer probing input."""
 
 
 class ProbesExhaustedError(SpilqrError):
     """The search for the scaling divisor ran out of probes; the system
     may be uncontrollable or the data degenerate."""
-
-
-class InvariantViolatedError(SpilqrError):
-    """A quantity the algorithm guarantees by construction was found
-    violated at runtime (internal consistency check)."""
 
 
 class ConfigError(SpilqrError, ValueError):

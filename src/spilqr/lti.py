@@ -143,14 +143,18 @@ def simulate(sys, x0, policy, steps):
 
     Raises
     ------
+    InvalidProblemError
+        If ``steps`` is negative or NaN.
     DivergenceError
-        When the state norm exceeds ``DIVERGENCE_LIMIT``; the exception
-        carries the step index and the truncated trajectory.
+        When the state norm exceeds ``DIVERGENCE_LIMIT`` or is NaN; the
+        exception carries the step index and the truncated trajectory.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != sys.n:
         raise DimensionMismatchError(
             f"x0 has length {x0.size}, expected {sys.n}")
+    if not steps >= 0:
+        raise InvalidProblemError("steps must be nonnegative")
     X = np.zeros((steps + 1, sys.n))
     U = np.zeros((steps, sys.m))
     X[0] = x0
@@ -161,7 +165,7 @@ def simulate(sys, x0, policy, steps):
                 f"policy returned {u.size} inputs, expected {sys.m}")
         U[k] = u
         X[k + 1] = sys.A @ X[k] + sys.B @ u
-        if np.linalg.norm(X[k + 1]) > DIVERGENCE_LIMIT:
+        if not np.linalg.norm(X[k + 1]) <= DIVERGENCE_LIMIT:   # NaN too
             raise DivergenceError(
                 f"state norm exceeded {DIVERGENCE_LIMIT:g} at step {k + 1}",
                 step=k + 1,

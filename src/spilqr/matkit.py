@@ -159,7 +159,7 @@ def spectral_radius(A):
 def numerical_rank(A, tol):
     """Number of singular values above ``tol`` times the largest one; a
     wide matrix takes them from its transpose, the faster LAPACK path."""
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidProblemError("tol must be positive")
     A = _as_matrix(A, "A")
     s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A,

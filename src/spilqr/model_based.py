@@ -15,8 +15,6 @@ job.
 
 from dataclasses import replace
 
-import numpy as np
-
 from . import matkit, riccati
 from .exceptions import InvalidProblemError
 from .lti import is_controllable, is_observable
@@ -36,7 +34,8 @@ def scaled_policy_evaluation(sys, weights, K, cum):
     Positive definite whenever the scaled loop is Schur stable and the
     weights satisfy their definiteness requirements.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    riccati._check_weights(weights, sys.n, sys.m)
+    K = riccati._check_gain(K, sys.m, sys.n)
     W = matkit.check_symmetric(weights.Q + K.T @ weights.R @ K, "W")
     return riccati._evaluate(matkit.schur(sys.A - sys.B @ K), W, cum)
 
@@ -46,7 +45,8 @@ def scaled_policy_improvement(sys, weights, P, cum):
 
     At ``cum == 1`` this is the ordinary policy-improvement step.
     """
-    BtP = sys.B.T @ matkit.check_symmetric(P, "P")
+    riccati._check_weights(weights, sys.n, sys.m)
+    BtP = sys.B.T @ riccati._check_value(P, sys.n)
     return riccati._improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R, cum)
 
 
@@ -60,7 +60,7 @@ def choose_c(sys, K_next, cum, lam):
     """
     if not 0.0 < lam < 1.0:
         raise InvalidProblemError("lam must lie strictly between 0 and 1")
-    K_next = np.atleast_2d(np.asarray(K_next, dtype=float))
+    K_next = riccati._check_gain(K_next, sys.m, sys.n, "K_next")
     rho = matkit.spectral_radius(sys.A - sys.B @ K_next)
     return riccati._interior_factor(cum * rho, lam)
 

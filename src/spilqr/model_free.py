@@ -23,7 +23,6 @@ import numpy as np
 from . import matkit, riccati
 from .exceptions import (
     DimensionMismatchError,
-    InsufficientSamplesError,
     InvalidProblemError,
     ProbesExhaustedError,
     RankDeficientError,
@@ -102,13 +101,13 @@ def _row_kron(V, X):
 def build_regression_data(traj):
     """Sample blocks of one trajectory: states, inputs, their monomials.
 
-    Requires at least ``unknown_count(n, m)`` transitions; more samples
-    improve conditioning.
+    Requires at least ``unknown_count(n, m)`` transitions (raises
+    :class:`RankDeficientError` otherwise); more samples improve conditioning.
     """
     n, m, l = traj.n, traj.m, traj.length
     required = unknown_count(n, m)
     if l < required:
-        raise InsufficientSamplesError(
+        raise RankDeficientError(
             f"{l} transitions cannot determine {required} unknowns")
     X = traj.states[:l]
     X_next = traj.states[1:l + 1]
@@ -142,10 +141,8 @@ def assemble_theta_gamma(data, K, cum, weights):
     block's row ``k`` is ``(u_k + K x_k) ⊗ x_k`` and ``gamma_k`` is
     ``x_k' W x_k`` with ``W = Q + K'RK``.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape != (data.m, data.n):
-        raise DimensionMismatchError(
-            f"K must be {data.m} x {data.n}, got {K.shape}")
+    riccati._check_weights(weights, data.n, data.m)
+    K = riccati._check_gain(K, data.m, data.n)
     if not cum > 0:
         raise InvalidProblemError("cum must be positive")
     g2 = cum * cum
@@ -189,6 +186,7 @@ def model_free_gain_update(sol, weights, cum):
     """Improved gain ``(L + R / cum^2)^{-1} M'`` from regressed blocks;
     coincides with the model-based improvement when the blocks are
     exact."""
+    riccati._check_weights(weights, *sol.M.shape)
     return riccati._improved_gain(sol.L, sol.M.T, weights.R, cum)
 
 
@@ -212,13 +210,14 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
     Raises
     ------
     ProbesExhaustedError
-        When ``max_probes`` candidates all fail; the system may be
-        uncontrollable or the data degenerate.
+        When ``max_probes`` (at least 1) candidates all fail; the system
+        may be uncontrollable or the data degenerate.
     """
     if not b_init >= 1.0:
         raise InvalidProblemError("b_init must be at least 1")
+    if not max_probes >= 1:
+        raise InvalidProblemError("max_probes must be at least 1")
     step = delta if callable(delta) else (lambda i: delta)
-    K0 = np.atleast_2d(np.asarray(K0, dtype=float))
     b = float(b_init)
     for probe in range(1, max_probes + 1):
         increment = step(probe)
@@ -236,12 +235,12 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
 def scaling_bound(P, K_next, weights):
     """Inflation headroom of a regressed value matrix.
 
-    The gate is ``P - Q - K_next' R K_next``; it counts as invertible
-    when its smallest singular value exceeds ``EPS_INVERTIBLE`` times its
-    spectral norm.
+    The gate is ``P - Q - K_next' R K_next``, where ``P`` and ``K_next``
+    must fit the weights; it counts as invertible when its smallest
+    singular value exceeds ``EPS_INVERTIBLE`` times its spectral norm.
     """
-    P = matkit.check_symmetric(P, "P")
-    K_next = np.atleast_2d(np.asarray(K_next, dtype=float))
+    P = riccati._check_value(P, len(weights.Q))
+    K_next = riccati._check_gain(K_next, len(weights.R), len(P), "K_next")
     gate = P - weights.Q - K_next.T @ weights.R @ K_next
     gate = (gate + gate.T) / 2.0
     sv = np.linalg.svd(gate, compute_uv=False)

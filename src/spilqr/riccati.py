@@ -24,7 +24,6 @@ from . import matkit
 from .exceptions import (
     DimensionMismatchError,
     InvalidProblemError,
-    InvariantViolatedError,
     MaxIterationsError,
     NotStabilizingError,
     SingularMatrixError,
@@ -143,17 +142,28 @@ class SpiReport:
 
 
 def _check_weights(weights, n, m):
+    """The input-shape rules of the public entries, one helper each, all
+    raising :class:`DimensionMismatchError`: the weights fit a plant of
+    ``n`` states and ``m`` inputs; a value matrix is symmetric ``n x n``
+    (:func:`_check_value`); a gain is ``m x n`` (:func:`_check_gain`)."""
     if weights.Q.shape[0] != n or weights.R.shape[0] != m:
         raise DimensionMismatchError("weights do not match system dimensions")
 
 
-def _check_dims(sys, weights, P):
-    P = matkit.check_symmetric(P, "P")
-    if P.shape[0] != sys.n:
-        raise DimensionMismatchError(
-            f"P must be {sys.n} x {sys.n}, got {P.shape}")
-    _check_weights(weights, sys.n, sys.m)
-    return P
+def _check_value(P, n, name="P"):
+    """``P`` as a symmetric ``n x n`` array."""
+    P = matkit.check_symmetric(P, name)
+    if P.shape[0] == n:
+        return P
+    raise DimensionMismatchError(f"{name} must be {n} x {n}, got {P.shape}")
+
+
+def _check_gain(K, m, n, name="K"):
+    """``K`` as an ``m x n`` array."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    if K.shape == (m, n):
+        return K
+    raise DimensionMismatchError(f"{name} must be {m} x {n}, got {K.shape}")
 
 
 def _improved_gain(L, N, R, cum=1.0):
@@ -170,7 +180,8 @@ def _improved_gain(L, N, R, cum=1.0):
 
 def optimal_gain(sys, weights, P):
     """Feedback gain ``(R + B'PB)^{-1} B'PA`` induced by a value matrix."""
-    BtP = sys.B.T @ _check_dims(sys, weights, P)
+    _check_weights(weights, sys.n, sys.m)
+    BtP = sys.B.T @ _check_value(P, sys.n)
     return _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
 
 
@@ -182,8 +193,8 @@ def _residual(sys, weights, P, K):
 
 def are_residual(sys, weights, P):
     """Frobenius norm of ``A'PA - P - A'PB (R + B'PB)^{-1} B'PA + Q``."""
-    P = _check_dims(sys, weights, P)
-    return _residual(sys, weights, P, optimal_gain(sys, weights, P))
+    K = optimal_gain(sys, weights, P)   # checks P and the weights
+    return _residual(sys, weights, _check_value(P, sys.n), K)
 
 
 def riccati_step(sys, weights, P):
@@ -198,18 +209,15 @@ def check_start(K0, weights, m, n, lam, tol, i_max):
     """The starting gain of a scaling solve as an ``m x n`` array, once
     ``weights`` fit ``n``/``m``, ``lam`` lies in (0, 1), ``tol`` > 0 and
     ``i_max`` >= 1; raises :class:`InvalidProblemError` otherwise, NaN
-    included (:class:`DimensionMismatchError` for the weights)."""
+    included (:class:`DimensionMismatchError` for the shapes)."""
     _check_weights(weights, n, m)
-    if i_max < 1:
+    if not i_max >= 1:
         raise InvalidProblemError("i_max must be at least 1")
     if not tol > 0:
         raise InvalidProblemError("tol must be positive")
     if not 0.0 < lam < 1.0:
         raise InvalidProblemError("lam must lie strictly between 0 and 1")
-    K = np.atleast_2d(np.asarray(K0, dtype=float))
-    if K.shape != (m, n):
-        raise InvalidProblemError(f"K0 must be {m} x {n}, got {K.shape}")
-    return K
+    return _check_gain(K0, m, n, "K0")
 
 
 def _evaluate(factor, W, cum):
@@ -227,9 +235,9 @@ def _interior_factor(rho, lam):
     """Interior point ``1 + lam (r - 1)`` of the admissible interval
     ``(1, r)``, ``r = 1 / rho`` for the scaled-loop radius ``rho``."""
     if rho >= 1.0:
-        raise InvariantViolatedError(
+        raise UnstableScaledSystemError(
             f"scaled loop after improvement must be Schur stable, "
-            f"spectral radius is {rho:.6g}")
+            f"spectral radius is {rho:.6g}", rho=rho)
     r = min(1.0 / rho, MAX_HEADROOM) if rho > 0 else MAX_HEADROOM
     return 1.0 + lam * (r - 1.0)
 
@@ -334,10 +342,7 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     if not tol >= 0:
         raise InvalidProblemError("tol must be nonnegative")
     _check_weights(weights, sys.n, sys.m)
-    K = np.atleast_2d(np.asarray(K0, dtype=float))
-    if K.shape != (sys.m, sys.n):
-        raise DimensionMismatchError(
-            f"K0 must be {sys.m} x {sys.n}, got {K.shape}")
+    K = _check_gain(K0, sys.m, sys.n, "K0")
     step, rho0 = _model_step(sys, weights, K, None)   # b = 1 never scales
     if rho0 >= 1.0:
         raise NotStabilizingError(
@@ -371,11 +376,11 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     """
     if not tol >= 0:
         raise InvalidProblemError("tol must be nonnegative")
+    _check_weights(weights, sys.n, sys.m)
     P = (np.zeros((sys.n, sys.n)) if P0 is None
-         else matkit.check_symmetric(P0, "P0"))
+         else _check_value(P0, sys.n, "P0"))
     if not matkit.is_positive_semidefinite(P):
         raise InvalidProblemError("P0 must be positive semidefinite")
-    P = _check_dims(sys, weights, P)
     A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
     At, Bt = A.T, B.T
     trace = []

@@ -144,6 +144,25 @@ def test_simulate_divergence_guard():
     assert partial.states.shape[0] == err.value.step + 1
 
 
+@pytest.mark.parametrize("x0, policy", [
+    ([float("nan")], lambda k, x: np.zeros(1)),
+    ([1.0], lambda k, x: np.full(1, np.nan if k == 3 else 0.0)),
+], ids=["nan-x0", "nan-input"])
+def test_simulate_refuses_nan_state(x0, policy):
+    # a NaN state fails the divergence guard as an infinite one does
+    sys_d = lti.LinearSystem(np.array([[0.5]]), np.array([[1.0]]))
+    with pytest.raises(DivergenceError) as err:
+        lti.simulate(sys_d, x0, policy, 10)
+    assert err.value.step == (1 if np.isnan(x0[0]) else 4)
+
+
+@pytest.mark.parametrize("steps", [-1, float("nan")])
+def test_simulate_rejects_negative_steps(steps):
+    sys_d = lti.LinearSystem(np.array([[0.5]]), np.array([[1.0]]))
+    with pytest.raises(InvalidProblemError, match="steps"):
+        lti.simulate(sys_d, [1.0], lambda k, x: np.zeros(1), steps)
+
+
 def test_gain_policy_sign():
     # state feedback enters the plant as u = -K x
     sys_d = lti.LinearSystem(np.eye(2), np.array([[1.0], [0.0]]))

@@ -217,6 +217,12 @@ def test_numerical_rank_rejects_bad_tol():
         matkit.numerical_rank(np.eye(2), 0.0)
 
 
+def test_numerical_rank_rejects_nan_tol():
+    # NaN compares false against every bound, so the check fails on it
+    with pytest.raises(InvalidProblemError, match="tol"):
+        matkit.numerical_rank(np.eye(2), float("nan"))
+
+
 # The state-transition matrix exp(A_c T) is the A block of the
 # zero-order-hold discretization.
 def test_matrix_exp_zero():

@@ -4,7 +4,6 @@ import pytest
 from spilqr import lti, matkit, model_based, riccati
 from spilqr.exceptions import (
     InvalidProblemError,
-    InvariantViolatedError,
     MaxIterationsError,
     UnstableScaledSystemError,
 )
@@ -158,8 +157,9 @@ def test_choose_c_caps_the_headroom_of_a_nilpotent_loop():
 
 
 def test_choose_c_rejects_violated_invariant(power_system):
-    with pytest.raises(InvariantViolatedError):
+    with pytest.raises(UnstableScaledSystemError) as err:
         model_based.choose_c(power_system, K0_ZERO, 1.0, lam=0.5)
+    assert err.value.rho == matkit.spectral_radius(power_system.A)
 
 
 def test_choose_c_rejects_bad_lambda(power_system, power_oracle):

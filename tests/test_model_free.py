@@ -7,7 +7,6 @@ import scipy.linalg.lapack
 from spilqr import lti, matkit, model_based, model_free, riccati
 from spilqr.exceptions import (
     DimensionMismatchError,
-    InsufficientSamplesError,
     InvalidProblemError,
     ProbesExhaustedError,
     RankDeficientError,
@@ -63,7 +62,7 @@ def test_build_blocks_quadratic_form_rows(power_data):
 
 def test_build_blocks_rejects_short_trajectory():
     traj = lti.Trajectory(states=np.ones((5, 3)), inputs=np.ones((4, 1)))
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(RankDeficientError):
         model_free.build_regression_data(traj)
 
 
@@ -382,6 +381,7 @@ def evaluations(monkeypatch):
     """Policy evaluations and divisor probes run, one entry each."""
     calls = []
     for module, name in ((matkit, "solve_discrete_lyapunov"),
+                         (matkit, "schur"),
                          (model_free, "solve_regression")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=original:
@@ -426,8 +426,10 @@ NAN = float("nan")
     ("spi-model-free", {"tol": NAN}),
     ("spi-model-free", {"b_init": NAN}),
     ("spi-model-free", {"delta": NAN}),
+    ("spi-model-based", {"i_max": NAN}),
+    ("spi-model-free", {"i_max": NAN}),
 ], ids=["hewer-tol", "vi-tol", "mb-tol", "mb-beta", "mf-tol", "mf-b_init",
-        "mf-delta"])
+        "mf-delta", "mb-i_max", "mf-i_max"])
 def test_solvers_reject_nan_parameters(
         power_system, power_weights, power_data, monkeypatch, solver, params):
     # NaN compares false against every bound, so each check is written to
@@ -435,6 +437,7 @@ def test_solvers_reject_nan_parameters(
     # value-iteration sweep or regression
     calls = []
     for module, name in ((matkit, "solve_discrete_lyapunov"),
+                         (matkit, "schur"),
                          (model_free, "solve_regression"),
                          (scipy.linalg.lapack, "dgesv")):
         original = getattr(module, name)
@@ -456,39 +459,90 @@ def test_solvers_reject_nan_parameters(
     assert calls == []
 
 
-# A plant of n = 3, m = 1 against a 2 x 2 Q or a 2 x 2 R.
+@pytest.mark.parametrize("max_probes", [0, -1, NAN])
+@pytest.mark.parametrize("solver", ["search-b", "spi-model-free"])
+def test_probe_rejects_empty_budget(power_data, power_weights, evaluations,
+                                    solver, max_probes):
+    # an empty probe budget is the caller's error, not exhausted probes
+    with pytest.raises(InvalidProblemError,
+                       match="max_probes must be at least 1"):
+        if solver == "search-b":
+            model_free.search_b(power_data, K0_ZERO, power_weights,
+                                1.0, 0.1, max_probes)
+        else:
+            model_free.spi_model_free(power_data, K0_ZERO, power_weights,
+                                      max_probes=max_probes)
+    assert evaluations == []
+
+
+# A plant of n = 3, m = 1 against one mis-shaped input: a 2 x 2 Q or R,
+# a 1 x 2 gain or a 2 x 2 value matrix.
 MISMATCHED_WEIGHTS = {
     "Q": lti.CostWeights(np.eye(2), np.eye(1)),
     "R": lti.CostWeights(np.eye(3), np.eye(2)),
 }
+MISMATCHED = {"K": np.zeros((1, 2)), "P": np.eye(2)}
+SOLUTION = model_free.RegressionSolution(P=POWER_P_REF, M=np.zeros((3, 1)),
+                                         L=np.eye(1))
+# Each public entry point runs on (plant, weights, data, K, P) and is
+# listed with the inputs it takes; scaling_bound, which has no plant,
+# checks K and P against the weights.
 ENTRY_POINTS = {
-    "hewer": lambda sys_d, weights, data:
-        riccati.hewer_pi(sys_d, weights, POWER_K_REF),
-    "vi": lambda sys_d, weights, data:
-        riccati.value_iteration(sys_d, weights),
-    "dare": lambda sys_d, weights, data:
-        riccati.dare_reference(sys_d, weights),
-    "spi-model-based": lambda sys_d, weights, data:
-        model_based.spi_model_based(sys_d, weights, K0_ZERO),
-    "spi-model-free": lambda sys_d, weights, data:
-        model_free.spi_model_free(data, K0_ZERO, weights),
+    "hewer": ("KQR", lambda s, w, d, K, P: riccati.hewer_pi(s, w, K)),
+    "vi": ("PQR", lambda s, w, d, K, P:
+           riccati.value_iteration(s, w, P0=P)),
+    "dare": ("QR", lambda s, w, d, K, P: riccati.dare_reference(s, w)),
+    "spi-model-based": ("KQR", lambda s, w, d, K, P:
+                        model_based.spi_model_based(s, w, K)),
+    "spi-model-free": ("KQR", lambda s, w, d, K, P:
+                       model_free.spi_model_free(d, K, w)),
+    "scaled-evaluation": ("KQR", lambda s, w, d, K, P:
+                          model_based.scaled_policy_evaluation(s, w, K, 0.5)),
+    "scaled-improvement": ("PQR", lambda s, w, d, K, P:
+                           model_based.scaled_policy_improvement(s, w, P,
+                                                                 0.5)),
+    "choose-c": ("K", lambda s, w, d, K, P:
+                 model_based.choose_c(s, K, 0.5, 0.5)),
+    "scaling-bound": ("KP", lambda s, w, d, K, P:
+                      model_free.scaling_bound(P, K, w)),
+    "assemble": ("KQR", lambda s, w, d, K, P:
+                 model_free.assemble_theta_gamma(d, K, 0.5, w)),
+    "search-b": ("KQR", lambda s, w, d, K, P:
+                 model_free.search_b(d, K, w, 1.0, 0.1, 200)),
+    "gain-update": ("QR", lambda s, w, d, K, P:
+                    model_free.model_free_gain_update(SOLUTION, w, 0.5)),
+    "are-residual": ("PQR", lambda s, w, d, K, P:
+                     riccati.are_residual(s, w, P)),
+    "optimal-gain": ("PQR", lambda s, w, d, K, P:
+                     riccati.optimal_gain(s, w, P)),
+    "riccati-step": ("PQR", lambda s, w, d, K, P:
+                     riccati.riccati_step(s, w, P)),
 }
+MISMATCH_CASES = [(bad, solver) for solver, (takes, _) in ENTRY_POINTS.items()
+                  for bad in takes]
 
 
-@pytest.mark.parametrize("solver", ENTRY_POINTS)
-@pytest.mark.parametrize("bad", MISMATCHED_WEIGHTS)
-def test_solvers_reject_mismatched_weights(power_system, power_data,
-                                           monkeypatch, solver, bad):
-    # the library's named error, before any Schur factorization or
-    # regression, instead of a numpy broadcasting error from inside them
+@pytest.mark.parametrize("bad, solver", MISMATCH_CASES,
+                         ids=[f"{bad}-{solver}" for bad, solver
+                              in MISMATCH_CASES])
+def test_solvers_reject_mismatched_weights(power_system, power_weights,
+                                           power_data, monkeypatch, solver,
+                                           bad):
+    # the library's named error, before any Schur factorization,
+    # eigensolve or regression, instead of a numpy broadcasting error
+    # from inside them
     calls = []
-    for module, name in ((matkit, "schur"), (model_free, "solve_regression")):
+    for module, name in ((matkit, "schur"), (matkit, "spectral_radius"),
+                         (model_free, "solve_regression")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=original:
                             calls.append(1) or f(*a))
-    with pytest.raises(DimensionMismatchError, match="weights"):
-        ENTRY_POINTS[solver](power_system, MISMATCHED_WEIGHTS[bad],
-                             power_data)
+    weights = MISMATCHED_WEIGHTS.get(bad, power_weights)
+    K = MISMATCHED["K"] if bad == "K" else POWER_K_REF
+    P = MISMATCHED["P"] if bad == "P" else POWER_P_REF
+    blame = "weights do not match" if bad in "QR" else rf"{bad}\w* must be"
+    with pytest.raises(DimensionMismatchError, match=blame):
+        ENTRY_POINTS[solver][1](power_system, weights, power_data, K, P)
     assert calls == []
 
 
@@ -554,6 +608,6 @@ def test_solver_requires_rank_condition(power_weights):
 
 
 def test_solver_rejects_bad_gain_shape(power_data, power_weights):
-    with pytest.raises(InvalidProblemError):
+    with pytest.raises(DimensionMismatchError):
         model_free.spi_model_free(power_data, np.zeros((2, 3)),
                                   power_weights)
