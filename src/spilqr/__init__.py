@@ -12,7 +12,7 @@ Supporting modules: :mod:`spilqr.matkit` (matrix kernels),
 :mod:`spilqr.lti` (plants, discretization, simulation),
 :mod:`spilqr.riccati` (the two-phase policy-iteration loop, value
 iteration and the verified DARE reference),
-:mod:`spilqr.benchmarks` (test plants), :mod:`spilqr.cli`
+:mod:`spilqr.benchmarks` (the benchmark plant), :mod:`spilqr.cli`
 (experiment runner).
 """
 

@@ -144,7 +144,7 @@ def simulate(sys, x0, policy, steps):
     Raises
     ------
     InvalidProblemError
-        If ``steps`` is negative or NaN.
+        If ``steps`` is not a nonnegative integer, NaN included.
     DivergenceError
         When the state norm exceeds ``DIVERGENCE_LIMIT`` or is NaN; the
         exception carries the step index and the truncated trajectory.
@@ -153,8 +153,7 @@ def simulate(sys, x0, policy, steps):
     if x0.size != sys.n:
         raise DimensionMismatchError(
             f"x0 has length {x0.size}, expected {sys.n}")
-    if not steps >= 0:
-        raise InvalidProblemError("steps must be nonnegative")
+    matkit._check_budget(steps, "steps", 0)
     X = np.zeros((steps + 1, sys.n))
     U = np.zeros((steps, sys.m))
     X[0] = x0
@@ -165,9 +164,12 @@ def simulate(sys, x0, policy, steps):
                 f"policy returned {u.size} inputs, expected {sys.m}")
         U[k] = u
         X[k + 1] = sys.A @ X[k] + sys.B @ u
-        if not np.linalg.norm(X[k + 1]) <= DIVERGENCE_LIMIT:   # NaN too
+        norm = np.linalg.norm(X[k + 1])
+        if not norm <= DIVERGENCE_LIMIT:   # NaN too
+            why = ("state is not finite" if np.isnan(norm) else
+                   f"state norm exceeded {DIVERGENCE_LIMIT:g}")
             raise DivergenceError(
-                f"state norm exceeded {DIVERGENCE_LIMIT:g} at step {k + 1}",
+                f"{why} at step {k + 1}",
                 step=k + 1,
                 partial=Trajectory(X[:k + 2], U[:k + 1]))
     return Trajectory(X, U)
@@ -183,8 +185,7 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     (64-bit PCG state), so trajectories are reproducible across runs
     and platforms.  Returns a policy callable ``(k, x) -> u``.
     """
-    if num_terms < 1:
-        raise InvalidProblemError("num_terms must be at least 1")
+    matkit._check_budget(num_terms, "num_terms")
     if freq_low > freq_high:
         raise InvalidProblemError("freq_low must not exceed freq_high")
     rng = np.random.default_rng(seed)

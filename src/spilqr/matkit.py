@@ -61,6 +61,21 @@ def _as_matrix(A, name="matrix"):
     return A
 
 
+def _check_budget(value, name, floor=1):
+    """The one budget rule: an integer (Python or numpy, not bool) at or
+    above ``floor``; raises :class:`InvalidProblemError` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < floor:
+        raise InvalidProblemError(
+            f"{name} must be at least {floor} and an integer, got {value!r}")
+
+
+def _check_tol(tol):
+    """The one tolerance rule: positive, NaN refused."""
+    if not tol > 0:
+        raise InvalidProblemError("tol must be positive")
+
+
 def check_symmetric(S, name="matrix"):
     """Validate (near-)symmetry and return the exactly symmetrized copy."""
     S = _as_matrix(S, name)
@@ -159,8 +174,7 @@ def spectral_radius(A):
 def numerical_rank(A, tol):
     """Number of singular values above ``tol`` times the largest one; a
     wide matrix takes them from its transpose, the faster LAPACK path."""
-    if not tol > 0:
-        raise InvalidProblemError("tol must be positive")
+    _check_tol(tol)
     A = _as_matrix(A, "A")
     s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A,
                       compute_uv=False)

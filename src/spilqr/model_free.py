@@ -210,13 +210,12 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
     Raises
     ------
     ProbesExhaustedError
-        When ``max_probes`` (at least 1) candidates all fail; the system
-        may be uncontrollable or the data degenerate.
+        When ``max_probes`` (an integer, at least 1) candidates all fail;
+        the system may be uncontrollable or the data degenerate.
     """
     if not b_init >= 1.0:
         raise InvalidProblemError("b_init must be at least 1")
-    if not max_probes >= 1:
-        raise InvalidProblemError("max_probes must be at least 1")
+    matkit._check_budget(max_probes, "max_probes")
     step = delta if callable(delta) else (lambda i: delta)
     b = float(b_init)
     for probe in range(1, max_probes + 1):
@@ -281,6 +280,7 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     against; compute it externally when the plant is known.
     """
     K = riccati.check_start(K0, weights, data.m, data.n, lam, tol, i_max)
+    matkit._check_budget(max_probes, "max_probes")
     if not check_rank_condition(data):
         unknowns = unknown_count(data.n, data.m)
         raise RankDeficientError(

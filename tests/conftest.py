@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spilqr import benchmarks, lti, model_free, riccati
+from spilqr import benchmarks, lti, matkit, model_free, riccati
 
 # Reference optimum of the benchmark plant, rounded to four decimals.
 POWER_P_REF = np.array([
@@ -19,6 +19,14 @@ POWER_A_REF = np.array([
 POWER_B_REF = np.array([[0.0001], [0.1190], [0.0036]])
 
 DATA_SEED = 7
+
+# Draws of make_corpus_case: state and input counts, the open-loop radius
+# of the plant and the closed-loop radius of the starting gain.
+RANDOM_N_CHOICES = (2, 3, 4)
+RANDOM_M_CHOICES = (1, 2)
+RANDOM_PLANT_RHO = (0.4, 1.15)
+RANDOM_GAIN_RHO = (0.5, 3.0)
+RANDOM_GAIN_TRIES = 200
 
 
 @pytest.fixture(scope="session")
@@ -44,15 +52,48 @@ def power_oracle(power_system, power_weights):
     return riccati.value_iteration(power_system, power_weights, tol=1e-12)
 
 
+def random_controllable_system(rng):
+    """Random controllable plant, sizes from ``RANDOM_N_CHOICES`` and
+    ``RANDOM_M_CHOICES``, open-loop spectral radius from ``RANDOM_PLANT_RHO``.
+
+    The radius cap keeps open-loop probing trajectories well enough
+    conditioned for data-driven solves.
+    """
+    while True:
+        n = int(rng.choice(RANDOM_N_CHOICES))
+        m = int(rng.choice(RANDOM_M_CHOICES))
+        A = rng.standard_normal((n, n))
+        rho = matkit.spectral_radius(A)
+        if rho < 1e-9:
+            continue
+        A *= rng.uniform(*RANDOM_PLANT_RHO) / rho
+        B = rng.standard_normal((n, m))
+        sys = lti.LinearSystem(A, B)
+        if lti.is_controllable(sys):
+            return sys
+
+
+def random_destabilizing_gain(rng, sys):
+    """Random starting gain whose closed loop has spectral radius inside
+    ``RANDOM_GAIN_RHO`` (typically destabilizing)."""
+    G = rng.standard_normal((sys.m, sys.n))
+    for _ in range(RANDOM_GAIN_TRIES):
+        K0 = rng.uniform(0.0, 6.0) * G
+        rho = matkit.spectral_radius(sys.A - sys.B @ K0)
+        if RANDOM_GAIN_RHO[0] <= rho <= RANDOM_GAIN_RHO[1]:
+            return K0
+    raise RuntimeError("could not place the closed-loop radius in range")
+
+
 def make_corpus_case(rng):
     """One random test case: controllable plant, unit weights, a gain
     placing the closed-loop radius in [0.5, 3], and probing data that
     satisfies the excitation rank condition."""
     while True:
-        sys_d = benchmarks.random_controllable_system(rng)
+        sys_d = random_controllable_system(rng)
         weights = lti.CostWeights(np.eye(sys_d.n), np.eye(sys_d.m))
         try:
-            K0 = benchmarks.random_destabilizing_gain(rng, sys_d)
+            K0 = random_destabilizing_gain(rng, sys_d)
         except RuntimeError:
             continue
         l = model_free.unknown_count(sys_d.n, sys_d.m) + 20

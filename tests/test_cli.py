@@ -629,6 +629,19 @@ def test_shipped_trace_matches_reference(tmp_path, solver):
                     <= 1e-10 * abs(float(expected)), where
 
 
+def test_shipped_compare_matches_paper_headline(tmp_path):
+    # data-driven SPI against value iteration over the shipped 100 random
+    # starts; the time column only has to be a positive float
+    assert cli.main(["compare", "--config",
+                     str(CONFIGS / "power_compare.json"),
+                     "--out", str(tmp_path)]) == 0
+    rows = _csv_rows(tmp_path / "comparison.csv")
+    assert rows[0][:-1] == ["solver", "trials", "failures", "mean_iterations"]
+    assert [row[:-1] for row in rows[1:]] == [
+        ["spi-model-free", "100", "0", "10.83"], ["vi", "100", "0", "114.37"]]
+    assert all(float(row[-1]) > 0.0 for row in rows[1:])
+
+
 def test_shipped_configs_are_valid():
     for path in sorted(CONFIGS.glob("*.json")):
         cli.load_config(str(path))

@@ -149,11 +149,14 @@ def test_simulate_divergence_guard():
     ([1.0], lambda k, x: np.full(1, np.nan if k == 3 else 0.0)),
 ], ids=["nan-x0", "nan-input"])
 def test_simulate_refuses_nan_state(x0, policy):
-    # a NaN state fails the divergence guard as an infinite one does
+    # a NaN state fails the divergence guard as an infinite one does, and
+    # says so in its own words
     sys_d = lti.LinearSystem(np.array([[0.5]]), np.array([[1.0]]))
-    with pytest.raises(DivergenceError) as err:
+    step = 1 if np.isnan(x0[0]) else 4
+    with pytest.raises(DivergenceError,
+                       match=f"^state is not finite at step {step}$") as err:
         lti.simulate(sys_d, x0, policy, 10)
-    assert err.value.step == (1 if np.isnan(x0[0]) else 4)
+    assert err.value.step == step
 
 
 @pytest.mark.parametrize("steps", [-1, float("nan")])

@@ -378,11 +378,13 @@ def test_choose_c_interval_property(power_system, power_weights, power_data):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Policy evaluations and divisor probes run, one entry each."""
+    """Policy evaluations, divisor probes and value-iteration sweeps run,
+    one entry each."""
     calls = []
     for module, name in ((matkit, "solve_discrete_lyapunov"),
                          (matkit, "schur"),
-                         (model_free, "solve_regression")):
+                         (model_free, "solve_regression"),
+                         (scipy.linalg.lapack, "dgesv")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=original:
                             calls.append(1) or f(*a))
@@ -472,6 +474,70 @@ def test_probe_rejects_empty_budget(power_data, power_weights, evaluations,
         else:
             model_free.spi_model_free(power_data, K0_ZERO, power_weights,
                                       max_probes=max_probes)
+    assert evaluations == []
+
+
+# Every budget of a public entry: (setting, floor, a value that runs, call
+# with the power plant, its data, a simulation policy and the budget).
+BUDGETS = {
+    "spi-model-based": ("i_max", 1, 500, lambda sys_d, w, data, pol, v:
+                        model_based.spi_model_based(sys_d, w, K0_ZERO,
+                                                    i_max=v)),
+    "spi-model-free": ("i_max", 1, 500, lambda sys_d, w, data, pol, v:
+                       model_free.spi_model_free(data, K0_ZERO, w, i_max=v)),
+    "spi-model-free-probes": ("max_probes", 1, 200,
+                              lambda sys_d, w, data, pol, v:
+                              model_free.spi_model_free(data, K0_ZERO, w,
+                                                        max_probes=v)),
+    "search-b": ("max_probes", 1, 200, lambda sys_d, w, data, pol, v:
+                 model_free.search_b(data, K0_ZERO, w, 1.0, 0.1, v)),
+    "hewer": ("max_iter", 1, 100, lambda sys_d, w, data, pol, v:
+              riccati.hewer_pi(sys_d, w, POWER_K_REF, max_iter=v)),
+    "vi": ("max_iter", 1, 1000, lambda sys_d, w, data, pol, v:
+           riccati.value_iteration(sys_d, w, max_iter=v)),
+    "simulate": ("steps", 0, 30, lambda sys_d, w, data, pol, v:
+                 lti.simulate(sys_d, [0.1, 0.1, 0.2], pol, v)),
+    "exploration-input": ("num_terms", 1, 100, lambda sys_d, w, data, pol, v:
+                          lti.exploration_input(1, num_terms=v)),
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["float", "below"])
+@pytest.mark.parametrize("entry", list(BUDGETS))
+def test_budgets_are_integers_at_or_above_their_floor(
+        power_system, power_weights, power_data, evaluations, entry, below):
+    # one rule for every budget, applied before any evaluation, divisor
+    # probe, value-iteration sweep or simulation step
+    setting, floor, _, call = BUDGETS[entry]
+    value = floor - 1 if below else 2.5
+    with pytest.raises(InvalidProblemError, match=re.escape(
+            f"{setting} must be at least {floor} and an integer, "
+            f"got {value!r}")):
+        call(power_system, power_weights, power_data,
+             lambda k, x: evaluations.append(1) or np.zeros(1), value)
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("entry", list(BUDGETS))
+def test_budgets_accept_numpy_integers(power_system, power_weights,
+                                       power_data, entry):
+    *_, works, call = BUDGETS[entry]
+    policy = lti.exploration_input(1, seed=0)
+    call(power_system, power_weights, power_data, policy, np.int64(works))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("solver", ["hewer", "vi"])
+def test_baselines_refuse_nonpositive_tol(power_system, power_weights,
+                                          evaluations, solver, tol):
+    # a tol of 0 could never pass the strict stop test before the budget
+    # runs out; NaN is test_solvers_reject_nan_parameters' case
+    with pytest.raises(InvalidProblemError, match="^tol must be positive$"):
+        if solver == "hewer":
+            riccati.hewer_pi(power_system, power_weights, POWER_K_REF,
+                             tol=tol)
+        else:
+            riccati.value_iteration(power_system, power_weights, tol=tol)
     assert evaluations == []
 
 

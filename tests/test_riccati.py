@@ -129,14 +129,16 @@ def test_hewer_stability_chain(power_system, power_weights, power_oracle):
 
 
 def test_hewer_iteration_budget(power_system, power_weights, power_oracle):
-    with pytest.raises(MaxIterationsError):
-        riccati.hewer_pi(power_system, power_weights, power_oracle.K,
-                         tol=0.0, max_iter=3)
+    # from half the optimal gain Hewer's method takes 6 evaluations
+    with pytest.raises(MaxIterationsError, match="in 3 iterations"):
+        riccati.hewer_pi(power_system, power_weights, 0.5 * power_oracle.K,
+                         tol=1e-9, max_iter=3)
 
 
 def test_value_iteration_budget(power_system, power_weights):
+    # from zero value iteration takes 275 sweeps at this tolerance
     with pytest.raises(MaxIterationsError, match="in 3 iterations") as info:
-        riccati.value_iteration(power_system, power_weights, tol=0.0,
+        riccati.value_iteration(power_system, power_weights, tol=1e-10,
                                 max_iter=3)
     P, K = info.value.last
     assert P.shape == (3, 3) and K is None
