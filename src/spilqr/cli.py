@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from jsonschema.validators import extend, validator_for
 
 from . import matkit, model_based, model_free, riccati
 from .exceptions import (
@@ -58,11 +58,13 @@ def _load_schema():
 @functools.cache
 def _validator():
     """The config validator, built once per process after one check of
-    the packaged schema against its metaschema."""
+    the packaged schema against its metaschema; its "integer" refuses the
+    integral floats (``500.0``) that JSON Schema admits and budgets do not."""
     schema = _load_schema()
     cls = validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return extend(cls, type_checker=cls.TYPE_CHECKER.redefine("integer", (
+        lambda _, v: isinstance(v, int) and not isinstance(v, bool))))(schema)
 
 
 def _read_json(path, what):

@@ -70,7 +70,7 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     """Solve the LQR problem from an arbitrary (possibly destabilizing)
     starting gain, using full knowledge of the plant matrices.
 
-    Runs :func:`riccati.scaling_pi` with divisor ``b = rho(A - B K0) +
+    Runs the two-phase driver with divisor ``b = rho(A - B K0) +
     beta``, strictly above the closed-loop spectral radius so the
     shrunken loop is Schur stable, and the model-based step (Lyapunov
     evaluation, scaled improvement, interior-point factor) that Hewer's
@@ -84,7 +84,7 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     Returns a :class:`SpiReport`; ``report.solution`` carries the
     converged pair and its Riccati residual.
     """
-    K = riccati.check_start(K0, weights, sys.m, sys.n, lam, tol, i_max)
+    K = riccati._check_start(K0, weights, sys.m, sys.n, lam, tol, i_max)
     if not beta > 0:
         raise InvalidProblemError("beta must be positive")
     if not is_controllable(sys):
@@ -93,7 +93,7 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
         raise InvalidProblemError(
             "the pair (A, sqrt(Q)) must be observable")
     step, rho0 = riccati._model_step(sys, weights, K, lam)
-    report = riccati.scaling_pi(step, K, rho0 + beta, tol, i_max)
+    report = riccati._scaling_pi(step, K, rho0 + beta, tol, i_max)
     sol = report.solution
     return replace(report, solution=replace(
         sol, residual=riccati._residual(sys, weights, sol.P, sol.K)))

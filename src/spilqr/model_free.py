@@ -5,8 +5,8 @@ one recorded trajectory of states and inputs: each policy-evaluation
 step becomes a least-squares regression whose unknowns are the packed
 value matrix ``P`` together with the auxiliary blocks ``M = A'PB`` and
 ``L = B'PB``, so the gain update never needs the plant matrices.  The
-trajectory is collected once under probing input and reused by every
-iteration (off-policy).
+trajectory is collected once under probing input, certified once
+(:class:`RegressionData`) and reused by every iteration (off-policy).
 
 The scaling divisor ``b`` is found by probing: a candidate works
 exactly when the regressed value matrix is positive definite.  The
@@ -52,6 +52,9 @@ class RegressionData:
     and ``inputs`` hold ``x_k`` and ``u_k``, ``d_x``/``D_x`` the quadratic
     monomials of ``x_k`` / ``x_{k+1}`` and ``d_u`` those of ``u_k``.  Every
     regression block is linear in these, so the store is O(l (n + m)^2).
+
+    Construction checks the excitation rank condition, so every instance
+    is certified however it was made; the solvers do not check it again.
     """
 
     d_x: np.ndarray
@@ -61,6 +64,15 @@ class RegressionData:
     inputs: np.ndarray
     n: int
     m: int
+
+    def __post_init__(self):
+        if not check_rank_condition(self):
+            unknowns = unknown_count(self.n, self.m)
+            raise RankDeficientError(
+                f"data fails the excitation rank condition: {self.l} samples "
+                f"do not excite all {unknowns} regression unknowns, which "
+                f"takes at least {unknowns} samples; collect a longer or "
+                f"richer trajectory")
 
     @property
     def l(self):
@@ -101,30 +113,21 @@ def _row_kron(V, X):
 def build_regression_data(traj):
     """Sample blocks of one trajectory: states, inputs, their monomials.
 
-    Requires at least ``unknown_count(n, m)`` transitions (raises
-    :class:`RankDeficientError` otherwise); more samples improve conditioning.
+    Raises :class:`RankDeficientError` unless the recording excites all
+    ``unknown_count(n, m)`` unknowns; more samples improve conditioning.
     """
-    n, m, l = traj.n, traj.m, traj.length
-    required = unknown_count(n, m)
-    if l < required:
-        raise RankDeficientError(
-            f"{l} transitions cannot determine {required} unknowns")
-    X = traj.states[:l]
-    X_next = traj.states[1:l + 1]
-    U = traj.inputs
+    V = matkit.vecv_rows(traj.states)   # x_0 .. x_l
     return RegressionData(
-        d_x=matkit.vecv_rows(X),
-        D_x=matkit.vecv_rows(X_next),
-        d_u=matkit.vecv_rows(U),
-        states=X.copy(),
-        inputs=U.copy(),
-        n=n, m=m)
+        d_x=V[:-1], D_x=V[1:], d_u=matkit.vecv_rows(traj.inputs),
+        states=traj.states[:-1].copy(), inputs=traj.inputs.copy(),
+        n=traj.n, m=traj.m)
 
 
 def check_rank_condition(data):
     """Persistent-excitation test: the rows ``[x_k ⊗ x_k, u_k ⊗ x_k, d_u]``
     must have rank equal to the number of regression unknowns (the state
-    block contributes only its symmetric part)."""
+    block contributes only its symmetric part).  Runs when a
+    :class:`RegressionData` is built, and nowhere else."""
     X, U = data.states, data.inputs
     stacked = np.hstack([_row_kron(X, X), _row_kron(U, X), data.d_u])
     return (matkit.numerical_rank(stacked, matkit.RANK_TOL)
@@ -267,27 +270,21 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     """Solve the LQR problem from recorded data and an arbitrary
     starting gain, never touching the plant matrices.
 
-    Runs the divisor probe, then :func:`riccati.scaling_pi`: loop 1
-    (scaled regression, gain update, data-driven factor choice) until the
+    Runs the divisor probe, then the two-phase driver: loop 1 (scaled
+    regression, gain update, data-driven factor choice) until the
     cumulative factor over the divisor reaches 1, then loop 2 (the same
     regression at scale 1, i.e. data-driven policy iteration) until
     consecutive value matrices differ by less than ``tol``.  The accepted
     probe's regression is the first evaluation; ``i_max`` bounds the
-    evaluations of both loops, probes excluded.
+    evaluations of both loops, probes excluded.  Relies on the excitation
+    rank condition, certified once when ``data`` was built.
 
     Returns a :class:`SpiReport`.  ``solution.residual`` is ``None``
     because the solver has no model to evaluate the Riccati equation
     against; compute it externally when the plant is known.
     """
-    K = riccati.check_start(K0, weights, data.m, data.n, lam, tol, i_max)
+    K = riccati._check_start(K0, weights, data.m, data.n, lam, tol, i_max)
     matkit._check_budget(max_probes, "max_probes")
-    if not check_rank_condition(data):
-        unknowns = unknown_count(data.n, data.m)
-        raise RankDeficientError(
-            f"data fails the excitation rank condition: {data.l} samples "
-            f"do not excite all {unknowns} regression unknowns, which takes "
-            f"at least {unknowns} samples; collect a longer or richer "
-            f"trajectory")
     b, accepted, probes = search_b(data, K, weights, b_init=b_init,
                                    delta=delta, max_probes=max_probes)
     # The accepted probe regressed K0 at scale 1/b, the first evaluation.
@@ -304,5 +301,5 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
         return sol.P, K_next, c, {"bound": sb.bound, "sigma_q": sb.sigma_min,
                                   "fallback": fallback}
 
-    report = riccati.scaling_pi(step, K, b, tol, i_max)
+    report = riccati._scaling_pi(step, K, b, tol, i_max)
     return replace(report, probes=probes)

@@ -1,9 +1,9 @@
 """Ground-truth machinery for the discrete-time LQR fixed point, and the
 two-phase loop that every policy-iteration solver runs on.
 
-Contains the algebraic Riccati residual; :func:`scaling_pi`, the
-scaling policy-iteration loop shared by both scaling solvers and by
-Hewer's method, with its records :class:`SpiState` and
+Contains the algebraic Riccati residual; the private scaling
+policy-iteration loop :func:`_scaling_pi` shared by both scaling solvers
+and by Hewer's method, with its records :class:`SpiState` and
 :class:`SpiReport`, and its model-based evaluation step; the classical
 policy iteration that needs a stabilizing start (Hewer's method, that
 step with divisor 1); a value-iteration baseline that converges from
@@ -33,8 +33,7 @@ from .exceptions import (
 
 __all__ = [
     "AreSolution", "SpiState", "SpiReport", "are_residual", "optimal_gain",
-    "riccati_step", "check_start", "scaling_pi", "hewer_pi",
-    "value_iteration", "dare_reference",
+    "riccati_step", "hewer_pi", "value_iteration", "dare_reference",
 ]
 
 SPI_MAX_ITER = 500
@@ -70,7 +69,7 @@ class AreSolution:
 
 @dataclass(frozen=True)
 class SpiState:
-    """One iteration record of :func:`scaling_pi`.
+    """One iteration record of :func:`_scaling_pi`.
 
     ``K_tilde`` is the gain in force at iteration ``i`` and ``P_tilde``
     its evaluation under the effective plant scaling ``cum`` (``None``
@@ -205,7 +204,7 @@ def riccati_step(sys, weights, P):
     return (P_next + P_next.T) / 2.0, K
 
 
-def check_start(K0, weights, m, n, lam, tol, i_max):
+def _check_start(K0, weights, m, n, lam, tol, i_max):
     """The starting gain of a scaling solve as an ``m x n`` array, once
     ``weights`` fit ``n``/``m``, ``lam`` lies in (0, 1), ``tol`` > 0 and
     ``i_max`` is an integer >= 1; raises :class:`InvalidProblemError`
@@ -242,7 +241,7 @@ def _interior_factor(rho, lam):
 
 
 def _model_step(sys, weights, K0, lam):
-    """The model-based ``step`` of :func:`scaling_pi` from gain ``K0``
+    """The model-based ``step`` of :func:`_scaling_pi` from gain ``K0``
     (Lyapunov evaluation, scaled improvement, interior-point factor of
     weight ``lam``) and ``rho(A - B K0)``.  One Schur factorization per
     evaluation: a scaling step factors its improved gain for the next one,
@@ -266,7 +265,7 @@ def _model_step(sys, weights, K0, lam):
     return step, factor[2]
 
 
-def scaling_pi(step, K0, b, tol, i_max):
+def _scaling_pi(step, K0, b, tol, i_max):
     """Two-phase scaling policy iteration around one evaluation step.
 
     ``step(K, cum, scaling)`` evaluates gain ``K`` on the plant scaled by
@@ -283,7 +282,7 @@ def scaling_pi(step, K0, b, tol, i_max):
     Returns a :class:`SpiReport`; ``solution.iterations`` counts the
     calls to ``step`` (the policy evaluations), ``solution.residual`` is
     ``None``.  Raises :class:`MaxIterationsError` if converging would
-    take more than ``i_max`` evaluations.
+    take more than ``i_max`` evaluations.  Checks no setting; callers do.
     """
     K, cum, c = K0, 1.0 / b, 1.0
     phase1, phase2 = [], []
@@ -317,7 +316,7 @@ def scaling_pi(step, K0, b, tol, i_max):
 def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     """Policy iteration from a stabilizing gain.
 
-    Phase 2 of :func:`scaling_pi` on the model-based step of model-based
+    Phase 2 of :func:`_scaling_pi` on the model-based step of model-based
     SPI: policy evaluation (a Lyapunov solve) alternates with policy
     improvement until consecutive value matrices differ by less than
     ``tol`` in Frobenius norm.  The value sequence decreases monotonically
@@ -348,7 +347,7 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
         raise NotStabilizingError(
             f"initial gain does not stabilize the plant "
             f"(spectral radius {rho0:.6g})", rho=rho0)
-    sol = scaling_pi(step, K, 1.0, tol, max_iter).solution
+    sol = _scaling_pi(step, K, 1.0, tol, max_iter).solution
     return replace(sol, residual=_residual(sys, weights, sol.P, sol.K))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spilqr import benchmarks, lti, matkit, model_free, riccati
+from spilqr.exceptions import RankDeficientError
 
 # Reference optimum of the benchmark plant, rounded to four decimals.
 POWER_P_REF = np.array([
@@ -101,10 +102,11 @@ def make_corpus_case(rng):
         seed = int(rng.integers(0, 2**32))
         policy = lti.exploration_input(sys_d.m, seed=seed)
         traj = lti.simulate(sys_d, x0, policy, l)
-        data = model_free.build_regression_data(traj)
-        if model_free.check_rank_condition(data):
-            return {"sys": sys_d, "weights": weights, "K0": K0,
-                    "data": data}
+        try:
+            data = model_free.build_regression_data(traj)
+        except RankDeficientError:
+            continue
+        return {"sys": sys_d, "weights": weights, "K0": K0, "data": data}
 
 
 @pytest.fixture(scope="session")

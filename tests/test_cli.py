@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spilqr
-from spilqr import cli, matkit, riccati
+from spilqr import cli, matkit, model_free, riccati
 from spilqr.exceptions import ConfigError
 
 from conftest import POWER_K_REF, POWER_P_REF
@@ -412,17 +412,73 @@ def test_shipped_config_edits_are_config_errors(tmp_path, capsys, command,
                                                 config, path, value,
                                                 message):
     # both used to reach the library and exit 3 with an error.json
+    assert run_edited_shipped_config(tmp_path, command, config, path,
+                                     value) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
+
+
+def run_edited_shipped_config(tmp_path, command, config, path, value):
+    """Exit code of ``command`` on a shipped config whose entry at the key
+    ``path`` is set to ``value``; the output goes to ``tmp_path / "out"``."""
     cfg = json.loads((CONFIGS / config).read_text())
     section = cfg
     for key in path[:-1]:
         section = section[key]
     section[path[-1]] = value
-    out = tmp_path / "out"
-    assert cli.main([command, "--config",
+    return cli.main([command, "--config",
                      write_config(tmp_path / "c.json", cfg),
-                     "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert os.listdir(out) == []
+                     "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command, config, path, value", [
+    ("solve", "power_model_free.json", ("seed",), 7.0),
+    ("solve", "power_model_based.json", ("params", "i_max"), 500.0),
+    ("solve", "power_model_free.json", ("params", "max_probes"), 200.0),
+    ("solve", "power_model_free.json", ("params", "data", "l"), 30.0),
+    ("solve", "power_model_free.json",
+     ("params", "data", "noise", "num_terms"), 100.0),
+    ("compare", "power_compare.json", ("compare", "trials"), 3.0),
+    ("simulate", "power_simulate_open_loop.json", ("simulate", "steps"),
+     1000.0),
+    ("simulate", "power_simulate_closed_loop.json",
+     ("simulate", "open_loop_steps"), 500.0),
+], ids=["seed", "i_max", "max_probes", "data-l", "num_terms", "trials",
+        "steps", "open_loop_steps"])
+def test_integral_float_is_not_a_config_integer(tmp_path, capsys, command,
+                                                config, path, value):
+    # JSON Schema counts 500.0 as an integer; the library's budgets do not,
+    # so the config refuses it before any work
+    assert run_edited_shipped_config(tmp_path, command, config, path,
+                                     value) == 2
+    field = "$." + ".".join(path)
+    assert f"field {field}: {value} is not of type 'integer'" \
+        in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", "power_model_free.json"), ("compare", "power_compare.json")])
+def test_unexcited_recording_is_refused_before_any_trial(tmp_path, command,
+                                                          config,
+                                                          monkeypatch):
+    # a probing input of frequency 0 records no excitation; the recording
+    # is refused once, when it is built, before any solver runs
+    solves = []
+    for name in ("spi_model_free", "value_iteration"):
+        module = model_free if name == "spi_model_free" else riccati
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original, **kw:
+                            solves.append(1) or f(*a, **kw))
+    noise = {"num_terms": 100, "freq_low": 0.0, "freq_high": 0.0}
+    assert run_edited_shipped_config(
+        tmp_path, command, config, ("params", "data", "noise"), noise) == 3
+    error = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert error["error"]["type"] == "RankDeficientError"
+    assert "30 samples" in error["error"]["message"]
+    assert "10 regression unknowns" in error["error"]["message"]
+    assert os.listdir(tmp_path / "out") == ["error.json"]
+    assert solves == []
 
 
 def test_compare_warns_when_a_solver_fails_every_trial(tmp_path, caplog):

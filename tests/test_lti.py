@@ -337,6 +337,11 @@ def test_observable_full_rank_output_skips_krylov(monkeypatch):
 def test_trajectory_validation():
     with pytest.raises(DimensionMismatchError):
         lti.Trajectory(np.zeros((3, 2)), np.zeros((3, 1)))
+    for states, inputs in ((np.zeros(3), np.zeros((2, 1))),
+                           (np.zeros((3, 2)), np.zeros(2))):
+        with pytest.raises(DimensionMismatchError,
+                           match="states and inputs must be 2-D"):
+            lti.Trajectory(states, inputs)
 
 
 def test_simulate_validates_shapes(power_system):

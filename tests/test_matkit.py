@@ -83,6 +83,9 @@ def test_vec_unvec_roundtrip():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((3, 2))
     assert np.array_equal(matkit.unvec(matkit.vec(M), 3, 2), M)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"length 5 does not match shape \(3, 2\)"):
+        matkit.unvec(np.arange(5.0), 3, 2)
 
 
 def test_spectral_radius_diagonal():
@@ -391,6 +394,13 @@ def test_lyapunov_rejects_unstable_factor():
         matkit.solve_discrete_lyapunov(np.diag([1.0 - 1e-12, 0.5]), np.eye(2))
 
 
+def test_lyapunov_rejects_mismatched_sizes():
+    for F, W in ((np.zeros((2, 2)), np.eye(3)), (np.zeros((2, 3)), np.eye(2))):
+        with pytest.raises(DimensionMismatchError,
+                           match="must be square of equal size"):
+            matkit.solve_discrete_lyapunov(F, W)
+
+
 def test_lyapunov_rejects_unstable_complex_pair():
     # rotation by 0.3 rad at modulus 1.2: the radius comes from the pair
     a, b = 1.2 * np.cos(0.3), 1.2 * np.sin(0.3)
@@ -456,6 +466,14 @@ def test_sym_sqrt():
 def test_check_symmetric_rejects_asymmetry():
     with pytest.raises(InvalidProblemError):
         matkit.check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # a matrix that is not square, or not a matrix, is a shape error
+    with pytest.raises(DimensionMismatchError,
+                       match=r"S must be square, got \(2, 3\)"):
+        matkit.check_symmetric(np.zeros((2, 3)), "S")
+    for A in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"S must be 2-D, got ndim={A.ndim}"):
+            matkit.check_symmetric(A, "S")
 
 
 def test_triu_indices_built_once_and_read_only():

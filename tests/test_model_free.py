@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spilqr.exceptions import (
     InvalidProblemError,
     ProbesExhaustedError,
     RankDeficientError,
+    SingularMatrixError,
 )
 
 from conftest import POWER_K_REF, POWER_P_REF
@@ -23,20 +25,21 @@ def row_kron(V, X):
 
 
 def test_build_blocks_scalar_hand_example():
-    # hand-computable scalar blocks; the third transition only satisfies
-    # the minimum-sample precondition (3 unknowns for n = m = 1)
+    # hand-computable scalar blocks; three transitions are the fewest that
+    # can excite the 3 unknowns of n = m = 1, and the inputs differ from
+    # the states, whose rows [x^2, u x, u^2] would otherwise be collinear
     traj = lti.Trajectory(states=[[1.0], [2.0], [4.0], [8.0]],
-                          inputs=[[1.0], [2.0], [4.0]])
+                          inputs=[[1.0], [3.0], [-1.0]])
     data = model_free.build_regression_data(traj)
-    assert np.array_equal(data.d_x[:2], [[1.0], [4.0]])
-    assert np.array_equal(data.D_x[:2], [[4.0], [16.0]])
+    assert np.array_equal(data.d_x, [[1.0], [4.0], [16.0]])
+    assert np.array_equal(data.D_x, [[4.0], [16.0], [64.0]])
     assert np.array_equal(data.states, [[1.0], [2.0], [4.0]])
-    assert np.array_equal(data.inputs, [[1.0], [2.0], [4.0]])
-    assert np.array_equal(row_kron(data.inputs, data.states)[:2],
-                          [[1.0], [4.0]])
-    assert np.array_equal(data.d_u[:2], [[1.0], [4.0]])
-    assert np.array_equal(row_kron(data.states, data.states)[:2],
-                          [[1.0], [4.0]])
+    assert np.array_equal(data.inputs, [[1.0], [3.0], [-1.0]])
+    assert np.array_equal(row_kron(data.inputs, data.states),
+                          [[1.0], [6.0], [-4.0]])
+    assert np.array_equal(data.d_u, [[1.0], [9.0], [1.0]])
+    assert np.array_equal(row_kron(data.states, data.states),
+                          [[1.0], [4.0], [16.0]])
 
 
 def test_build_blocks_shapes(power_data):
@@ -75,10 +78,23 @@ def test_rank_condition_power_data(power_data):
     assert model_free.check_rank_condition(power_data)
 
 
-def test_rank_condition_degenerate_data():
-    traj = lti.Trajectory(states=np.zeros((31, 3)), inputs=np.zeros((30, 1)))
-    data = model_free.build_regression_data(traj)
-    assert not model_free.check_rank_condition(data)
+def test_rank_condition_degenerate_data(power_system):
+    # all-zero data, and a recording long enough but without input: the
+    # data is refused when it is built
+    zero = lti.Trajectory(states=np.zeros((31, 3)), inputs=np.zeros((30, 1)))
+    unforced = lti.simulate(power_system, [0.1, 0.1, 0.2],
+                            lambda k, x: np.zeros(1), 30)
+    for traj in (zero, unforced):
+        with pytest.raises(RankDeficientError):
+            model_free.build_regression_data(traj)
+
+
+def test_regression_data_is_certified_however_built(power_data):
+    # the rank condition guards the dataclass itself, not one builder
+    replace(power_data)   # a certified copy rebuilds
+    with pytest.raises(RankDeficientError, match="30 samples"):
+        replace(power_data, inputs=np.zeros_like(power_data.inputs),
+                d_u=np.zeros_like(power_data.d_u))
 
 
 def _true_blocks(sys_d, weights, K, cum):
@@ -223,6 +239,19 @@ def test_gain_update_zero_cross_term(power_weights):
                                         L=np.eye(1))
     K = model_free.model_free_gain_update(sol, power_weights, 0.7)
     assert np.abs(K).max() == 0.0
+
+
+def test_gain_update_refuses_bad_scale_and_singular_block(power_weights):
+    sol = model_free.RegressionSolution(P=np.eye(3), M=np.ones((3, 1)),
+                                        L=np.eye(1))
+    for cum in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidProblemError, match="cum must be positive"):
+            model_free.model_free_gain_update(sol, power_weights, cum)
+    # L = -R makes L + R / cum^2 vanish at cum = 1
+    singular = model_free.RegressionSolution(P=np.eye(3), M=np.ones((3, 1)),
+                                             L=-power_weights.R)
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
+        model_free.model_free_gain_update(singular, power_weights, 1.0)
 
 
 def test_gain_update_unit_scale_reduction(power_system, power_weights,
@@ -662,14 +691,15 @@ def test_solver_agrees_with_model_based(power_system, power_weights,
     assert np.abs(mf.solution.P - mb.solution.P).max() < 1e-5
 
 
-def test_solver_requires_rank_condition(power_weights):
+def test_solver_requires_rank_condition():
+    # the solver takes only certified data: the refusal comes when the
+    # recording is built, before any solve
     traj = lti.Trajectory(states=np.zeros((31, 3)), inputs=np.zeros((30, 1)))
-    data = model_free.build_regression_data(traj)
     with pytest.raises(RankDeficientError) as err:
-        model_free.spi_model_free(data, K0_ZERO, power_weights)
+        model_free.build_regression_data(traj)
     # the message names the sample count and the unknowns to excite
     numbers = re.findall(r"\d+", str(err.value))
-    assert str(data.l) in numbers
+    assert str(traj.length) in numbers
     assert str(model_free.unknown_count(3, 1)) in numbers
 
 
