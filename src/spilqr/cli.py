@@ -95,19 +95,15 @@ def load_config(path):
     return cfg
 
 
-def _matrix(value, what, shape=None):
-    """``value`` as a float matrix, of ``shape`` when given; raises
-    :class:`ConfigError` naming ``what`` otherwise."""
+def _matrix(value, what, shape=(None, None)):
+    """``value`` as a float matrix under the matrix rule, of ``shape`` when
+    given; raises :class:`ConfigError` naming ``what`` otherwise."""
     try:
-        M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):   # ragged or non-numeric
-        M = None
-    if M is None or M.ndim != 2:
-        raise ConfigError(f"{what} is not a numeric matrix")
-    if shape is not None and M.shape != shape:
-        raise ConfigError(f"{what} must be {shape[0]} x {shape[1]}, "
-                          f"got {M.shape}")
-    return M
+        return matkit._as_matrix(value, what, *shape)
+    except SpilqrError as exc:
+        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:   # ragged or non-numeric
+        raise ConfigError(f"{what} is not a numeric matrix") from exc
 
 
 def build_system(cfg):

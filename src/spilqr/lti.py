@@ -32,15 +32,8 @@ class LinearSystem:
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatchError(f"A must be square, got {A.shape}")
-        if B.ndim != 2 or B.shape[0] != A.shape[0]:
-            raise DimensionMismatchError(
-                f"B must have {A.shape[0]} rows, got {B.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise InvalidProblemError("system matrices must be finite")
+        A = matkit._as_matrix(self.A, "A", square=True)
+        B = matkit._as_matrix(self.B, "B", rows=len(A))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -114,22 +107,13 @@ def zoh_discretize(A_c, B_c, T):
     ``[[A_c, B_c], [0, 0]]``, so both share the same truncation-free
     code path.
     """
-    A_c = np.asarray(A_c, dtype=float)
-    B_c = np.asarray(B_c, dtype=float)
-    if A_c.ndim != 2 or A_c.shape[0] != A_c.shape[1]:
-        raise DimensionMismatchError(f"A_c must be square, got {A_c.shape}")
-    if B_c.ndim != 2 or B_c.shape[0] != A_c.shape[0]:
-        raise DimensionMismatchError(
-            f"B_c must have {A_c.shape[0]} rows, got {B_c.shape}")
-    if not (T > 0 and np.isfinite(T)):
-        raise InvalidProblemError("sample time T must be positive and finite")
+    A_c = matkit._as_matrix(A_c, "A_c", square=True)
+    B_c = matkit._as_matrix(B_c, "B_c", rows=len(A_c))
+    matkit._check_positive(T, "sample time T")
     n, m = A_c.shape[0], B_c.shape[1]
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A_c
     M[:n, n:] = B_c
-    # expm maps some non-finite entries (-inf) to finite ones
-    if not np.all(np.isfinite(M)):
-        raise InvalidProblemError("A_c and B_c must be finite")
     E = scipy.linalg.expm(M * T)
     return LinearSystem(E[:n, :n], E[:n, n:])
 
@@ -228,11 +212,8 @@ def is_observable(A, C):
     """Whether the pair (A, C) is observable: by duality, whether the
     pair (A', C') is controllable.  A ``C`` of full column rank decides
     it alone, as the observability matrix ``[C; CA; ...]`` contains C."""
-    A = np.asarray(A, dtype=float)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if C.shape[1] != A.shape[0]:
-        raise DimensionMismatchError(
-            f"C must have {A.shape[0]} columns, got {C.shape}")
+    A = matkit._as_matrix(A, "A", square=True)
+    C = matkit._as_matrix(np.atleast_2d(C), "C", cols=len(A))
     dual = LinearSystem(A.T, C.T)
     return (matkit.numerical_rank(dual.B, matkit.RANK_TOL) == dual.n
             or is_controllable(dual))

@@ -52,11 +52,21 @@ PD_RTOL = 1e-10
 RANK_TOL = 1e-8
 
 
-def _as_matrix(A, name="matrix"):
+def _as_matrix(A, name="matrix", rows=None, cols=None, square=False):
+    """The one matrix rule: ``A`` as a 2-D float array, square or with
+    ``rows`` rows and ``cols`` columns where asked
+    (:class:`DimensionMismatchError` otherwise), and with finite entries
+    (:class:`InvalidProblemError` otherwise); both name ``name``."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    if square and A.shape[0] != A.shape[1]:
+        raise DimensionMismatchError(f"{name} must be square, got {A.shape}")
+    if rows not in (None, A.shape[0]) or cols not in (None, A.shape[1]):
+        want = (f"be {rows} x {cols}" if None not in (rows, cols) else
+                f"have {rows} rows" if cols is None else f"have {cols} columns")
+        raise DimensionMismatchError(f"{name} must {want}, got {A.shape}")
+    if not np.isfinite(A).all():
         raise InvalidProblemError(f"{name} has non-finite entries")
     return A
 
@@ -70,17 +80,19 @@ def _check_budget(value, name, floor=1):
             f"{name} must be at least {floor} and an integer, got {value!r}")
 
 
-def _check_tol(tol):
-    """The one tolerance rule: positive, NaN refused."""
-    if not tol > 0:
-        raise InvalidProblemError("tol must be positive")
+def _check_positive(value, name, below=np.inf):
+    """The one positive-real rule: above 0 and finite, or below ``below``
+    where given (``lam`` < 1), NaN refused; raises
+    :class:`InvalidProblemError` naming the setting."""
+    if not 0.0 < value < below:
+        bound = ("positive and finite" if below == np.inf else
+                 f"strictly between 0 and {below:g}")
+        raise InvalidProblemError(f"{name} must be {bound}, got {value!r}")
 
 
 def check_symmetric(S, name="matrix"):
     """Validate (near-)symmetry and return the exactly symmetrized copy."""
-    S = _as_matrix(S, name)
-    if S.shape[0] != S.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got {S.shape}")
+    S = _as_matrix(S, name, square=True)
     scale = 1.0 + np.abs(S).max()
     if np.abs(S - S.T).max() > SYMMETRY_RTOL * scale:
         raise InvalidProblemError(f"{name} is not symmetric")
@@ -174,7 +186,7 @@ def spectral_radius(A):
 def numerical_rank(A, tol):
     """Number of singular values above ``tol`` times the largest one; a
     wide matrix takes them from its transpose, the faster LAPACK path."""
-    _check_tol(tol)
+    _check_positive(tol, "tol")
     A = _as_matrix(A, "A")
     s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A,
                       compute_uv=False)
@@ -191,9 +203,7 @@ def schur(F):
     largest modulus is ``rho``.  Each 2 x 2 block of a complex pair is
     split by the rotation whose first column is an eigenvector of the
     block, as in ``scipy.linalg.rsf2csf``, all of them as one ``Q``."""
-    F = _as_matrix(F, "F")
-    if F.shape[0] != F.shape[1]:
-        raise DimensionMismatchError(f"F must be square, got {F.shape}")
+    F = _as_matrix(F, "F", square=True)
     S, _, wr, wi, Z, _, info = scipy.linalg.lapack.dgees(
         lambda wr, wi: False, F)
     if info != 0:  # pragma: no cover - LAPACK failure
@@ -264,11 +274,8 @@ def solve_discrete_lyapunov(F, W):
     IllConditionedError
         If the solution is not finite.
     """
-    F = _as_matrix(F, "F")
-    W = check_symmetric(W, "W")
-    if F.shape[0] != F.shape[1] or W.shape[0] != F.shape[0]:
-        raise DimensionMismatchError(
-            f"F {F.shape} and W {W.shape} must be square of equal size")
+    F = _as_matrix(F, "F", square=True)
+    W = check_symmetric(_as_matrix(W, "W", *F.shape), "W")
     return _stein(*schur(F), W)
 
 

@@ -32,10 +32,13 @@ def scaled_policy_evaluation(sys, weights, K, cum):
     ``cum^2 (A-BK)' P (A-BK) - P + Q + K'RK = 0``.
 
     Positive definite whenever the scaled loop is Schur stable and the
-    weights satisfy their definiteness requirements.
+    weights satisfy their definiteness requirements.  ``cum`` is positive
+    and finite, or 0: the zero plant, whose value is ``Q + K'RK``.
     """
     riccati._check_weights(weights, sys.n, sys.m)
     K = riccati._check_gain(K, sys.m, sys.n)
+    if cum != 0.0:
+        matkit._check_positive(cum, "cum")
     W = matkit.check_symmetric(weights.Q + K.T @ weights.R @ K, "W")
     return riccati._evaluate(matkit.schur(sys.A - sys.B @ K), W, cum)
 
@@ -56,10 +59,10 @@ def choose_c(sys, K_next, cum, lam):
 
     Any choice inside the interval keeps the inflated loop Schur
     stable; the interior-point rule makes runs reproducible and
-    scale-free.  ``lam`` must lie in (0, 1).
+    scale-free.  ``lam`` must lie in (0, 1) and ``cum`` be positive.
     """
-    if not 0.0 < lam < 1.0:
-        raise InvalidProblemError("lam must lie strictly between 0 and 1")
+    matkit._check_positive(lam, "lam", 1.0)
+    matkit._check_positive(cum, "cum")
     K_next = riccati._check_gain(K_next, sys.m, sys.n, "K_next")
     rho = matkit.spectral_radius(sys.A - sys.B @ K_next)
     return riccati._interior_factor(cum * rho, lam)
@@ -85,8 +88,7 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     converged pair and its Riccati residual.
     """
     K = riccati._check_start(K0, weights, sys.m, sys.n, lam, tol, i_max)
-    if not beta > 0:
-        raise InvalidProblemError("beta must be positive")
+    matkit._check_positive(beta, "beta")
     if not is_controllable(sys):
         raise InvalidProblemError("the pair (A, B) must be controllable")
     if not is_observable(sys.A, matkit.sym_sqrt(weights.Q)):

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import matkit, riccati
 from .exceptions import (
-    DimensionMismatchError,
     InvalidProblemError,
     ProbesExhaustedError,
     RankDeficientError,
@@ -53,8 +52,9 @@ class RegressionData:
     monomials of ``x_k`` / ``x_{k+1}`` and ``d_u`` those of ``u_k``.  Every
     regression block is linear in these, so the store is O(l (n + m)^2).
 
-    Construction checks the excitation rank condition, so every instance
-    is certified however it was made; the solvers do not check it again.
+    Construction runs the matrix rule on every block and checks the
+    excitation rank condition, so every instance is certified however it
+    was made; the solvers do not check it again.
     """
 
     d_x: np.ndarray
@@ -66,6 +66,8 @@ class RegressionData:
     m: int
 
     def __post_init__(self):
+        for name in ("states", "inputs", "d_x", "D_x", "d_u"):
+            matkit._as_matrix(getattr(self, name), name)
         if not check_rank_condition(self):
             unknowns = unknown_count(self.n, self.m)
             raise RankDeficientError(
@@ -113,14 +115,17 @@ def _row_kron(V, X):
 def build_regression_data(traj):
     """Sample blocks of one trajectory: states, inputs, their monomials.
 
-    Raises :class:`RankDeficientError` unless the recording excites all
+    Raises :class:`InvalidProblemError` naming the states or the inputs
+    when they are not finite, before any monomial is formed, and
+    :class:`RankDeficientError` unless the recording excites all
     ``unknown_count(n, m)`` unknowns; more samples improve conditioning.
     """
-    V = matkit.vecv_rows(traj.states)   # x_0 .. x_l
+    X = matkit._as_matrix(traj.states, "states")   # x_0 .. x_l
+    U = matkit._as_matrix(traj.inputs, "inputs")
+    V = matkit.vecv_rows(X)
     return RegressionData(
-        d_x=V[:-1], D_x=V[1:], d_u=matkit.vecv_rows(traj.inputs),
-        states=traj.states[:-1].copy(), inputs=traj.inputs.copy(),
-        n=traj.n, m=traj.m)
+        d_x=V[:-1], D_x=V[1:], d_u=matkit.vecv_rows(U),
+        states=X[:-1].copy(), inputs=U.copy(), n=traj.n, m=traj.m)
 
 
 def check_rank_condition(data):
@@ -146,8 +151,7 @@ def assemble_theta_gamma(data, K, cum, weights):
     """
     riccati._check_weights(weights, data.n, data.m)
     K = riccati._check_gain(K, data.m, data.n)
-    if not cum > 0:
-        raise InvalidProblemError("cum must be positive")
+    matkit._check_positive(cum, "cum")
     g2 = cum * cum
     X, XKt = data.states, data.states @ K.T
     theta = np.hstack([
@@ -167,11 +171,8 @@ def solve_regression(theta, gamma, n, m):
     normal equations.  Raises :class:`RankDeficientError` when the
     regressor loses column rank, which signals insufficient excitation.
     """
-    theta = np.asarray(theta, dtype=float)
     cols = unknown_count(n, m)
-    if theta.shape[1] != cols:
-        raise DimensionMismatchError(
-            f"theta has {theta.shape[1]} columns, expected {cols}")
+    theta = matkit._as_matrix(theta, "theta", cols=cols)
     z, _, rank, _ = np.linalg.lstsq(theta, -np.asarray(gamma, dtype=float),
                                     rcond=None)
     if rank < cols:
@@ -189,8 +190,10 @@ def model_free_gain_update(sol, weights, cum):
     """Improved gain ``(L + R / cum^2)^{-1} M'`` from regressed blocks;
     coincides with the model-based improvement when the blocks are
     exact."""
-    riccati._check_weights(weights, *sol.M.shape)
-    return riccati._improved_gain(sol.L, sol.M.T, weights.R, cum)
+    M = matkit._as_matrix(sol.M, "M")
+    riccati._check_weights(weights, *M.shape)
+    L = matkit._as_matrix(sol.L, "L", *weights.R.shape)
+    return riccati._improved_gain(L, M.T, weights.R, cum)
 
 
 def _solve_iteration(data, K, cum, weights):
@@ -216,15 +219,15 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
         When ``max_probes`` (an integer, at least 1) candidates all fail;
         the system may be uncontrollable or the data degenerate.
     """
-    if not b_init >= 1.0:
-        raise InvalidProblemError("b_init must be at least 1")
+    if not 1.0 <= b_init < np.inf:
+        raise InvalidProblemError("b_init must be at least 1 and finite")
     matkit._check_budget(max_probes, "max_probes")
+    K0 = riccati._check_gain(K0, data.m, data.n, "K0")
     step = delta if callable(delta) else (lambda i: delta)
     b = float(b_init)
     for probe in range(1, max_probes + 1):
         increment = step(probe)
-        if not increment > 0:
-            raise InvalidProblemError("delta steps must be positive")
+        matkit._check_positive(increment, "delta steps")
         sol = _solve_iteration(data, K0, 1.0 / b, weights)
         if matkit.is_positive_definite(sol.P):
             return b, sol, probe
@@ -284,7 +287,6 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     against; compute it externally when the plant is known.
     """
     K = riccati._check_start(K0, weights, data.m, data.n, lam, tol, i_max)
-    matkit._check_budget(max_probes, "max_probes")
     b, accepted, probes = search_b(data, K, weights, b_init=b_init,
                                    delta=delta, max_probes=max_probes)
     # The accepted probe regressed K0 at scale 1/b, the first evaluation.

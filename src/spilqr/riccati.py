@@ -144,32 +144,26 @@ def _check_weights(weights, n, m):
     """The input-shape rules of the public entries, one helper each, all
     raising :class:`DimensionMismatchError`: the weights fit a plant of
     ``n`` states and ``m`` inputs; a value matrix is symmetric ``n x n``
-    (:func:`_check_value`); a gain is ``m x n`` (:func:`_check_gain`)."""
+    (:func:`_check_value`); a gain is ``m x n`` (:func:`_check_gain`);
+    both are finite (:class:`InvalidProblemError`)."""
     if weights.Q.shape[0] != n or weights.R.shape[0] != m:
         raise DimensionMismatchError("weights do not match system dimensions")
 
 
 def _check_value(P, n, name="P"):
-    """``P`` as a symmetric ``n x n`` array."""
-    P = matkit.check_symmetric(P, name)
-    if P.shape[0] == n:
-        return P
-    raise DimensionMismatchError(f"{name} must be {n} x {n}, got {P.shape}")
+    """``P`` as a symmetric finite ``n x n`` array."""
+    return matkit.check_symmetric(matkit._as_matrix(P, name, n, n), name)
 
 
 def _check_gain(K, m, n, name="K"):
-    """``K`` as an ``m x n`` array."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape == (m, n):
-        return K
-    raise DimensionMismatchError(f"{name} must be {m} x {n}, got {K.shape}")
+    """``K`` as a finite ``m x n`` array."""
+    return matkit._as_matrix(np.atleast_2d(K), name, m, n)
 
 
 def _improved_gain(L, N, R, cum=1.0):
     """Policy improvement of every solver: ``(L + R / cum^2)^{-1} N`` on the
     plant scaled by ``cum``, ``L = B'PB`` and ``N = B'PA`` exact or fitted."""
-    if not cum > 0:
-        raise InvalidProblemError("cum must be positive")
+    matkit._check_positive(cum, "cum")
     try:
         return np.linalg.solve(L + R / cum**2, N)
     except np.linalg.LinAlgError as exc:
@@ -205,16 +199,15 @@ def riccati_step(sys, weights, P):
 
 
 def _check_start(K0, weights, m, n, lam, tol, i_max):
-    """The starting gain of a scaling solve as an ``m x n`` array, once
-    ``weights`` fit ``n``/``m``, ``lam`` lies in (0, 1), ``tol`` > 0 and
-    ``i_max`` is an integer >= 1; raises :class:`InvalidProblemError`
-    otherwise, NaN included (:class:`DimensionMismatchError` for the
-    shapes)."""
+    """The starting gain of a scaling solve as a finite ``m x n`` array,
+    once ``weights`` fit ``n``/``m``, ``lam`` lies in (0, 1), ``tol`` is
+    finite and positive and ``i_max`` an integer >= 1; raises
+    :class:`InvalidProblemError` otherwise, NaN included
+    (:class:`DimensionMismatchError` for the shapes)."""
     _check_weights(weights, n, m)
     matkit._check_budget(i_max, "i_max")
-    matkit._check_tol(tol)
-    if not 0.0 < lam < 1.0:
-        raise InvalidProblemError("lam must lie strictly between 0 and 1")
+    matkit._check_positive(tol, "tol")
+    matkit._check_positive(lam, "lam", 1.0)
     return _check_gain(K0, m, n, "K0")
 
 
@@ -326,8 +319,8 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     Raises
     ------
     InvalidProblemError
-        If ``tol`` is not positive or ``max_iter`` is not an integer >= 1,
-        NaN included.
+        If ``tol`` is not positive and finite, ``max_iter`` is not an
+        integer >= 1 (NaN included) or ``K0`` has a non-finite entry.
     DimensionMismatchError
         If ``K0`` or the weights do not match the plant.
     NotStabilizingError
@@ -338,7 +331,7 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     MaxIterationsError
         If the tolerance is not met within ``max_iter`` evaluations.
     """
-    matkit._check_tol(tol)
+    matkit._check_positive(tol, "tol")
     matkit._check_budget(max_iter, "max_iter")
     _check_weights(weights, sys.n, sys.m)
     K = _check_gain(K0, sys.m, sys.n, "K0")
@@ -364,8 +357,8 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     Raises
     ------
     InvalidProblemError
-        If ``tol`` is not positive or ``max_iter`` is not an integer >= 1
-        (NaN included), ``P0`` is not positive semidefinite,
+        If ``tol`` is not positive and finite or ``max_iter`` is not an
+        integer >= 1 (NaN included), ``P0`` is not positive semidefinite,
         or the step between sweeps stops being finite (the recursion
         diverges, as it does on a plant with an unstabilizable mode that
         the cost sees).
@@ -374,7 +367,7 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     MaxIterationsError
         If the tolerance is not met within ``max_iter`` sweeps.
     """
-    matkit._check_tol(tol)
+    matkit._check_positive(tol, "tol")
     matkit._check_budget(max_iter, "max_iter")
     _check_weights(weights, sys.n, sys.m)
     P = (np.zeros((sys.n, sys.n)) if P0 is None

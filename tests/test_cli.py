@@ -594,6 +594,22 @@ def test_plotdata_requires_oracle(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("solver", ["hewer", "spi-model-based",
+                                    "spi-model-free"])
+def test_overflowing_gain_is_a_config_error(tmp_path, capsys, solver):
+    # 1e400 is valid JSON that parses to inf, which json.dumps cannot
+    # write; the matrix rule refuses it as a config error before any solve
+    text = json.dumps(model_free_config()).replace(
+        '"K0": [[0.0, 0.0, 0.0]]', '"K0": [[1e400, 0.0, 0.0]]')
+    assert "1e400" in text
+    (tmp_path / "c.json").write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(tmp_path / "c.json"),
+                     "--solver", solver, "--out", str(out)]) == 2
+    assert "params.K0 has non-finite entries" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_plotdata_rejects_nan_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     report.write_text('{"trace": [], "oracle": {"P": [[NaN]], "K": [[0.0]]}}')
@@ -609,7 +625,7 @@ ORACLE = {"P": np.eye(3).tolist(), "K": [[0.0, 0.0, 0.0]]}
 @pytest.mark.parametrize("report, message", [
     ([1, 2], "is not a JSON object"),
     ({"oracle": 5}, "'oracle' must be an object"),
-    ({"oracle": {"P": [[1.0]]}}, "oracle K is not a numeric matrix"),
+    ({"oracle": {"P": [[1.0]]}}, "oracle K must be 2-D, got ndim=0"),
     ({"oracle": ORACLE, "trace": [{"K": [[0.0, 0.0, 0.0]]}]},
      "integer 'i'"),
     # a 1 x 3 P would broadcast against the 3 x 3 oracle

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,9 +397,11 @@ def test_lyapunov_rejects_unstable_factor():
 
 
 def test_lyapunov_rejects_mismatched_sizes():
-    for F, W in ((np.zeros((2, 2)), np.eye(3)), (np.zeros((2, 3)), np.eye(2))):
+    for F, W, message in (
+            (np.zeros((2, 2)), np.eye(3), "W must be 2 x 2, got (3, 3)"),
+            (np.zeros((2, 3)), np.eye(2), "F must be square, got (2, 3)")):
         with pytest.raises(DimensionMismatchError,
-                           match="must be square of equal size"):
+                           match=f"^{re.escape(message)}$"):
             matkit.solve_discrete_lyapunov(F, W)
 
 

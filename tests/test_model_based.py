@@ -49,7 +49,7 @@ def test_choose_b_rejects_nonpositive_beta(power_system, power_weights):
                                         K0_ZERO, beta=beta)
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
 def test_beta_refused_before_any_eigensolve(power_system, power_weights,
                                             monkeypatch, beta):
     calls = []

@@ -244,7 +244,7 @@ def test_gain_update_zero_cross_term(power_weights):
 def test_gain_update_refuses_bad_scale_and_singular_block(power_weights):
     sol = model_free.RegressionSolution(P=np.eye(3), M=np.ones((3, 1)),
                                         L=np.eye(1))
-    for cum in (0.0, -1.0, float("nan")):
+    for cum in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidProblemError, match="cum must be positive"):
             model_free.model_free_gain_update(sol, power_weights, cum)
     # L = -R makes L + R / cum^2 vanish at cum = 1
@@ -361,7 +361,8 @@ def test_regression_validates_shapes(power_data, power_weights):
                                         power_weights)
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, 0.5,
                                                    power_weights)
-    with pytest.raises(DimensionMismatchError, match="expected 10"):
+    with pytest.raises(DimensionMismatchError,
+                       match="theta must have 10 columns"):
         model_free.solve_regression(theta[:, :-1], gamma, 3, 1)
 
 
@@ -407,16 +408,17 @@ def test_choose_c_interval_property(power_system, power_weights, power_data):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Policy evaluations, divisor probes and value-iteration sweeps run,
-    one entry each."""
+    """Policy evaluations, divisor probes, value-iteration sweeps and SVDs
+    (rank tests, gate bounds) run, one entry each."""
     calls = []
     for module, name in ((matkit, "solve_discrete_lyapunov"),
                          (matkit, "schur"),
                          (model_free, "solve_regression"),
-                         (scipy.linalg.lapack, "dgesv")):
+                         (scipy.linalg.lapack, "dgesv"),
+                         (np.linalg, "svd")):
         original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, f=original:
-                            calls.append(1) or f(*a))
+        monkeypatch.setattr(module, name, lambda *a, f=original, **kw:
+                            calls.append(1) or f(*a, **kw))
     return calls
 
 
@@ -446,36 +448,37 @@ def test_solvers_reject_empty_budget(power_system, power_weights, power_data,
     assert evaluations == []
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
+SETTING_CASES = {
+    "hewer-tol": ("hewer", {"tol": NAN}),
+    "vi-tol": ("vi", {"tol": NAN}),
+    "mb-tol": ("spi-model-based", {"tol": NAN}),
+    "mb-beta": ("spi-model-based", {"beta": NAN}),
+    "mf-tol": ("spi-model-free", {"tol": NAN}),
+    "mf-b_init": ("spi-model-free", {"b_init": NAN}),
+    "mf-delta": ("spi-model-free", {"delta": NAN}),
+    "mb-i_max": ("spi-model-based", {"i_max": NAN}),
+    "mf-i_max": ("spi-model-free", {"i_max": NAN}),
+    "hewer-tol-inf": ("hewer", {"tol": INF}),
+    "vi-tol-inf": ("vi", {"tol": INF}),
+    "mb-tol-inf": ("spi-model-based", {"tol": INF}),
+    "mb-beta-inf": ("spi-model-based", {"beta": INF}),
+    "mf-tol-inf": ("spi-model-free", {"tol": INF}),
+    "mf-b_init-inf": ("spi-model-free", {"b_init": INF}),
+    "mf-delta-inf": ("spi-model-free", {"delta": INF}),
+}
 
 
-@pytest.mark.parametrize("solver, params", [
-    ("hewer", {"tol": NAN}),
-    ("vi", {"tol": NAN}),
-    ("spi-model-based", {"tol": NAN}),
-    ("spi-model-based", {"beta": NAN}),
-    ("spi-model-free", {"tol": NAN}),
-    ("spi-model-free", {"b_init": NAN}),
-    ("spi-model-free", {"delta": NAN}),
-    ("spi-model-based", {"i_max": NAN}),
-    ("spi-model-free", {"i_max": NAN}),
-], ids=["hewer-tol", "vi-tol", "mb-tol", "mb-beta", "mf-tol", "mf-b_init",
-        "mf-delta", "mb-i_max", "mf-i_max"])
+@pytest.mark.parametrize("solver, params", list(SETTING_CASES.values()),
+                         ids=list(SETTING_CASES))
 def test_solvers_reject_nan_parameters(
-        power_system, power_weights, power_data, monkeypatch, solver, params):
+        power_system, power_weights, power_data, evaluations, solver, params):
     # NaN compares false against every bound, so each check is written to
-    # fail on it; the solve is rejected before any policy evaluation,
-    # value-iteration sweep or regression
-    calls = []
-    for module, name in ((matkit, "solve_discrete_lyapunov"),
-                         (matkit, "schur"),
-                         (model_free, "solve_regression"),
-                         (scipy.linalg.lapack, "dgesv")):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, f=original:
-                            calls.append(1) or f(*a))
+    # fail on it, and a real setting must also be finite; the solve is
+    # rejected, naming the setting, before any policy evaluation,
+    # value-iteration sweep, regression or SVD
     name = next(iter(params))
-    with pytest.raises(InvalidProblemError, match=name):
+    with pytest.raises(InvalidProblemError, match=f"^{name}"):
         if solver == "hewer":
             riccati.hewer_pi(power_system, power_weights, POWER_K_REF,
                              **params)
@@ -487,7 +490,7 @@ def test_solvers_reject_nan_parameters(
         else:
             model_free.spi_model_free(power_data, K0_ZERO, power_weights,
                                       **params)
-    assert calls == []
+    assert evaluations == []
 
 
 @pytest.mark.parametrize("max_probes", [0, -1, NAN])
@@ -561,7 +564,8 @@ def test_baselines_refuse_nonpositive_tol(power_system, power_weights,
                                           evaluations, solver, tol):
     # a tol of 0 could never pass the strict stop test before the budget
     # runs out; NaN is test_solvers_reject_nan_parameters' case
-    with pytest.raises(InvalidProblemError, match="^tol must be positive$"):
+    with pytest.raises(InvalidProblemError, match="^" + re.escape(
+            f"tol must be positive and finite, got {tol!r}") + "$"):
         if solver == "hewer":
             riccati.hewer_pi(power_system, power_weights, POWER_K_REF,
                              tol=tol)
@@ -639,6 +643,161 @@ def test_solvers_reject_mismatched_weights(power_system, power_weights,
     with pytest.raises(DimensionMismatchError, match=blame):
         ENTRY_POINTS[solver][1](power_system, weights, power_data, K, P)
     assert calls == []
+
+
+def spoil(M, x):
+    """A float copy of ``M`` whose first entry is ``x``."""
+    M = np.array(M, dtype=float)
+    M.flat[0] = x
+    return M
+
+
+def non_finite(name):
+    return lambda x: f"{name} has non-finite entries"
+
+
+def not_positive(name):
+    return lambda x: f"{name} must be positive and finite, got {x!r}"
+
+
+def spoiled_recording(system, field, x):
+    traj = lti.simulate(system, [0.1, 0.1, 0.2],
+                        lti.exploration_input(1, seed=0), 30)
+    return model_free.build_regression_data(
+        replace(traj, **{field: spoil(getattr(traj, field), x)}))
+
+
+def theta_with(data, weights, x):
+    theta, gamma = model_free.assemble_theta_gamma(data, K0_ZERO, 0.5,
+                                                   weights)
+    return SOLVE_REGRESSION(spoil(theta, x), gamma, 3, 1)
+
+
+# The counted entries the refusal test calls, before the evaluations
+# fixture wraps them.
+SCHUR, LYAPUNOV = matkit.schur, matkit.solve_discrete_lyapunov
+SOLVE_REGRESSION = model_free.solve_regression
+# Every public entry that takes a matrix or a positive setting, with the
+# message that names the input, and a call on the power plant, its
+# weights and data in which the input holds the spoiling value x (the
+# first entry of a matrix).  The solvers' own settings are the cases of
+# test_solvers_reject_nan_parameters.
+REFUSALS = {
+    "system-A": (non_finite("A"), lambda s, w, d, x:
+                 lti.LinearSystem(spoil(s.A, x), s.B)),
+    "system-B": (non_finite("B"), lambda s, w, d, x:
+                 lti.LinearSystem(s.A, spoil(s.B, x))),
+    "weights-Q": (non_finite("Q"), lambda s, w, d, x:
+                  lti.CostWeights(spoil(w.Q, x), w.R)),
+    "zoh-A_c": (non_finite("A_c"), lambda s, w, d, x:
+                lti.zoh_discretize(spoil(s.A, x), s.B, 0.1)),
+    "zoh-B_c": (non_finite("B_c"), lambda s, w, d, x:
+                lti.zoh_discretize(s.A, spoil(s.B, x), 0.1)),
+    "zoh-T": (not_positive("sample time T"), lambda s, w, d, x:
+              lti.zoh_discretize(s.A, s.B, x)),
+    "observable-C": (non_finite("C"), lambda s, w, d, x:
+                     lti.is_observable(s.A, spoil(np.eye(3), x))),
+    "symmetric-S": (non_finite("S"), lambda s, w, d, x:
+                    matkit.check_symmetric(spoil(w.Q, x), "S")),
+    "radius-A": (non_finite("A"), lambda s, w, d, x:
+                 matkit.spectral_radius(spoil(s.A, x))),
+    "rank-A": (non_finite("A"), lambda s, w, d, x:
+               matkit.numerical_rank(spoil(s.A, x), 1e-8)),
+    "rank-tol": (not_positive("tol"), lambda s, w, d, x:
+                 matkit.numerical_rank(s.A, x)),
+    "schur-F": (non_finite("F"), lambda s, w, d, x: SCHUR(spoil(s.A, x))),
+    "lyapunov-F": (non_finite("F"), lambda s, w, d, x:
+                   LYAPUNOV(spoil(0.5 * s.A, x), w.Q)),
+    "lyapunov-W": (non_finite("W"), lambda s, w, d, x:
+                   LYAPUNOV(0.5 * s.A, spoil(w.Q, x))),
+    "hewer-K0": (non_finite("K0"), lambda s, w, d, x:
+                 riccati.hewer_pi(s, w, spoil(POWER_K_REF, x))),
+    "vi-P0": (non_finite("P0"), lambda s, w, d, x:
+              riccati.value_iteration(s, w, P0=spoil(POWER_P_REF, x))),
+    "optimal-gain-P": (non_finite("P"), lambda s, w, d, x:
+                       riccati.optimal_gain(s, w, spoil(POWER_P_REF, x))),
+    "are-residual-P": (non_finite("P"), lambda s, w, d, x:
+                       riccati.are_residual(s, w, spoil(POWER_P_REF, x))),
+    "riccati-step-P": (non_finite("P"), lambda s, w, d, x:
+                       riccati.riccati_step(s, w, spoil(POWER_P_REF, x))),
+    "mb-K0": (non_finite("K0"), lambda s, w, d, x:
+              model_based.spi_model_based(s, w, spoil(K0_ZERO, x))),
+    "scaled-evaluation-K": (non_finite("K"), lambda s, w, d, x:
+                            model_based.scaled_policy_evaluation(
+                                s, w, spoil(K0_ZERO, x), 0.5)),
+    "scaled-evaluation-cum": (not_positive("cum"), lambda s, w, d, x:
+                              model_based.scaled_policy_evaluation(
+                                  s, w, K0_ZERO, x)),
+    "scaled-improvement-P": (non_finite("P"), lambda s, w, d, x:
+                             model_based.scaled_policy_improvement(
+                                 s, w, spoil(POWER_P_REF, x), 0.5)),
+    "scaled-improvement-cum": (not_positive("cum"), lambda s, w, d, x:
+                               model_based.scaled_policy_improvement(
+                                   s, w, POWER_P_REF, x)),
+    "choose-c-K_next": (non_finite("K_next"), lambda s, w, d, x:
+                        model_based.choose_c(s, spoil(POWER_K_REF, x),
+                                             0.5, 0.5)),
+    "choose-c-cum": (not_positive("cum"), lambda s, w, d, x:
+                     model_based.choose_c(s, POWER_K_REF, x, 0.5)),
+    "recording-states": (non_finite("states"), lambda s, w, d, x:
+                         spoiled_recording(s, "states", x)),
+    "recording-inputs": (non_finite("inputs"), lambda s, w, d, x:
+                         spoiled_recording(s, "inputs", x)),
+    "regression-data-D_x": (non_finite("D_x"), lambda s, w, d, x:
+                            replace(d, D_x=spoil(d.D_x, x))),
+    "assemble-K": (non_finite("K"), lambda s, w, d, x:
+                   model_free.assemble_theta_gamma(d, spoil(K0_ZERO, x),
+                                                   0.5, w)),
+    "assemble-cum": (not_positive("cum"), lambda s, w, d, x:
+                     model_free.assemble_theta_gamma(d, K0_ZERO, x, w)),
+    "regression-theta": (non_finite("theta"), lambda s, w, d, x:
+                         theta_with(d, w, x)),
+    "gain-update-M": (non_finite("M"), lambda s, w, d, x:
+                      model_free.model_free_gain_update(
+                          replace(SOLUTION, M=spoil(SOLUTION.M, x)), w,
+                          0.5)),
+    "gain-update-L": (non_finite("L"), lambda s, w, d, x:
+                      model_free.model_free_gain_update(
+                          replace(SOLUTION, L=spoil(SOLUTION.L, x)), w,
+                          0.5)),
+    "gain-update-cum": (not_positive("cum"), lambda s, w, d, x:
+                        model_free.model_free_gain_update(SOLUTION, w, x)),
+    "search-b-K0": (non_finite("K0"), lambda s, w, d, x:
+                    model_free.search_b(d, spoil(K0_ZERO, x), w, 1.0, 0.1,
+                                        200)),
+    "search-b-b_init": (lambda x: "b_init must be at least 1 and finite",
+                        lambda s, w, d, x:
+                        model_free.search_b(d, K0_ZERO, w, x, 0.1, 200)),
+    "search-b-delta": (not_positive("delta steps"), lambda s, w, d, x:
+                       model_free.search_b(d, K0_ZERO, w, 1.0, x, 200)),
+    "scaling-bound-P": (non_finite("P"), lambda s, w, d, x:
+                        model_free.scaling_bound(spoil(POWER_P_REF, x),
+                                                 POWER_K_REF, w)),
+    "scaling-bound-K_next": (non_finite("K_next"), lambda s, w, d, x:
+                             model_free.scaling_bound(
+                                 POWER_P_REF, spoil(POWER_K_REF, x), w)),
+    "mf-K0": (non_finite("K0"), lambda s, w, d, x:
+              model_free.spi_model_free(d, spoil(K0_ZERO, x), w)),
+}
+REFUSAL_CASES = [(entry, x) for entry in REFUSALS for x in (NAN, INF)] + [
+    ("scaled-evaluation-cum", -1.0), ("choose-c-cum", -1.0)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, x", REFUSAL_CASES,
+                         ids=[f"{entry}-{x}" for entry, x in REFUSAL_CASES])
+def test_entries_refuse_non_finite_inputs(power_system, power_weights,
+                                          power_data, evaluations, capfd,
+                                          entry, x):
+    # one matrix rule and one positive-real rule: the library's named
+    # error, before any Schur factorization, regression or SVD, instead
+    # of a LAPACK complaint, a numpy LinAlgError or a NaN answer
+    message, call = REFUSALS[entry]
+    with pytest.raises(InvalidProblemError,
+                       match=f"^{re.escape(message(x))}$"):
+        call(power_system, power_weights, power_data, x)
+    assert evaluations == []
+    assert capfd.readouterr().err == ""
 
 
 def test_solver_power_plant_reference(power_data, power_weights):
