@@ -5,7 +5,8 @@ One short trajectory is collected under a sum-of-sinusoids probing
 input.  Every policy evaluation becomes a least-squares regression on
 that data; the scaling divisor is found by probing for a positive
 definite value matrix, and the inflation factors come from a
-data-computable headroom bound.
+headroom that the data certify: the pencil of the gate ``P - Q - K'RK``
+and ``P`` bounds the radius of the next scaled loop.
 """
 
 import numpy as np
@@ -35,12 +36,9 @@ report = model_free.spi_model_free(data, K0, weights, b_init=1.0,
 print(f"\ndivisor probing: accepted b = {report.b:.2f} after "
       f"{report.probes} regressions")
 print("\nscaling loop (factors chosen from data alone):")
-print("  i     cum     headroom   sigma_min(gate)     c")
+print("  i     cum     headroom     c")
 for s in report.phase1_trace[:-1]:
-    bound = "  --  " if s.bound is None else f"{s.bound:6.4f}"
-    sigma = "  --  " if s.sigma_q is None else f"{s.sigma_q:6.4f}"
-    print(f" {s.i:2d}   {s.cum:6.4f}    {bound}       {sigma}      "
-          f"{s.c:6.4f}")
+    print(f" {s.i:2d}   {s.cum:6.4f}    {s.bound:6.4f}    {s.c:6.4f}")
 handoff = report.handoff_state
 print(f"\nhandoff at iteration {report.handoff_index}: cumulative factor "
       f"{handoff.cum:.4f} >= 1")

@@ -208,7 +208,7 @@ def _rows(result, sys):
 
 
 CSV_COLUMNS = ("i", "phase", "b", "c", "cum", "P_norm", "dP_norm",
-               "rho_closed", "rho_scaled", "bound", "sigma_q", "fallback")
+               "rho_closed", "rho_scaled", "bound")
 
 
 def _cell(val):
@@ -330,7 +330,7 @@ def cmd_solve(args):
     if isinstance(result, riccati.SpiReport):
         report.update(b=result.b, handoff_index=result.handoff_index)
     if name == "spi-model-free":
-        report.update(probes=result.probes, c_fallbacks=result.c_fallbacks)
+        report.update(probes=result.probes)
     report_path = os.path.join(args.out, "report.json")
     _write_json(report_path, report)
     _write_csv(os.path.join(args.out, "trace.csv"), CSV_COLUMNS,

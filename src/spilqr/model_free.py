@@ -10,32 +10,32 @@ trajectory is collected once under probing input, certified once
 
 The scaling divisor ``b`` is found by probing: a candidate works
 exactly when the regressed value matrix is positive definite.  The
-per-iteration inflation factor is chosen from data via the gate matrix
-``P - Q - K'RK``: when it is invertible, any factor strictly inside
-``(1, sigma_min(P (P - Q - K'RK)^{-1})^{1/2})`` keeps the inflated loop
-Schur stable; otherwise the factor stays at 1.
+per-iteration inflation factor comes from the rule of the model-based
+solver, :func:`riccati._interior_factor`, fed with a radius bound that
+the data certify: the largest eigenvalue ``mu`` of the pencil
+``(P - Q - K'RK, P)`` bounds the improved scaled loop's radius by
+``sqrt(mu)`` (:func:`scaling_bound`).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
-from . import matkit, riccati
+from . import lti, matkit, riccati
 from .exceptions import (
     InvalidProblemError,
     ProbesExhaustedError,
     RankDeficientError,
+    UnstableScaledSystemError,
 )
 
 __all__ = [
-    "RegressionData", "RegressionSolution", "ScalingBound",
+    "RegressionData", "RegressionSolution",
     "build_regression_data", "check_rank_condition",
     "assemble_theta_gamma", "solve_regression", "model_free_gain_update",
     "search_b", "scaling_bound", "spi_model_free",
 ]
-
-EPS_INVERTIBLE = 1e-8
-EPS_MARGIN = 1e-6
 
 
 def unknown_count(n, m):
@@ -92,21 +92,6 @@ class RegressionSolution:
     L: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScalingBound:
-    """Inflation headroom extracted from a regressed value matrix.
-
-    ``sigma_min`` is the smallest singular value of the gate
-    ``G = P - Q - K'RK``.  When the gate is numerically invertible,
-    ``bound`` is ``sigma_min(P G^{-1})^{1/2}`` and any factor in
-    ``(1, bound)`` preserves stability of the inflated loop; ``bound`` is
-    ``None`` when the gate is treated as singular.
-    """
-
-    sigma_min: float
-    bound: float | None
-
-
 def _row_kron(V, X):
     """Row ``k`` is ``V[k] ⊗ X[k]``."""
     return (V[:, :, None] * X[:, None, :]).reshape(len(X), -1)
@@ -116,12 +101,18 @@ def build_regression_data(traj):
     """Sample blocks of one trajectory: states, inputs, their monomials.
 
     Raises :class:`InvalidProblemError` naming the states or the inputs
-    when they are not finite, before any monomial is formed, and
+    when they are not finite or exceed ``lti.DIVERGENCE_LIMIT`` in
+    magnitude, before any monomial is formed, and
     :class:`RankDeficientError` unless the recording excites all
     ``unknown_count(n, m)`` unknowns; more samples improve conditioning.
     """
     X = matkit._as_matrix(traj.states, "states")   # x_0 .. x_l
     U = matkit._as_matrix(traj.inputs, "inputs")
+    for name, block in (("states", X), ("inputs", U)):
+        if np.abs(block).max(initial=0.0) > lti.DIVERGENCE_LIMIT:
+            raise InvalidProblemError(
+                f"{name} exceed {lti.DIVERGENCE_LIMIT:g} in magnitude; "
+                f"the recording diverged")
     V = matkit.vecv_rows(X)
     return RegressionData(
         d_x=V[:-1], D_x=V[1:], d_u=matkit.vecv_rows(U),
@@ -168,13 +159,15 @@ def solve_regression(theta, gamma, n, m):
     ``(P, M, L)``.
 
     Uses an orthogonal factorization of ``theta`` rather than explicit
-    normal equations.  Raises :class:`RankDeficientError` when the
+    normal equations.  ``theta`` and ``gamma``, as an ``l x 1`` column,
+    follow the matrix rule.  Raises :class:`RankDeficientError` when the
     regressor loses column rank, which signals insufficient excitation.
     """
     cols = unknown_count(n, m)
     theta = matkit._as_matrix(theta, "theta", cols=cols)
-    z, _, rank, _ = np.linalg.lstsq(theta, -np.asarray(gamma, dtype=float),
-                                    rcond=None)
+    gamma = matkit._as_matrix(np.reshape(gamma, (-1, 1)), "gamma",
+                              rows=len(theta))
+    z, _, rank, _ = np.linalg.lstsq(theta, -gamma[:, 0], rcond=None)
     if rank < cols:
         raise RankDeficientError(
             f"regressor rank {rank} < {cols}; re-collect data with "
@@ -238,34 +231,28 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
 
 
 def scaling_bound(P, K_next, weights):
-    """Inflation headroom of a regressed value matrix.
+    """Certified radius ``rho_hat`` of the improved scaled loop, from data.
 
-    The gate is ``P - Q - K_next' R K_next``, where ``P`` and ``K_next``
-    must fit the weights; it counts as invertible when its smallest
-    singular value exceeds ``EPS_INVERTIBLE`` times its spectral norm.
+    ``P`` is the value matrix regressed for gain ``K`` at scale ``cum``
+    and ``K_next`` its improvement; both must fit the weights.  Policy
+    improvement gives the gate ``G = P - Q - K_next' R K_next`` the bound
+    ``G >= cum^2 F'PF`` with ``F = A - B K_next``, so for the largest
+    eigenvalue ``mu`` of the pencil ``(G, P)`` and ``P > 0``,
+    ``cum^2 F'PF <= mu P`` and ``rho(cum F) <= rho_hat = sqrt(max(mu, 0))``.
+
+    Raises :class:`UnstableScaledSystemError` when ``P`` is not positive
+    definite, so that the pencil certifies no radius.
     """
     P = riccati._check_value(P, len(weights.Q))
     K_next = riccati._check_gain(K_next, len(weights.R), len(P), "K_next")
     gate = P - weights.Q - K_next.T @ weights.R @ K_next
-    gate = (gate + gate.T) / 2.0
-    sv = np.linalg.svd(gate, compute_uv=False)
-    sigma_min = float(sv[-1])
-    if sv[0] == 0.0 or sigma_min <= EPS_INVERTIBLE * sv[0]:
-        return ScalingBound(sigma_min=sigma_min, bound=None)
-    ratio = P @ np.linalg.inv(gate)
-    bound = float(np.sqrt(np.linalg.svd(ratio, compute_uv=False)[-1]))
-    return ScalingBound(sigma_min=sigma_min, bound=bound)
-
-
-def _c_from_bound(sb, lam):
-    """Interior-point factor from a :class:`ScalingBound`; returns
-    ``(c, fallback)`` where ``fallback`` flags a headroom at or below 1
-    (not covered by the selection rule, factor forced to 1)."""
-    if sb.bound is None:
-        return 1.0, False
-    if sb.bound <= 1.0 + EPS_MARGIN:
-        return 1.0, True
-    return 1.0 + lam * (sb.bound - 1.0), False
+    try:
+        mu = scipy.linalg.eigh(gate, P, eigvals_only=True)[-1]
+    except np.linalg.LinAlgError as exc:
+        raise UnstableScaledSystemError(
+            "regressed P is not positive definite, so the pencil "
+            "(P - Q - K'RK, P) certifies no scaled-loop radius") from exc
+    return float(np.sqrt(max(mu, 0.0)))
 
 
 def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
@@ -274,7 +261,9 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     starting gain, never touching the plant matrices.
 
     Runs the divisor probe, then the two-phase driver: loop 1 (scaled
-    regression, gain update, data-driven factor choice) until the
+    regression, gain update, and the factor of the model-based rule
+    ``riccati._interior_factor`` at the radius bound of
+    :func:`scaling_bound`) until the
     cumulative factor over the divisor reaches 1, then loop 2 (the same
     regression at scale 1, i.e. data-driven policy iteration) until
     consecutive value matrices differ by less than ``tol``.  The accepted
@@ -284,7 +273,9 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
 
     Returns a :class:`SpiReport`.  ``solution.residual`` is ``None``
     because the solver has no model to evaluate the Riccati equation
-    against; compute it externally when the plant is known.
+    against; compute it externally when the plant is known.  Raises
+    :class:`UnstableScaledSystemError` when a scaling step's radius
+    certificate fails (:func:`scaling_bound`), as noisy data can make it.
     """
     K = riccati._check_start(K0, weights, data.m, data.n, lam, tol, i_max)
     b, accepted, probes = search_b(data, K, weights, b_init=b_init,
@@ -298,10 +289,9 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
         K_next = model_free_gain_update(sol, weights, cum)
         if not scaling:
             return sol.P, K_next, 1.0, {}
-        sb = scaling_bound(sol.P, K_next, weights)
-        c, fallback = _c_from_bound(sb, lam)
-        return sol.P, K_next, c, {"bound": sb.bound, "sigma_q": sb.sigma_min,
-                                  "fallback": fallback}
+        rho = scaling_bound(sol.P, K_next, weights)
+        return (sol.P, K_next, riccati._interior_factor(rho, lam),
+                {"bound": riccati._headroom(rho)})
 
     report = riccati._scaling_pi(step, K, b, tol, i_max)
     return replace(report, probes=probes)

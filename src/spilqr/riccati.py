@@ -76,10 +76,12 @@ class SpiState:
     for the handoff record, whose evaluation happens at scale 1 in the
     next phase).  ``c`` is the scaling factor that produced this
     record's ``cum``; ``c == 1`` at iteration 0 and everywhere in the
-    final phase.  ``bound``/``sigma_q``/``fallback`` describe the
-    data-driven choice of the *next* factor made at this iteration.
-    Diagnostic fields are filled only where the producing solver can
-    compute them without touching the plant matrices.
+    final phase.  ``bound`` is the headroom ``1 / rho_hat`` from which the
+    data-driven solver chose the *next* factor at this iteration, where
+    ``rho_hat`` is the certified radius of the improved scaled loop
+    (:func:`spilqr.model_free.scaling_bound`).  Diagnostic fields are
+    filled only where the producing solver can compute them without
+    touching the plant matrices.
     """
 
     i: int
@@ -90,8 +92,6 @@ class SpiState:
     cum: float
     rho_closed: float | None = None   # rho(A - B K), model-based only
     bound: float | None = None        # scaling headroom, data-driven only
-    sigma_q: float | None = None      # smallest singular value of the gate
-    fallback: bool = False            # headroom <= 1, factor forced to 1
 
     @property
     def rho_scaled(self):
@@ -127,8 +127,9 @@ class SpiReport:
 
     @property
     def c_fallbacks(self):
-        """Scaling iterations whose headroom forced the factor to 1."""
-        return sum(s.fallback for s in self.phase1_trace)
+        """Always 0, as :func:`_interior_factor` has no fallback; kept only
+        until the benchmark harness stops reading it."""
+        return 0
 
     def gain_sequence(self):
         """All gains produced by the solve, in order, excluding the
@@ -222,15 +223,21 @@ def _evaluate(factor, W, cum):
             f"(spectral radius {exc.rho:.6g})", rho=exc.rho) from exc
 
 
-def _interior_factor(rho, lam):
-    """Interior point ``1 + lam (r - 1)`` of the admissible interval
-    ``(1, r)``, ``r = 1 / rho`` for the scaled-loop radius ``rho``."""
+def _headroom(rho):
+    """``1 / rho`` capped at ``MAX_HEADROOM`` for a scaled-loop radius (or
+    radius bound) ``rho`` below 1; :class:`UnstableScaledSystemError`
+    otherwise."""
     if rho >= 1.0:
         raise UnstableScaledSystemError(
             f"scaled loop after improvement must be Schur stable, "
             f"spectral radius is {rho:.6g}", rho=rho)
-    r = min(1.0 / rho, MAX_HEADROOM) if rho > 0 else MAX_HEADROOM
-    return 1.0 + lam * (r - 1.0)
+    return min(1.0 / rho, MAX_HEADROOM) if rho > 0 else MAX_HEADROOM
+
+
+def _interior_factor(rho, lam):
+    """The factor rule of both scaling solvers: ``1 + lam (r - 1)``,
+    inside the admissible ``(1, r)`` for ``r = _headroom(rho)``."""
+    return 1.0 + lam * (_headroom(rho) - 1.0)
 
 
 def _model_step(sys, weights, K0, lam):

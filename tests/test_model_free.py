@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 
 from spilqr import lti, matkit, model_based, model_free, riccati
@@ -12,9 +13,10 @@ from spilqr.exceptions import (
     ProbesExhaustedError,
     RankDeficientError,
     SingularMatrixError,
+    UnstableScaledSystemError,
 )
 
-from conftest import POWER_K_REF, POWER_P_REF
+from conftest import POWER_K_REF, POWER_P_REF, make_corpus_case
 
 K0_ZERO = np.zeros((1, 3))
 
@@ -67,6 +69,16 @@ def test_build_blocks_rejects_short_trajectory():
     traj = lti.Trajectory(states=np.ones((5, 3)), inputs=np.ones((4, 1)))
     with pytest.raises(RankDeficientError):
         model_free.build_regression_data(traj)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["states", "inputs"])
+def test_build_refuses_diverged_recording(power_system, field):
+    # entries beyond the simulator's divergence limit are refused by name
+    # before their squares overflow into the monomial blocks
+    with pytest.raises(InvalidProblemError,
+                       match=f"^{field} exceed 1e\\+12 in magnitude"):
+        spoiled_recording(power_system, field, 1e200)
 
 
 def test_rank_condition_target_count():
@@ -364,14 +376,37 @@ def test_regression_validates_shapes(power_data, power_weights):
     with pytest.raises(DimensionMismatchError,
                        match="theta must have 10 columns"):
         model_free.solve_regression(theta[:, :-1], gamma, 3, 1)
+    # gamma follows the matrix rule as an l x 1 column
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            "gamma must have 30 rows, got (29, 1)")):
+        model_free.solve_regression(theta, gamma[:-1], 3, 1)
 
 
 def test_scaling_bound_singular_gate(power_weights):
-    # P equal to Q makes the gate exactly zero: no usable headroom
-    sb = model_free.scaling_bound(np.eye(3), K0_ZERO, power_weights)
-    assert sb.bound is None
-    # factor 1, and not a fallback: the rule does not apply
-    assert model_free._c_from_bound(sb, 0.5) == (1.0, False)
+    # P equal to Q makes the gate exactly zero: the pencil certifies a
+    # nilpotent loop, so the headroom is the cap of the model-based rule
+    # and the factor its interior point, with no special case
+    rho = model_free.scaling_bound(np.eye(3), K0_ZERO, power_weights)
+    assert rho == 0.0
+    assert riccati._headroom(rho) == riccati.MAX_HEADROOM
+    assert riccati._interior_factor(rho, 0.5) == \
+        1.0 + 0.5 * (riccati.MAX_HEADROOM - 1.0)
+
+
+def test_scaling_bound_refuses_indefinite_value_matrix(power_weights):
+    # a regressed P that is not positive definite certifies nothing
+    with pytest.raises(UnstableScaledSystemError,
+                       match="not positive definite, so the pencil"):
+        model_free.scaling_bound(np.diag([1.0, -1.0, 1.0]), K0_ZERO,
+                                 power_weights)
+
+
+def sigma_min_headroom(P, K_next, weights):
+    """The factor bound ``sigma_min(P G^{-1})^{1/2}`` of the gate
+    ``G = P - Q - K'RK``, which the pencil bound replaced."""
+    gate = P - weights.Q - K_next.T @ weights.R @ K_next
+    ratio = P @ np.linalg.inv((gate + gate.T) / 2.0)
+    return float(np.sqrt(np.linalg.svd(ratio, compute_uv=False)[-1]))
 
 
 def test_choose_c_first_benchmark_iteration(power_system, power_weights,
@@ -380,42 +415,57 @@ def test_choose_c_first_benchmark_iteration(power_system, power_weights,
     b, sol, _ = model_free.search_b(power_data, K0_ZERO, power_weights,
                                     b_init=1.0, delta=0.1, max_probes=200)
     K1 = model_free.model_free_gain_update(sol, power_weights, 1.0 / b)
-    sb = model_free.scaling_bound(sol.P, K1, power_weights)
-    assert sb.bound is not None
-    assert sb.bound == pytest.approx(1.0862, abs=1e-3)
-    assert sb.sigma_min == pytest.approx(1.4659, abs=1e-3)
+    bound = riccati._headroom(model_free.scaling_bound(sol.P, K1,
+                                                       power_weights))
+    assert bound == pytest.approx(1.08635, abs=1e-4)
+    # the gate is well conditioned, and the pencil bound exceeds the
+    # sigma_min formula on it
+    gate = sol.P - power_weights.Q - K1.T @ power_weights.R @ K1
+    assert np.linalg.svd(gate, compute_uv=False)[-1] == \
+        pytest.approx(1.4659, abs=1e-3)
+    assert sigma_min_headroom(sol.P, K1, power_weights) == \
+        pytest.approx(1.08622, abs=1e-4)
+    assert bound > sigma_min_headroom(sol.P, K1, power_weights)
+    # the certified radius holds on the plant the solver never sees
+    rho = matkit.spectral_radius(power_system.A - power_system.B @ K1)
+    assert rho / b < 1.0 / bound
     # the solver records that bound at iteration 0 and the factor it
     # chose from it at iteration 1
     report = model_free.spi_model_free(power_data, K0_ZERO, power_weights,
                                        b_init=1.0, delta=0.1)
     first, second = report.phase1_trace[:2]
-    assert (first.bound, first.sigma_q) == (sb.bound, sb.sigma_min)
-    assert 1.0 < second.c < sb.bound
+    assert first.bound == bound
+    assert 1.0 < second.c < bound
 
 
 def test_choose_c_interval_property(power_system, power_weights, power_data):
     b, sol, _ = model_free.search_b(power_data, K0_ZERO, power_weights,
                                     b_init=1.0, delta=0.1, max_probes=200)
     K1 = model_free.model_free_gain_update(sol, power_weights, 1.0 / b)
-    sb = model_free.scaling_bound(sol.P, K1, power_weights)
+    rho = model_free.scaling_bound(sol.P, K1, power_weights)
+    bound = riccati._headroom(rho)
     for lam in (0.05, 0.5, 0.95):
         report = model_free.spi_model_free(power_data, K0_ZERO,
                                            power_weights, lam=lam)
         c = report.phase1_trace[1].c
-        assert c == 1.0 + lam * (sb.bound - 1.0)
-        assert 1.0 < c < sb.bound
+        # the model-based solver's rule, fed with the certified radius
+        assert c == riccati._interior_factor(rho, lam) \
+            == 1.0 + lam * (bound - 1.0)
+        assert 1.0 < c < bound
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Policy evaluations, divisor probes, value-iteration sweeps and SVDs
-    (rank tests, gate bounds) run, one entry each."""
+    """Policy evaluations, divisor probes, value-iteration sweeps, SVDs
+    (rank tests) and pencil eigensolves (gate bounds) run, one entry
+    each."""
     calls = []
     for module, name in ((matkit, "solve_discrete_lyapunov"),
                          (matkit, "schur"),
                          (model_free, "solve_regression"),
                          (scipy.linalg.lapack, "dgesv"),
-                         (np.linalg, "svd")):
+                         (np.linalg, "svd"),
+                         (scipy.linalg, "eigh")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=original, **kw:
                             calls.append(1) or f(*a, **kw))
@@ -673,6 +723,12 @@ def theta_with(data, weights, x):
     return SOLVE_REGRESSION(spoil(theta, x), gamma, 3, 1)
 
 
+def gamma_with(data, weights, x):
+    theta, gamma = model_free.assemble_theta_gamma(data, K0_ZERO, 0.5,
+                                                   weights)
+    return SOLVE_REGRESSION(theta, spoil(gamma, x), 3, 1)
+
+
 # The counted entries the refusal test calls, before the evaluations
 # fixture wraps them.
 SCHUR, LYAPUNOV = matkit.schur, matkit.solve_discrete_lyapunov
@@ -752,6 +808,8 @@ REFUSALS = {
                      model_free.assemble_theta_gamma(d, K0_ZERO, x, w)),
     "regression-theta": (non_finite("theta"), lambda s, w, d, x:
                          theta_with(d, w, x)),
+    "regression-gamma": (non_finite("gamma"), lambda s, w, d, x:
+                         gamma_with(d, w, x)),
     "gain-update-M": (non_finite("M"), lambda s, w, d, x:
                       model_free.model_free_gain_update(
                           replace(SOLUTION, M=spoil(SOLUTION.M, x)), w,
@@ -866,3 +924,81 @@ def test_solver_rejects_bad_gain_shape(power_data, power_weights):
     with pytest.raises(DimensionMismatchError):
         model_free.spi_model_free(power_data, np.zeros((2, 3)),
                                   power_weights)
+
+
+# The clean sweep: corpus cases from default_rng(5), solved at tol = 1e-8.
+# The noisy sweep adds Gaussian noise of std 1e-6 max|x| to every recorded
+# state, drawn from default_rng(11).
+SWEEP_SIZE = 150
+SWEEP_TOL = 1e-8
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    rng = np.random.default_rng(5)
+    return [make_corpus_case(rng) for _ in range(SWEEP_SIZE)]
+
+
+@pytest.fixture(scope="module")
+def noisy_sweep(sweep):
+    rng = np.random.default_rng(11)
+    recordings = []
+    for case in sweep:
+        d, sys_d = case["data"], case["sys"]
+        X = np.vstack([d.states,
+                       sys_d.A @ d.states[-1] + sys_d.B @ d.inputs[-1]])
+        X = X + rng.standard_normal(X.shape) * 1e-6 * np.abs(X).max()
+        recordings.append(model_free.build_regression_data(
+            lti.Trajectory(X, d.inputs)))
+    return recordings
+
+
+def assert_phase1_stable(case, report):
+    """Every phase-1 gain keeps ``min(cum, 1) rho(A - BK)`` below 1 on the
+    plant that the solver never saw."""
+    A, B = case["sys"].A, case["sys"].B
+    for s in report.phase1_trace:
+        rho = matkit.spectral_radius(A - B @ s.K_tilde)
+        assert min(s.cum, 1.0) * rho < 1.0, (s.i, s.cum, rho)
+
+
+def test_clean_sweep_solves_every_case(sweep):
+    # case 33 burned its whole budget under the sigma_min headroom
+    for i, case in enumerate(sweep):
+        w = case["weights"]
+        report = model_free.spi_model_free(case["data"], case["K0"], w,
+                                           tol=SWEEP_TOL)
+        ref = scipy.linalg.solve_discrete_are(case["sys"].A, case["sys"].B,
+                                              w.Q, w.R)
+        P = report.solution.P
+        assert np.linalg.norm(P - ref) <= 1e-9 * np.linalg.norm(ref), i
+        assert_phase1_stable(case, report)
+        # the pencil headroom is never below the sigma_min formula
+        # (sigma_min(P G^-1) <= min |1/mu|), up to rounding
+        for s, nxt in zip(report.phase1_trace, report.phase1_trace[1:]):
+            old = sigma_min_headroom(s.P_tilde, nxt.K_tilde, w)
+            assert s.bound >= min(old, riccati.MAX_HEADROOM) * (1 - 1e-12), \
+                (i, s.i, s.bound, old)
+
+
+def test_noisy_sweep_refuses_instead_of_stalling(sweep, noisy_sweep,
+                                                 monkeypatch):
+    # every solve returns with phase-1 loops that are truly stable, or
+    # fails its certificate by name within a few regressions, never after
+    # the 500-evaluation budget
+    calls = []
+    monkeypatch.setattr(model_free, "solve_regression", lambda *a:
+                        calls.append(1) or SOLVE_REGRESSION(*a))
+    refused = {}
+    for i, (case, data) in enumerate(zip(sweep, noisy_sweep)):
+        calls.clear()
+        try:
+            report = model_free.spi_model_free(data, case["K0"],
+                                               case["weights"],
+                                               tol=SWEEP_TOL)
+        except UnstableScaledSystemError:
+            refused[i] = len(calls)
+            continue
+        assert_phase1_stable(case, report)
+    assert sorted(refused) == [36, 85]
+    assert max(refused.values()) <= 40, refused
