@@ -149,7 +149,8 @@ def _problem(cfg, seed):
 
 
 def collect_trajectory(sys, cfg, seed):
-    """Roll out the plant under probing input as configured."""
+    """The certified recording (a :class:`model_free.RegressionData`) of
+    one rollout of the plant under probing input as configured."""
     data_cfg = cfg.get("params", {}).get("data", {})
     if seed is None:
         raise ConfigError("a seed is required for data-driven runs")
@@ -162,7 +163,7 @@ def collect_trajectory(sys, cfg, seed):
                                    **data_cfg.get("noise", {}))
     except InvalidProblemError as exc:   # before any file is written
         raise ConfigError(f"invalid params.data.noise: {exc}") from exc
-    return simulate(sys, x0, policy, l)
+    return model_free.build_regression_data(simulate(sys, x0, policy, l))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +296,8 @@ def cmd_solve(args):
     if name is None:
         raise ConfigError("no solver selected (config 'solver' or --solver)")
     sys_d, weights, seed, params, K0, P0 = _problem(cfg, args.seed)
-    data = None
-    if name == "spi-model-free":
-        traj = collect_trajectory(sys_d, cfg, seed)
-        data = model_free.build_regression_data(traj)
+    data = (collect_trajectory(sys_d, cfg, seed)
+            if name == "spi-model-free" else None)
     result, elapsed = _run(name, sys_d, weights, K0, P0, data, params,
                            params.get("tol", 1e-5))
     sol = getattr(result, "solution", result)
@@ -417,10 +416,8 @@ def cmd_compare(args):
     gain_tol = comp.get("gain_tol", 1e-4)
 
     ref = riccati.dare_reference(sys_d, weights)
-    data = None
-    if "spi-model-free" in solvers:
-        traj = collect_trajectory(sys_d, cfg, seed)
-        data = model_free.build_regression_data(traj)
+    data = (collect_trajectory(sys_d, cfg, seed)
+            if "spi-model-free" in solvers else None)
 
     results = {name: {"iters": [], "times": [], "failed": []}
                for name in solvers}
@@ -514,11 +511,13 @@ def _build_parser():
     unchanged.  Each subcommand sets ``run``, its ``cmd_*`` function."""
     parser = argparse.ArgumentParser(
         prog="spilqr",
-        description="Discrete-time LQR via scaling policy iteration")
+        description="Discrete-time LQR via scaling policy iteration",
+        epilog="params.tol bounds ||P_k - P_k-1||_F / ||P_k||_F for hewer "
+               "and both SPI solvers, and ||P_k+1 - P_k||_F for vi.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary, seed=False):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, epilog=parser.epilog)
         p.set_defaults(run=run)
         p.add_argument("--config", required=True,
                        help="path to the JSON experiment config")

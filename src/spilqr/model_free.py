@@ -266,7 +266,8 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     :func:`scaling_bound`) until the
     cumulative factor over the divisor reaches 1, then loop 2 (the same
     regression at scale 1, i.e. data-driven policy iteration) until
-    consecutive value matrices differ by less than ``tol``.  The accepted
+    ``||P_k - P_{k-1}||_F <= tol ||P_k||_F`` (the stop of
+    ``riccati._scaling_pi``).  The accepted
     probe's regression is the first evaluation; ``i_max`` bounds the
     evaluations of both loops, probes excluded.  Relies on the excitation
     rank condition, certified once when ``data`` was built.

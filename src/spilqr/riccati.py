@@ -273,11 +273,11 @@ def _scaling_pi(step, K0, b, tol, i_max):
     matrix, the improved gain, the next factor (read only while
     ``scaling``) and extra :class:`SpiState` fields for this record.
     Phase 1 starts at ``cum = 1 / b`` and multiplies in each factor until
-    ``cum >= 1``; phase 2 steps at scale 1 until consecutive value
-    matrices differ by less than ``tol`` in Frobenius norm.  The handoff
-    record between them has no value matrix and takes the fields of
-    phase 2's first record, whose gain it shares.  With ``b = 1`` this is
-    Hewer's method.
+    ``cum >= 1``; phase 2 steps at scale 1 until ``||P_k - P_{k-1}||_F <=
+    tol ||P_k||_F``, a stop that does not depend on the units of the
+    weights.  The handoff record between them has no value matrix and
+    takes the fields of phase 2's first record, whose gain it shares.
+    With ``b = 1`` this is Hewer's method.
 
     Returns a :class:`SpiReport`; ``solution.iterations`` counts the
     calls to ``step`` (the policy evaluations), ``solution.residual`` is
@@ -299,8 +299,8 @@ def _scaling_pi(step, K0, b, tol, i_max):
                                    cum=cum, **fields))
         phase2.append(SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0, c=1.0,
                                cum=1.0, **fields))
-        if len(phase2) > 1 and \
-                np.linalg.norm(P - phase2[-2].P_tilde, "fro") < tol:
+        if len(phase2) > 1 and np.linalg.norm(P - phase2[-2].P_tilde, "fro") \
+                <= tol * np.linalg.norm(P, "fro"):
             solution = AreSolution(
                 P=P, K=K_next, residual=None, iterations=i + 1,
                 trace=[(s.P_tilde, s.K_tilde) for s in phase2])
@@ -318,10 +318,11 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
 
     Phase 2 of :func:`_scaling_pi` on the model-based step of model-based
     SPI: policy evaluation (a Lyapunov solve) alternates with policy
-    improvement until consecutive value matrices differ by less than
-    ``tol`` in Frobenius norm.  The value sequence decreases monotonically
-    to the Riccati solution and every iterate keeps the loop Schur stable.
-    ``iterations`` counts the policy evaluations, at most ``max_iter``.
+    improvement until ``||P_k - P_{k-1}||_F <= tol ||P_k||_F`` (the stop
+    of :func:`_scaling_pi`).  The value sequence decreases monotonically
+    to the Riccati solution and every iterate keeps the loop Schur
+    stable.  ``iterations`` counts the policy evaluations, at most
+    ``max_iter``.
 
     Raises
     ------
@@ -336,7 +337,7 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     UnstableScaledSystemError
         If ``rho(A - B K0)`` lies within ``matkit.STABILITY_MARGIN`` of 1.
     MaxIterationsError
-        If the tolerance is not met within ``max_iter`` evaluations.
+        If the stop is not reached within ``max_iter`` evaluations.
     """
     matkit._check_positive(tol, "tol")
     matkit._check_budget(max_iter, "max_iter")
@@ -355,7 +356,11 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     """Fixed-point Riccati recursion from any positive semidefinite seed.
 
     Slower than policy iteration but needs no stabilizing start; serves
-    as the independent route to the Riccati solution in the tests.
+    as the independent route to the Riccati solution in the tests.  It
+    stops once consecutive iterates differ by less than ``tol`` in
+    Frobenius norm: an absolute bound, unlike the relative stop of the
+    policy-iteration solvers, as a linearly converging recursion can take
+    small relative steps far from the fixed point.
     ``sys``, ``weights`` and ``P0`` are validated once; each sweep then
     runs the arithmetic of :func:`riccati_step`, so the iterates, the
     trace and the iteration count are those of the ``riccati_step``

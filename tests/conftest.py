@@ -29,6 +29,10 @@ RANDOM_PLANT_RHO = (0.4, 1.15)
 RANDOM_GAIN_RHO = (0.5, 3.0)
 RANDOM_GAIN_TRIES = 200
 
+# Draws of make_wide_case: state counts and the open-loop radius.
+WIDE_N_CHOICES = (2, 3, 5, 10, 20, 40)
+WIDE_PLANT_RHO = (0.3, 3.0)
+
 
 @pytest.fixture(scope="session")
 def power_system():
@@ -107,6 +111,45 @@ def make_corpus_case(rng):
         except RankDeficientError:
             continue
         return {"sys": sys_d, "weights": weights, "K0": K0, "data": data}
+
+
+def make_wide_case(rng):
+    """One draw of the wide sweep: ``(sys, weights, K0)`` with n from
+    ``WIDE_N_CHOICES``, m up to min(n, 4), open-loop radius from
+    ``WIDE_PLANT_RHO``, unit, full-rank or rank-n/2 state weights with
+    input weights over up to six decades, and a gain of random size.  The
+    plant is not checked for controllability."""
+    n = int(rng.choice(WIDE_N_CHOICES))
+    m = int(rng.integers(1, min(n, 4) + 1))
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(*WIDE_PLANT_RHO) / matkit.spectral_radius(A)
+    B = rng.standard_normal((n, m))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        Q, R = np.eye(n), np.eye(m)
+    elif kind == 1:
+        G = rng.standard_normal((n, n))
+        Q, R = G @ G.T, 10.0 ** rng.uniform(-3, 3) * np.eye(m)
+    else:
+        C = rng.standard_normal((n // 2, n))
+        Q, R = C.T @ C, 10.0 ** rng.uniform(-2, 2) * np.eye(m)
+    K0 = rng.uniform(0.0, 6.0) * rng.standard_normal((m, n))
+    return lti.LinearSystem(A, B), lti.CostWeights(Q, R), K0
+
+
+@pytest.fixture(scope="session")
+def wide_sweep():
+    """The controllable plants of 600 wide-sweep draws, in draw order."""
+    rng = np.random.default_rng(123)
+    cases = [make_wide_case(rng) for _ in range(600)]
+    return [case for case in cases if lti.is_controllable(case[0])]
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """The clean sweep: 150 corpus cases from ``default_rng(5)``."""
+    rng = np.random.default_rng(5)
+    return [make_corpus_case(rng) for _ in range(150)]
 
 
 @pytest.fixture(scope="session")

@@ -384,11 +384,14 @@ def _gain_file(text):
     ("simulate", _gain_file('{"K": [[1.0, 2.0]]}'), "must be 1 x 3"),
     ("simulate", _gain_file('{"K": [[1.0], [2.0, 3.0]]}'),
      "is not a numeric matrix"),
+    # each row would claim its trials yet average the repeats' runs
+    ("compare", _set(("compare",), {"solvers": ["vi", "vi"], "trials": 2}),
+     "field $.compare.solvers: ['vi', 'vi'] has non-unique elements"),
 ], ids=["R-shape", "K0-shape", "P0-shape", "x0-length", "no-weights",
         "no-x0", "no-solver", "no-simulate", "gain-shape", "no-gain-file",
         "gain-file-without-K", "A-not-square", "Q-not-symmetric",
         "Q-ragged", "gain-file-not-an-object", "gain-file-K-shape",
-        "gain-file-K-ragged"])
+        "gain-file-K-ragged", "repeated-compare-solver"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, command,
                                                 edit, message):
     cfg = json.loads(json.dumps(model_free_config()))   # a deep copy

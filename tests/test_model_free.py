@@ -16,7 +16,7 @@ from spilqr.exceptions import (
     UnstableScaledSystemError,
 )
 
-from conftest import POWER_K_REF, POWER_P_REF, make_corpus_case
+from conftest import POWER_K_REF, POWER_P_REF
 
 K0_ZERO = np.zeros((1, 3))
 
@@ -926,17 +926,10 @@ def test_solver_rejects_bad_gain_shape(power_data, power_weights):
                                   power_weights)
 
 
-# The clean sweep: corpus cases from default_rng(5), solved at tol = 1e-8.
-# The noisy sweep adds Gaussian noise of std 1e-6 max|x| to every recorded
+# The clean sweep (conftest's sweep fixture) is solved at tol = 1e-8.  The
+# noisy sweep adds Gaussian noise of std 1e-6 max|x| to every recorded
 # state, drawn from default_rng(11).
-SWEEP_SIZE = 150
 SWEEP_TOL = 1e-8
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    rng = np.random.default_rng(5)
-    return [make_corpus_case(rng) for _ in range(SWEEP_SIZE)]
 
 
 @pytest.fixture(scope="module")

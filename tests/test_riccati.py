@@ -182,10 +182,54 @@ def test_policy_iteration_stops_at_first_step_below_tol(
     tol = 1e-6
     sol = solve_by(solver, power_system, power_weights, power_oracle.K,
                    power_data, tol)
-    steps = [np.linalg.norm(P_b - P_a, "fro")
+    steps = [np.linalg.norm(P_b - P_a, "fro") / np.linalg.norm(P_b, "fro")
              for (P_a, _), (P_b, _) in zip(sol.trace, sol.trace[1:])]
-    assert steps[-1] < tol
-    assert all(step >= tol for step in steps[:-1])
+    assert steps[-1] <= tol
+    assert all(step > tol for step in steps[:-1])
+
+
+UNITS_SWEEP_CASES = 12
+
+
+@pytest.mark.parametrize("solver", POLICY_ITERATION_SOLVERS)
+def test_stop_does_not_depend_on_the_units_of_the_weights(sweep, solver):
+    # (s Q, s R) has the value s P* and the gain K*: a solve at any s takes
+    # the evaluations it takes at s = 1 and lands on K*; Hewer's method
+    # starts from a perturbed K*
+    for i, case in enumerate(sweep[:UNITS_SWEEP_CASES]):
+        sys_d, weights = case["sys"], case["weights"]
+        K_opt = riccati.dare_reference(sys_d, weights).K
+        K_start = K_opt + 1e-2 * np.random.default_rng(i).standard_normal(
+            K_opt.shape)
+        counts = set()
+        for s in (1e-6, 1.0, 1e6):
+            scaled = lti.CostWeights(s * weights.Q, s * weights.R)
+            if solver == "hewer":
+                sol = riccati.hewer_pi(sys_d, scaled, K_start)
+            elif solver == "spi-model-based":
+                sol = model_based.spi_model_based(sys_d, scaled,
+                                                  case["K0"]).solution
+            else:
+                sol = model_free.spi_model_free(case["data"], case["K0"],
+                                                scaled).solution
+            counts.add(sol.iterations)
+            assert np.linalg.norm(sol.K - K_opt, "fro") < 1e-9, (i, s)
+        assert len(counts) == 1, (i, counts)
+
+
+def test_large_value_plants_converge_within_40_evaluations(wide_sweep):
+    # the wide sweep's plants with ||P*||_F > 1e4 and n <= 20, which an
+    # absolute stop drove to the evaluation budget
+    solved = 0
+    for sys_d, weights, K0 in wide_sweep:
+        if sys_d.n > 20 or np.linalg.norm(scipy.linalg.solve_discrete_are(
+                sys_d.A, sys_d.B, weights.Q, weights.R), "fro") <= 1e4:
+            continue
+        sol = model_based.spi_model_based(sys_d, weights, K0, tol=1e-5,
+                                          i_max=40).solution
+        assert sol.residual <= 1e-8 * np.linalg.norm(sol.P, "fro")
+        solved += 1
+    assert solved == 81
 
 
 @pytest.mark.parametrize("solver", ["hewer", "vi", "spi-model-based",
