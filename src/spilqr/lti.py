@@ -167,9 +167,15 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
 
     Draws are independent per channel and fully determined by ``seed``
     (64-bit PCG state), so trajectories are reproducible across runs
-    and platforms.  Returns a policy callable ``(k, x) -> u``.
+    and platforms.  Returns a policy callable ``(k, x) -> u``.  Raises
+    :class:`InvalidProblemError` unless the frequency range is finite
+    (NaN refused) and ``freq_low <= freq_high``.
     """
     matkit._check_budget(num_terms, "num_terms")
+    if not np.isfinite(float(freq_high) - float(freq_low)):
+        raise InvalidProblemError(
+            f"freq_low and freq_high must bound a finite range, got "
+            f"[{freq_low!r}, {freq_high!r}]")
     if freq_low > freq_high:
         raise InvalidProblemError("freq_low must not exceed freq_high")
     rng = np.random.default_rng(seed)

@@ -44,9 +44,9 @@ __all__ = [
 # triangular systems of the Schur solver, whose diagonals are
 # conj(l_i) l_j - 1 over eigenvalue pairs, become near-singular beyond it.
 STABILITY_MARGIN = 1e-9
-# Largest asymmetry, relative to 1 + max |S_ij|, of a symmetric matrix.
+# Largest asymmetry, relative to max |S_ij|, of a symmetric matrix.
 SYMMETRY_RTOL = 1e-10
-# Eigenvalues w at or below PD_RTOL (1 + max |w|) do not count as positive.
+# Eigenvalues w at or below PD_RTOL max |w| do not count as positive.
 PD_RTOL = 1e-10
 # Relative cutoff of the controllability and excitation rank tests.
 RANK_TOL = 1e-8
@@ -93,8 +93,7 @@ def _check_positive(value, name, below=np.inf):
 def check_symmetric(S, name="matrix"):
     """Validate (near-)symmetry and return the exactly symmetrized copy."""
     S = _as_matrix(S, name, square=True)
-    scale = 1.0 + np.abs(S).max()
-    if np.abs(S - S.T).max() > SYMMETRY_RTOL * scale:
+    if np.abs(S - S.T).max() > SYMMETRY_RTOL * np.abs(S).max():
         raise InvalidProblemError(f"{name} is not symmetric")
     return (S + S.T) / 2.0
 
@@ -280,8 +279,8 @@ def solve_discrete_lyapunov(F, W):
 
 
 def _threshold(w):
-    """Definiteness threshold ``PD_RTOL (1 + max |w|)`` of eigenvalues w."""
-    return PD_RTOL * (1.0 + np.abs(w).max(initial=0.0))
+    """Definiteness threshold ``PD_RTOL max |w|`` of eigenvalues w."""
+    return PD_RTOL * np.abs(w).max(initial=0.0)
 
 
 def is_positive_definite(S):

@@ -17,7 +17,7 @@ the data certify: the largest eigenvalue ``mu`` of the pencil
 ``sqrt(mu)`` (:func:`scaling_bound`).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -45,29 +45,44 @@ def unknown_count(n, m):
 
 @dataclass(frozen=True)
 class RegressionData:
-    """A recorded trajectory and the sample blocks that no gain changes.
+    """The certified sample blocks of one recorded trajectory.
 
-    Row ``k`` of every block derives from the same time index: ``states``
-    and ``inputs`` hold ``x_k`` and ``u_k``, ``d_x``/``D_x`` the quadratic
-    monomials of ``x_k`` / ``x_{k+1}`` and ``d_u`` those of ``u_k``.  Every
-    regression block is linear in these, so the store is O(l (n + m)^2).
+    The one constructor input is the trajectory, from which every block
+    derives: row ``k`` holds ``x_k`` (``states``) and ``u_k``
+    (``inputs``), the quadratic monomials of ``x_k`` / ``x_{k+1}``
+    (``d_x``/``D_x``) and those of ``u_k`` (``d_u``).  Every regression
+    block is linear in these, so the store is O(l (n + m)^2).  No block
+    shares memory with the trajectory, so later edits to it change none.
 
-    Construction runs the matrix rule on every block and checks the
-    excitation rank condition, so every instance is certified however it
-    was made; the solvers do not check it again.
+    Construction runs, in order, the matrix rule on the states and the
+    inputs, the refusal (:class:`InvalidProblemError`, naming them) of
+    entries beyond ``lti.DIVERGENCE_LIMIT`` in magnitude before any
+    monomial is formed, and the excitation rank condition
+    (:class:`RankDeficientError` unless the recording excites all
+    ``unknown_count(n, m)`` unknowns).  Every instance is certified, and
+    the solvers do not check it again.
     """
 
-    d_x: np.ndarray
-    D_x: np.ndarray
-    d_u: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    n: int
-    m: int
+    traj: InitVar[lti.Trajectory]
+    states: np.ndarray = field(init=False)
+    inputs: np.ndarray = field(init=False)
+    d_x: np.ndarray = field(init=False)
+    D_x: np.ndarray = field(init=False)
+    d_u: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        for name in ("states", "inputs", "d_x", "D_x", "d_u"):
-            matkit._as_matrix(getattr(self, name), name)
+    def __post_init__(self, traj):
+        X = matkit._as_matrix(traj.states, "states")   # x_0 .. x_l
+        U = matkit._as_matrix(traj.inputs, "inputs")
+        for name, block in (("states", X), ("inputs", U)):
+            if np.abs(block).max(initial=0.0) > lti.DIVERGENCE_LIMIT:
+                raise InvalidProblemError(
+                    f"{name} exceed {lti.DIVERGENCE_LIMIT:g} in magnitude; "
+                    f"the recording diverged")
+        V = matkit.vecv_rows(X)
+        for name, block in (("states", X[:-1].copy()), ("inputs", U.copy()),
+                            ("d_x", V[:-1]), ("D_x", V[1:]),
+                            ("d_u", matkit.vecv_rows(U))):
+            object.__setattr__(self, name, block)
         if not check_rank_condition(self):
             unknowns = unknown_count(self.n, self.m)
             raise RankDeficientError(
@@ -76,9 +91,9 @@ class RegressionData:
                 f"takes at least {unknowns} samples; collect a longer or "
                 f"richer trajectory")
 
-    @property
-    def l(self):
-        return self.states.shape[0]
+    n = property(lambda self: self.states.shape[1])
+    m = property(lambda self: self.inputs.shape[1])
+    l = property(lambda self: self.states.shape[0])
 
 
 @dataclass(frozen=True)
@@ -98,25 +113,8 @@ def _row_kron(V, X):
 
 
 def build_regression_data(traj):
-    """Sample blocks of one trajectory: states, inputs, their monomials.
-
-    Raises :class:`InvalidProblemError` naming the states or the inputs
-    when they are not finite or exceed ``lti.DIVERGENCE_LIMIT`` in
-    magnitude, before any monomial is formed, and
-    :class:`RankDeficientError` unless the recording excites all
-    ``unknown_count(n, m)`` unknowns; more samples improve conditioning.
-    """
-    X = matkit._as_matrix(traj.states, "states")   # x_0 .. x_l
-    U = matkit._as_matrix(traj.inputs, "inputs")
-    for name, block in (("states", X), ("inputs", U)):
-        if np.abs(block).max(initial=0.0) > lti.DIVERGENCE_LIMIT:
-            raise InvalidProblemError(
-                f"{name} exceed {lti.DIVERGENCE_LIMIT:g} in magnitude; "
-                f"the recording diverged")
-    V = matkit.vecv_rows(X)
-    return RegressionData(
-        d_x=V[:-1], D_x=V[1:], d_u=matkit.vecv_rows(U),
-        states=X[:-1].copy(), inputs=U.copy(), n=traj.n, m=traj.m)
+    """The certified recording of ``traj``: ``RegressionData(traj)``."""
+    return RegressionData(traj)
 
 
 def check_rank_condition(data):

@@ -38,8 +38,8 @@ __all__ = [
 
 SPI_MAX_ITER = 500
 
-# A reference whose Riccati residual exceeds this share of max(1, ||P||_F)
-# is rejected.
+# A reference whose Riccati residual exceeds this share of ||P||_F is
+# rejected.
 DARE_RESIDUAL_RTOL = 1e-8
 
 # Cap on the scaling headroom 1/rho, finite even for a nilpotent loop.
@@ -423,7 +423,7 @@ def dare_reference(sys, weights):
     method of Laub and of Arnold & Laub) and verifies the result before
     returning it: ``P`` is finite and positive semidefinite, the gain it
     induces makes ``A - BK`` Schur stable, and the Riccati residual is at
-    most ``DARE_RESIDUAL_RTOL * max(1, ||P||_F)``.  ``iterations`` is 0:
+    most ``DARE_RESIDUAL_RTOL * ||P||_F``.  ``iterations`` is 0:
     the solve is direct.
 
     Raises
@@ -452,7 +452,7 @@ def dare_reference(sys, weights):
             f"DARE solution does not stabilize the plant "
             f"(spectral radius {rho:.6g})")
     residual = _residual(sys, weights, P, K)
-    bound = DARE_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(P, "fro")))
+    bound = DARE_RESIDUAL_RTOL * float(np.linalg.norm(P, "fro"))
     if not residual <= bound:
         raise InvalidProblemError(
             f"DARE solution has Riccati residual {residual:.3e} "

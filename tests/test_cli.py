@@ -387,11 +387,17 @@ def _gain_file(text):
     # each row would claim its trials yet average the repeats' runs
     ("compare", _set(("compare",), {"solvers": ["vi", "vi"], "trials": 2}),
      "field $.compare.solvers: ['vi', 'vi'] has non-unique elements"),
+    # a range too wide for a double ended in numpy's OverflowError
+    ("solve", _set(("params", "data", "noise"),
+                   {"freq_low": -1e308, "freq_high": 1e308}),
+     "invalid params.data.noise: freq_low and freq_high must bound a "
+     "finite range"),
 ], ids=["R-shape", "K0-shape", "P0-shape", "x0-length", "no-weights",
         "no-x0", "no-solver", "no-simulate", "gain-shape", "no-gain-file",
         "gain-file-without-K", "A-not-square", "Q-not-symmetric",
         "Q-ragged", "gain-file-not-an-object", "gain-file-K-shape",
-        "gain-file-K-ragged", "repeated-compare-solver"])
+        "gain-file-K-ragged", "repeated-compare-solver",
+        "noise-frequency-range-overflows"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, command,
                                                 edit, message):
     cfg = json.loads(json.dumps(model_free_config()))   # a deep copy
@@ -610,6 +616,21 @@ def test_overflowing_gain_is_a_config_error(tmp_path, capsys, solver):
     assert cli.main(["solve", "--config", str(tmp_path / "c.json"),
                      "--solver", solver, "--out", str(out)]) == 2
     assert "params.K0 has non-finite entries" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_infinite_noise_frequency_is_a_config_error(tmp_path, capsys):
+    # 1e400 parses to inf, which numpy's draw refused with an uncaught
+    # OverflowError and exit 1
+    text = json.dumps(model_free_config()).replace(
+        '"freq_high": 10.0', '"freq_high": 1e400')
+    assert "1e400" in text
+    (tmp_path / "c.json").write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 2
+    assert ("invalid params.data.noise: freq_low and freq_high must bound "
+            "a finite range, got [-10.0, inf]") in capsys.readouterr().err
     assert os.listdir(out) == []
 
 

@@ -369,3 +369,16 @@ def test_exploration_input_validates_parameters():
         lti.exploration_input(1, num_terms=0)
     with pytest.raises(InvalidProblemError, match="freq_low"):
         lti.exploration_input(1, freq_low=1.0, freq_high=-1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("freq_low, freq_high", [
+    (np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (-1.0, np.inf),
+    (-1e308, 1e308)], ids=["low-nan", "high-nan", "low-inf", "high-inf",
+                           "range-overflows"])
+def test_exploration_input_refuses_infinite_frequency_range(freq_low,
+                                                            freq_high):
+    # the named refusal, instead of numpy's OverflowError from the draw
+    with pytest.raises(InvalidProblemError,
+                       match="^freq_low and freq_high must bound a finite"):
+        lti.exploration_input(1, freq_low=freq_low, freq_high=freq_high)

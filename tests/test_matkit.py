@@ -435,10 +435,10 @@ def test_is_positive_semidefinite():
 
 
 def test_definiteness_threshold_scales_with_largest_eigenvalue():
-    # an eigenvalue w counts as zero within PD_RTOL (1 + max |w|), the same
+    # an eigenvalue w counts as zero within PD_RTOL max |w|, the same
     # bound for both definiteness tests and for sym_sqrt's check
     big = 1e6
-    tol = matkit.PD_RTOL * (1.0 + big)
+    tol = matkit.PD_RTOL * big
     assert matkit.is_positive_definite(np.diag([big, 2.0 * tol]))
     assert not matkit.is_positive_definite(np.diag([big, 0.5 * tol]))
     assert matkit.is_positive_semidefinite(np.diag([big, -0.5 * tol]))
@@ -465,6 +465,20 @@ def test_sym_sqrt():
     assert np.allclose(root @ root, S, atol=1e-10)
     with pytest.raises(InvalidProblemError):
         matkit.sym_sqrt(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+def test_thresholds_are_relative_at_every_scale(scale):
+    # neither test has an absolute floor: a matrix and its multiple by any
+    # positive scale are judged alike, however small the scale
+    assert matkit.is_positive_definite(scale * np.diag([1.0, 1e-9]))
+    assert not matkit.is_positive_definite(scale * np.diag([1.0, 1e-11]))
+    assert not matkit.is_positive_semidefinite(scale * np.diag([1.0, -1e-9]))
+    with pytest.raises(InvalidProblemError, match="S is not symmetric"):
+        matkit.check_symmetric(scale * np.array([[1.0, 1e-9], [0.0, 1.0]]),
+                               "S")
+    S = scale * np.array([[1.0, 1e-11], [0.0, 1.0]])
+    assert np.array_equal(matkit.check_symmetric(S), (S + S.T) / 2.0)
 
 
 def test_check_symmetric_rejects_asymmetry():

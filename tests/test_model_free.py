@@ -1,3 +1,4 @@
+import inspect
 import re
 from dataclasses import replace
 
@@ -74,8 +75,9 @@ def test_build_blocks_rejects_short_trajectory():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["states", "inputs"])
 def test_build_refuses_diverged_recording(power_system, field):
-    # entries beyond the simulator's divergence limit are refused by name
-    # before their squares overflow into the monomial blocks
+    # entries beyond the simulator's divergence limit are refused by name,
+    # by the constructor itself, before their squares overflow into the
+    # monomial blocks
     with pytest.raises(InvalidProblemError,
                        match=f"^{field} exceed 1e\\+12 in magnitude"):
         spoiled_recording(power_system, field, 1e200)
@@ -101,12 +103,40 @@ def test_rank_condition_degenerate_data(power_system):
             model_free.build_regression_data(traj)
 
 
-def test_regression_data_is_certified_however_built(power_data):
-    # the rank condition guards the dataclass itself, not one builder
-    replace(power_data)   # a certified copy rebuilds
+def test_regression_data_is_certified_however_built(power_system):
+    # the rank condition guards the constructor itself, not one builder:
+    # forced states recorded with all-zero inputs excite no input unknown
+    traj = power_recording(power_system)
     with pytest.raises(RankDeficientError, match="30 samples"):
-        replace(power_data, inputs=np.zeros_like(power_data.inputs),
-                d_u=np.zeros_like(power_data.d_u))
+        model_free.RegressionData(
+            lti.Trajectory(traj.states, np.zeros_like(traj.inputs)))
+
+
+def test_regression_data_takes_only_the_trajectory(power_data):
+    # every block, and n, m and l, derive from the one input; no block
+    # can be set apart from the others, not even through replace()
+    params = inspect.signature(model_free.RegressionData).parameters
+    assert list(params) == ["traj"]
+    assert (power_data.n, power_data.m, power_data.l) == (3, 1, 30)
+    with pytest.raises(ValueError, match="InitVar|init=False"):
+        replace(power_data, d_x=power_data.d_x[:-1])
+
+
+def test_builder_and_constructor_agree_bit_for_bit(power_system):
+    traj = power_recording(power_system)
+    built = model_free.build_regression_data(traj)
+    direct = model_free.RegressionData(traj)
+    for name in ("states", "inputs", "d_x", "D_x", "d_u"):
+        assert getattr(built, name).tobytes() == \
+            getattr(direct, name).tobytes(), name
+
+
+def test_regression_data_shares_no_memory_with_trajectory(power_system):
+    traj = power_recording(power_system)
+    data = model_free.RegressionData(traj)
+    before = data.states.copy()
+    traj.states[0] += 1.0
+    assert np.array_equal(data.states, before)
 
 
 def _true_blocks(sys_d, weights, K, cum):
@@ -710,10 +740,16 @@ def not_positive(name):
     return lambda x: f"{name} must be positive and finite, got {x!r}"
 
 
-def spoiled_recording(system, field, x):
-    traj = lti.simulate(system, [0.1, 0.1, 0.2],
+def power_recording(system):
+    return lti.simulate(system, [0.1, 0.1, 0.2],
                         lti.exploration_input(1, seed=0), 30)
-    return model_free.build_regression_data(
+
+
+def spoiled_recording(system, field, x):
+    """The recording, built directly, with ``x`` as its first entry of
+    ``field``."""
+    traj = power_recording(system)
+    return model_free.RegressionData(
         replace(traj, **{field: spoil(getattr(traj, field), x)}))
 
 
@@ -799,8 +835,6 @@ REFUSALS = {
                          spoiled_recording(s, "states", x)),
     "recording-inputs": (non_finite("inputs"), lambda s, w, d, x:
                          spoiled_recording(s, "inputs", x)),
-    "regression-data-D_x": (non_finite("D_x"), lambda s, w, d, x:
-                            replace(d, D_x=spoil(d.D_x, x))),
     "assemble-K": (non_finite("K"), lambda s, w, d, x:
                    model_free.assemble_theta_gamma(d, spoil(K0_ZERO, x),
                                                    0.5, w)),

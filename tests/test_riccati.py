@@ -217,6 +217,19 @@ def test_stop_does_not_depend_on_the_units_of_the_weights(sweep, solver):
         assert len(counts) == 1, (i, counts)
 
 
+def test_tiny_weights_solve_to_the_unit_gain(power_system, power_weights,
+                                            power_data):
+    # weights x 1e-12 are positive definite relative to their own size
+    # (an absolute floor refused R), and both scaling solvers land on the
+    # gain of the unit weights
+    K_opt = riccati.dare_reference(power_system, power_weights).K
+    tiny = lti.CostWeights(1e-12 * power_weights.Q, 1e-12 * power_weights.R)
+    mb = model_based.spi_model_based(power_system, tiny, np.zeros((1, 3)))
+    mf = model_free.spi_model_free(power_data, np.zeros((1, 3)), tiny)
+    for report in (mb, mf):
+        assert np.linalg.norm(report.solution.K - K_opt, "fro") < 1e-9
+
+
 def test_large_value_plants_converge_within_40_evaluations(wide_sweep):
     # the wide sweep's plants with ||P*||_F > 1e4 and n <= 20, which an
     # absolute stop drove to the evaluation budget
@@ -338,6 +351,16 @@ def test_dare_reference_verifies_the_solve(power_system, power_weights,
                         lambda *args: bad_P(P_opt))
     with pytest.raises(InvalidProblemError, match=reason):
         riccati.dare_reference(power_system, power_weights)
+
+
+def test_dare_reference_bound_is_relative_to_p(power_system,
+                                              power_weights):
+    # at weights x 1e-13 scipy's P is about 2e-4 off in relative terms and
+    # its residual, 7e-17, is small only against an absolute bound of 1e-8;
+    # against ||P||_F (about 4e-12) it is refused
+    tiny = lti.CostWeights(1e-13 * power_weights.Q, 1e-13 * power_weights.R)
+    with pytest.raises(InvalidProblemError, match="Riccati residual"):
+        riccati.dare_reference(power_system, tiny)
 
 
 def riccati_step_recursion(sys_d, weights, tol):
