@@ -199,19 +199,21 @@ def controllability_matrix(sys):
 
 
 def is_controllable(sys):
-    """Whether the pair (A, B) is controllable (numerical rank test on
-    the controllability matrix of ``(A / rho(A), B)``, or of ``(A, B)``
-    when ``rho(A) = 0``).
+    """Whether the pair (A, B) is controllable: the controllability
+    matrix of ``(A / rho(A), B)``, or of ``(A, B)`` when ``rho(A) = 0``,
+    has full row rank once each row is divided by its 2-norm
+    (``matkit._full_column_rank`` of its transpose).
 
     ``(alpha A, B)`` is controllable exactly when ``(A, B)`` is, for any
     ``alpha != 0``.  Without the rescaling, the Krylov blocks ``A^k B`` of
     a plant with small ``rho(A)`` shrink below the relative rank tolerance
-    and a controllable plant is rejected.
+    and a controllable plant is rejected.  States in other units,
+    ``x' = T x`` with ``T`` diagonal, multiply the rows by ``T``, which
+    the row norms undo.
     """
     rho = matkit.spectral_radius(sys.A)
     scaled = LinearSystem(sys.A / rho if rho > 0 else sys.A, sys.B)
-    return matkit.numerical_rank(controllability_matrix(scaled),
-                                 matkit.RANK_TOL) == sys.n
+    return matkit._full_column_rank(controllability_matrix(scaled).T)
 
 
 def is_observable(A, C):
@@ -220,6 +222,5 @@ def is_observable(A, C):
     it alone, as the observability matrix ``[C; CA; ...]`` contains C."""
     A = matkit._as_matrix(A, "A", square=True)
     C = matkit._as_matrix(np.atleast_2d(C), "C", cols=len(A))
-    dual = LinearSystem(A.T, C.T)
-    return (matkit.numerical_rank(dual.B, matkit.RANK_TOL) == dual.n
-            or is_controllable(dual))
+    return matkit._full_column_rank(C) or is_controllable(
+        LinearSystem(A.T, C.T))

@@ -53,13 +53,15 @@ RANK_TOL = 1e-8
 
 
 def _as_matrix(A, name="matrix", rows=None, cols=None, square=False):
-    """The one matrix rule: ``A`` as a 2-D float array, square or with
-    ``rows`` rows and ``cols`` columns where asked
+    """The one matrix rule: ``A`` as a non-empty 2-D float array, square
+    or with ``rows`` rows and ``cols`` columns where asked
     (:class:`DimensionMismatchError` otherwise), and with finite entries
     (:class:`InvalidProblemError` otherwise); both name ``name``."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={A.ndim}")
+    if A.size == 0:
+        raise DimensionMismatchError(f"{name} must not be empty, got {A.shape}")
     if square and A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got {A.shape}")
     if rows not in (None, A.shape[0]) or cols not in (None, A.shape[1]):
@@ -173,6 +175,8 @@ def spectral_radius(A):
         raise InvalidProblemError("A has non-finite entries")
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise DimensionMismatchError(f"A must be square, got {A.shape}")
+    if A.shape[-1] == 0:
+        raise DimensionMismatchError(f"A must not be empty, got {A.shape}")
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -189,9 +193,26 @@ def numerical_rank(A, tol):
     A = _as_matrix(A, "A")
     s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A,
                       compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def _equilibrate(A):
+    """``A`` with each column divided by its 2-norm, and those norms (1
+    for a zero column, which stays zero).  This column equilibration (van
+    der Sluis 1969) maps ``A D``, for every positive diagonal ``D``, to
+    the matrix it maps ``A`` to, so units change no rank test or least
+    squares run on the result."""
+    norms = np.linalg.norm(A, axis=0)
+    norms[norms == 0.0] = 1.0
+    return A / norms, norms
+
+
+def _full_column_rank(A):
+    """Whether the equilibrated ``A`` has full column rank at
+    ``RANK_TOL``."""
+    return numerical_rank(_equilibrate(A)[0], RANK_TOL) == A.shape[1]
 
 
 def schur(F):

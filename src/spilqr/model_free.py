@@ -8,8 +8,11 @@ value matrix ``P`` together with the auxiliary blocks ``M = A'PB`` and
 trajectory is collected once under probing input, certified once
 (:class:`RegressionData`) and reused by every iteration (off-policy).
 
-The scaling divisor ``b`` is found by probing: a candidate works
-exactly when the regressed value matrix is positive definite.  The
+The regressor's columns are divided by their 2-norms, so the units of
+the recording change neither its rank test nor its solution.  The
+scaling divisor ``b`` is found by probing: a candidate works exactly
+when the regressed value matrix has a Cholesky factor (is positive
+definite).  The gain improves by the kernel every solver shares, and the
 per-iteration inflation factor comes from the rule of the model-based
 solver, :func:`riccati._interior_factor`, fed with a radius bound that
 the data certify: the largest eigenvalue ``mu`` of the pencil
@@ -33,7 +36,7 @@ from .exceptions import (
 __all__ = [
     "RegressionData", "RegressionSolution",
     "build_regression_data", "check_rank_condition",
-    "assemble_theta_gamma", "solve_regression", "model_free_gain_update",
+    "assemble_theta_gamma", "solve_regression",
     "search_b", "scaling_bound", "spi_model_free",
 ]
 
@@ -118,14 +121,13 @@ def build_regression_data(traj):
 
 
 def check_rank_condition(data):
-    """Persistent-excitation test: the rows ``[x_k ⊗ x_k, u_k ⊗ x_k, d_u]``
-    must have rank equal to the number of regression unknowns (the state
-    block contributes only its symmetric part).  Runs when a
-    :class:`RegressionData` is built, and nowhere else."""
-    X, U = data.states, data.inputs
-    stacked = np.hstack([_row_kron(X, X), _row_kron(U, X), data.d_u])
-    return (matkit.numerical_rank(stacked, matkit.RANK_TOL)
-            == unknown_count(data.n, data.m))
+    """Persistent-excitation test: the rows ``[d_x, u_k ⊗ x_k, d_u]``, one
+    column per regression unknown, must have full column rank
+    (``matkit._full_column_rank``, which the units of the recording do
+    not change).  Runs when a :class:`RegressionData` is built, and
+    nowhere else."""
+    return matkit._full_column_rank(np.hstack([
+        data.d_x, _row_kron(data.inputs, data.states), data.d_u]))
 
 
 def assemble_theta_gamma(data, K, cum, weights):
@@ -156,35 +158,28 @@ def solve_regression(theta, gamma, n, m):
     """Least-squares solution of ``theta z = -gamma`` unpacked into
     ``(P, M, L)``.
 
-    Uses an orthogonal factorization of ``theta`` rather than explicit
-    normal equations.  ``theta`` and ``gamma``, as an ``l x 1`` column,
-    follow the matrix rule.  Raises :class:`RankDeficientError` when the
-    regressor loses column rank, which signals insufficient excitation.
+    Uses an orthogonal factorization of the equilibrated ``theta``
+    (``matkit._equilibrate``) rather than explicit normal equations.
+    ``theta`` and ``gamma``, as an ``l x 1`` column, follow the matrix
+    rule.  Raises :class:`RankDeficientError` when the regressor loses
+    column rank, which signals insufficient excitation.
     """
     cols = unknown_count(n, m)
     theta = matkit._as_matrix(theta, "theta", cols=cols)
     gamma = matkit._as_matrix(np.reshape(gamma, (-1, 1)), "gamma",
                               rows=len(theta))
-    z, _, rank, _ = np.linalg.lstsq(theta, -gamma[:, 0], rcond=None)
+    scaled, norms = matkit._equilibrate(theta)
+    z, _, rank, _ = np.linalg.lstsq(scaled, -gamma[:, 0], rcond=None)
     if rank < cols:
         raise RankDeficientError(
             f"regressor rank {rank} < {cols}; re-collect data with "
             f"richer probing input")
+    z /= norms
     np_pack = n * (n + 1) // 2
     P = matkit.unvecs(z[:np_pack])
     M = matkit.unvec(z[np_pack:np_pack + n * m], n, m)
     L = matkit.unvecs(z[np_pack + n * m:])
     return RegressionSolution(P=P, M=M, L=L)
-
-
-def model_free_gain_update(sol, weights, cum):
-    """Improved gain ``(L + R / cum^2)^{-1} M'`` from regressed blocks;
-    coincides with the model-based improvement when the blocks are
-    exact."""
-    M = matkit._as_matrix(sol.M, "M")
-    riccati._check_weights(weights, *M.shape)
-    L = matkit._as_matrix(sol.L, "L", *weights.R.shape)
-    return riccati._improved_gain(L, M.T, weights.R, cum)
 
 
 def _solve_iteration(data, K, cum, weights):
@@ -197,12 +192,14 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
 
     Probes ``b_init, b_init + step_1, b_init + step_1 + step_2, ...``
     and accepts the first divisor whose regressed value matrix is
-    positive definite (which certifies that the shrunken closed loop is
-    Schur stable under ``K0``).  ``delta`` is either a constant step or
-    a callable ``probe_index -> step`` (probe indices start at 1) for
-    growing schedules.  Returns ``(b, solution, probes)``: the accepted
-    divisor, the positive definite regression that certified it, and the
-    number of regressions performed.
+    positive definite, which certifies that the shrunken closed loop is
+    Schur stable under ``K0``.  The test is whether the matrix has a
+    Cholesky factor: the LAPACK ``potrf`` that ``scipy.linalg.eigh(G, P)``
+    runs on the same ``P`` in :func:`scaling_bound`.  ``delta`` is either
+    a constant step or a callable ``probe_index -> step`` (probe indices
+    start at 1) for growing schedules.  Returns ``(b, solution,
+    probes)``: the accepted divisor, the positive definite regression that
+    certified it, and the number of regressions performed.
 
     Raises
     ------
@@ -220,9 +217,11 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
         increment = step(probe)
         matkit._check_positive(increment, "delta steps")
         sol = _solve_iteration(data, K0, 1.0 / b, weights)
-        if matkit.is_positive_definite(sol.P):
+        try:
+            np.linalg.cholesky(sol.P)
             return b, sol, probe
-        b += increment
+        except np.linalg.LinAlgError:
+            b += increment
     raise ProbesExhaustedError(
         f"no scaling divisor found in {max_probes} probes "
         f"(last candidate {b:.6g})")
@@ -285,7 +284,7 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     def step(K, cum, scaling):
         sol = pending.pop() if pending else _solve_iteration(data, K, cum,
                                                              weights)
-        K_next = model_free_gain_update(sol, weights, cum)
+        K_next = riccati._improved_gain(sol.L, sol.M.T, weights.R, cum)
         if not scaling:
             return sol.P, K_next, 1.0, {}
         rho = scaling_bound(sol.P, K_next, weights)

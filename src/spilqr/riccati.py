@@ -245,12 +245,24 @@ def _model_step(sys, weights, K0, lam):
     (Lyapunov evaluation, scaled improvement, interior-point factor of
     weight ``lam``) and ``rho(A - B K0)``.  One Schur factorization per
     evaluation: a scaling step factors its improved gain for the next one,
-    a scale-1 step its own gain unless handed one; the final gain never."""
-    A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
-    factor = matkit.schur(A - B @ K0)
+    a scale-1 step its own gain unless handed one; the final gain never.
+
+    The step runs on the plant balanced by the diagonal ``D`` of LAPACK
+    ``gebal``, whose powers of 2 make every change of coordinates exact:
+    ``(D^-1 A D, D^-1 B)`` with weight ``D Q D`` and gains ``K D``, and
+    ``P`` and ``K`` mapped back.  The same plant with its states in other
+    units balances alike, so the Schur factors, and with them the answer
+    and the evaluation count, do not depend on those units; a plant that
+    is already balanced has ``D = I``."""
+    _, (d, _) = scipy.linalg.matrix_balance(sys.A, permute=False,
+                                            separate=True)
+    A, B = sys.A * d / d[:, None], sys.B / d[:, None]
+    Q, R = weights.Q * d * d[:, None], weights.R
+    factor = matkit.schur(A - B @ (K0 * d))
 
     def step(K, cum, scaling):
         nonlocal factor
+        K = K * d
         if factor is None:
             factor = matkit.schur(A - B @ K)
         W = Q + K.T @ R @ K
@@ -260,7 +272,7 @@ def _model_step(sys, weights, K0, lam):
         rho = factor[2]
         factor = matkit.schur(A - B @ K_next) if scaling else None
         c = _interior_factor(cum * factor[2], lam) if scaling else 1.0
-        return P, K_next, c, {"rho_closed": rho}
+        return P / d / d[:, None], K_next / d, c, {"rho_closed": rho}
 
     return step, factor[2]
 

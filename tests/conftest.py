@@ -45,10 +45,14 @@ def power_weights():
 
 
 @pytest.fixture(scope="session")
-def power_data(power_system):
+def power_trajectory(power_system):
     policy = lti.exploration_input(1, seed=DATA_SEED)
-    traj = lti.simulate(power_system, benchmarks.POWER_PLANT_X0, policy, 30)
-    return model_free.build_regression_data(traj)
+    return lti.simulate(power_system, benchmarks.POWER_PLANT_X0, policy, 30)
+
+
+@pytest.fixture(scope="session")
+def power_data(power_trajectory):
+    return model_free.build_regression_data(power_trajectory)
 
 
 @pytest.fixture(scope="session")

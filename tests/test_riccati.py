@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from spilqr import lti, matkit, model_based, model_free, riccati
 from spilqr.exceptions import (
@@ -215,6 +216,40 @@ def test_stop_does_not_depend_on_the_units_of_the_weights(sweep, solver):
             counts.add(sol.iterations)
             assert np.linalg.norm(sol.K - K_opt, "fro") < 1e-9, (i, s)
         assert len(counts) == 1, (i, counts)
+
+
+@pytest.mark.parametrize("solver", POLICY_ITERATION_SOLVERS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(log_s=st.floats(-6.0, 6.0),
+       log_t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+@example(log_s=-6.0, log_t=[-3.0, 3.0, 3.0])
+@example(log_s=6.0, log_t=[3.0, -3.0, 0.0])
+def test_answer_does_not_depend_on_units(power_system, power_weights,
+                                         power_trajectory, solver, log_s,
+                                         log_t):
+    # the power plant with weights (s Q, s R) and states x' = T x, T
+    # diagonal: A' = T A T^-1, B' = T B, Q' = T^-1 Q T^-1 and the recording
+    # times T have the optimal gain K* T^-1, so a solve in these units
+    # returns, as K' T, the gain it returns in the plant's own units;
+    # Hewer's method starts from half of (rounded) K* in both.  The two
+    # examples spread the state units over the full six decades.
+    s, t = 10.0 ** log_s, 10.0 ** np.array(log_t)
+    T, T_inv = np.diag(t), np.diag(1.0 / t)
+    system = lti.LinearSystem(T @ power_system.A @ T_inv, T @ power_system.B)
+    weights = lti.CostWeights(s * T_inv @ power_weights.Q @ T_inv,
+                              s * power_weights.R)
+
+    def solve(system, weights, K_ref, states):
+        data = model_free.RegressionData(lti.Trajectory(
+            states, power_trajectory.inputs)) \
+            if solver == "spi-model-free" else None
+        return solve_by(solver, system, weights, K_ref, data, 1e-8).K
+
+    K_unit = solve(power_system, power_weights, POWER_K_REF,
+                   power_trajectory.states)
+    K = solve(system, weights, POWER_K_REF @ T_inv,
+              power_trajectory.states * t) @ T
+    assert np.linalg.norm(K - K_unit) <= 1e-10 * np.linalg.norm(K_unit)
 
 
 def test_tiny_weights_solve_to_the_unit_gain(power_system, power_weights,
