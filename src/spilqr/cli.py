@@ -169,22 +169,11 @@ def collect_trajectory(sys, cfg, seed):
 # ---------------------------------------------------------------------------
 # report serialization
 
-# A Hewer/value-iteration record, once its i and matrices are filled in.
-SCALE_1 = vars(riccati.SpiState(i=0, K_tilde=None, P_tilde=None, b=1.0,
-                                c=1.0, cum=1.0))
-
-
-def _rows(result, sys):
-    """Report rows of a solve: per phase, each record's fields (those of a
-    :class:`riccati.SpiState`) with its matrices as lists and its norms and
-    radii.  Hewer/value-iteration pairs are scale-1 phase-2 records.  A
-    record without ``rho_closed`` takes it from one stacked eigensolve."""
-    if isinstance(result, riccati.SpiReport):
-        phases = [(1, [vars(s) for s in result.phase1_trace]),
-                  (2, [vars(s) for s in result.phase2_trace])]
-    else:
-        phases = [(2, [dict(SCALE_1, i=i, K_tilde=K, P_tilde=P)
-                       for i, (P, K) in enumerate(result.trace)])]
+def _rows(phases, sys):
+    """Report rows of a solve's ``phases`` (see :func:`_run`): per phase,
+    each record's fields with its matrices as lists and its norms and
+    radii.  A record without ``rho_closed`` takes it from one stacked
+    eigensolve."""
     F = np.array([sys.A - sys.B @ s["K_tilde"] for _, records in phases
                   for s in records if s["rho_closed"] is None])
     radii = iter(matkit.spectral_radius(F.reshape(-1, sys.n, sys.n)).tolist())
@@ -212,31 +201,35 @@ CSV_COLUMNS = ("i", "phase", "b", "c", "cum", "P_norm", "dP_norm",
                "rho_closed", "rho_scaled", "bound")
 
 
-def _cell(val):
-    if isinstance(val, float):   # np.float64 included; the common case
-        return _fmt(val)
-    if val is None:
-        return ""
-    if isinstance(val, (int, np.integer)):  # bool included
-        return str(int(val))
-    return val if isinstance(val, str) else _fmt(float(val))
-
-
 def _write_csv(path, header, rows):
-    """CSV with a header line; in each row ``None`` is written empty,
-    integers (bools included) as integers and other numbers by
-    :func:`_fmt`."""
+    """CSV with a header line; in each row ``None`` is written empty, floats
+    (``np.float64`` included) by :func:`_fmt`, and integers and solver
+    names as they print."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows([_cell(val) for val in row] for row in rows)
+        writer.writerows([_fmt(val) if isinstance(val, float)
+                          else "" if val is None else val for val in row]
+                         for row in rows)
 
 
 def _write_json(path, obj):
-    """Compact JSON from the C encoder, written at once."""
-    text = json.dumps(obj, sort_keys=True)
+    """The text of ``json.dumps(obj, sort_keys=True)`` and a newline, for a
+    dict ``obj``, written one element of a top-level list at a time."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as f:
-        f.write(text + "\n")
+        f.write("{")
+        for k, key in enumerate(sorted(obj)):
+            value = obj[key]
+            f.write(f"{', ' if k else ''}{encode(key)}: ")
+            if not isinstance(value, list):
+                f.write(encode(value))
+                continue
+            f.write("[")
+            f.writelines(f"{', ' if j else ''}{encode(item)}"
+                         for j, item in enumerate(value))
+            f.write("]")
+        f.write("}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +249,6 @@ def cmd_discretize(args):
     return EXIT_OK
 
 
-SOLVERS = ("hewer", "vi", "spi-model-based", "spi-model-free")
-
 # The params keys each solver takes, each mapped to its library keyword; a
 # key the config leaves unset takes the library default.
 SETTINGS = {
@@ -265,12 +256,18 @@ SETTINGS = {
     "spi-model-based": {"beta": "beta", "lambda": "lam", "i_max": "i_max"},
     "spi-model-free": {"b_init": "b_init", "delta": "delta", "lambda": "lam",
                        "max_probes": "max_probes", "i_max": "i_max"}}
+SOLVERS = tuple(SETTINGS)
+
+# A Hewer/value-iteration record, once its i and matrices are filled in.
+SCALE_1 = vars(riccati.SpiState(i=0, K_tilde=None, P_tilde=None, b=1.0,
+                                c=1.0, cum=1.0))
 
 
 def _run(name, sys_d, weights, K0, P0, data, params, tol):
     """Run one solver with the settings ``params`` holds; returns its
-    library result (an ``AreSolution`` or a ``SpiReport``) and the elapsed
-    seconds."""
+    ``AreSolution``, ``(phase, records)`` pairs of :class:`riccati.SpiState`
+    fields (Hewer/value-iteration pairs as scale-1 phase-2 records), the
+    report keys only a scaling solve has, and the elapsed seconds."""
     opts = {kw: params[key] for key, kw in SETTINGS[name].items()
             if key in params}
     if isinstance(opts.get("delta"), dict):   # growing schedule {"rate"}
@@ -287,7 +284,17 @@ def _run(name, sys_d, weights, K0, P0, data, params, tol):
                                              **opts)
     else:
         result = model_free.spi_model_free(data, K0, weights, tol=tol, **opts)
-    return result, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    if not isinstance(result, riccati.SpiReport):   # Hewer, value iteration
+        records = [dict(SCALE_1, i=i, K_tilde=K, P_tilde=P)
+                   for i, (P, K) in enumerate(result.trace)]
+        return result, [(2, records)], {}, elapsed
+    keys = {"b": result.b, "handoff_index": result.handoff_index}
+    if name == "spi-model-free":
+        keys["probes"] = result.probes
+    phases = [(phase, [vars(s) for s in trace]) for phase, trace
+              in ((1, result.phase1_trace), (2, result.phase2_trace))]
+    return result.solution, phases, keys, elapsed
 
 
 def cmd_solve(args):
@@ -298,10 +305,9 @@ def cmd_solve(args):
     sys_d, weights, seed, params, K0, P0 = _problem(cfg, args.seed)
     data = (collect_trajectory(sys_d, cfg, seed)
             if name == "spi-model-free" else None)
-    result, elapsed = _run(name, sys_d, weights, K0, P0, data, params,
-                           params.get("tol", 1e-5))
-    sol = getattr(result, "solution", result)
-    rows = _rows(result, sys_d)
+    sol, phases, keys, elapsed = _run(name, sys_d, weights, K0, P0, data,
+                                      params, params.get("tol", 1e-5))
+    rows = _rows(phases, sys_d)
     # only the data-driven solver, which never sees the plant, leaves it unset
     residual = (sol.residual if sol.residual is not None
                 else riccati.are_residual(sys_d, weights, sol.P))
@@ -325,11 +331,8 @@ def cmd_solve(args):
         "trace": rows,
         "oracle": oracle,
         "wall_time_s": elapsed,
+        **keys,
     }
-    if isinstance(result, riccati.SpiReport):
-        report.update(b=result.b, handoff_index=result.handoff_index)
-    if name == "spi-model-free":
-        report.update(probes=result.probes)
     report_path = os.path.join(args.out, "report.json")
     _write_json(report_path, report)
     _write_csv(os.path.join(args.out, "trace.csv"), CSV_COLUMNS,
@@ -392,17 +395,14 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _iterations_to_tolerance(result, K_ref, tol):
-    """Index of the first gain of a solve, starting gain included, within
-    ``tol`` of the reference, plus the data-driven solver's divisor probes;
-    ``None`` when no gain comes that close."""
-    gains = ([result.phase1_trace[0].K_tilde, *result.gain_sequence()]
-             if isinstance(result, riccati.SpiReport)
-             else [K for _, K in result.trace] + [result.K])
-    for idx, K in enumerate(gains):
-        if np.linalg.norm(K - K_ref, "fro") < tol:
-            return idx + getattr(result, "probes", 0)
-    return None
+def _iterations_to_tolerance(solution, phases, K_ref, tol):
+    """Index of the first gain of a solve within ``tol`` of the reference,
+    or ``None``: the gains of its records with a value matrix, in order,
+    then its final gain (the handoff record shares the next one's gain)."""
+    gains = [s["K_tilde"] for _, records in phases for s in records
+             if s["P_tilde"] is not None] + [solution.K]
+    return next((idx for idx, K in enumerate(gains)
+                 if np.linalg.norm(K - K_ref, "fro") < tol), None)
 
 
 def cmd_compare(args):
@@ -432,18 +432,18 @@ def cmd_compare(args):
             # budgets here; the scaling solvers read params.
             r = results[name]
             try:
-                result, elapsed = _run(
+                sol, phases, keys, elapsed = _run(
                     name, sys_d, weights, K0, P0, data,
                     {} if name in ("hewer", "vi") else params, 1e-9)
             except SpilqrError as exc:
                 log.info("trial %d solver %s failed: %s", t, name, exc)
                 r["failed"].append(f"{type(exc).__name__}: {exc}")
                 continue
-            iters = _iterations_to_tolerance(result, ref.K, gain_tol)
+            iters = _iterations_to_tolerance(sol, phases, ref.K, gain_tol)
             if iters is None:
                 r["failed"].append("no gain came within gain_tol")
             else:
-                r["iters"].append(iters)
+                r["iters"].append(iters + keys.get("probes", 0))
                 r["times"].append(elapsed)
 
     table = []

@@ -79,9 +79,8 @@ class SpiState:
     final phase.  ``bound`` is the headroom ``1 / rho_hat`` from which the
     data-driven solver chose the *next* factor at this iteration, where
     ``rho_hat`` is the certified radius of the improved scaled loop
-    (:func:`spilqr.model_free.scaling_bound`).  Diagnostic fields are
-    filled only where the producing solver can compute them without
-    touching the plant matrices.
+    (:func:`spilqr.model_free.scaling_bound`).  Each diagnostic field is
+    filled only by the solver its comment names, and is ``None`` otherwise.
     """
 
     i: int
@@ -401,31 +400,36 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
     At, Bt = A.T, B.T
     trace = []
-    for k in range(max_iter):
-        # riccati_step: K = (R + B'PB)^{-1} B'PA, P' = Q + A'P(A - BK)
-        # ndarray.dot: the same BLAS call as @ at half the overhead
-        BtP = Bt.dot(P)
-        _, _, K, info = scipy.linalg.lapack.dgesv(R + BtP.dot(B), BtP.dot(A))
-        if info > 0:
-            raise SingularMatrixError("R + B'PB is numerically singular")
-        K = np.ascontiguousarray(K)   # C order, as np.linalg.solve returns
-        P_next = Q + At.dot(P).dot(A - B.dot(K))
-        P_next = (P_next + P_next.T) / 2.0
-        trace.append((P, K))
-        d = (P_next - P).ravel()
-        step = math.sqrt(d.dot(d))   # np.linalg.norm(P_next - P, "fro")
-        if not math.isfinite(step):
-            raise InvalidProblemError(
-                f"value iteration diverged at sweep {k + 1}")
-        if step < tol:
-            K = optimal_gain(sys, weights, P_next)
-            return AreSolution(P=P_next, K=K,
-                               residual=_residual(sys, weights, P_next, K),
-                               iterations=k + 1, trace=trace)
-        P = P_next
-    raise MaxIterationsError(
-        f"value iteration did not converge in {max_iter} iterations",
-        last=(P, None))
+    # a diverging P overflows; the step check names it, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            # riccati_step: K = (R + B'PB)^{-1} B'PA, P' = Q + A'P(A - BK)
+            # ndarray.dot: the same BLAS call as @ at half the overhead
+            BtP = Bt.dot(P)
+            _, _, K, info = scipy.linalg.lapack.dgesv(R + BtP.dot(B),
+                                                      BtP.dot(A))
+            if info > 0:
+                raise SingularMatrixError("R + B'PB is numerically singular")
+            K = np.ascontiguousarray(K)   # C order, as np.linalg.solve gives
+            P_next = Q + At.dot(P).dot(A - B.dot(K))
+            P_next = (P_next + P_next.T) / 2.0
+            trace.append((P, K))
+            d = (P_next - P).ravel()
+            step = math.sqrt(d.dot(d))   # np.linalg.norm(P_next - P, "fro")
+            if not math.isfinite(step):
+                raise InvalidProblemError(
+                    f"value iteration diverged at sweep {k + 1}")
+            if step < tol:
+                break
+            P = P_next
+        else:
+            raise MaxIterationsError(
+                f"value iteration did not converge in {max_iter} iterations",
+                last=(P, None))
+    K = optimal_gain(sys, weights, P_next)
+    return AreSolution(P=P_next, K=K,
+                       residual=_residual(sys, weights, P_next, K),
+                       iterations=k + 1, trace=trace)
 
 
 def dare_reference(sys, weights):

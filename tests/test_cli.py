@@ -6,13 +6,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
 import spilqr
-from spilqr import cli, matkit, model_free, riccati
+from spilqr import cli, matkit, model_based, model_free, riccati
 from spilqr.exceptions import ConfigError
 
 from conftest import POWER_K_REF, POWER_P_REF
@@ -529,15 +530,44 @@ def test_compare_trivial_start_converges_immediately(power_system,
                                                      power_weights,
                                                      power_oracle,
                                                      power_data):
-    # a trial seeded at the optimum needs at most two iterations
+    # a trial seeded at the optimum needs at most two iterations, counted
+    # as compare counts them: the gain index plus any divisor probes
     from spilqr import riccati
     P0 = power_oracle.P
     K0 = riccati.optimal_gain(power_system, power_weights, P0)
     for name in ("vi", "hewer", "spi-model-based", "spi-model-free"):
-        result, _ = cli._run(name, power_system, power_weights, K0, P0,
-                             power_data, {}, 1e-9)
-        iters = cli._iterations_to_tolerance(result, power_oracle.K, 1e-4)
-        assert iters is not None and iters <= 2, (name, iters)
+        sol, phases, keys, _ = cli._run(name, power_system, power_weights, K0,
+                                        P0, power_data, {}, 1e-9)
+        iters = cli._iterations_to_tolerance(sol, phases, power_oracle.K,
+                                             1e-4)
+        assert iters is not None, name
+        assert iters + keys.get("probes", 0) <= 2, (name, iters, keys)
+
+
+@pytest.mark.parametrize("name", ["spi-model-based", "spi-model-free"])
+def test_compare_counts_the_gains_of_a_scaling_solve(sweep, name):
+    # the gains compare counts are the starting gain and the library's gain
+    # sequence, bit for bit: the k-th of them is found at index k unless
+    # an earlier one is the same matrix.  A rule that drops or repeats the
+    # handoff gain moves every later index.
+    tiny = np.finfo(float).tiny   # only an exact match is nearer
+    for case in sweep:
+        sys_d, weights, K0, data = (case[key] for key in
+                                    ("sys", "weights", "K0", "data"))
+        if name == "spi-model-based":
+            report = model_based.spi_model_based(sys_d, weights, K0, tol=1e-8)
+        else:
+            report = model_free.spi_model_free(data, K0, weights, tol=1e-8)
+        sol, phases, keys, _ = cli._run(name, sys_d, weights, K0, None, data,
+                                        {}, 1e-8)
+        assert keys["handoff_index"] == report.handoff_index
+        gains = [report.phase1_trace[0].K_tilde, *report.gain_sequence()]
+        for K in gains:
+            first = next(idx for idx, G in enumerate(gains)
+                         if np.array_equal(G, K))
+            assert cli._iterations_to_tolerance(sol, phases, K, tiny) == first
+        assert cli._iterations_to_tolerance(sol, phases, 2 * gains[-1],
+                                            tiny) is None
 
 
 def test_compare_counts_a_solve_that_never_reaches_gain_tol(tmp_path,
@@ -846,6 +876,20 @@ def test_compare_unstabilizable_plant_exit_code(tmp_path):
     assert not (tmp_path / "comparison.csv").exists()
 
 
+def test_solve_vi_diverging_plant_exit_code(tmp_path):
+    # with Q = I the cost sees the unreachable unstable mode: value
+    # iteration diverges, and the CLI reports it by name with no numpy
+    # warning on the way
+    cfg = write_config(tmp_path / "c.json", {
+        "system": UNSTABILIZABLE["system"],
+        "weights": {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]]}})
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path),
+                     "--solver", "vi"]) == 3
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"]["type"] == "InvalidProblemError"
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("solver", ["vi", "hewer", "spi-model-free"])
 def test_trace_radii_equal_spectral_radius(tmp_path, solver):
     # the row builder's one stacked eigensolve gives every row the radius
@@ -864,10 +908,8 @@ def test_trace_radii_equal_spectral_radius(tmp_path, solver):
 
 
 def test_closed_loop_radii_of_no_gains(power_system):
-    # a trace without gains gives the row builder an empty stack to solve
-    empty = riccati.AreSolution(P=np.eye(3), K=np.zeros((1, 3)),
-                                residual=None, iterations=0)
-    assert cli._rows(empty, power_system) == []
+    # a phase without records gives the row builder an empty stack to solve
+    assert cli._rows([(2, [])], power_system) == []
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):
@@ -885,12 +927,17 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
 
 @pytest.mark.parametrize("solver", ["vi", "spi-model-free"])
 def test_report_parses_like_the_indented_text(tmp_path, monkeypatch, solver):
-    written = {}
+    written, peaks = {}, {}
     write_json = cli._write_json
 
     def capture(path, obj):
         written[path] = obj
-        write_json(path, obj)
+        tracemalloc.start()
+        try:
+            write_json(path, obj)
+            peaks[path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     monkeypatch.setattr(cli, "_write_json", capture)
     cfg = write_config(tmp_path / "c.json", model_free_config())
@@ -901,6 +948,12 @@ def test_report_parses_like_the_indented_text(tmp_path, monkeypatch, solver):
     assert text.count("\n") == 1 and text.endswith("\n")
     indented = json.dumps(written[path], indent=2, sort_keys=True) + "\n"
     assert json.loads(text) == json.loads(indented)
+    assert text == json.dumps(written[path], sort_keys=True) + "\n"
+    # written a list element at a time: the 70 kB value-iteration report
+    # peaks near 26 kB, mostly the file object's buffers, and near 0.5 MB
+    # when encoded whole
+    if solver == "vi":
+        assert peaks[path] < len(text), (peaks[path], len(text))
 
 
 def _run_python(*args):
