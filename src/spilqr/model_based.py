@@ -40,7 +40,7 @@ def scaled_policy_evaluation(sys, weights, K, cum):
     if cum != 0.0:
         matkit._check_positive(cum, "cum")
     W = matkit.check_symmetric(weights.Q + K.T @ weights.R @ K, "W")
-    return riccati._evaluate(matkit.schur(sys.A - sys.B @ K), W, cum)
+    return riccati._evaluate(matkit._stein_factor(sys.A - sys.B @ K), W, cum)
 
 
 def scaled_policy_improvement(sys, weights, P, cum):

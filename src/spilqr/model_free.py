@@ -46,7 +46,7 @@ def unknown_count(n, m):
     return n * (n + 1) // 2 + m * n + m * (m + 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RegressionData:
     """The certified sample blocks of one recorded trajectory.
 
@@ -97,6 +97,17 @@ class RegressionData:
     n = property(lambda self: self.states.shape[1])
     m = property(lambda self: self.inputs.shape[1])
     l = property(lambda self: self.states.shape[0])
+
+    def __repr__(self):
+        """The derived sizes only: the constructor's trajectory is not
+        kept, and the blocks are O(l (n + m)^2)."""
+        return f"RegressionData(n={self.n}, m={self.m}, l={self.l})"
+
+    def _repr_pretty_(self, p, cycle):
+        """The pretty-printing hook of IPython and ``hypothesis``, which
+        would otherwise list the dataclass's init fields, the trajectory
+        that is not kept among them."""
+        p.text(repr(self))
 
 
 @dataclass(frozen=True)

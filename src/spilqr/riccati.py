@@ -212,7 +212,8 @@ def _check_start(K0, weights, m, n, lam, tol, i_max):
 
 
 def _evaluate(factor, W, cum):
-    """Solve ``cum^2 F' P F - P + W = 0`` on the Schur factor of ``F``."""
+    """Solve ``cum^2 F' P F - P + W = 0`` on the factor of ``F`` from
+    ``matkit._stein_factor``."""
     T, U, rho = factor
     try:
         return matkit._stein(cum * T, U, cum * rho, W)
@@ -242,34 +243,35 @@ def _interior_factor(rho, lam):
 def _model_step(sys, weights, K0, lam):
     """The model-based ``step`` of :func:`_scaling_pi` from gain ``K0``
     (Lyapunov evaluation, scaled improvement, interior-point factor of
-    weight ``lam``) and ``rho(A - B K0)``.  One Schur factorization per
-    evaluation: a scaling step factors its improved gain for the next one,
-    a scale-1 step its own gain unless handed one; the final gain never.
+    weight ``lam``) and ``rho(A - B K0)``.  One factorization
+    (``matkit._stein_factor``) per evaluation: a scaling step factors its
+    improved gain for the next one, a scale-1 step its own gain unless
+    handed one; the final gain never.
 
     The step runs on the plant balanced by the diagonal ``D`` of LAPACK
     ``gebal``, whose powers of 2 make every change of coordinates exact:
     ``(D^-1 A D, D^-1 B)`` with weight ``D Q D`` and gains ``K D``, and
     ``P`` and ``K`` mapped back.  The same plant with its states in other
-    units balances alike, so the Schur factors, and with them the answer
+    units balances alike, so the factors, and with them the answer
     and the evaluation count, do not depend on those units; a plant that
     is already balanced has ``D = I``."""
     _, (d, _) = scipy.linalg.matrix_balance(sys.A, permute=False,
                                             separate=True)
     A, B = sys.A * d / d[:, None], sys.B / d[:, None]
     Q, R = weights.Q * d * d[:, None], weights.R
-    factor = matkit.schur(A - B @ (K0 * d))
+    factor = matkit._stein_factor(A - B @ (K0 * d))
 
     def step(K, cum, scaling):
         nonlocal factor
         K = K * d
         if factor is None:
-            factor = matkit.schur(A - B @ K)
+            factor = matkit._stein_factor(A - B @ K)
         W = Q + K.T @ R @ K
         P = _evaluate(factor, (W + W.T) / 2.0, cum)
         BtP = B.T @ P   # P comes out of the solve exactly symmetric
         K_next = _improved_gain(BtP @ B, BtP @ A, R, cum)
         rho = factor[2]
-        factor = matkit.schur(A - B @ K_next) if scaling else None
+        factor = matkit._stein_factor(A - B @ K_next) if scaling else None
         c = _interior_factor(cum * factor[2], lam) if scaling else 1.0
         return P / d / d[:, None], K_next / d, c, {"rho_closed": rho}
 
@@ -343,7 +345,7 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     DimensionMismatchError
         If ``K0`` or the weights do not match the plant.
     NotStabilizingError
-        If ``rho(A - B K0) >= 1`` (read off the first Schur factor); use
+        If ``rho(A - B K0) >= 1`` (read off the first factor); use
         the scaling solvers when no stabilizing gain is available.
     UnstableScaledSystemError
         If ``rho(A - B K0)`` lies within ``matkit.STABILITY_MARGIN`` of 1.

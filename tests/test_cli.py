@@ -17,6 +17,7 @@ from spilqr import cli, matkit, model_based, model_free, riccati
 from spilqr.exceptions import ConfigError
 
 from conftest import POWER_K_REF, POWER_P_REF
+from reference import regenerate
 
 POWER_AC = [[-12.5, 0.0, 5.0], [10.0, -10.0, 0.0], [0.0, 6.0, -0.05]]
 POWER_BC = [[0.0], [12.5], [0.0]]
@@ -719,30 +720,19 @@ def test_missing_config_file(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-# trace.csv of each solver on the shipped data-driven config, Hewer's method
-# from the stabilizing HEWER_K0; a change that moves the numerics on purpose
-# regenerates these files
-REFERENCE = pathlib.Path(__file__).resolve().parent / "reference"
-HEWER_K0 = [[0.2, 0.4, 0.6]]
-
-
 def _csv_rows(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
 
 
-@pytest.mark.parametrize("solver", ["vi", "spi-model-based", "spi-model-free",
-                                    "hewer"])
+# trace.csv of each solver on the shipped data-driven config, as
+# tests/reference/regenerate.py writes it; a change that moves the numerics
+# on purpose reruns that script
+@pytest.mark.parametrize("solver", regenerate.SOLVERS)
 def test_shipped_trace_matches_reference(tmp_path, solver):
-    config = str(CONFIGS / "power_model_free.json")
-    if solver == "hewer":
-        cfg = json.loads(pathlib.Path(config).read_text())
-        cfg["params"]["K0"] = HEWER_K0
-        config = write_config(tmp_path / "hewer.json", cfg)
-    assert cli.main(["solve", "--config", config,
-                     "--solver", solver, "--out", str(tmp_path)]) == 0
+    assert regenerate.solve(solver, tmp_path) == 0
     got = _csv_rows(tmp_path / "trace.csv")
-    want = _csv_rows(REFERENCE / f"power_model_free_{solver}_trace.csv")
+    want = _csv_rows(regenerate.HERE / regenerate.trace_name(solver))
     assert got[0] == want[0]
     assert [len(row) for row in got] == [len(row) for row in want]
     for i, (row, ref) in enumerate(zip(got[1:], want[1:])):

@@ -306,7 +306,12 @@ def test_lyapunov_property_sweep(n, seed, log_gap, minus_one, pair_share,
     F = _lyapunov_factor(rng, n, rho, minus_one, pair_share, coupling)
     G = rng.standard_normal((n, n))
     W = G @ G.T if definite else G + G.T
-    P = matkit.solve_discrete_lyapunov(F, W)
+    _check_lyapunov(F, W, matkit.solve_discrete_lyapunov(F, W))
+
+
+def _check_lyapunov(F, W, P):
+    """``P`` is exactly symmetric and solves ``F' P F - P + W = 0`` within
+    criterion 8's bound, and within the Kronecker oracle's for n <= 12."""
     assert np.array_equal(P, P.T)
     # Criterion 8's bound, with 1 + ||W|| widened to ||F||^2 ||P|| when
     # the solution is large: near the unit circle P grows like
@@ -315,10 +320,70 @@ def test_lyapunov_property_sweep(n, seed, log_gap, minus_one, pair_share,
     scale = max(1.0 + np.linalg.norm(W),
                 np.linalg.norm(F, 2)**2 * np.linalg.norm(P))
     assert res <= 1e-9 * scale
-    if n <= 12:
+    if len(F) <= 12:
         P_ref, cond = _kronecker_lyapunov(F, W)
         err = np.linalg.norm(P - P_ref)
         assert err <= 1e-12 * cond * np.linalg.norm(P_ref)
+
+
+@pytest.mark.parametrize("n", [matkit.KRONECKER_MAX_N,
+                               matkit.KRONECKER_MAX_N + 1])
+@pytest.mark.parametrize("definite", [True, False])
+def test_lyapunov_kernels_near_unit_circle(n, definite):
+    # both kernels on both sides of the cutoff, at radius 1 - 1e-6
+    # attained at -rho; the public solve runs the one its size selects
+    rng = np.random.default_rng(15)
+    F = _lyapunov_factor(rng, n, 1.0 - 1e-6, True, 0.5, 1.0)
+    G = rng.standard_normal((n, n))
+    W = G @ G.T if definite else G + G.T
+    T, U, rho = matkit.schur(F)
+    kernels = {"kronecker": matkit._stein(F, None, rho, W),
+               "schur": matkit._stein(T, U, rho, W)}
+    for P in kernels.values():
+        _check_lyapunov(F, W, P)
+    chosen = "kronecker" if n <= matkit.KRONECKER_MAX_N else "schur"
+    assert np.array_equal(matkit.solve_discrete_lyapunov(F, W),
+                          kernels[chosen])
+
+
+def test_stein_factor_chosen_by_size():
+    # up to the cutoff the factor is F itself, with the radius schur
+    # reads off to the bit; above it, schur's factor
+    rng = np.random.default_rng(16)
+    for n in range(1, matkit.KRONECKER_MAX_N + 3):
+        for pair_share in (0.0, 0.5, 1.0):
+            F = _lyapunov_factor(rng, n, 0.9, False, pair_share, 1.0)
+            T, U, rho = matkit._stein_factor(F)
+            T_ref, U_ref, rho_ref = matkit.schur(F)
+            assert rho == rho_ref
+            if n <= matkit.KRONECKER_MAX_N:
+                assert U is None and np.array_equal(T, F)
+            else:
+                assert np.array_equal(T, T_ref) and np.array_equal(U, U_ref)
+    with pytest.raises(InvalidProblemError):
+        matkit._stein_factor(np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("n", [matkit.KRONECKER_MAX_N,
+                               matkit.KRONECKER_MAX_N + 1])
+def test_lyapunov_kernel_refusals(n):
+    # each kernel, on its side of the cutoff, refuses a factor near the
+    # unit circle with its radius, and an overflowing solution with the
+    # named error
+    F = np.diag(np.linspace(0.5, 1.01, n))
+    with pytest.raises(UnstableMatrixError) as err:
+        matkit._stein(*matkit._stein_factor(F), np.eye(n))
+    assert err.value.rho == pytest.approx(1.01)
+    F = 0.99 * np.eye(n)
+    with pytest.raises(IllConditionedError):
+        matkit._stein(*matkit._stein_factor(F), 1e307 * np.eye(n))
+
+
+def test_kronecker_kernel_refuses_singular_system():
+    # LAPACK dgesv reports the singular I - F' kron F' of F = I (info > 0),
+    # whatever radius the factor carries
+    with pytest.raises(IllConditionedError, match="singular"):
+        matkit._stein(np.eye(2), None, 0.5, np.eye(2))
 
 
 def test_lyapunov_factor_spectrum():
@@ -451,8 +516,8 @@ def test_definiteness_threshold_scales_with_largest_eigenvalue():
 
 def test_lyapunov_rejects_overflowing_solution():
     # P = W / (1 - 0.99^2), about 5e308, exceeds the largest double; the
-    # back-substitution's inf arithmetic raises the named error, not a
-    # numpy warning, also when warnings are errors
+    # solve's inf arithmetic raises the named error, not a numpy warning,
+    # also when warnings are errors
     with pytest.raises(IllConditionedError):
         matkit.solve_discrete_lyapunov(0.99 * np.eye(2), 1e307 * np.eye(2))
 

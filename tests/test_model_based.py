@@ -53,7 +53,7 @@ def test_choose_b_rejects_nonpositive_beta(power_system, power_weights):
 def test_beta_refused_before_any_eigensolve(power_system, power_weights,
                                             monkeypatch, beta):
     calls = []
-    for name in ("schur", "spectral_radius"):
+    for name in ("_stein_factor", "schur", "spectral_radius"):
         original = getattr(matkit, name)
         monkeypatch.setattr(matkit, name, lambda A, f=original:
                             calls.append(A) or f(A))
@@ -269,15 +269,15 @@ def test_solver_trace_radii(power_system, power_weights):
 def test_solver_one_eigensolve_per_iteration(power_system, power_weights,
                                              monkeypatch):
     factored, radii = [], []
-    schur, radius = matkit.schur, matkit.spectral_radius
-    monkeypatch.setattr(matkit, "schur",
-                        lambda F: factored.append(F) or schur(F))
+    factor, radius = matkit._stein_factor, matkit.spectral_radius
+    monkeypatch.setattr(matkit, "_stein_factor",
+                        lambda F: factored.append(F) or factor(F))
     monkeypatch.setattr(matkit, "spectral_radius",
                         lambda A: radii.append(A) or radius(A))
     report = model_based.spi_model_based(power_system, power_weights,
                                          K0_ZERO, tol=1e-8)
     A, B = power_system.A, power_system.B
-    # one Schur factorization per policy evaluation, of the evaluated
+    # one factorization per policy evaluation, of the evaluated
     # gain's closed loop, which also gives the record's radius and the
     # next factor; never the final gain's
     evaluated = [s.K_tilde for s in report.phase1_trace + report.phase2_trace
@@ -294,16 +294,53 @@ def test_solver_one_eigensolve_per_iteration(power_system, power_weights,
     assert np.array_equal(radii[0], A)
 
 
+@pytest.mark.parametrize("n", [matkit.KRONECKER_MAX_N,
+                               matkit.KRONECKER_MAX_N + 1])
+def test_evaluation_kernel_chosen_by_state_dimension(n, monkeypatch):
+    # up to the cutoff no evaluation goes through the complex Schur form;
+    # above it every one does, each factored once
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((n, n))
+    sys_d = lti.LinearSystem(A / matkit.spectral_radius(A) * 1.1,
+                             rng.standard_normal((n, 2)))
+    weights = lti.CostWeights(np.eye(n), np.eye(2))
+    factored, schur_calls = [], []
+    factor, schur = matkit._stein_factor, matkit.schur
+    monkeypatch.setattr(matkit, "_stein_factor",
+                        lambda F: factored.append(F) or factor(F))
+    monkeypatch.setattr(matkit, "schur",
+                        lambda F: schur_calls.append(F) or schur(F))
+    report = model_based.spi_model_based(sys_d, weights, np.zeros((2, n)),
+                                         tol=1e-8)
+    assert report.handoff_index >= 1
+    assert len(factored) == report.solution.iterations
+    through_schur = [] if n <= matkit.KRONECKER_MAX_N else factored
+    assert len(schur_calls) == len(through_schur)
+    assert all(S is F for S, F in zip(schur_calls, through_schur))
+
+
+def test_power_plant_solve_skips_the_schur_form(power_system, power_weights,
+                                                 monkeypatch):
+    # scaling SPI from an unstable and from the optimal start, and Hewer's
+    calls = []
+    schur = matkit.schur
+    monkeypatch.setattr(matkit, "schur", lambda F: calls.append(F) or schur(F))
+    for K0 in (K0_ZERO, POWER_K_REF):
+        model_based.spi_model_based(power_system, power_weights, K0)
+    riccati.hewer_pi(power_system, power_weights, POWER_K_REF)
+    assert calls == []
+
+
 def test_shared_factor_evaluation_matches_lyapunov_solve(corpus):
-    # the step scales the Schur factor of A - BK by cum instead of
-    # factoring cum (A - BK) again
+    # the step scales the factor of A - BK by cum instead of factoring
+    # cum (A - BK) again, the Schur form and the Kronecker factor alike
     for case in corpus:
         sys_d, weights, K = case["sys"], case["weights"], case["K0"]
         F = sys_d.A - sys_d.B @ K
         W = weights.Q + K.T @ weights.R @ K
-        factor = matkit.schur(F)
-        for cum in (0.0, 0.5 / (factor[2] + 1.0), 0.9 / factor[2]):
-            P = riccati._evaluate(factor, (W + W.T) / 2.0, cum)
-            P_ref = matkit.solve_discrete_lyapunov(cum * F, W)
-            assert np.linalg.norm(P - P_ref) \
-                <= 1e-13 * np.linalg.norm(P_ref)
+        for factor in (matkit.schur(F), matkit._stein_factor(F)):
+            for cum in (0.0, 0.5 / (factor[2] + 1.0), 0.9 / factor[2]):
+                P = riccati._evaluate(factor, (W + W.T) / 2.0, cum)
+                P_ref = matkit.solve_discrete_lyapunov(cum * F, W)
+                assert np.linalg.norm(P - P_ref) \
+                    <= 1e-13 * np.linalg.norm(P_ref)

@@ -2,6 +2,7 @@ import inspect
 import re
 from dataclasses import replace
 
+import hypothesis.vendor.pretty
 import numpy as np
 import pytest
 import scipy.linalg
@@ -120,6 +121,14 @@ def test_regression_data_takes_only_the_trajectory(power_data):
     assert (power_data.n, power_data.m, power_data.l) == (3, 1, 30)
     with pytest.raises(ValueError, match="InitVar|init=False"):
         replace(power_data, d_x=power_data.d_x[:-1])
+
+
+def test_regression_data_prints(power_data):
+    # hypothesis prints a failing example's arguments with its own pretty
+    # printer; the recording names its sizes, not the trajectory it drops
+    text = "RegressionData(n=3, m=1, l=30)"
+    assert repr(power_data) == text
+    assert hypothesis.vendor.pretty.pretty(power_data) == text
 
 
 def test_builder_and_constructor_agree_bit_for_bit(power_system):

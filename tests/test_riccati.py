@@ -76,9 +76,9 @@ def test_hewer_one_schur_factorization_per_evaluation(power_system,
                                                       power_weights,
                                                       monkeypatch):
     factored, radii = [], []
-    schur, radius = matkit.schur, matkit.spectral_radius
-    monkeypatch.setattr(matkit, "schur",
-                        lambda F: factored.append(F) or schur(F))
+    factor, radius = matkit._stein_factor, matkit.spectral_radius
+    monkeypatch.setattr(matkit, "_stein_factor",
+                        lambda F: factored.append(F) or factor(F))
     monkeypatch.setattr(matkit, "spectral_radius",
                         lambda A: radii.append(A) or radius(A))
     sol = riccati.hewer_pi(power_system, power_weights, [[0.2, 0.4, 0.6]],
