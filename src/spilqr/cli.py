@@ -55,16 +55,31 @@ def _load_schema():
         return json.load(f)
 
 
+def _inline_refs(node, defs):
+    """``node`` with every ``{"$ref": "#/$defs/<name>"}`` replaced by the
+    definition ``defs[<name>]``."""
+    if isinstance(node, list):
+        return [_inline_refs(item, defs) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if node.keys() == {"$ref"}:
+        return defs[node["$ref"].removeprefix("#/$defs/")]
+    return {key: _inline_refs(value, defs) for key, value in node.items()}
+
+
 @functools.cache
 def _validator():
     """The config validator, built once per process after one check of
     the packaged schema against its metaschema; its "integer" refuses the
-    integral floats (``500.0``) that JSON Schema admits and budgets do not."""
+    integral floats (``500.0``) that JSON Schema admits and budgets do not.
+    The schema's local ``$ref``s are resolved once here, so that no
+    validation looks them up again."""
     schema = _load_schema()
     cls = validator_for(schema)
     cls.check_schema(schema)
     return extend(cls, type_checker=cls.TYPE_CHECKER.redefine("integer", (
-        lambda _, v: isinstance(v, int) and not isinstance(v, bool))))(schema)
+        lambda _, v: isinstance(v, int) and not isinstance(v, bool))))(
+            _inline_refs(schema, schema["$defs"]))
 
 
 def _read_json(path, what):

@@ -2,6 +2,7 @@
 trajectory simulation, and structural (controllability/observability) checks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +142,17 @@ def simulate(sys, x0, policy, steps):
     X = np.zeros((steps + 1, sys.n))
     U = np.zeros((steps, sys.m))
     X[0] = x0
+    A, B = sys.A, sys.B
     for k in range(steps):
-        u = np.atleast_1d(np.asarray(policy(k, X[k]), dtype=float)).ravel()
+        u = np.asarray(policy(k, X[k]), dtype=float).ravel()
         if u.size != sys.m:
             raise DimensionMismatchError(
                 f"policy returned {u.size} inputs, expected {sys.m}")
         U[k] = u
-        X[k + 1] = sys.A @ X[k] + sys.B @ u
-        norm = np.linalg.norm(X[k + 1])
+        x = X[k + 1] = A @ X[k] + B @ u
+        norm = math.sqrt(x.dot(x))   # np.linalg.norm of a vector, to the bit
         if not norm <= DIVERGENCE_LIMIT:   # NaN too
-            why = ("state is not finite" if np.isnan(norm) else
+            why = ("state is not finite" if math.isnan(norm) else
                    f"state norm exceeded {DIVERGENCE_LIMIT:g}")
             raise DivergenceError(
                 f"{why} at step {k + 1}",

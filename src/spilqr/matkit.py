@@ -25,6 +25,7 @@ ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``.
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg.lapack
@@ -122,6 +123,17 @@ def _triu_indices(n):
     return i, j
 
 
+@functools.cache
+def _halving(n):
+    """Per packed entry of an ``n x n`` matrix, 1 on the diagonal and 0.5
+    off it: the factor that undoes :func:`vecs`'s doubling, built once per
+    size and shared read-only.  ``v * 0.5`` is ``v / 2.0`` to the bit."""
+    i, j = _triu_indices(n)
+    h = np.where(i == j, 1.0, 0.5)
+    h.flags.writeable = False
+    return h
+
+
 def vecs(S):
     """Half-vectorize a symmetric matrix, doubling off-diagonal entries.
 
@@ -140,14 +152,13 @@ def unvecs(v):
     The length of ``v`` must be a triangular number ``n (n + 1) / 2``.
     """
     v = np.asarray(v, dtype=float).ravel()
-    n = int(round((np.sqrt(8 * v.size + 1) - 1) / 2))
+    n = (math.isqrt(8 * v.size + 1) - 1) // 2
     if n * (n + 1) // 2 != v.size:
         raise DimensionMismatchError(
             f"length {v.size} is not a packed symmetric size n(n+1)/2")
-    S = np.zeros((n, n))
+    S = np.empty((n, n))
     i, j = _triu_indices(n)
-    S[i, j] = np.where(i == j, v, v / 2.0)
-    S[j, i] = S[i, j]
+    S[i, j] = S[j, i] = v * _halving(n)
     return S
 
 
@@ -216,7 +227,9 @@ def _equilibrate(A):
     der Sluis 1969) maps ``A D``, for every positive diagonal ``D``, to
     the matrix it maps ``A`` to, so units change no rank test or least
     squares run on the result."""
-    norms = np.linalg.norm(A, axis=0)
+    # the sum np.linalg.norm(A, axis=0) takes, to the bit, without its
+    # argument handling
+    norms = np.sqrt(np.add.reduce(A * A, axis=0))
     norms[norms == 0.0] = 1.0
     return A / norms, norms
 

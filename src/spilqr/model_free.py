@@ -12,18 +12,19 @@ The regressor's columns are divided by their 2-norms, so the units of
 the recording change neither its rank test nor its solution.  The
 scaling divisor ``b`` is found by probing: a candidate works exactly
 when the regressed value matrix has a Cholesky factor (is positive
-definite).  The gain improves by the kernel every solver shares, and the
-per-iteration inflation factor comes from the rule of the model-based
-solver, :func:`riccati._interior_factor`, fed with a radius bound that
-the data certify: the largest eigenvalue ``mu`` of the pencil
-``(P - Q - K'RK, P)`` bounds the improved scaled loop's radius by
-``sqrt(mu)`` (:func:`scaling_bound`).
+definite), one LAPACK ``potrf`` per probe.  The gain improves by the
+kernel every solver shares, and the per-iteration inflation factor comes
+from the rule of the model-based solver, :func:`riccati._interior_factor`,
+fed with a radius bound that the data certify: the largest eigenvalue
+``mu`` of the pencil ``(P - Q - K'RK, P)``, from one LAPACK ``dsygvd``,
+bounds the improved scaled loop's radius by ``sqrt(mu)``
+(:func:`scaling_bound`).
 """
 
 from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from . import lti, matkit, riccati
 from .exceptions import (
@@ -156,13 +157,14 @@ def assemble_theta_gamma(data, K, cum, weights):
     matkit._check_positive(cum, "cum")
     g2 = cum * cum
     X, XKt = data.states, data.states @ K.T
-    theta = np.hstack([
+    theta = np.concatenate([
         g2 * data.D_x - data.d_x,
         -2.0 * g2 * _row_kron(data.inputs + XKt, X),
         g2 * (matkit.vecv_rows(XKt) - data.d_u),
-    ])
-    gamma = ((X @ (weights.Q + K.T @ weights.R @ K)) * X).sum(axis=1)
-    return theta, gamma
+    ], axis=1)
+    XW = X @ (weights.Q + K.T @ weights.R @ K)
+    XW *= X
+    return theta, np.add.reduce(XW, axis=1)
 
 
 def solve_regression(theta, gamma, n, m):
@@ -205,12 +207,13 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
     and accepts the first divisor whose regressed value matrix is
     positive definite, which certifies that the shrunken closed loop is
     Schur stable under ``K0``.  The test is whether the matrix has a
-    Cholesky factor: the LAPACK ``potrf`` that ``scipy.linalg.eigh(G, P)``
-    runs on the same ``P`` in :func:`scaling_bound`.  ``delta`` is either
-    a constant step or a callable ``probe_index -> step`` (probe indices
-    start at 1) for growing schedules.  Returns ``(b, solution,
-    probes)``: the accepted divisor, the positive definite regression that
-    certified it, and the number of regressions performed.
+    Cholesky factor, read off the ``info`` of one LAPACK ``potrf`` per
+    probe: the factorization that LAPACK ``dsygvd`` runs on the same ``P``
+    in :func:`scaling_bound`, and the verdict of ``np.linalg.cholesky``.
+    ``delta`` is either a constant step or a callable ``probe_index ->
+    step`` (probe indices start at 1) for growing schedules.  Returns
+    ``(b, solution, probes)``: the accepted divisor, the positive definite
+    regression that certified it, and the number of regressions performed.
 
     Raises
     ------
@@ -228,11 +231,9 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
         increment = step(probe)
         matkit._check_positive(increment, "delta steps")
         sol = _solve_iteration(data, K0, 1.0 / b, weights)
-        try:
-            np.linalg.cholesky(sol.P)
+        if scipy.linalg.lapack.dpotrf(sol.P, lower=1)[1] == 0:
             return b, sol, probe
-        except np.linalg.LinAlgError:
-            b += increment
+        b += increment
     raise ProbesExhaustedError(
         f"no scaling divisor found in {max_probes} probes "
         f"(last candidate {b:.6g})")
@@ -247,20 +248,25 @@ def scaling_bound(P, K_next, weights):
     ``G >= cum^2 F'PF`` with ``F = A - B K_next``, so for the largest
     eigenvalue ``mu`` of the pencil ``(G, P)`` and ``P > 0``,
     ``cum^2 F'PF <= mu P`` and ``rho(cum F) <= rho_hat = sqrt(max(mu, 0))``.
+    ``mu`` comes from one LAPACK ``dsygvd`` without eigenvectors, the
+    routine and the bits of ``scipy.linalg.eigh(G, P)``.
 
     Raises :class:`UnstableScaledSystemError` when ``P`` is not positive
-    definite, so that the pencil certifies no radius.
+    definite (``dsygvd``'s Cholesky factorization of ``P`` fails), so that
+    the pencil certifies no radius, and :class:`InvalidProblemError` when
+    ``G`` overflows.
     """
     P = riccati._check_value(P, len(weights.Q))
     K_next = riccati._check_gain(K_next, len(weights.R), len(P), "K_next")
     gate = P - weights.Q - K_next.T @ weights.R @ K_next
-    try:
-        mu = scipy.linalg.eigh(gate, P, eigvals_only=True)[-1]
-    except np.linalg.LinAlgError as exc:
+    if not np.isfinite(gate).all():
+        raise InvalidProblemError("the gate P - Q - K'RK overflows")
+    mu, _, info = scipy.linalg.lapack.dsygvd(gate, P, jobz="N")
+    if info > 0:
         raise UnstableScaledSystemError(
             "regressed P is not positive definite, so the pencil "
-            "(P - Q - K'RK, P) certifies no scaled-loop radius") from exc
-    return float(np.sqrt(max(mu, 0.0)))
+            "(P - Q - K'RK, P) certifies no scaled-loop radius")
+    return float(np.sqrt(max(mu[-1], 0.0)))
 
 
 def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,

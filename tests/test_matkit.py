@@ -58,6 +58,39 @@ def test_unvecs_rejects_bad_length():
         matkit.unvecs(np.arange(4.0))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unvecs_matches_the_halving_rule_bit_for_bit(n):
+    # the cached factor 0.5 against the rule it replaced, v / 2.0 off the
+    # diagonal, on entries of every scale, subnormals and odd ones included
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n * (n + 1) // 2) * 10.0 ** rng.integers(
+        -320, 300, n * (n + 1) // 2)
+    v[0] = 5e-324   # the smallest subnormal: halving it rounds to 0
+    i, j = np.triu_indices(n)
+    want = np.zeros((n, n))
+    want[i, j] = np.where(i == j, v, v / 2.0)
+    want[j, i] = want[i, j]
+    got = matkit.unvecs(v)
+    assert got.tobytes() == want.tobytes()
+    assert matkit._halving(n) is matkit._halving(n)
+    with pytest.raises(ValueError):
+        matkit._halving(n)[0] = 2.0
+
+
+def test_equilibrate_norms_match_linalg_norm_bit_for_bit():
+    # the one np.add.reduce against the sum np.linalg.norm takes
+    rng = np.random.default_rng(3)
+    for rows, cols in ((1, 1), (30, 10), (7, 3), (200, 45)):
+        A = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+            -150, 150, cols)
+        A[:, 0] = 0.0
+        scaled, norms = matkit._equilibrate(A)
+        want = np.linalg.norm(A, axis=0)
+        want[want == 0.0] = 1.0
+        assert norms.tobytes() == want.tobytes()
+        assert scaled.tobytes() == (A / want).tobytes()
+
+
 # Kronecker products and smallest singular values come straight from numpy
 # (np.kron, the last entry of np.linalg.svd); these pin the conventions the
 # package and its tests rely on.

@@ -466,6 +466,77 @@ def test_scaling_bound_refuses_indefinite_value_matrix(power_weights):
                                  power_weights)
 
 
+def eigh_bound(P, K_next, weights):
+    """The radius bound as ``scipy.linalg.eigh`` of the pencil gives it."""
+    gate = P - weights.Q - K_next.T @ weights.R @ K_next
+    return float(np.sqrt(max(
+        scipy.linalg.eigh(gate, P, eigvals_only=True)[-1], 0.0)))
+
+
+@pytest.mark.parametrize("smallest", [1.0, 1e-4, 1e-10, 1e-16])
+def test_scaling_bound_matches_eigh_bit_for_bit(power_weights, smallest):
+    # one dsygvd against the eigh it replaced, on definite P and on P whose
+    # smallest eigenvalue is near 0, relative to its largest: the same
+    # bits, or a refusal where eigh finds P not positive definite
+    rng = np.random.default_rng(int(-np.log10(smallest)))
+    refused = 0
+    for _ in range(25):
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        P = (V * [smallest, 1.0, 10.0 ** rng.uniform(0, 3)]) @ V.T
+        P = (P + P.T) / 2.0
+        K = rng.standard_normal((1, 3))
+        try:
+            want = eigh_bound(P, K, power_weights)
+        except np.linalg.LinAlgError:
+            refused += 1
+            with pytest.raises(UnstableScaledSystemError):
+                model_free.scaling_bound(P, K, power_weights)
+            continue
+        assert model_free.scaling_bound(P, K, power_weights) == want
+    assert refused == 0 if smallest > 1e-16 else refused > 0
+    for P in (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            eigh_bound(P, K0_ZERO, power_weights)
+        with pytest.raises(UnstableScaledSystemError):
+            model_free.scaling_bound(P, K0_ZERO, power_weights)
+
+
+def test_scaling_bound_refuses_an_overflowing_gate(power_weights):
+    # numpy warns of the overflow, and the pencil is not solved on it
+    with np.errstate(over="ignore"), \
+            pytest.raises(InvalidProblemError, match="gate .* overflows"):
+        model_free.scaling_bound(np.eye(3), np.full((1, 3), 1e160),
+                                 power_weights)
+
+
+def test_probe_verdict_matches_cholesky(power_data, power_weights,
+                                        monkeypatch):
+    # search_b accepts a regressed P exactly when np.linalg.cholesky
+    # factors it: positive definite, singular semidefinite and indefinite
+    rng = np.random.default_rng(8)
+    cases = []
+    for spectrum in ([1.0, 2.0, 3.0], [1e-12, 1.0, 5.0], [0.0, 1.0, 2.0],
+                     [0.0, 0.0, 1.0], [-1e-12, 1.0, 2.0], [-1.0, 1.0, 1.0],
+                     [-1.0, -2.0, -3.0]):
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        P = (V * spectrum) @ V.T
+        cases.append((P + P.T) / 2.0)
+    cases += [np.diag([1.0, 0.0, 1.0]), np.zeros((3, 3))]
+    for P in cases:
+        sol = model_free.RegressionSolution(P=P, M=np.zeros((3, 1)),
+                                            L=np.eye(1))
+        monkeypatch.setattr(model_free, "_solve_iteration",
+                            lambda *a, sol=sol: sol)
+        try:
+            model_free.search_b(power_data, K0_ZERO, power_weights,
+                                1.0, 0.1, 1)
+            accepted = True
+        except ProbesExhaustedError:
+            accepted = False
+        assert accepted == has_cholesky(P)
+    assert {has_cholesky(P) for P in cases} == {True, False}
+
+
 def sigma_min_headroom(P, K_next, weights):
     """The factor bound ``sigma_min(P G^{-1})^{1/2}`` of the gate
     ``G = P - Q - K'RK``, which the pencil bound replaced."""
@@ -521,20 +592,38 @@ def test_choose_c_interval_property(power_system, power_weights, power_data):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Policy evaluations, divisor probes, value-iteration sweeps, SVDs
-    (rank tests) and pencil eigensolves (gate bounds) run, one entry
-    each."""
+    """The name of each call that runs: Lyapunov solves and Schur
+    factors, regressions (policy evaluations and divisor probes),
+    ``dgesv`` (value-iteration sweeps and Kronecker Lyapunov solves), SVDs
+    (rank tests), pencil solves (gate bounds) and Cholesky tests (divisor
+    probes)."""
     calls = []
     for module, name in ((matkit, "solve_discrete_lyapunov"),
                          (matkit, "schur"),
                          (model_free, "solve_regression"),
                          (scipy.linalg.lapack, "dgesv"),
                          (np.linalg, "svd"),
-                         (scipy.linalg, "eigh")):
+                         (scipy.linalg.lapack, "dsygvd"),
+                         (scipy.linalg.lapack, "dpotrf")):
         original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, f=original, **kw:
-                            calls.append(1) or f(*a, **kw))
+        monkeypatch.setattr(module, name, lambda *a, f=original, name=name,
+                            **kw: calls.append(name) or f(*a, **kw))
     return calls
+
+
+def test_evaluations_see_every_regression_probe_and_pencil(
+        power_data, power_weights, evaluations):
+    # the refusal tests below assert that nothing ran; here a solve shows
+    # that the counted names are the ones it runs: one regression per
+    # probe and per later evaluation, one potrf per probe and one pencil
+    # solve per scaling step
+    report = model_free.spi_model_free(power_data, K0_ZERO, power_weights)
+    steps = sum(state.bound is not None for state in report.phase1_trace)
+    assert steps == report.handoff_index >= 1 and report.probes >= 2
+    assert evaluations.count("dpotrf") == report.probes
+    assert evaluations.count("dsygvd") == steps
+    assert evaluations.count("solve_regression") == \
+        report.probes + report.solution.iterations - 1
 
 
 def run_scaling_solver(solver, system, weights, data, **opts):
