@@ -565,7 +565,12 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:   # a file is in the way
+        print(f"config error: cannot create output directory {args.out}: "
+              f"{exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.run(args)
     except ConfigError as exc:

@@ -105,9 +105,10 @@ def _check_positive(value, name, below=np.inf):
         raise InvalidProblemError(f"{name} must be {bound}, got {value!r}")
 
 
-def check_symmetric(S, name="matrix"):
-    """Validate (near-)symmetry and return the exactly symmetrized copy."""
-    S = _as_matrix(S, name, square=True)
+def check_symmetric(S, name="matrix", n=None):
+    """``S`` under the matrix rule (``n x n`` where given, else square),
+    checked for (near-)symmetry and returned exactly symmetrized."""
+    S = _as_matrix(S, name, n, n, square=n is None)
     if np.abs(S - S.T).max() > SYMMETRY_RTOL * np.abs(S).max():
         raise InvalidProblemError(f"{name} is not symmetric")
     return (S + S.T) / 2.0
@@ -368,7 +369,7 @@ def solve_discrete_lyapunov(F, W):
         singular.
     """
     F = _as_matrix(F, "F", square=True)
-    W = check_symmetric(_as_matrix(W, "W", *F.shape), "W")
+    W = check_symmetric(W, "W", len(F))
     return _stein(*_stein_factor(F), W)
 
 

@@ -256,7 +256,7 @@ def scaling_bound(P, K_next, weights):
     the pencil certifies no radius, and :class:`InvalidProblemError` when
     ``G`` overflows.
     """
-    P = riccati._check_value(P, len(weights.Q))
+    P = matkit.check_symmetric(P, "P", len(weights.Q))
     K_next = riccati._check_gain(K_next, len(weights.R), len(P), "K_next")
     gate = P - weights.Q - K_next.T @ weights.R @ K_next
     if not np.isfinite(gate).all():

@@ -1,16 +1,14 @@
 """Ground-truth machinery for the discrete-time LQR fixed point, and the
 two-phase loop that every policy-iteration solver runs on.
 
-Contains the algebraic Riccati residual; the private scaling
-policy-iteration loop :func:`_scaling_pi` shared by both scaling solvers
-and by Hewer's method, with its records :class:`SpiState` and
-:class:`SpiReport`, and its model-based evaluation step; the classical
-policy iteration that needs a stabilizing start (Hewer's method, that
-step with divisor 1); a value-iteration baseline that converges from
-any positive semidefinite seed; and the verified reference solve.
-Value iteration doubles as the independent oracle used throughout the
-test suite; the CLI's reference is :func:`dare_reference`, one
-Schur-method DARE solve whose result is checked before it is returned.
+Each Riccati kernel has one home: every gain ``(R/c^2 + B'PB)^{-1} B'PA``
+is one LAPACK ``dgesv`` (:func:`_solve_gain`), and :func:`riccati_step`
+and :func:`value_iteration` run one sweep (:func:`_sweep`).  Around them:
+the Riccati residual; the loop :func:`_scaling_pi` of both scaling
+solvers and of Hewer's method (divisor 1), its records :class:`SpiState`
+and :class:`SpiReport` and its model-based step; value iteration, which
+converges from any positive semidefinite seed and is the tests' oracle;
+and :func:`dare_reference`, the CLI's checked Schur-method DARE solve.
 """
 
 import math
@@ -144,15 +142,10 @@ def _check_weights(weights, n, m):
     """The input-shape rules of the public entries, one helper each, all
     raising :class:`DimensionMismatchError`: the weights fit a plant of
     ``n`` states and ``m`` inputs; a value matrix is symmetric ``n x n``
-    (:func:`_check_value`); a gain is ``m x n`` (:func:`_check_gain`);
-    both are finite (:class:`InvalidProblemError`)."""
+    (``matkit.check_symmetric`` with the size); a gain is ``m x n``
+    (:func:`_check_gain`); both are finite (:class:`InvalidProblemError`)."""
     if weights.Q.shape[0] != n or weights.R.shape[0] != m:
         raise DimensionMismatchError("weights do not match system dimensions")
-
-
-def _check_value(P, n, name="P"):
-    """``P`` as a symmetric finite ``n x n`` array."""
-    return matkit.check_symmetric(matkit._as_matrix(P, name, n, n), name)
 
 
 def _check_gain(K, m, n, name="K"):
@@ -160,21 +153,35 @@ def _check_gain(K, m, n, name="K"):
     return matkit._as_matrix(np.atleast_2d(K), name, m, n)
 
 
+def _solve_gain(S, N):
+    """``S^{-1} N`` of every gain, by one LAPACK ``dgesv``, C-ordered as from
+    ``np.linalg.solve``; :class:`SingularMatrixError` if ``S`` is singular."""
+    _, _, K, info = scipy.linalg.lapack.dgesv(S, N)
+    if info > 0:
+        raise SingularMatrixError("B'PB + R/cum^2 is numerically singular")
+    return np.ascontiguousarray(K)
+
+
 def _improved_gain(L, N, R, cum=1.0):
     """Policy improvement of every solver: ``(L + R / cum^2)^{-1} N`` on the
     plant scaled by ``cum``, ``L = B'PB`` and ``N = B'PA`` exact or fitted."""
     matkit._check_positive(cum, "cum")
-    try:
-        return np.linalg.solve(L + R / cum**2, N)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "B'PB + R/cum^2 is numerically singular") from exc
+    return _solve_gain(L + R / cum**2, N)
+
+
+def _sweep(A, B, Q, R, P):
+    """``Q + A'P(A - BK)`` exactly symmetrized, and ``K = (R + B'PB)^{-1}
+    B'PA``, for a symmetric ``P``; ``.dot`` is ``@`` at half the overhead."""
+    BtP = B.T.dot(P)
+    K = _solve_gain(R + BtP.dot(B), BtP.dot(A))
+    P_next = Q + A.T.dot(P).dot(A - B.dot(K))
+    return (P_next + P_next.T) / 2.0, K
 
 
 def optimal_gain(sys, weights, P):
     """Feedback gain ``(R + B'PB)^{-1} B'PA`` induced by a value matrix."""
     _check_weights(weights, sys.n, sys.m)
-    BtP = sys.B.T @ _check_value(P, sys.n)
+    BtP = sys.B.T @ matkit.check_symmetric(P, "P", sys.n)
     return _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
 
 
@@ -186,16 +193,19 @@ def _residual(sys, weights, P, K):
 
 def are_residual(sys, weights, P):
     """Frobenius norm of ``A'PA - P - A'PB (R + B'PB)^{-1} B'PA + Q``."""
-    K = optimal_gain(sys, weights, P)   # checks P and the weights
-    return _residual(sys, weights, _check_value(P, sys.n), K)
+    _check_weights(weights, sys.n, sys.m)
+    P = matkit.check_symmetric(P, "P", sys.n)
+    BtP = sys.B.T @ P
+    K = _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
+    return _residual(sys, weights, P, K)
 
 
 def riccati_step(sys, weights, P):
-    """One value-iteration sweep ``P <- Q + A'PA - A'PB (R+B'PB)^{-1} B'PA``."""
-    A, B = sys.A, sys.B
-    K = optimal_gain(sys, weights, P)
-    P_next = weights.Q + A.T @ P @ (A - B @ K)
-    return (P_next + P_next.T) / 2.0, K
+    """One value-iteration sweep ``P <- Q + A'PA - A'PB (R+B'PB)^{-1} B'PA``
+    and its gain, both from ``P`` as the matrix rule symmetrizes it."""
+    _check_weights(weights, sys.n, sys.m)
+    return _sweep(sys.A, sys.B, weights.Q, weights.R,
+                  matkit.check_symmetric(P, "P", sys.n))
 
 
 def _check_start(K0, weights, m, n, lam, tol, i_max):
@@ -374,10 +384,9 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     Frobenius norm: an absolute bound, unlike the relative stop of the
     policy-iteration solvers, as a linearly converging recursion can take
     small relative steps far from the fixed point.
-    ``sys``, ``weights`` and ``P0`` are validated once; each sweep then
-    runs the arithmetic of :func:`riccati_step`, so the iterates, the
-    trace and the iteration count are those of the ``riccati_step``
-    recursion.
+    ``sys``, ``weights`` and ``P0`` are validated once; each sweep is the
+    unchecked kernel of :func:`riccati_step`, so the iterates, the trace
+    and the sweep count are those of that recursion, to the bit.
 
     Raises
     ------
@@ -396,25 +405,15 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     matkit._check_budget(max_iter, "max_iter")
     _check_weights(weights, sys.n, sys.m)
     P = (np.zeros((sys.n, sys.n)) if P0 is None
-         else _check_value(P0, sys.n, "P0"))
+         else matkit.check_symmetric(P0, "P0", sys.n))
     if not matkit.is_positive_semidefinite(P):
         raise InvalidProblemError("P0 must be positive semidefinite")
     A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
-    At, Bt = A.T, B.T
     trace = []
     # a diverging P overflows; the step check names it, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iter):
-            # riccati_step: K = (R + B'PB)^{-1} B'PA, P' = Q + A'P(A - BK)
-            # ndarray.dot: the same BLAS call as @ at half the overhead
-            BtP = Bt.dot(P)
-            _, _, K, info = scipy.linalg.lapack.dgesv(R + BtP.dot(B),
-                                                      BtP.dot(A))
-            if info > 0:
-                raise SingularMatrixError("R + B'PB is numerically singular")
-            K = np.ascontiguousarray(K)   # C order, as np.linalg.solve gives
-            P_next = Q + At.dot(P).dot(A - B.dot(K))
-            P_next = (P_next + P_next.T) / 2.0
+            P_next, K = _sweep(A, B, Q, R, P)
             trace.append((P, K))
             d = (P_next - P).ravel()
             step = math.sqrt(d.dot(d))   # np.linalg.norm(P_next - P, "fro")

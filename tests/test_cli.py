@@ -674,6 +674,25 @@ def test_plotdata_rejects_nan_report(tmp_path, capsys):
     assert not (tmp_path / "p_error.dat").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"],
+                         ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["solve", "plotdata"])
+def test_out_blocked_by_a_file_is_a_config_error(tmp_path, capsys, command,
+                                                 out):
+    # a file where the output directory should go is refused by name, not
+    # with a FileExistsError or NotADirectoryError traceback
+    (tmp_path / "file").write_text("keep")
+    source = (["--config", write_config(tmp_path / "c.json",
+                                        model_based_config())]
+              if command == "solve" else
+              ["--report", str(tmp_path / "report.json")])
+    path = str(tmp_path / out)
+    assert cli.main([command, *source, "--out", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot create output directory {path}: ")
+    assert (tmp_path / "file").read_text() == "keep"
+
+
 ORACLE = {"P": np.eye(3).tolist(), "K": [[0.0, 0.0, 0.0]]}
 
 

@@ -592,6 +592,17 @@ def test_check_symmetric_rejects_asymmetry():
             matkit.check_symmetric(A, "S")
 
 
+def test_check_symmetric_of_a_given_size():
+    S = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert np.array_equal(matkit.check_symmetric(S, "P", 2), S)
+    # with a size, any other shape names that size, square or not
+    for A in (np.eye(3), np.zeros((2, 3))):
+        shape = re.escape(str(A.shape))
+        with pytest.raises(DimensionMismatchError,
+                           match=f"P must be 2 x 2, got {shape}"):
+            matkit.check_symmetric(A, "P", 2)
+
+
 def test_triu_indices_built_once_and_read_only():
     i, j = matkit._triu_indices(4)
     assert matkit._triu_indices(4)[0] is i

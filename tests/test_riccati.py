@@ -9,6 +9,7 @@ from spilqr.exceptions import (
     InvalidProblemError,
     MaxIterationsError,
     NotStabilizingError,
+    SingularMatrixError,
 )
 
 from conftest import POWER_K_REF, POWER_P_REF
@@ -411,13 +412,13 @@ def riccati_step_recursion(sys_d, weights, tol):
         P = P_next
 
 
-def assert_same_recursion(sys_d, weights, close):
+def assert_same_recursion(sys_d, weights):
     sol = riccati.value_iteration(sys_d, weights, tol=1e-10)
     P, K, trace = riccati_step_recursion(sys_d, weights, tol=1e-10)
     assert sol.iterations == len(trace) == len(sol.trace)
-    assert close(sol.P, P) and close(sol.K, K)
+    assert np.array_equal(sol.P, P) and np.array_equal(sol.K, K)
     for (P_a, K_a), (P_b, K_b) in zip(sol.trace, trace):
-        assert close(P_a, P_b) and close(K_a, K_b)
+        assert np.array_equal(P_a, P_b) and np.array_equal(K_a, K_b)
 
 
 def random_plant(rng, n, m):
@@ -429,27 +430,98 @@ def random_plant(rng, n, m):
 
 def test_value_iteration_is_the_riccati_step_recursion_single_input(
         power_system, power_weights, corpus):
-    # one input: every sweep solves a 1 x 1 system, bit for bit
     cases = [(power_system, power_weights)] + [
         (case["sys"], case["weights"]) for case in corpus
         if case["sys"].m == 1]
     assert len(cases) >= 11
     for sys_d, weights in cases:
-        assert_same_recursion(sys_d, weights, np.array_equal)
+        assert_same_recursion(sys_d, weights)
 
 
 def test_value_iteration_is_the_riccati_step_recursion_multi_input(corpus):
-    # LAPACK builds may order the m x m elimination differently
-    def close(X, Y):
-        return np.allclose(X, Y, rtol=1e-13, atol=0.0)
-
     rng = np.random.default_rng(31)
     cases = [(case["sys"], case["weights"]) for case in corpus
              if case["sys"].m == 2]
     cases += [random_plant(rng, int(rng.integers(3, 6)), 3)
               for _ in range(10)]
     for sys_d, weights in cases:
-        assert_same_recursion(sys_d, weights, close)
+        assert_same_recursion(sys_d, weights)
+
+
+def test_riccati_step_sweeps_the_symmetrized_value_matrix(corpus):
+    # the gain and the next value matrix both come from the P that the
+    # matrix rule returns, so antisymmetric noise inside SYMMETRY_RTOL
+    # changes neither
+    rng = np.random.default_rng(8)
+    for case in corpus[:10]:
+        sys_d, weights = case["sys"], case["weights"]
+        P = riccati.dare_reference(sys_d, weights).P
+        E = rng.standard_normal(P.shape)
+        noisy = P + 1e-12 * np.abs(P).max() * (E - E.T)
+        step = riccati.riccati_step(sys_d, weights, noisy)
+        clean = riccati.riccati_step(sys_d, weights,
+                                     matkit.check_symmetric(noisy))
+        assert np.array_equal(step[0], clean[0])
+        assert np.array_equal(step[1], clean[1])
+
+
+@pytest.mark.parametrize("entry", [
+    riccati.optimal_gain, riccati.are_residual, riccati.riccati_step,
+    lambda s, w, P: model_based.scaled_policy_improvement(s, w, P, 0.5)],
+    ids=["optimal_gain", "are_residual", "riccati_step",
+         "scaled_policy_improvement"])
+def test_value_matrix_passes_the_matrix_rule_once(power_system,
+                                                  power_weights, monkeypatch,
+                                                  entry):
+    # one _as_matrix call per entry, whatever else it asks of P
+    names = []
+    as_matrix = matkit._as_matrix
+
+    def counting(A, name="matrix", *args, **kwargs):
+        names.append(name)
+        return as_matrix(A, name, *args, **kwargs)
+
+    monkeypatch.setattr(matkit, "_as_matrix", counting)
+    entry(power_system, power_weights, POWER_P_REF)
+    assert names == ["P"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gain_solve_is_np_linalg_solve_to_the_bit(m):
+    # the one dgesv of every gain returns np.linalg.solve's bits, C-ordered
+    rng = np.random.default_rng(m)
+    for _ in range(200):
+        n = int(rng.integers(m, 9))
+        G = rng.standard_normal((m, m))
+        S = G @ G.T + 10.0 ** rng.uniform(-3, 3) * np.eye(m)
+        N = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3)
+        K = riccati._solve_gain(S, N)
+        assert K.flags.c_contiguous
+        assert np.array_equal(K, np.linalg.solve(S, N))
+
+
+def test_gain_solve_refuses_a_singular_system():
+    S = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(S, np.eye(2))
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
+        riccati._solve_gain(S, np.eye(2))
+
+
+def test_no_solver_calls_np_linalg_solve(power_system, power_weights,
+                                         power_data, monkeypatch):
+    # every gain goes through riccati._solve_gain's dgesv
+    def refuse(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    K0 = np.zeros((1, 3))
+    model_based.spi_model_based(power_system, power_weights, K0)
+    model_free.spi_model_free(power_data, K0, power_weights)
+    riccati.hewer_pi(power_system, power_weights, [[0.2, 0.4, 0.6]])
+    riccati.value_iteration(power_system, power_weights)
+    P = riccati.dare_reference(power_system, power_weights).P
+    riccati.are_residual(power_system, power_weights, P)
 
 
 def test_value_iteration_fails_fast_on_unstabilizable_weighted_mode():
