@@ -112,13 +112,12 @@ def load_config(path):
 
 def _matrix(value, what, shape=(None, None)):
     """``value`` as a float matrix under the matrix rule, of ``shape`` when
-    given; raises :class:`ConfigError` naming ``what`` otherwise."""
+    given; raises :class:`ConfigError` with the rule's refusal, which names
+    ``what``, otherwise."""
     try:
         return matkit._as_matrix(value, what, *shape)
     except SpilqrError as exc:
         raise ConfigError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:   # ragged or non-numeric
-        raise ConfigError(f"{what} is not a numeric matrix") from exc
 
 
 def build_system(cfg):
@@ -171,7 +170,7 @@ def collect_trajectory(sys, cfg, seed):
         raise ConfigError("a seed is required for data-driven runs")
     if "x0" not in data_cfg:
         raise ConfigError("params.data.x0 is required for data-driven runs")
-    x0 = np.asarray(data_cfg["x0"], dtype=float)
+    x0 = _matrix([data_cfg["x0"]], "params.data.x0", (1, sys.n))
     l = data_cfg.get("l", model_free.unknown_count(sys.n, sys.m) + 20)
     try:   # the schema admits only exploration_input's parameter names
         policy = exploration_input(sys.m, seed=seed,
@@ -380,7 +379,7 @@ def cmd_simulate(args):
     K = _load_gain(sim, (sys_d.m, sys_d.n))
     if len(sim["x0"]) != sys_d.n:
         raise ConfigError(f"simulate.x0 must have length {sys_d.n}")
-    x0 = np.asarray(sim["x0"], dtype=float)
+    x0 = _matrix([sim["x0"]], "simulate.x0", (1, sys_d.n))
     steps = sim["steps"]
     open_loop = sim.get("open_loop_steps", 0)
 
@@ -429,6 +428,10 @@ def cmd_compare(args):
     solvers = comp.get("solvers", ["spi-model-free", "vi"])
     trials = comp.get("trials", 100)
     gain_tol = comp.get("gain_tol", 1e-4)
+    try:   # the schema admits a JSON 1e400, which parses to infinity
+        matkit._check_positive(gain_tol, "compare.gain_tol")
+    except InvalidProblemError as exc:
+        raise ConfigError(str(exc)) from exc
 
     ref = riccati.dare_reference(sys_d, weights)
     data = (collect_trajectory(sys_d, cfg, seed)

@@ -75,8 +75,9 @@ class Trajectory:
     inputs: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.states, dtype=float)
-        U = np.asarray(self.inputs, dtype=float)
+        # no finiteness check: a DivergenceError's partial ends at inf or NaN
+        X = matkit._as_float(self.states, "states")
+        U = matkit._as_float(self.inputs, "inputs")
         if X.ndim != 2 or U.ndim != 2:
             raise DimensionMismatchError("states and inputs must be 2-D")
         if X.shape[0] != U.shape[0] + 1:
@@ -134,7 +135,7 @@ def simulate(sys, x0, policy, steps):
         When the state norm exceeds ``DIVERGENCE_LIMIT`` or is NaN; the
         exception carries the step index and the truncated trajectory.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = matkit._as_float(x0, "x0").ravel()
     if x0.size != sys.n:
         raise DimensionMismatchError(
             f"x0 has length {x0.size}, expected {sys.n}")
@@ -144,7 +145,7 @@ def simulate(sys, x0, policy, steps):
     X[0] = x0
     A, B = sys.A, sys.B
     for k in range(steps):
-        u = np.asarray(policy(k, X[k]), dtype=float).ravel()
+        u = matkit._as_float(policy(k, X[k]), "policy input").ravel()
         if u.size != sys.m:
             raise DimensionMismatchError(
                 f"policy returned {u.size} inputs, expected {sys.m}")
@@ -174,7 +175,7 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     (NaN refused) and ``freq_low <= freq_high``.
     """
     matkit._check_budget(num_terms, "num_terms")
-    if not np.isfinite(float(freq_high) - float(freq_low)):
+    if not math.isfinite(matkit._real(freq_high) - matkit._real(freq_low)):
         raise InvalidProblemError(
             f"freq_low and freq_high must bound a finite range, got "
             f"[{freq_low!r}, {freq_high!r}]")
@@ -223,6 +224,7 @@ def is_observable(A, C):
     pair (A', C') is controllable.  A ``C`` of full column rank decides
     it alone, as the observability matrix ``[C; CA; ...]`` contains C."""
     A = matkit._as_matrix(A, "A", square=True)
-    C = matkit._as_matrix(np.atleast_2d(C), "C", cols=len(A))
+    C = matkit._as_matrix(np.atleast_2d(matkit._as_float(C, "C")), "C",
+                          cols=len(A))
     return matkit._full_column_rank(C) or is_controllable(
         LinearSystem(A.T, C.T))

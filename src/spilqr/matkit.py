@@ -10,6 +10,12 @@ Bartels-Stewart back-substitution on the complex Schur form (O(n^3),
 ~160 µs at n=10 and ~1 ms at n=40).  All functions are pure and
 operate on plain ``numpy`` arrays.
 
+It also holds the package's input rules: :func:`_as_float`, the one
+conversion of outside input into a float array, with which the matrix
+rule :func:`_as_matrix` starts, and the setting rules
+:func:`_check_budget` and :func:`_check_positive`.  Only the
+vectorization kernels convert their own arguments.
+
 Conventions
 -----------
 ``vecs(S)`` packs the upper triangle of a symmetric matrix row by row,
@@ -65,12 +71,23 @@ PD_RTOL = 1e-10
 RANK_TOL = 1e-8
 
 
+def _as_float(A, name="matrix"):
+    """``A`` as a float array, the one conversion of outside input;
+    :class:`InvalidProblemError` naming ``name`` when ``A`` is ragged, not
+    numeric, or holds an integer too large for a double."""
+    try:
+        return np.asarray(A, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidProblemError(f"{name} is not a numeric matrix") from exc
+
+
 def _as_matrix(A, name="matrix", rows=None, cols=None, square=False):
-    """The one matrix rule: ``A`` as a non-empty 2-D float array, square
-    or with ``rows`` rows and ``cols`` columns where asked
-    (:class:`DimensionMismatchError` otherwise), and with finite entries
-    (:class:`InvalidProblemError` otherwise); both name ``name``."""
-    A = np.asarray(A, dtype=float)
+    """The one matrix rule: ``A`` converted by :func:`_as_float`, as a
+    non-empty 2-D float array, square or with ``rows`` rows and ``cols``
+    columns where asked (:class:`DimensionMismatchError` otherwise), and
+    with finite entries (:class:`InvalidProblemError` otherwise); every
+    refusal names ``name``."""
+    A = _as_float(A, name)
     if A.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={A.ndim}")
     if A.size == 0:
@@ -95,11 +112,21 @@ def _check_budget(value, name, floor=1):
             f"{name} must be at least {floor} and an integer, got {value!r}")
 
 
+def _real(value):
+    """``value`` as a float when it is a number that a double holds (a
+    string, even a numeric one, is not), else NaN, which every bound
+    refuses."""
+    try:
+        return math.nan if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):   # None, or 10**400
+        return math.nan
+
+
 def _check_positive(value, name, below=np.inf):
-    """The one positive-real rule: above 0 and finite, or below ``below``
-    where given (``lam`` < 1), NaN refused; raises
-    :class:`InvalidProblemError` naming the setting."""
-    if not 0.0 < value < below:
+    """The one positive-real rule: a number (:func:`_real`) above 0 and
+    finite, or below ``below`` where given (``lam`` < 1), NaN refused;
+    raises :class:`InvalidProblemError` naming the setting."""
+    if not 0.0 < _real(value) < below:
         bound = ("positive and finite" if below == np.inf else
                  f"strictly between 0 and {below:g}")
         raise InvalidProblemError(f"{name} must be {bound}, got {value!r}")
@@ -194,7 +221,7 @@ def unvec(v, rows, cols):
 def spectral_radius(A):
     """Largest eigenvalue modulus of a square matrix, or an array of the
     radii of a stack ``(..., n, n)``, one LAPACK ``dgeev`` per matrix."""
-    A = np.asarray(A, dtype=float)
+    A = _as_float(A, "A")
     if not np.all(np.isfinite(A)):
         raise InvalidProblemError("A has non-finite entries")
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:

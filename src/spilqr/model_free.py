@@ -179,8 +179,9 @@ def solve_regression(theta, gamma, n, m):
     """
     cols = unknown_count(n, m)
     theta = matkit._as_matrix(theta, "theta", cols=cols)
-    gamma = matkit._as_matrix(np.reshape(gamma, (-1, 1)), "gamma",
-                              rows=len(theta))
+    gamma = matkit._as_matrix(
+        np.reshape(matkit._as_float(gamma, "gamma"), (-1, 1)), "gamma",
+        rows=len(theta))
     scaled, norms = matkit._equilibrate(theta)
     z, _, rank, _ = np.linalg.lstsq(scaled, -gamma[:, 0], rcond=None)
     if rank < cols:
@@ -221,7 +222,7 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
         When ``max_probes`` (an integer, at least 1) candidates all fail;
         the system may be uncontrollable or the data degenerate.
     """
-    if not 1.0 <= b_init < np.inf:
+    if not 1.0 <= matkit._real(b_init) < np.inf:
         raise InvalidProblemError("b_init must be at least 1 and finite")
     matkit._check_budget(max_probes, "max_probes")
     K0 = riccati._check_gain(K0, data.m, data.n, "K0")

@@ -150,7 +150,8 @@ def _check_weights(weights, n, m):
 
 def _check_gain(K, m, n, name="K"):
     """``K`` as a finite ``m x n`` array."""
-    return matkit._as_matrix(np.atleast_2d(K), name, m, n)
+    return matkit._as_matrix(np.atleast_2d(matkit._as_float(K, name)), name,
+                             m, n)
 
 
 def _solve_gain(S, N):
@@ -457,9 +458,7 @@ def dare_reference(sys, weights):
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise InvalidProblemError(
             f"DARE solve failed, no stabilizing solution: {exc}") from exc
-    if not np.all(np.isfinite(P)):
-        raise InvalidProblemError("DARE solution has non-finite entries")
-    P = (P + P.T) / 2.0
+    P = matkit.check_symmetric(P, "DARE solution", sys.n)
     if not matkit.is_positive_semidefinite(P):
         raise InvalidProblemError("DARE solution is not positive semidefinite")
     K = optimal_gain(sys, weights, P)

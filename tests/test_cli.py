@@ -24,6 +24,7 @@ POWER_BC = [[0.0], [12.5], [0.0]]
 SYSTEM_CONT = {"A_c": POWER_AC, "B_c": POWER_BC, "sample_time": 0.01}
 WEIGHTS = {"Q": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], "R": [[1.0]]}
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+INF = float("inf")
 DATA = {"l": 30, "x0": [0.1, 0.1, 0.2],
         "noise": {"num_terms": 100, "freq_low": -10.0, "freq_high": 10.0}}
 
@@ -394,19 +395,38 @@ def _gain_file(text):
                    {"freq_low": -1e308, "freq_high": 1e308}),
      "invalid params.data.noise: freq_low and freq_high must bound a "
      "finite range"),
+    # JSON integers have no size limit; these ended in numpy's
+    # OverflowError and exit 1
+    ("solve", _set(("params", "K0"), [[10**400, 0.0, 0.0]]),
+     "config error: params.K0 is not a numeric matrix\n"),
+    ("solve", _set(("system", "sample_time"), 10**400),
+     "invalid system: sample time T must be positive and finite, got 1000"),
+    # 1e400 parses to infinity: the solve exited 4 on a diverged
+    # recording, the rollout wrote a trajectory of inf, and compare
+    # counted every first gain as within gain_tol
+    ("solve", _set(("params", "data", "x0"), [INF, 0.1, 0.2]),
+     "config error: params.data.x0 has non-finite entries"),
+    ("simulate", _set(("simulate",), {"x0": [INF, 0.1, 0.2], "steps": 10}),
+     "config error: simulate.x0 has non-finite entries"),
+    ("compare", _set(("compare",), {"gain_tol": INF, "trials": 2}),
+     "config error: compare.gain_tol must be positive and finite, got inf"),
 ], ids=["R-shape", "K0-shape", "P0-shape", "x0-length", "no-weights",
         "no-x0", "no-solver", "no-simulate", "gain-shape", "no-gain-file",
         "gain-file-without-K", "A-not-square", "Q-not-symmetric",
         "Q-ragged", "gain-file-not-an-object", "gain-file-K-shape",
         "gain-file-K-ragged", "repeated-compare-solver",
-        "noise-frequency-range-overflows"])
+        "noise-frequency-range-overflows", "K0-huge-integer",
+        "sample-time-huge-integer", "data-x0-1e400", "simulate-x0-1e400",
+        "gain_tol-1e400"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, command,
                                                 edit, message):
     cfg = json.loads(json.dumps(model_free_config()))   # a deep copy
     edit(cfg, tmp_path)
     out = tmp_path / "out"
-    assert cli.main([command, "--config",
-                     write_config(tmp_path / "c.json", cfg),
+    # json.dumps writes infinity as Infinity, which the loader refuses
+    (tmp_path / "c.json").write_text(
+        json.dumps(cfg).replace("Infinity", "1e400"))
+    assert cli.main([command, "--config", str(tmp_path / "c.json"),
                      "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert os.listdir(out) == []
@@ -427,6 +447,21 @@ def test_shipped_config_edits_are_config_errors(tmp_path, capsys, command,
                                      value) == 2
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path / "out") == []
+
+
+def test_huge_integer_setting_is_a_solver_error(tmp_path, capsys):
+    # a JSON integer beyond the largest double passed the positive-real
+    # rule and ended in numpy's OverflowError; now the solver refuses it,
+    # as it refuses every setting
+    assert run_edited_shipped_config(tmp_path, "solve",
+                                     "power_model_based.json",
+                                     ("params", "beta"), 10**400) == 3
+    error = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert error["error"]["type"] == "InvalidProblemError"
+    assert error["error"]["message"].startswith(
+        "beta must be positive and finite, got 1000")
+    assert os.listdir(tmp_path / "out") == ["error.json"]
+    assert "beta must be positive" in capsys.readouterr().err
 
 
 def run_edited_shipped_config(tmp_path, command, config, path, value):

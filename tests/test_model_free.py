@@ -848,14 +848,24 @@ def test_solvers_reject_mismatched_weights(power_system, power_weights,
 
 
 def spoil(M, x):
-    """A float copy of ``M`` whose first entry is ``x``."""
+    """A copy of ``M`` whose first entry is ``x``: a float array for a float
+    ``x``, else nested lists."""
     M = np.array(M, dtype=float)
-    M.flat[0] = x
-    return M
+    if isinstance(x, float):
+        M.flat[0] = x
+        return M
+    rows = cell = M.tolist()
+    while isinstance(cell[0], list):
+        cell = cell[0]
+    cell[0] = x
+    return rows
 
 
 def non_finite(name):
-    return lambda x: f"{name} has non-finite entries"
+    """The matrix rule's refusal of input ``name`` whose first entry is
+    ``x``: a float that is not finite, or an entry no float array holds."""
+    return lambda x: (f"{name} has non-finite entries" if isinstance(x, float)
+                      else f"{name} is not a numeric matrix")
 
 
 def not_positive(name):
@@ -904,6 +914,8 @@ REFUSALS = {
                  lti.LinearSystem(s.A, spoil(s.B, x))),
     "weights-Q": (non_finite("Q"), lambda s, w, d, x:
                   lti.CostWeights(spoil(w.Q, x), w.R)),
+    "weights-R": (non_finite("R"), lambda s, w, d, x:
+                  lti.CostWeights(w.Q, spoil(w.R, x))),
     "zoh-A_c": (non_finite("A_c"), lambda s, w, d, x:
                 lti.zoh_discretize(spoil(s.A, x), s.B, 0.1)),
     "zoh-B_c": (non_finite("B_c"), lambda s, w, d, x:
@@ -1005,6 +1017,84 @@ def test_entries_refuse_non_finite_inputs(power_system, power_weights,
         call(power_system, power_weights, power_data, x)
     assert evaluations == []
     assert capfd.readouterr().err == ""
+
+
+def lam_outside(x):
+    return f"lam must be strictly between 0 and 1, got {x!r}"
+
+
+X0 = [0.1, 0.1, 0.2]
+# Entries that take an input no NaN case above covers: a state or input
+# that simulate accepts when not finite (its rollout names the divergence),
+# the solvers' own real settings, and the probing input's frequency bounds.
+CONVERSION_REFUSALS = {
+    "simulate-x0": (non_finite("x0"), lambda s, w, d, x:
+                    lti.simulate(s, spoil(X0, x), lti.exploration_input(1),
+                                 1)),
+    "simulate-policy-input": (non_finite("policy input"), lambda s, w, d, x:
+                              lti.simulate(s, X0, lambda k, state:
+                                           spoil([0.0], x), 1)),
+    "hewer-tol": (not_positive("tol"), lambda s, w, d, x:
+                  riccati.hewer_pi(s, w, POWER_K_REF, tol=x)),
+    "vi-tol": (not_positive("tol"), lambda s, w, d, x:
+               riccati.value_iteration(s, w, tol=x)),
+    "mb-tol": (not_positive("tol"), lambda s, w, d, x:
+               model_based.spi_model_based(s, w, K0_ZERO, tol=x)),
+    "mb-beta": (not_positive("beta"), lambda s, w, d, x:
+                model_based.spi_model_based(s, w, K0_ZERO, beta=x)),
+    "mb-lam": (lam_outside, lambda s, w, d, x:
+               model_based.spi_model_based(s, w, K0_ZERO, lam=x)),
+    "choose-c-lam": (lam_outside, lambda s, w, d, x:
+                     model_based.choose_c(s, POWER_K_REF, 0.5, x)),
+    "mf-tol": (not_positive("tol"), lambda s, w, d, x:
+               model_free.spi_model_free(d, K0_ZERO, w, tol=x)),
+    "mf-lam": (lam_outside, lambda s, w, d, x:
+               model_free.spi_model_free(d, K0_ZERO, w, lam=x)),
+    "mf-b_init": (lambda x: "b_init must be at least 1 and finite",
+                  lambda s, w, d, x:
+                  model_free.spi_model_free(d, K0_ZERO, w, b_init=x)),
+    "mf-delta": (not_positive("delta steps"), lambda s, w, d, x:
+                 model_free.spi_model_free(d, K0_ZERO, w, delta=x)),
+    "noise-freq_low": (lambda x: "freq_low and freq_high must bound a finite "
+                       f"range, got [{x!r}, 10.0]", lambda s, w, d, x:
+                       lti.exploration_input(1, freq_low=x)),
+    "noise-freq_high": (lambda x: "freq_low and freq_high must bound a "
+                        f"finite range, got [-10.0, {x!r}]",
+                        lambda s, w, d, x:
+                        lti.exploration_input(1, freq_high=x)),
+}
+# The entries above that take a real setting; every other one a matrix.
+REAL_SETTINGS = {
+    "zoh-T", "rank-tol", "scaled-evaluation-cum", "scaled-improvement-cum",
+    "choose-c-cum", "assemble-cum", "gain-update-cum", "search-b-b_init",
+    "search-b-delta", *(entry for entry in CONVERSION_REFUSALS
+                        if not entry.startswith("simulate-"))}
+HUGE = 10**400   # an integer beyond the largest double
+# A matrix entry no float array holds: ragged rows, which make any matrix
+# ragged, text and HUGE; and a setting that is not a real number.
+UNCONVERTIBLE = {"ragged": [[0.0], [0.0, 0.0]], "text": "x",
+                 "huge-integer": HUGE}
+NOT_REAL = {"numeric-string": "0.5", "none": None, "huge-integer": HUGE}
+CONVERSION_CASES = [
+    (entry, label, x) for entry in {**REFUSALS, **CONVERSION_REFUSALS}
+    for label, x in (NOT_REAL if entry in REAL_SETTINGS
+                     else UNCONVERTIBLE).items()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, x", [case[::2] for case in CONVERSION_CASES],
+                         ids=[f"{entry}-{label}"
+                              for entry, label, _ in CONVERSION_CASES])
+def test_entries_refuse_input_that_is_not_a_number(
+        power_system, power_weights, power_data, evaluations, entry, x):
+    # ragged, text or too large for a double, outside input is refused by
+    # the one conversion and the positive-real rule, naming it, where numpy
+    # raised a bare ValueError, TypeError or OverflowError
+    message, call = {**REFUSALS, **CONVERSION_REFUSALS}[entry]
+    with pytest.raises(InvalidProblemError,
+                       match=f"^{re.escape(message(x))}$"):
+        call(power_system, power_weights, power_data, x)
+    assert evaluations == []
 
 
 EMPTY = np.zeros((0, 0))
