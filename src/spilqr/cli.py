@@ -530,8 +530,8 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spilqr",
         description="Discrete-time LQR via scaling policy iteration",
-        epilog="params.tol bounds ||P_k - P_k-1||_F / ||P_k||_F for hewer "
-               "and both SPI solvers, and ||P_k+1 - P_k||_F for vi.")
+        epilog="params.tol is relative: each solve stops at ||P_k - P_k-1||_F"
+               " max(1, q/(1-q)) <= tol ||P_k||_F, q < 1 the step ratio.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary, seed=False):

@@ -171,9 +171,11 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     Draws are independent per channel and fully determined by ``seed``
     (64-bit PCG state), so trajectories are reproducible across runs
     and platforms.  Returns a policy callable ``(k, x) -> u``.  Raises
-    :class:`InvalidProblemError` unless the frequency range is finite
-    (NaN refused) and ``freq_low <= freq_high``.
+    :class:`InvalidProblemError` unless ``m`` and ``num_terms`` are
+    integers >= 1, the frequency range is finite (NaN refused) and
+    ``freq_low <= freq_high``.
     """
+    matkit._check_budget(m, "m")
     matkit._check_budget(num_terms, "num_terms")
     if not math.isfinite(matkit._real(freq_high) - matkit._real(freq_low)):
         raise InvalidProblemError(

@@ -13,8 +13,8 @@ operate on plain ``numpy`` arrays.
 It also holds the package's input rules: :func:`_as_float`, the one
 conversion of outside input into a float array, with which the matrix
 rule :func:`_as_matrix` starts, and the setting rules
-:func:`_check_budget` and :func:`_check_positive`.  Only the
-vectorization kernels convert their own arguments.
+:func:`_check_budget` and :func:`_check_positive`.  The vectorization
+kernels convert by :func:`_as_float` too, and take non-finite entries.
 
 Conventions
 -----------
@@ -179,7 +179,7 @@ def unvecs(v):
 
     The length of ``v`` must be a triangular number ``n (n + 1) / 2``.
     """
-    v = np.asarray(v, dtype=float).ravel()
+    v = _as_float(v, "v").ravel()
     n = (math.isqrt(8 * v.size + 1) - 1) // 2
     if n * (n + 1) // 2 != v.size:
         raise DimensionMismatchError(
@@ -192,27 +192,27 @@ def unvecs(v):
 
 def vecv(z):
     """Quadratic monomials ``z_i z_j`` for ``i <= j``, squares un-doubled."""
-    z = np.asarray(z, dtype=float).ravel()
+    z = _as_float(z, "z").ravel()
     i, j = _triu_indices(z.size)
     return z[i] * z[j]
 
 
 def vecv_rows(Z):
     """Row-wise :func:`vecv` of an ``l x n`` array; returns ``l x n(n+1)/2``."""
-    Z = np.asarray(Z, dtype=float)
+    Z = _as_float(Z, "Z")
     i, j = _triu_indices(Z.shape[1])
     return Z[:, i] * Z[:, j]
 
 
 def vec(M):
     """Column-stacking vectorization of a matrix."""
-    return np.asarray(M, dtype=float).ravel(order="F")
+    return _as_float(M, "M").ravel(order="F")
 
 
 def unvec(v, rows, cols):
     """Inverse of :func:`vec` for the given shape."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != rows * cols:
+    v = _as_float(v, "v").ravel()
+    if min(rows, cols) < 0 or v.size != rows * cols:
         raise DimensionMismatchError(
             f"length {v.size} does not match shape ({rows}, {cols})")
     return v.reshape((rows, cols), order="F")

@@ -4,9 +4,10 @@ two-phase loop that every policy-iteration solver runs on.
 Each Riccati kernel has one home: every gain ``(R/c^2 + B'PB)^{-1} B'PA``
 is one LAPACK ``dgesv`` (:func:`_solve_gain`), and :func:`riccati_step`
 and :func:`value_iteration` run one sweep (:func:`_sweep`).  Around them:
-the Riccati residual; the loop :func:`_scaling_pi` of both scaling
-solvers and of Hewer's method (divisor 1), its records :class:`SpiState`
-and :class:`SpiReport` and its model-based step; value iteration, which
+the Riccati residual; the relative stop :func:`_converged` of every
+solver; the loop :func:`_scaling_pi` of both scaling solvers and of
+Hewer's method (divisor 1), its records :class:`SpiState` and
+:class:`SpiReport` and its model-based step; value iteration, which
 converges from any positive semidefinite seed and is the tests' oracle;
 and :func:`dare_reference`, the CLI's checked Schur-method DARE solve.
 """
@@ -289,6 +290,15 @@ def _model_step(sys, weights, K0, lam):
     return step, factor[2]
 
 
+def _converged(step, last, size, tol):
+    """The stop of every solver: ``step max(1, q/(1-q)) <= tol size`` and
+    ``q < 1``, for the step ``||P_k - P_{k-1}||_F``, its ratio ``q`` to
+    the one before (``last``, ``math.inf`` at first) and ``size =
+    ||P_k||_F``; the widened step bounds ``||P_k - P*||_F`` at rate q."""
+    q = step / last
+    return q < 1.0 and step * max(1.0, q / (1.0 - q)) <= tol * size
+
+
 def _scaling_pi(step, K0, b, tol, i_max):
     """Two-phase scaling policy iteration around one evaluation step.
 
@@ -297,18 +307,17 @@ def _scaling_pi(step, K0, b, tol, i_max):
     matrix, the improved gain, the next factor (read only while
     ``scaling``) and extra :class:`SpiState` fields for this record.
     Phase 1 starts at ``cum = 1 / b`` and multiplies in each factor until
-    ``cum >= 1``; phase 2 steps at scale 1 until ``||P_k - P_{k-1}||_F <=
-    tol ||P_k||_F``, a stop that does not depend on the units of the
-    weights.  The handoff record between them has no value matrix and
-    takes the fields of phase 2's first record, whose gain it shares.
-    With ``b = 1`` this is Hewer's method.
+    ``cum >= 1``; phase 2 steps at scale 1 until :func:`_converged`.  The
+    handoff record between them has no value matrix and takes the fields
+    of phase 2's first record, whose gain it shares.  With ``b = 1`` this
+    is Hewer's method.
 
     Returns a :class:`SpiReport`; ``solution.iterations`` counts the
     calls to ``step`` (the policy evaluations), ``solution.residual`` is
     ``None``.  Raises :class:`MaxIterationsError` if converging would
     take more than ``i_max`` evaluations.  Checks no setting; callers do.
     """
-    K, cum, c = K0, 1.0 / b, 1.0
+    K, cum, c, last = K0, 1.0 / b, 1.0, math.inf
     phase1, phase2 = [], []
     for i in range(i_max):
         if cum < 1.0:
@@ -323,13 +332,15 @@ def _scaling_pi(step, K0, b, tol, i_max):
                                    cum=cum, **fields))
         phase2.append(SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0, c=1.0,
                                cum=1.0, **fields))
-        if len(phase2) > 1 and np.linalg.norm(P - phase2[-2].P_tilde, "fro") \
-                <= tol * np.linalg.norm(P, "fro"):
-            solution = AreSolution(
-                P=P, K=K_next, residual=None, iterations=i + 1,
-                trace=[(s.P_tilde, s.K_tilde) for s in phase2])
-            return SpiReport(phase1_trace=phase1, phase2_trace=phase2,
-                             solution=solution, b=b)
+        if len(phase2) > 1:
+            dP = np.linalg.norm(P - phase2[-2].P_tilde, "fro")
+            if _converged(dP, last, np.linalg.norm(P, "fro"), tol):
+                solution = AreSolution(
+                    P=P, K=K_next, residual=None, iterations=i + 1,
+                    trace=[(s.P_tilde, s.K_tilde) for s in phase2])
+                return SpiReport(phase1_trace=phase1, phase2_trace=phase2,
+                                 solution=solution, b=b)
+            last = dP
         K = K_next
     raise MaxIterationsError(
         f"policy iteration did not converge in {i_max} iterations "
@@ -342,11 +353,10 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
 
     Phase 2 of :func:`_scaling_pi` on the model-based step of model-based
     SPI: policy evaluation (a Lyapunov solve) alternates with policy
-    improvement until ``||P_k - P_{k-1}||_F <= tol ||P_k||_F`` (the stop
-    of :func:`_scaling_pi`).  The value sequence decreases monotonically
-    to the Riccati solution and every iterate keeps the loop Schur
-    stable.  ``iterations`` counts the policy evaluations, at most
-    ``max_iter``.
+    improvement until :func:`_converged`.  The value sequence decreases
+    monotonically to the Riccati solution and every iterate keeps the
+    loop Schur stable.  ``iterations`` counts the policy evaluations, at
+    most ``max_iter``.
 
     Raises
     ------
@@ -381,10 +391,7 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
 
     Slower than policy iteration but needs no stabilizing start; serves
     as the independent route to the Riccati solution in the tests.  It
-    stops once consecutive iterates differ by less than ``tol`` in
-    Frobenius norm: an absolute bound, unlike the relative stop of the
-    policy-iteration solvers, as a linearly converging recursion can take
-    small relative steps far from the fixed point.
+    stops on :func:`_converged`, the relative stop of every solver.
     ``sys``, ``weights`` and ``P0`` are validated once; each sweep is the
     unchecked kernel of :func:`riccati_step`, so the iterates, the trace
     and the sweep count are those of that recursion, to the bit.
@@ -410,7 +417,7 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     if not matkit.is_positive_semidefinite(P):
         raise InvalidProblemError("P0 must be positive semidefinite")
     A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
-    trace = []
+    trace, last = [], math.inf
     # a diverging P overflows; the step check names it, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iter):
@@ -421,9 +428,10 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
             if not math.isfinite(step):
                 raise InvalidProblemError(
                     f"value iteration diverged at sweep {k + 1}")
-            if step < tol:
+            p = P_next.ravel()
+            if _converged(step, last, math.sqrt(p.dot(p)), tol):
                 break
-            P = P_next
+            P, last = P_next, step
         else:
             raise MaxIterationsError(
                 f"value iteration did not converge in {max_iter} iterations",

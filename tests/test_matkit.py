@@ -123,6 +123,13 @@ def test_vec_unvec_roundtrip():
         matkit.unvec(np.arange(5.0), 3, 2)
 
 
+def test_unvec_refuses_a_negative_shape():
+    # (-1) x (-1) has one entry, and numpy's reshape names neither size
+    with pytest.raises(DimensionMismatchError,
+                       match=r"length 1 does not match shape \(-1, -1\)"):
+        matkit.unvec([1.0], -1, -1)
+
+
 def test_spectral_radius_diagonal():
     assert matkit.spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
 

@@ -735,6 +735,8 @@ BUDGETS = {
                  lti.simulate(sys_d, [0.1, 0.1, 0.2], pol, v)),
     "exploration-input": ("num_terms", 1, 100, lambda sys_d, w, data, pol, v:
                           lti.exploration_input(1, num_terms=v)),
+    "exploration-input-m": ("m", 1, 1, lambda sys_d, w, data, pol, v:
+                            lti.exploration_input(v)),
 }
 
 
@@ -754,6 +756,15 @@ def test_budgets_are_integers_at_or_above_their_floor(
     assert evaluations == []
 
 
+@pytest.mark.parametrize("m", [-1, 0, 1.5, "x"])
+def test_exploration_input_refuses_a_channel_count_by_name(m):
+    # numpy raised a bare ValueError (-1) or TypeError (1.5, "x"), and
+    # m = 0 gave a policy with no channel
+    with pytest.raises(InvalidProblemError, match=re.escape(
+            f"m must be at least 1 and an integer, got {m!r}")):
+        lti.exploration_input(m)
+
+
 @pytest.mark.parametrize("entry", list(BUDGETS))
 def test_budgets_accept_numpy_integers(power_system, power_weights,
                                        power_data, entry):
@@ -766,8 +777,8 @@ def test_budgets_accept_numpy_integers(power_system, power_weights,
 @pytest.mark.parametrize("solver", ["hewer", "vi"])
 def test_baselines_refuse_nonpositive_tol(power_system, power_weights,
                                           evaluations, solver, tol):
-    # a tol of 0 could never pass the strict stop test before the budget
-    # runs out; NaN is test_solvers_reject_nan_parameters' case
+    # a tol of 0 would stop only on an exactly repeated value matrix; NaN
+    # is test_solvers_reject_nan_parameters' case
     with pytest.raises(InvalidProblemError, match="^" + re.escape(
             f"tol must be positive and finite, got {tol!r}") + "$"):
         if solver == "hewer":
@@ -1026,6 +1037,7 @@ def lam_outside(x):
 X0 = [0.1, 0.1, 0.2]
 # Entries that take an input no NaN case above covers: a state or input
 # that simulate accepts when not finite (its rollout names the divergence),
+# the vectorization kernels, which take non-finite entries as they are,
 # the solvers' own real settings, and the probing input's frequency bounds.
 CONVERSION_REFUSALS = {
     "simulate-x0": (non_finite("x0"), lambda s, w, d, x:
@@ -1034,6 +1046,14 @@ CONVERSION_REFUSALS = {
     "simulate-policy-input": (non_finite("policy input"), lambda s, w, d, x:
                               lti.simulate(s, X0, lambda k, state:
                                            spoil([0.0], x), 1)),
+    "vec-M": (non_finite("M"), lambda s, w, d, x: matkit.vec(spoil(s.A, x))),
+    "unvec-v": (non_finite("v"), lambda s, w, d, x:
+                matkit.unvec(spoil(np.zeros(6), x), 3, 2)),
+    "vecv-z": (non_finite("z"), lambda s, w, d, x: matkit.vecv(spoil(X0, x))),
+    "vecv-rows-Z": (non_finite("Z"), lambda s, w, d, x:
+                    matkit.vecv_rows(spoil(np.ones((4, 3)), x))),
+    "unvecs-v": (non_finite("v"), lambda s, w, d, x:
+                 matkit.unvecs(spoil(np.zeros(6), x))),
     "hewer-tol": (not_positive("tol"), lambda s, w, d, x:
                   riccati.hewer_pi(s, w, POWER_K_REF, tol=x)),
     "vi-tol": (not_positive("tol"), lambda s, w, d, x:
@@ -1068,7 +1088,8 @@ REAL_SETTINGS = {
     "zoh-T", "rank-tol", "scaled-evaluation-cum", "scaled-improvement-cum",
     "choose-c-cum", "assemble-cum", "gain-update-cum", "search-b-b_init",
     "search-b-delta", *(entry for entry in CONVERSION_REFUSALS
-                        if not entry.startswith("simulate-"))}
+                        if not entry.startswith(("simulate-", "vec",
+                                                 "unvec")))}
 HUGE = 10**400   # an integer beyond the largest double
 # A matrix entry no float array holds: ragged rows, which make any matrix
 # ragged, text and HUGE; and a setting that is not a real number.

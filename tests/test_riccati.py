@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -138,7 +140,7 @@ def test_hewer_iteration_budget(power_system, power_weights, power_oracle):
 
 
 def test_value_iteration_budget(power_system, power_weights):
-    # from zero value iteration takes 275 sweeps at this tolerance
+    # from zero value iteration takes 261 sweeps at this tolerance
     with pytest.raises(MaxIterationsError, match="in 3 iterations") as info:
         riccati.value_iteration(power_system, power_weights, tol=1e-10,
                                 max_iter=3)
@@ -219,7 +221,7 @@ def test_stop_does_not_depend_on_the_units_of_the_weights(sweep, solver):
         assert len(counts) == 1, (i, counts)
 
 
-@pytest.mark.parametrize("solver", POLICY_ITERATION_SOLVERS)
+@pytest.mark.parametrize("solver", [*POLICY_ITERATION_SOLVERS, "vi"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(log_s=st.floats(-6.0, 6.0),
        log_t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
@@ -233,14 +235,21 @@ def test_answer_does_not_depend_on_units(power_system, power_weights,
     # times T have the optimal gain K* T^-1, so a solve in these units
     # returns, as K' T, the gain it returns in the plant's own units;
     # Hewer's method starts from half of (rounded) K* in both.  The two
-    # examples spread the state units over the full six decades.
+    # examples spread the state units over the full six decades.  Value
+    # iteration keeps the plant's state units: its stop, like policy
+    # iteration's, weighs P by them, and at its linear rate one sweep more
+    # or less moves the gain by about tol.
     s, t = 10.0 ** log_s, 10.0 ** np.array(log_t)
+    if solver == "vi":
+        t = np.ones(3)
     T, T_inv = np.diag(t), np.diag(1.0 / t)
     system = lti.LinearSystem(T @ power_system.A @ T_inv, T @ power_system.B)
     weights = lti.CostWeights(s * T_inv @ power_weights.Q @ T_inv,
                               s * power_weights.R)
 
     def solve(system, weights, K_ref, states):
+        if solver == "vi":
+            return riccati.value_iteration(system, weights, tol=1e-8).K
         data = model_free.RegressionData(lti.Trajectory(
             states, power_trajectory.inputs)) \
             if solver == "spi-model-free" else None
@@ -251,6 +260,32 @@ def test_answer_does_not_depend_on_units(power_system, power_weights,
     K = solve(system, weights, POWER_K_REF @ T_inv,
               power_trajectory.states * t) @ T
     assert np.linalg.norm(K - K_unit) <= 1e-10 * np.linalg.norm(K_unit)
+
+
+def test_value_iteration_default_tol_is_relative(power_system,
+                                                 power_weights):
+    # at weights x 1e-6 an absolute stop ended after 127 sweeps with a gain
+    # 2.5e-5 off; the relative stop takes the unit weights' 261 sweeps, and
+    # at a power of 2 it runs the unit recursion scaled exactly
+    K_opt = riccati.dare_reference(power_system, power_weights).K
+    unit = riccati.value_iteration(power_system, power_weights)
+    for s in (1e-6, 2.0**-20):
+        scaled = lti.CostWeights(s * power_weights.Q, s * power_weights.R)
+        sol = riccati.value_iteration(power_system, scaled)
+        assert sol.iterations == unit.iterations == 261
+        assert np.linalg.norm(sol.K - K_opt, "fro") < 1e-9
+    assert np.array_equal(sol.K, unit.K) and np.array_equal(sol.P, s * unit.P)
+
+
+def test_value_iteration_never_stops_on_steps_that_do_not_shrink():
+    # the mode at 1 is unreachable and Q weights it: P grows by 1 per
+    # sweep, so the step tends to 1 while ||P||_F grows without bound.  A
+    # plain relative stop (step <= tol ||P||_F) accepts this after about
+    # 1,000 sweeps; the contraction factor q = 1 never does
+    sys_d = lti.LinearSystem(np.diag([1.0, 0.5]), np.array([[0.0], [1.0]]))
+    weights = lti.CostWeights(np.eye(2), np.eye(1))
+    with pytest.raises(MaxIterationsError, match="in 20000 iterations"):
+        riccati.value_iteration(sys_d, weights, tol=1e-3, max_iter=20000)
 
 
 def test_tiny_weights_solve_to_the_unit_gain(power_system, power_weights,
@@ -400,16 +435,18 @@ def test_dare_reference_bound_is_relative_to_p(power_system,
 
 
 def riccati_step_recursion(sys_d, weights, tol):
-    """Value iteration spelled out with the public one-sweep function."""
-    P = np.zeros((sys_d.n, sys_d.n))
+    """Value iteration spelled out with the public one-sweep function and
+    the stop of every solver."""
+    P, last = np.zeros((sys_d.n, sys_d.n)), math.inf
     trace = []
     while True:
         P_next, K = riccati.riccati_step(sys_d, weights, P)
         trace.append((P, K))
-        if np.linalg.norm(P_next - P, "fro") < tol:
+        step = np.linalg.norm(P_next - P, "fro")
+        if riccati._converged(step, last, np.linalg.norm(P_next, "fro"), tol):
             return (P_next, riccati.optimal_gain(sys_d, weights, P_next),
                     trace)
-        P = P_next
+        P, last = P_next, step
 
 
 def assert_same_recursion(sys_d, weights):
