@@ -69,14 +69,13 @@ def _inline_refs(node, defs):
 
 @functools.cache
 def _validator():
-    """The config validator, built once per process after one check of
-    the packaged schema against its metaschema; its "integer" refuses the
-    integral floats (``500.0``) that JSON Schema admits and budgets do not.
-    The schema's local ``$ref``s are resolved once here, so that no
-    validation looks them up again."""
+    """The config validator, built once per process; its "integer" refuses
+    the integral floats (``500.0``) that JSON Schema admits and budgets do
+    not.  The schema's local ``$ref``s are resolved once here, so that no
+    validation looks them up again.  The packaged schema is checked against
+    its metaschema by the tests, not here."""
     schema = _load_schema()
     cls = validator_for(schema)
-    cls.check_schema(schema)
     return extend(cls, type_checker=cls.TYPE_CHECKER.redefine("integer", (
         lambda _, v: isinstance(v, int) and not isinstance(v, bool))))(
             _inline_refs(schema, schema["$defs"]))

@@ -323,10 +323,11 @@ def _kronecker(F, W):
     # in the Fortran order dgesv reads, once 1 is added to its diagonal
     M = (F[:, None, :, None] * -F[None, :, None, :]).reshape(n * n, n * n)
     M.flat[::n * n + 1] += 1.0
-    _, _, x, info = scipy.linalg.lapack.dgesv(M.T, vec(W), overwrite_a=1)
+    _, _, x, info = scipy.linalg.lapack.dgesv(M.T, W.ravel(order="F"),
+                                              overwrite_a=1)
     if info != 0:
         raise IllConditionedError("Lyapunov equation is singular")
-    return unvec(x, n, n)
+    return x.reshape((n, n), order="F")
 
 
 def _bartels_stewart(T, U, W):

@@ -275,14 +275,12 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     """Solve the LQR problem from recorded data and an arbitrary
     starting gain, never touching the plant matrices.
 
-    Runs the divisor probe, then the two-phase driver: loop 1 (scaled
-    regression, gain update, and the factor of the model-based rule
-    ``riccati._interior_factor`` at the radius bound of
-    :func:`scaling_bound`) until the
-    cumulative factor over the divisor reaches 1, then loop 2 (the same
-    regression at scale 1, i.e. data-driven policy iteration) until
-    ``||P_k - P_{k-1}||_F <= tol ||P_k||_F`` (the stop of
-    ``riccati._scaling_pi``).  The accepted
+    Runs the divisor probe, then the two-phase driver on one step:
+    regression, gain update, and the radius bound of :func:`scaling_bound`
+    with the factor of the model-based rule ``riccati._interior_factor``.
+    Loop 1 runs it scaled until the cumulative factor over the divisor
+    reaches 1, loop 2 at scale 1 (data-driven policy iteration, the factor
+    unused) until the stop of ``riccati._scaling_pi``.  The accepted
     probe's regression is the first evaluation; ``i_max`` bounds the
     evaluations of both loops, probes excluded.  Relies on the excitation
     rank condition, certified once when ``data`` was built.
@@ -290,8 +288,9 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     Returns a :class:`SpiReport`.  ``solution.residual`` is ``None``
     because the solver has no model to evaluate the Riccati equation
     against; compute it externally when the plant is known.  Raises
-    :class:`UnstableScaledSystemError` when a scaling step's radius
-    certificate fails (:func:`scaling_bound`), as noisy data can make it.
+    :class:`UnstableScaledSystemError` when the radius certificate of any
+    evaluation, in either loop, fails: the regressed ``P`` is not positive
+    definite or ``rho_hat >= 1``, as noisy data can make it.
     """
     K = riccati._check_start(K0, weights, data.m, data.n, lam, tol, i_max)
     b, accepted, probes = search_b(data, K, weights, b_init=b_init,
@@ -299,12 +298,10 @@ def spi_model_free(data, K0, weights, b_init=1.0, delta=0.1, lam=0.5,
     # The accepted probe regressed K0 at scale 1/b, the first evaluation.
     pending = [accepted]
 
-    def step(K, cum, scaling):
+    def step(K, cum):
         sol = pending.pop() if pending else _solve_iteration(data, K, cum,
                                                              weights)
         K_next = riccati._improved_gain(sol.L, sol.M.T, weights.R, cum)
-        if not scaling:
-            return sol.P, K_next, 1.0, {}
         rho = scaling_bound(sol.P, K_next, weights)
         return (sol.P, K_next, riccati._interior_factor(rho, lam),
                 {"bound": riccati._headroom(rho)})

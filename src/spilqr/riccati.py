@@ -73,13 +73,15 @@ class SpiState:
     ``K_tilde`` is the gain in force at iteration ``i`` and ``P_tilde``
     its evaluation under the effective plant scaling ``cum`` (``None``
     for the handoff record, whose evaluation happens at scale 1 in the
-    next phase).  ``c`` is the scaling factor that produced this
-    record's ``cum``; ``c == 1`` at iteration 0 and everywhere in the
-    final phase.  ``bound`` is the headroom ``1 / rho_hat`` from which the
-    data-driven solver chose the *next* factor at this iteration, where
-    ``rho_hat`` is the certified radius of the improved scaled loop
-    (:func:`spilqr.model_free.scaling_bound`).  Each diagnostic field is
-    filled only by the solver its comment names, and is ``None`` otherwise.
+    next phase and whose diagnostic fields are that evaluation's).
+    ``c`` is the scaling factor that produced this record's ``cum``; ``c
+    == 1`` at iteration 0 and everywhere in the final phase.  ``bound`` is
+    the headroom ``1 / rho_hat`` that the data-driven solver certified at
+    this iteration, in both phases, where ``rho_hat`` is the radius bound
+    of the improved scaled loop (:func:`spilqr.model_free.scaling_bound`);
+    in phase 1 the *next* factor is chosen from it.  Each diagnostic field
+    is filled only by the solver its comment names, and is ``None``
+    otherwise.
     """
 
     i: int
@@ -140,11 +142,8 @@ class SpiReport:
 
 
 def _check_weights(weights, n, m):
-    """The input-shape rules of the public entries, one helper each, all
-    raising :class:`DimensionMismatchError`: the weights fit a plant of
-    ``n`` states and ``m`` inputs; a value matrix is symmetric ``n x n``
-    (``matkit.check_symmetric`` with the size); a gain is ``m x n``
-    (:func:`_check_gain`); both are finite (:class:`InvalidProblemError`)."""
+    """:class:`DimensionMismatchError` unless the weights fit a plant of
+    ``n`` states and ``m`` inputs."""
     if weights.Q.shape[0] != n or weights.R.shape[0] != m:
         raise DimensionMismatchError("weights do not match system dimensions")
 
@@ -191,6 +190,17 @@ def _residual(sys, weights, P, K):
     """:func:`are_residual` of ``P`` whose gain ``K`` is already known."""
     res = sys.A.T @ P @ sys.A - P - sys.A.T @ P @ sys.B @ K + weights.Q
     return float(np.linalg.norm(res, "fro"))
+
+
+def _stabilizing(sys, weights, P, what):
+    """The gain ``K`` of ``P`` and its Riccati residual, once ``A - BK`` is
+    Schur stable; :class:`InvalidProblemError` naming ``what`` otherwise."""
+    K = optimal_gain(sys, weights, P)
+    rho = matkit.spectral_radius(sys.A - sys.B @ K)
+    if rho >= 1.0:
+        raise InvalidProblemError(f"{what} does not stabilize the plant "
+                                  f"(spectral radius {rho:.6g})")
+    return K, _residual(sys, weights, P, K)
 
 
 def are_residual(sys, weights, P):
@@ -256,9 +266,9 @@ def _model_step(sys, weights, K0, lam):
     """The model-based ``step`` of :func:`_scaling_pi` from gain ``K0``
     (Lyapunov evaluation, scaled improvement, interior-point factor of
     weight ``lam``) and ``rho(A - B K0)``.  One factorization
-    (``matkit._stein_factor``) per evaluation: a scaling step factors its
-    improved gain for the next one, a scale-1 step its own gain unless
-    handed one; the final gain never.
+    (``matkit._stein_factor``) per evaluation: a scaling step (``cum <
+    1``) factors its improved gain for the next one, a scale-1 step its
+    own gain unless handed one; the final gain never.
 
     The step runs on the plant balanced by the diagonal ``D`` of LAPACK
     ``gebal``, whose powers of 2 make every change of coordinates exact:
@@ -273,7 +283,7 @@ def _model_step(sys, weights, K0, lam):
     Q, R = weights.Q * d * d[:, None], weights.R
     factor = matkit._stein_factor(A - B @ (K0 * d))
 
-    def step(K, cum, scaling):
+    def step(K, cum):
         nonlocal factor
         K = K * d
         if factor is None:
@@ -283,8 +293,8 @@ def _model_step(sys, weights, K0, lam):
         BtP = B.T @ P   # P comes out of the solve exactly symmetric
         K_next = _improved_gain(BtP @ B, BtP @ A, R, cum)
         rho = factor[2]
-        factor = matkit._stein_factor(A - B @ K_next) if scaling else None
-        c = _interior_factor(cum * factor[2], lam) if scaling else 1.0
+        factor = matkit._stein_factor(A - B @ K_next) if cum < 1.0 else None
+        c = _interior_factor(cum * factor[2], lam) if cum < 1.0 else 1.0
         return P / d / d[:, None], K_next / d, c, {"rho_closed": rho}
 
     return step, factor[2]
@@ -302,12 +312,12 @@ def _converged(step, last, size, tol):
 def _scaling_pi(step, K0, b, tol, i_max):
     """Two-phase scaling policy iteration around one evaluation step.
 
-    ``step(K, cum, scaling)`` evaluates gain ``K`` on the plant scaled by
-    ``cum``, improves it, and returns ``(P, K_next, c, fields)``: the value
-    matrix, the improved gain, the next factor (read only while
-    ``scaling``) and extra :class:`SpiState` fields for this record.
-    Phase 1 starts at ``cum = 1 / b`` and multiplies in each factor until
-    ``cum >= 1``; phase 2 steps at scale 1 until :func:`_converged`.  The
+    ``step(K, cum)`` evaluates gain ``K`` on the plant scaled by ``cum``,
+    improves it, and returns ``(P, K_next, c, fields)``: the value matrix,
+    the improved gain, the next factor (read only while ``cum < 1``) and
+    extra :class:`SpiState` fields for this record.  Phase 1 starts at
+    ``cum = 1 / b`` and multiplies in each factor until ``cum >= 1``;
+    phase 2 steps at ``cum = 1`` until :func:`_converged`.  The
     handoff record between them has no value matrix and takes the fields
     of phase 2's first record, whose gain it shares.  With ``b = 1`` this
     is Hewer's method.
@@ -320,13 +330,12 @@ def _scaling_pi(step, K0, b, tol, i_max):
     K, cum, c, last = K0, 1.0 / b, 1.0, math.inf
     phase1, phase2 = [], []
     for i in range(i_max):
+        P, K_next, c_next, fields = step(K, min(cum, 1.0))
         if cum < 1.0:
-            P, K_next, c_next, fields = step(K, cum, True)
             phase1.append(SpiState(i=i, K_tilde=K, P_tilde=P, b=b, c=c,
                                    cum=cum, **fields))
             K, c, cum = K_next, c_next, cum * c_next
             continue
-        P, K_next, _, fields = step(K, 1.0, False)
         if not phase2:
             phase1.append(SpiState(i=i, K_tilde=K, P_tilde=None, b=b, c=c,
                                    cum=cum, **fields))
@@ -403,7 +412,9 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
         integer >= 1 (NaN included), ``P0`` is not positive semidefinite,
         or the step between sweeps stops being finite (the recursion
         diverges, as it does on a plant with an unstabilizable mode that
-        the cost sees).
+        the cost sees), or the converged ``P``'s gain leaves ``A - BK``
+        unstable (a Riccati solution other than the stabilizing one, as
+        when the cost misses an unstable mode).
     SingularMatrixError
         If ``R + B'PB`` is numerically singular.
     MaxIterationsError
@@ -436,10 +447,10 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
             raise MaxIterationsError(
                 f"value iteration did not converge in {max_iter} iterations",
                 last=(P, None))
-    K = optimal_gain(sys, weights, P_next)
-    return AreSolution(P=P_next, K=K,
-                       residual=_residual(sys, weights, P_next, K),
-                       iterations=k + 1, trace=trace)
+    K, residual = _stabilizing(sys, weights, P_next,
+                               "value iteration's answer")
+    return AreSolution(P=P_next, K=K, residual=residual, iterations=k + 1,
+                       trace=trace)
 
 
 def dare_reference(sys, weights):
@@ -469,13 +480,7 @@ def dare_reference(sys, weights):
     P = matkit.check_symmetric(P, "DARE solution", sys.n)
     if not matkit.is_positive_semidefinite(P):
         raise InvalidProblemError("DARE solution is not positive semidefinite")
-    K = optimal_gain(sys, weights, P)
-    rho = matkit.spectral_radius(sys.A - sys.B @ K)
-    if rho >= 1.0:
-        raise InvalidProblemError(
-            f"DARE solution does not stabilize the plant "
-            f"(spectral radius {rho:.6g})")
-    residual = _residual(sys, weights, P, K)
+    K, residual = _stabilizing(sys, weights, P, "DARE solution")
     bound = DARE_RESIDUAL_RTOL * float(np.linalg.norm(P, "fro"))
     if not residual <= bound:
         raise InvalidProblemError(

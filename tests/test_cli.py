@@ -42,8 +42,8 @@ def model_based_config():
 
 
 # Plant with an uncontrollable unstable mode that the cost does not see:
-# value iteration converges, but no gain stabilizes the plant, so the DARE
-# has no stabilizing solution.
+# value iteration converges to a gain that leaves that mode unstable, and
+# no gain stabilizes the plant, so the DARE has no stabilizing solution.
 UNSTABILIZABLE = {
     "system": {"A": [[1.5, 0.0], [0.0, 0.5]], "B": [[0.0], [1.0]]},
     "weights": {"Q": [[0.0, 0.0], [0.0, 1.0]], "R": [[1.0]]}}
@@ -818,7 +818,14 @@ def test_shipped_configs_are_valid():
         cli.load_config(str(path))
 
 
-def test_load_config_checks_schema_once(tmp_path, monkeypatch):
+def test_packaged_schema_meets_its_metaschema():
+    schema = cli._load_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_load_config_never_checks_schema(tmp_path, monkeypatch):
+    # the packaged schema is checked once, by the test above, not by every
+    # process that loads a config
     cls = jsonschema.validators.validator_for(cli._load_schema())
     check_schema = cls.check_schema
     calls = []
@@ -832,7 +839,7 @@ def test_load_config_checks_schema_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json", model_based_config())
     cli.load_config(cfg)
     cli.load_config(cfg)
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("edit, keyword", [
@@ -898,16 +905,33 @@ def test_compare_runs_value_iteration_only_for_vi(tmp_path,
     assert len(value_iteration_calls) == 3
 
 
-def test_solve_unstabilizable_plant_has_no_oracle(tmp_path, caplog):
-    cfg = write_config(tmp_path / "c.json", dict(UNSTABILIZABLE, solver="vi"))
+def test_solve_without_reference_has_no_oracle(tmp_path, caplog):
+    # at Q, R x 1e-13 the Schur-method reference misses its residual bound,
+    # while the solve succeeds: the report is written with no oracle
+    cfg = json.loads((CONFIGS / "power_model_based.json").read_text())
+    for key in ("Q", "R"):
+        cfg["weights"][key] = (1e-13 * np.asarray(cfg["weights"][key])
+                               ).tolist()
     with caplog.at_level(logging.WARNING, logger="spilqr"):
-        assert cli.main(["solve", "--config", cfg,
+        assert cli.main(["solve", "--config",
+                         write_config(tmp_path / "c.json", cfg),
                          "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["oracle"] is None
     assert any(r.levelno == logging.WARNING
                and "reference solve failed" in r.getMessage()
                for r in caplog.records)
+
+
+def test_solve_vi_unstabilizable_plant_exit_code(tmp_path):
+    # value iteration converges, but its gain leaves the unreachable
+    # unstable mode as it is: the solve refuses and writes no report
+    cfg = write_config(tmp_path / "c.json", dict(UNSTABILIZABLE, solver="vi"))
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"]["type"] == "InvalidProblemError"
+    assert "does not stabilize the plant" in err["error"]["message"]
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_compare_unstabilizable_plant_exit_code(tmp_path):

@@ -616,12 +616,13 @@ def test_evaluations_see_every_regression_probe_and_pencil(
     # the refusal tests below assert that nothing ran; here a solve shows
     # that the counted names are the ones it runs: one regression per
     # probe and per later evaluation, one potrf per probe and one pencil
-    # solve per scaling step
+    # solve per evaluation, in both phases, each recorded as a bound
     report = model_free.spi_model_free(power_data, K0_ZERO, power_weights)
-    steps = sum(state.bound is not None for state in report.phase1_trace)
-    assert steps == report.handoff_index >= 1 and report.probes >= 2
+    assert report.handoff_index >= 1 and report.probes >= 2
+    assert all(state.bound is not None for state in
+               report.phase1_trace + report.phase2_trace)
     assert evaluations.count("dpotrf") == report.probes
-    assert evaluations.count("dsygvd") == steps
+    assert evaluations.count("dsygvd") == report.solution.iterations
     assert evaluations.count("solve_regression") == \
         report.probes + report.solution.iterations - 1
 
@@ -1282,3 +1283,26 @@ def test_noisy_sweep_refuses_instead_of_stalling(sweep, noisy_sweep,
         assert_phase1_stable(case, report)
     assert sorted(refused) == [36, 85]
     assert max(refused.values()) <= 40, refused
+
+
+def test_long_noisy_recording_with_indefinite_value_is_refused(sweep):
+    # the long noisy recordings: for each clean-sweep case in turn, one
+    # default_rng(2024) draws x0, the probing seed and the noise of a
+    # recording four times the sweep's length.  Case 7 passes phase 1,
+    # then regresses an indefinite P at scale 1; phase 2 runs the same
+    # certificate, so the solve refuses rather than return that P (0.999
+    # off) and a gain that gives the true plant a radius of 2.47
+    rng = np.random.default_rng(2024)
+    for case in sweep[:8]:
+        sys_d = case["sys"]
+        l = 4 * (model_free.unknown_count(sys_d.n, sys_d.m) + 20)
+        x0 = rng.uniform(-0.5, 0.5, sys_d.n)
+        seed = int(rng.integers(0, 2**32))
+        noise = rng.standard_normal((l + 1, sys_d.n))
+    traj = lti.simulate(sys_d, x0, lti.exploration_input(sys_d.m, seed=seed),
+                        l)
+    X = traj.states + noise * 1e-6 * np.abs(traj.states).max()
+    data = model_free.build_regression_data(lti.Trajectory(X, traj.inputs))
+    with pytest.raises(UnstableScaledSystemError, match="not positive"):
+        model_free.spi_model_free(data, case["K0"], case["weights"],
+                                  tol=SWEEP_TOL)

@@ -408,6 +408,20 @@ def test_dare_reference_rejects_unstabilizable_plant(Q):
         riccati.dare_reference(sys_d, weights)
 
 
+def test_value_iteration_refuses_a_gain_that_does_not_stabilize():
+    # the cost misses the unstable mode 1.5, which the input reaches: from
+    # P0 = 0 the recursion converges to the smallest Riccati solution,
+    # diag(0, 1.13), whose gain leaves that mode alone; the plant is
+    # stabilizable, and the reference's gain stabilizes it
+    sys_d = lti.LinearSystem(np.diag([1.5, 0.5]), np.array([[1.0], [1.0]]))
+    weights = lti.CostWeights(np.diag([0.0, 1.0]), np.eye(1))
+    with pytest.raises(InvalidProblemError, match=r"does not stabilize the "
+                       r"plant \(spectral radius 1.5\)"):
+        riccati.value_iteration(sys_d, weights)
+    K = riccati.dare_reference(sys_d, weights).K
+    assert matkit.spectral_radius(sys_d.A - sys_d.B @ K) < 1.0
+
+
 @pytest.mark.parametrize("bad_P, reason", [
     (lambda P: np.full_like(P, np.nan), "non-finite"),
     (lambda P: -P, "not positive semidefinite"),
