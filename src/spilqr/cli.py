@@ -182,22 +182,22 @@ def collect_trajectory(sys, cfg, seed):
 # ---------------------------------------------------------------------------
 # report serialization
 
-def _rows(phases, sys):
-    """Report rows of a solve's ``phases`` (see :func:`_run`): per phase,
-    each record's fields with its matrices as lists and its norms and
-    radii.  A record without ``rho_closed`` takes it from one stacked
-    eigensolve."""
-    F = np.array([sys.A - sys.B @ s["K_tilde"] for _, records in phases
-                  for s in records if s["rho_closed"] is None])
+def _rows(report, sys):
+    """Report rows of a :class:`riccati.SpiReport`: per phase, each
+    record's fields with its matrices as lists and its norms and radii.  A
+    record without ``rho_closed`` takes it from one stacked eigensolve."""
+    phases = ((1, report.phase1_trace), (2, report.phase2_trace))
+    F = np.array([sys.A - sys.B @ s.K_tilde for _, records in phases
+                  for s in records if s.rho_closed is None])
     radii = iter(matkit.spectral_radius(F.reshape(-1, sys.n, sys.n)).tolist())
     rows = []
     for phase, records in phases:
         P_prev = None
         for s in records:
-            P = s["P_tilde"]
-            rho = next(radii) if s["rho_closed"] is None else s["rho_closed"]
-            row = dict(s, phase=phase, K=s["K_tilde"].tolist(),
-                       rho_closed=rho, rho_scaled=s["cum"] * rho,
+            P = s.P_tilde
+            rho = next(radii) if s.rho_closed is None else s.rho_closed
+            row = dict(vars(s), phase=phase, K=s.K_tilde.tolist(),
+                       rho_closed=rho, rho_scaled=s.cum * rho,
                        P=None, P_norm=None, dP_norm=None)
             del row["K_tilde"], row["P_tilde"]
             if P is not None:
@@ -271,16 +271,11 @@ SETTINGS = {
                        "max_probes": "max_probes", "i_max": "i_max"}}
 SOLVERS = tuple(SETTINGS)
 
-# A Hewer/value-iteration record, once its i and matrices are filled in.
-SCALE_1 = vars(riccati.SpiState(i=0, K_tilde=None, P_tilde=None, b=1.0,
-                                c=1.0, cum=1.0))
-
 
 def _run(name, sys_d, weights, K0, P0, data, params, tol):
     """Run one solver with the settings ``params`` holds; returns its
-    ``AreSolution``, ``(phase, records)`` pairs of :class:`riccati.SpiState`
-    fields (Hewer/value-iteration pairs as scale-1 phase-2 records), the
-    report keys only a scaling solve has, and the elapsed seconds."""
+    :class:`riccati.SpiReport` (Hewer's method and value iteration, which
+    never scale, as scale-1 phase-2 records) and the elapsed seconds."""
     opts = {kw: params[key] for key, kw in SETTINGS[name].items()
             if key in params}
     if isinstance(opts.get("delta"), dict):   # growing schedule {"rate"}
@@ -298,16 +293,11 @@ def _run(name, sys_d, weights, K0, P0, data, params, tol):
     else:
         result = model_free.spi_model_free(data, K0, weights, tol=tol, **opts)
     elapsed = time.perf_counter() - t0
-    if not isinstance(result, riccati.SpiReport):   # Hewer, value iteration
-        records = [dict(SCALE_1, i=i, K_tilde=K, P_tilde=P)
-                   for i, (P, K) in enumerate(result.trace)]
-        return result, [(2, records)], {}, elapsed
-    keys = {"b": result.b, "handoff_index": result.handoff_index}
-    if name == "spi-model-free":
-        keys["probes"] = result.probes
-    phases = [(phase, [vars(s) for s in trace]) for phase, trace
-              in ((1, result.phase1_trace), (2, result.phase2_trace))]
-    return result.solution, phases, keys, elapsed
+    if not isinstance(result, riccati.SpiReport):   # never scaled
+        result = riccati.SpiReport([], [
+            riccati.SpiState(i, K_tilde=K, P_tilde=P, b=1.0, c=1.0, cum=1.0)
+            for i, (P, K) in enumerate(result.trace)], result, b=1.0)
+    return result, elapsed
 
 
 def cmd_solve(args):
@@ -318,9 +308,9 @@ def cmd_solve(args):
     sys_d, weights, seed, params, K0, P0 = _problem(cfg, args.seed)
     data = (collect_trajectory(sys_d, cfg, seed)
             if name == "spi-model-free" else None)
-    sol, phases, keys, elapsed = _run(name, sys_d, weights, K0, P0, data,
-                                      params, params.get("tol", 1e-5))
-    rows = _rows(phases, sys_d)
+    result, elapsed = _run(name, sys_d, weights, K0, P0, data, params,
+                           params.get("tol", 1e-5))
+    sol, rows = result.solution, _rows(result, sys_d)
     # only the data-driven solver, which never sees the plant, leaves it unset
     residual = (sol.residual if sol.residual is not None
                 else riccati.are_residual(sys_d, weights, sol.P))
@@ -344,8 +334,11 @@ def cmd_solve(args):
         "trace": rows,
         "oracle": oracle,
         "wall_time_s": elapsed,
-        **keys,
     }
+    if result.phase1_trace:   # a scaling solve
+        report.update(b=result.b, handoff_index=result.handoff_index)
+    if name == "spi-model-free":
+        report["probes"] = result.probes
     report_path = os.path.join(args.out, "report.json")
     _write_json(report_path, report)
     _write_csv(os.path.join(args.out, "trace.csv"), CSV_COLUMNS,
@@ -408,12 +401,11 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _iterations_to_tolerance(solution, phases, K_ref, tol):
-    """Index of the first gain of a solve within ``tol`` of the reference,
-    or ``None``: the gains of its records with a value matrix, in order,
-    then its final gain (the handoff record shares the next one's gain)."""
-    gains = [s["K_tilde"] for _, records in phases for s in records
-             if s["P_tilde"] is not None] + [solution.K]
+def _iterations_to_tolerance(report, K_ref, tol):
+    """Index of the first gain of ``report`` within ``tol`` of ``K_ref``, or
+    ``None``: its first record's gain, then ``report.gain_sequence()``."""
+    first = (report.phase1_trace or report.phase2_trace)[0]
+    gains = [first.K_tilde, *report.gain_sequence()]
     return next((idx for idx, K in enumerate(gains)
                  if np.linalg.norm(K - K_ref, "fro") < tol), None)
 
@@ -449,18 +441,18 @@ def cmd_compare(args):
             # budgets here; the scaling solvers read params.
             r = results[name]
             try:
-                sol, phases, keys, elapsed = _run(
+                result, elapsed = _run(
                     name, sys_d, weights, K0, P0, data,
                     {} if name in ("hewer", "vi") else params, 1e-9)
             except SpilqrError as exc:
                 log.info("trial %d solver %s failed: %s", t, name, exc)
                 r["failed"].append(f"{type(exc).__name__}: {exc}")
                 continue
-            iters = _iterations_to_tolerance(sol, phases, ref.K, gain_tol)
+            iters = _iterations_to_tolerance(result, ref.K, gain_tol)
             if iters is None:
                 r["failed"].append("no gain came within gain_tol")
             else:
-                r["iters"].append(iters + keys.get("probes", 0))
+                r["iters"].append(iters + result.probes)
                 r["times"].append(elapsed)
 
     table = []

@@ -80,9 +80,9 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     method runs at ``b = 1``.  Phase 1 runs scaled policy iteration until
     the cumulative factor over ``b`` reaches 1, at which point the
     current gain stabilizes the true plant; phase 2 is plain policy
-    iteration from that gain, stopped once ``||P_k - P_{k-1}||_F <= tol
-    ||P_k||_F`` (the stop of ``riccati._scaling_pi``).  ``i_max`` bounds
-    the policy evaluations of both phases together.
+    iteration from that gain until ``riccati._converged``, the relative
+    step test widened by ``q/(1-q)`` for the step ratio ``q < 1``.
+    ``i_max`` bounds the policy evaluations of both phases together.
 
     Returns a :class:`SpiReport`; ``report.solution`` carries the
     converged pair and its Riccati residual.

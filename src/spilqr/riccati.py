@@ -108,7 +108,8 @@ class SpiReport:
     last record is the handoff state with ``cum >= 1``.  ``phase2_trace``
     holds the plain policy-iteration records at scale 1.  ``solution``
     is the converged Riccati pair.  ``probes`` counts the divisor probes
-    of the data-driven solver.
+    of the data-driven solver.  A solve that never scaled has no phase 1
+    and no handoff: ``phase1_trace`` is empty and ``b`` is 1.
     """
 
     phase1_trace: list
@@ -300,13 +301,17 @@ def _model_step(sys, weights, K0, lam):
     return step, factor[2]
 
 
-def _converged(step, last, size, tol):
-    """The stop of every solver: ``step max(1, q/(1-q)) <= tol size`` and
-    ``q < 1``, for the step ``||P_k - P_{k-1}||_F``, its ratio ``q`` to
-    the one before (``last``, ``math.inf`` at first) and ``size =
-    ||P_k||_F``; the widened step bounds ``||P_k - P*||_F`` at rate q."""
+def _converged(P, P_prev, last, tol):
+    """``(stop, step)``: ``step = ||P - P_prev||_F`` and the stop of every
+    solver, ``step max(1, q/(1-q)) <= tol ||P||_F`` and ``q < 1`` for ``q``
+    its ratio to the step before (``last``, ``math.inf`` at first); the
+    widened step bounds ``||P - P*||_F`` at rate q.  Each norm is one
+    ``dot``, the bits of ``np.linalg.norm(x, "fro")``."""
+    d, p = (P - P_prev).ravel(), P.ravel()
+    step = math.sqrt(d.dot(d))
     q = step / last
-    return q < 1.0 and step * max(1.0, q / (1.0 - q)) <= tol * size
+    return (q < 1.0 and step * max(1.0, q / (1.0 - q))
+            <= tol * math.sqrt(p.dot(p))), step
 
 
 def _scaling_pi(step, K0, b, tol, i_max):
@@ -342,14 +347,13 @@ def _scaling_pi(step, K0, b, tol, i_max):
         phase2.append(SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0, c=1.0,
                                cum=1.0, **fields))
         if len(phase2) > 1:
-            dP = np.linalg.norm(P - phase2[-2].P_tilde, "fro")
-            if _converged(dP, last, np.linalg.norm(P, "fro"), tol):
+            stop, last = _converged(P, phase2[-2].P_tilde, last, tol)
+            if stop:
                 solution = AreSolution(
                     P=P, K=K_next, residual=None, iterations=i + 1,
                     trace=[(s.P_tilde, s.K_tilde) for s in phase2])
                 return SpiReport(phase1_trace=phase1, phase2_trace=phase2,
                                  solution=solution, b=b)
-            last = dP
         K = K_next
     raise MaxIterationsError(
         f"policy iteration did not converge in {i_max} iterations "
@@ -434,13 +438,11 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
         for k in range(max_iter):
             P_next, K = _sweep(A, B, Q, R, P)
             trace.append((P, K))
-            d = (P_next - P).ravel()
-            step = math.sqrt(d.dot(d))   # np.linalg.norm(P_next - P, "fro")
+            stop, step = _converged(P_next, P, last, tol)
             if not math.isfinite(step):
                 raise InvalidProblemError(
                     f"value iteration diverged at sweep {k + 1}")
-            p = P_next.ravel()
-            if _converged(step, last, math.sqrt(p.dot(p)), tol):
+            if stop:
                 break
             P, last = P_next, step
         else:

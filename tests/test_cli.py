@@ -572,37 +572,45 @@ def test_compare_trivial_start_converges_immediately(power_system,
     P0 = power_oracle.P
     K0 = riccati.optimal_gain(power_system, power_weights, P0)
     for name in ("vi", "hewer", "spi-model-based", "spi-model-free"):
-        sol, phases, keys, _ = cli._run(name, power_system, power_weights, K0,
-                                        P0, power_data, {}, 1e-9)
-        iters = cli._iterations_to_tolerance(sol, phases, power_oracle.K,
-                                             1e-4)
+        report, _ = cli._run(name, power_system, power_weights, K0, P0,
+                             power_data, {}, 1e-9)
+        iters = cli._iterations_to_tolerance(report, power_oracle.K, 1e-4)
         assert iters is not None, name
-        assert iters + keys.get("probes", 0) <= 2, (name, iters, keys)
+        assert iters + report.probes <= 2, (name, iters, report.probes)
 
 
-@pytest.mark.parametrize("name", ["spi-model-based", "spi-model-free"])
+@pytest.mark.parametrize("name", list(cli.SOLVERS))
 def test_compare_counts_the_gains_of_a_scaling_solve(sweep, name):
     # the gains compare counts are the starting gain and the library's gain
     # sequence, bit for bit: the k-th of them is found at index k unless
     # an earlier one is the same matrix.  A rule that drops or repeats the
-    # handoff gain moves every later index.
+    # handoff gain moves every later index.  Hewer's method starts from
+    # half the optimal gain, which stabilizes every plant of the sweep.
     tiny = np.finfo(float).tiny   # only an exact match is nearer
     for case in sweep:
         sys_d, weights, K0, data = (case[key] for key in
                                     ("sys", "weights", "K0", "data"))
+        if name == "hewer":
+            K0 = 0.5 * riccati.dare_reference(sys_d, weights).K
         if name == "spi-model-based":
-            report = model_based.spi_model_based(sys_d, weights, K0, tol=1e-8)
+            lib = model_based.spi_model_based(sys_d, weights, K0, tol=1e-8)
+        elif name == "spi-model-free":
+            lib = model_free.spi_model_free(data, K0, weights, tol=1e-8)
         else:
-            report = model_free.spi_model_free(data, K0, weights, tol=1e-8)
-        sol, phases, keys, _ = cli._run(name, sys_d, weights, K0, None, data,
-                                        {}, 1e-8)
-        assert keys["handoff_index"] == report.handoff_index
-        gains = [report.phase1_trace[0].K_tilde, *report.gain_sequence()]
+            sol = (riccati.hewer_pi(sys_d, weights, K0, tol=1e-8)
+                   if name == "hewer"
+                   else riccati.value_iteration(sys_d, weights, tol=1e-8))
+        report, _ = cli._run(name, sys_d, weights, K0, None, data, {}, 1e-8)
+        if name in ("hewer", "vi"):
+            gains = [K for _, K in sol.trace] + [sol.K]
+        else:
+            assert report.handoff_index == lib.handoff_index
+            gains = [lib.phase1_trace[0].K_tilde, *lib.gain_sequence()]
         for K in gains:
             first = next(idx for idx, G in enumerate(gains)
                          if np.array_equal(G, K))
-            assert cli._iterations_to_tolerance(sol, phases, K, tiny) == first
-        assert cli._iterations_to_tolerance(sol, phases, 2 * gains[-1],
+            assert cli._iterations_to_tolerance(report, K, tiny) == first
+        assert cli._iterations_to_tolerance(report, 2 * gains[-1],
                                             tiny) is None
 
 
@@ -799,6 +807,55 @@ def test_shipped_trace_matches_reference(tmp_path, solver):
                     <= 1e-10 * abs(float(expected)), where
 
 
+def _library_records(solver, cfg):
+    """``(phase, record)`` pairs of a direct library solve of ``cfg``:
+    the plant, weights, settings and recording the CLI uses, with the
+    ``(P, K)`` pairs of Hewer's method and value iteration as scale-1
+    phase-2 fields."""
+    sys_d, weights, seed, params, K0, _ = cli._problem(cfg, None)
+    tol, i_max = params["tol"], params["i_max"]
+    if solver in ("hewer", "vi"):
+        sol = (riccati.hewer_pi(sys_d, weights, K0, tol=tol, max_iter=i_max)
+               if solver == "hewer" else riccati.value_iteration(
+                   sys_d, weights, tol=tol, max_iter=i_max))
+        return [(2, dict(i=i, b=1.0, c=1.0, cum=1.0, bound=None, K_tilde=K,
+                         P_tilde=P, rho_closed=None))
+                for i, (P, K) in enumerate(sol.trace)]
+    if solver == "spi-model-based":
+        report = model_based.spi_model_based(
+            sys_d, weights, K0, lam=params["lambda"], tol=tol, i_max=i_max)
+    else:
+        report = model_free.spi_model_free(
+            cli.collect_trajectory(sys_d, cfg, seed), K0, weights,
+            b_init=params["b_init"], delta=params["delta"],
+            lam=params["lambda"], tol=tol, i_max=i_max)
+    return [(phase, vars(s)) for phase, trace in
+            ((1, report.phase1_trace), (2, report.phase2_trace))
+            for s in trace]
+
+
+@pytest.mark.parametrize("solver", regenerate.SOLVERS)
+def test_report_trace_is_the_library_record(tmp_path, solver):
+    # every report.json row carries its library record bit for bit; a row
+    # without a model-based rho_closed takes its radius from the row builder
+    assert regenerate.solve(solver, tmp_path) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["trace"]
+    cfg = json.loads(regenerate.CONFIG.read_text())
+    if solver == "hewer":
+        cfg["params"]["K0"] = regenerate.HEWER_K0
+    records = _library_records(solver, cfg)
+    assert len(rows) == len(records) > 1
+    for row, (phase, s) in zip(rows, records):
+        assert row["phase"] == phase
+        for key in ("i", "b", "c", "cum", "bound"):
+            assert row[key] == s[key], (row["i"], key)
+        assert np.array_equal(row["K"], s["K_tilde"])
+        assert (row["P"] is None if s["P_tilde"] is None
+                else np.array_equal(row["P"], s["P_tilde"]))
+        if s["rho_closed"] is not None:
+            assert row["rho_closed"] == s["rho_closed"]
+
+
 def test_shipped_compare_matches_paper_headline(tmp_path):
     # data-driven SPI against value iteration over the shipped 100 random
     # starts; the time column only has to be a positive float
@@ -977,7 +1034,9 @@ def test_trace_radii_equal_spectral_radius(tmp_path, solver):
 
 def test_closed_loop_radii_of_no_gains(power_system):
     # a phase without records gives the row builder an empty stack to solve
-    assert cli._rows([(2, [])], power_system) == []
+    sol = riccati.AreSolution(P=None, K=None, residual=None, iterations=0)
+    report = riccati.SpiReport([], [], sol, b=1.0)
+    assert cli._rows(report, power_system) == []
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):

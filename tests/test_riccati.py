@@ -456,8 +456,8 @@ def riccati_step_recursion(sys_d, weights, tol):
     while True:
         P_next, K = riccati.riccati_step(sys_d, weights, P)
         trace.append((P, K))
-        step = np.linalg.norm(P_next - P, "fro")
-        if riccati._converged(step, last, np.linalg.norm(P_next, "fro"), tol):
+        stop, step = riccati._converged(P_next, P, last, tol)
+        if stop:
             return (P_next, riccati.optimal_gain(sys_d, weights, P_next),
                     trace)
         P, last = P_next, step
