@@ -295,7 +295,7 @@ def _run(name, sys_d, weights, K0, P0, data, params, tol):
     elapsed = time.perf_counter() - t0
     if not isinstance(result, riccati.SpiReport):   # never scaled
         result = riccati.SpiReport([], [
-            riccati.SpiState(i, K_tilde=K, P_tilde=P, b=1.0, c=1.0, cum=1.0)
+            riccati.SpiState(i, K_tilde=K, P_tilde=P)
             for i, (P, K) in enumerate(result.trace)], result, b=1.0)
     return result, elapsed
 

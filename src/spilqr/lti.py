@@ -130,7 +130,7 @@ def simulate(sys, x0, policy, steps):
     Raises
     ------
     InvalidProblemError
-        If ``steps`` is not a nonnegative integer, NaN included.
+        If ``steps`` is not an allocatable nonnegative integer, NaN included.
     DivergenceError
         When the state norm exceeds ``DIVERGENCE_LIMIT`` or is NaN; the
         exception carries the step index and the truncated trajectory.
@@ -140,8 +140,10 @@ def simulate(sys, x0, policy, steps):
         raise DimensionMismatchError(
             f"x0 has length {x0.size}, expected {sys.n}")
     matkit._check_budget(steps, "steps", 0)
-    X = np.zeros((steps + 1, sys.n))
-    U = np.zeros((steps, sys.m))
+    try:   # numpy refuses a size it cannot allocate
+        X, U = np.zeros((steps + 1, sys.n)), np.zeros((steps, sys.m))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidProblemError(f"steps = {steps} too large: {exc}") from exc
     X[0] = x0
     A, B = sys.A, sys.B
     for k in range(steps):
@@ -172,11 +174,12 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     (64-bit PCG state), so trajectories are reproducible across runs
     and platforms.  Returns a policy callable ``(k, x) -> u``.  Raises
     :class:`InvalidProblemError` unless ``m`` and ``num_terms`` are
-    integers >= 1, the frequency range is finite (NaN refused) and
-    ``freq_low <= freq_high``.
+    integers >= 1, ``seed`` is an integer >= 0, the frequency range is
+    finite (NaN refused) and ``freq_low <= freq_high``.
     """
     matkit._check_budget(m, "m")
     matkit._check_budget(num_terms, "num_terms")
+    matkit._check_budget(seed, "seed", 0)
     if not math.isfinite(matkit._real(freq_high) - matkit._real(freq_low)):
         raise InvalidProblemError(
             f"freq_low and freq_high must bound a finite range, got "

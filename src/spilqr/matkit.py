@@ -244,8 +244,6 @@ def numerical_rank(A, tol):
     A = _as_matrix(A, "A")
     s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A,
                       compute_uv=False)
-    if s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > tol * s[0]))
 
 
@@ -284,8 +282,6 @@ def schur(F):
             f"Schur iteration did not converge (LAPACK info {info})")
     rho = float(np.hypot(wr, wi).max())
     k = np.flatnonzero(wi > 0)   # first row of each block
-    if k.size == 0:
-        return S.astype(complex), Z.astype(complex), rho
     mu = wr[k] - S[k + 1, k + 1] + 1j * wi[k]
     h = np.hypot(np.abs(mu), S[k + 1, k])
     c, s = mu / h, S[k + 1, k] / h

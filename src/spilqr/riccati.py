@@ -55,8 +55,9 @@ class AreSolution:
     evaluate it against), ``iterations`` the work the producing solver
     did (policy evaluations for the policy-iteration solvers, sweeps for
     value iteration), and ``trace`` the per-iteration ``(P_i, K_i)``
-    pairs where ``K_i`` is the gain whose evaluation produced ``P_i``
-    (for the scaling solvers, the scale-1 phase only).
+    pairs, ``K_i`` the gain whose evaluation produced ``P_i`` (for the
+    scaling solvers, the scale-1 phase only) or, for value iteration,
+    the greedy gain of the iterate ``P_i``.
     """
 
     P: np.ndarray
@@ -73,7 +74,8 @@ class SpiState:
     ``K_tilde`` is the gain in force at iteration ``i`` and ``P_tilde``
     its evaluation under the effective plant scaling ``cum`` (``None``
     for the handoff record, whose evaluation happens at scale 1 in the
-    next phase and whose diagnostic fields are that evaluation's).
+    next phase and whose diagnostic fields are that evaluation's; the
+    CLI's value-iteration records hold an iterate and its greedy gain).
     ``c`` is the scaling factor that produced this record's ``cum``; ``c
     == 1`` at iteration 0 and everywhere in the final phase.  ``bound`` is
     the headroom ``1 / rho_hat`` that the data-driven solver certified at
@@ -87,9 +89,9 @@ class SpiState:
     i: int
     K_tilde: np.ndarray
     P_tilde: np.ndarray | None
-    b: float
-    c: float
-    cum: float
+    b: float = 1.0
+    c: float = 1.0
+    cum: float = 1.0
     rho_closed: float | None = None   # rho(A - B K), model-based only
     bound: float | None = None        # scaling headroom, data-driven only
 
@@ -108,8 +110,8 @@ class SpiReport:
     last record is the handoff state with ``cum >= 1``.  ``phase2_trace``
     holds the plain policy-iteration records at scale 1.  ``solution``
     is the converged Riccati pair.  ``probes`` counts the divisor probes
-    of the data-driven solver.  A solve that never scaled has no phase 1
-    and no handoff: ``phase1_trace`` is empty and ``b`` is 1.
+    of the data-driven solver.  If ``1 / b >= 1``, phase 1 is the handoff
+    alone; only the CLI's Hewer and value-iteration reports have none.
     """
 
     phase1_trace: list
@@ -126,11 +128,8 @@ class SpiReport:
     def handoff_state(self):
         return self.phase1_trace[-1]
 
-    @property
-    def c_fallbacks(self):
-        """Always 0, as :func:`_interior_factor` has no fallback; kept only
-        until the benchmark harness stops reading it."""
-        return 0
+    # always 0, as _interior_factor has no fallback; bench/tracer.py reads it
+    c_fallbacks = 0
 
     def gain_sequence(self):
         """All gains produced by the solve, in order, excluding the
@@ -344,8 +343,7 @@ def _scaling_pi(step, K0, b, tol, i_max):
         if not phase2:
             phase1.append(SpiState(i=i, K_tilde=K, P_tilde=None, b=b, c=c,
                                    cum=cum, **fields))
-        phase2.append(SpiState(i=i, K_tilde=K, P_tilde=P, b=1.0, c=1.0,
-                               cum=1.0, **fields))
+        phase2.append(SpiState(i=i, K_tilde=K, P_tilde=P, **fields))
         if len(phase2) > 1:
             stop, last = _converged(P, phase2[-2].P_tilde, last, tol)
             if stop:

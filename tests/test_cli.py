@@ -329,6 +329,21 @@ def test_simulate_rejects_nan_gain_file(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_simulate_refuses_steps_it_cannot_allocate(tmp_path, capsys):
+    # a step count numpy cannot allocate is the library's refusal, a solver
+    # error that names the setting, before any file but error.json
+    cfg = json.loads((CONFIGS / "power_simulate_open_loop.json").read_text())
+    cfg["simulate"]["steps"] = 10**15
+    cfg = write_config(tmp_path / "sim.json", cfg)
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path)]) == 3
+    error = json.loads((tmp_path / "error.json").read_text())["error"]
+    assert error["type"] == "InvalidProblemError"
+    assert error["message"].startswith(f"steps = {10**15} too large: ")
+    assert "InvalidProblemError" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def _set(path, value):
     """Config edit: set the entry at ``path`` (a tuple of keys)."""
     def edit(cfg, tmp_path):
@@ -854,6 +869,30 @@ def test_report_trace_is_the_library_record(tmp_path, solver):
                 else np.array_equal(row["P"], s["P_tilde"]))
         if s["rho_closed"] is not None:
             assert row["rho_closed"] == s["rho_closed"]
+
+
+def test_phase1_of_a_solve_that_starts_at_scale_1_is_the_handoff_alone(
+        power_system, power_weights, power_data):
+    # a scaling solve whose first scale 1/b is already >= 1 still records
+    # its handoff: data-driven from half the optimal gain (b = 1) and
+    # model-based from the optimal gain with beta = 0.01 (b < 1).  Only the
+    # CLI's reports of the two solvers that never scale have no phase 1.
+    K_opt = riccati.dare_reference(power_system, power_weights).K
+    mf = model_free.spi_model_free(power_data, 0.5 * K_opt, power_weights)
+    mb = model_based.spi_model_based(power_system, power_weights, K_opt,
+                                     beta=0.01)
+    assert mf.b == 1.0 > mb.b
+    for report in (mf, mb):
+        (handoff,) = report.phase1_trace
+        assert handoff.i == report.handoff_index == 0
+        assert handoff.P_tilde is None
+        assert handoff.cum == 1.0 / report.b >= 1.0
+        assert handoff.K_tilde is report.phase2_trace[0].K_tilde
+    for name in ("hewer", "vi"):
+        report, _ = cli._run(name, power_system, power_weights, K_opt, None,
+                             None, {}, 1e-8)
+        assert report.phase1_trace == [] and report.b == 1.0
+        assert all(s.b == s.c == s.cum == 1.0 for s in report.phase2_trace)
 
 
 def test_shipped_compare_matches_paper_headline(tmp_path):

@@ -166,6 +166,19 @@ def test_simulate_rejects_negative_steps(steps):
         lti.simulate(sys_d, [1.0], lambda k, x: np.zeros(1), steps)
 
 
+@pytest.mark.parametrize("steps", [10**15, 10**18])
+def test_simulate_refuses_steps_it_cannot_allocate(steps):
+    # numpy's MemoryError (10**15 steps of 3 states is 21 PiB) and its
+    # ValueError (an array larger than the address space) become the one
+    # refusal that names steps, before any policy call
+    calls = []
+    with pytest.raises(InvalidProblemError,
+                       match=f"^steps = {steps} too large: "):
+        lti.simulate(benchmarks.power_plant(), [0.1, 0.1, 0.2],
+                     lambda k, x: calls.append(k) or np.zeros(1), steps)
+    assert calls == []
+
+
 def test_gain_policy_sign():
     # state feedback enters the plant as u = -K x
     sys_d = lti.LinearSystem(np.eye(2), np.array([[1.0], [0.0]]))

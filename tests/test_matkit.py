@@ -202,9 +202,11 @@ def test_schur_radius_matches_spectral_radius(corpus):
 
 def test_schur_factorization():
     # F = U T U^H with U unitary and T upper triangular, every 2 x 2 block
-    # of the real Schur form split, with and without complex pairs
+    # of the real Schur form split, with and without complex pairs (a real
+    # spectrum at 12 states, above KRONECKER_MAX_N, as _stein factors it)
     rng = np.random.default_rng(13)
-    for n, pair_share in ((1, 0.0), (5, 0.0), (6, 1.0), (9, 0.5), (20, 0.5)):
+    for n, pair_share in ((1, 0.0), (5, 0.0), (6, 1.0), (9, 0.5), (20, 0.5),
+                          (12, 0.0)):
         F = _lyapunov_factor(rng, n, 0.9, False, pair_share, 1.0)
         T, U, rho = matkit.schur(F)
         assert np.array_equal(T, np.triu(T))
@@ -253,6 +255,7 @@ def test_min_singular_value_gram_oracle():
 def test_numerical_rank_cases():
     assert matkit.numerical_rank(np.eye(5), 1e-10) == 5
     assert matkit.numerical_rank(np.ones((2, 2)), 1e-10) == 1
+    assert matkit.numerical_rank(np.zeros((3, 2)), 1e-10) == 0
     rng = np.random.default_rng(6)
     assert matkit.numerical_rank(rng.standard_normal((30, 10)), 1e-10) == 10
 

@@ -738,6 +738,8 @@ BUDGETS = {
                           lti.exploration_input(1, num_terms=v)),
     "exploration-input-m": ("m", 1, 1, lambda sys_d, w, data, pol, v:
                             lti.exploration_input(v)),
+    "exploration-input-seed": ("seed", 0, 7, lambda sys_d, w, data, pol, v:
+                               lti.exploration_input(1, seed=v)),
 }
 
 
