@@ -174,8 +174,9 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     (64-bit PCG state), so trajectories are reproducible across runs
     and platforms.  Returns a policy callable ``(k, x) -> u``.  Raises
     :class:`InvalidProblemError` unless ``m`` and ``num_terms`` are
-    integers >= 1, ``seed`` is an integer >= 0, the frequency range is
-    finite (NaN refused) and ``freq_low <= freq_high``.
+    integers >= 1 whose ``m x num_terms`` frequencies numpy can allocate,
+    ``seed`` is an integer >= 0, the frequency range is finite (NaN
+    refused) and ``freq_low <= freq_high``.
     """
     matkit._check_budget(m, "m")
     matkit._check_budget(num_terms, "num_terms")
@@ -187,7 +188,11 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     if freq_low > freq_high:
         raise InvalidProblemError("freq_low must not exceed freq_high")
     rng = np.random.default_rng(seed)
-    omega = rng.uniform(freq_low, freq_high, size=(m, num_terms))
+    try:   # numpy refuses a size it cannot allocate
+        omega = rng.uniform(freq_low, freq_high, size=(m, num_terms))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidProblemError(
+            f"num_terms = {num_terms} too large for m = {m}: {exc}") from exc
 
     def policy(k, x):
         return np.sin(omega * k).sum(axis=1)

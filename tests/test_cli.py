@@ -185,13 +185,14 @@ def test_solve_rejects_schema_violation(tmp_path):
 ])
 def test_solve_rejects_nan_parameter(tmp_path, capsys, config, key):
     # json accepts NaN and the schema's bounds compare false against it,
-    # so the loader refuses the constant itself
+    # so the schema's "number" refuses it by name
     cfg_dict = config()
     cfg_dict["params"][key] = float("nan")
     cfg = write_config(tmp_path / "c.json", cfg_dict)
     assert "NaN" in (tmp_path / "c.json").read_text()
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert f"{cfg}: NaN" in capsys.readouterr().err
+    assert f"{cfg}: field $.params.{key}: nan is not " \
+        in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -315,8 +316,8 @@ def test_simulate_gain_file(tmp_path):
 
 
 def test_simulate_rejects_nan_gain_file(tmp_path, capsys):
-    # the gain file is read like the config: NaN is refused, so no
-    # trajectory of NaN rows is written
+    # the matrix rule refuses NaN in the gain file, so no trajectory of
+    # NaN rows is written
     gain_file = tmp_path / "gain.json"
     gain_file.write_text('{"K": [[NaN, 0.0, 0.0]]}')
     cfg = json.loads((CONFIGS / "power_simulate_closed_loop.json").read_text())
@@ -325,7 +326,8 @@ def test_simulate_rejects_nan_gain_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "sim.json", cfg)
     assert cli.main(["simulate", "--config", cfg,
                      "--out", str(tmp_path)]) == 2
-    assert f"{gain_file}: NaN is not a valid number" in capsys.readouterr().err
+    assert f"gain in {gain_file} has non-finite entries" \
+        in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -420,11 +422,14 @@ def _gain_file(text):
     # recording, the rollout wrote a trajectory of inf, and compare
     # counted every first gain as within gain_tol
     ("solve", _set(("params", "data", "x0"), [INF, 0.1, 0.2]),
-     "config error: params.data.x0 has non-finite entries"),
+     "field $.params.data.x0[0]: inf is not of type 'number'"),
     ("simulate", _set(("simulate",), {"x0": [INF, 0.1, 0.2], "steps": 10}),
-     "config error: simulate.x0 has non-finite entries"),
+     "field $.simulate.x0[0]: inf is not of type 'number'"),
     ("compare", _set(("compare",), {"gain_tol": INF, "trials": 2}),
-     "config error: compare.gain_tol must be positive and finite, got inf"),
+     "field $.compare.gain_tol: inf is not of type 'number'"),
+    # the schema admits it, but numpy cannot allocate the frequencies
+    ("solve", _set(("params", "data", "noise", "num_terms"), 10**15),
+     f"invalid params.data.noise: num_terms = {10**15} too large for m = 1: "),
 ], ids=["R-shape", "K0-shape", "P0-shape", "x0-length", "no-weights",
         "no-x0", "no-solver", "no-simulate", "gain-shape", "no-gain-file",
         "gain-file-without-K", "A-not-square", "Q-not-symmetric",
@@ -432,18 +437,91 @@ def _gain_file(text):
         "gain-file-K-ragged", "repeated-compare-solver",
         "noise-frequency-range-overflows", "K0-huge-integer",
         "sample-time-huge-integer", "data-x0-1e400", "simulate-x0-1e400",
-        "gain_tol-1e400"])
+        "gain_tol-1e400", "num-terms-unallocatable"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, command,
                                                 edit, message):
     cfg = json.loads(json.dumps(model_free_config()))   # a deep copy
     edit(cfg, tmp_path)
     out = tmp_path / "out"
-    # json.dumps writes infinity as Infinity, which the loader refuses
+    # json.dumps writes infinity as Infinity; write the overflowing 1e400
     (tmp_path / "c.json").write_text(
         json.dumps(cfg).replace("Infinity", "1e400"))
     assert cli.main([command, "--config", str(tmp_path / "c.json"),
                      "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def _number_fields(node, path=()):
+    """The path (keys, ``0`` for an array entry) of every number-typed
+    entry of the config schema ``node``."""
+    if "$ref" in node:
+        node = cli._load_schema()["$defs"][node["$ref"].split("/")[-1]]
+    if node.get("type") == "number":
+        yield path
+    for key, sub in node.get("properties", {}).items():
+        yield from _number_fields(sub, path + (key,))
+    if "items" in node:
+        yield from _number_fields(node["items"], path + (0,))
+    for sub in node.get("oneOf", []):
+        yield from _number_fields(sub, path)
+
+
+NUMBER_FIELDS = list(_number_fields(cli._load_schema()))
+
+
+def test_number_fields_cover_the_schema():
+    # the walk follows $refs, oneOf branches, array items and nesting
+    assert {("system", "A_c", 0, 0), ("system", "sample_time"),
+            ("weights", "R", 0, 0), ("params", "delta"),
+            ("params", "delta", "rate"), ("params", "lambda"),
+            ("params", "data", "x0", 0), ("params", "data", "noise",
+                                          "freq_high"),
+            ("simulate", "gain", 0, 0), ("compare", "gain_tol")} \
+        <= set(NUMBER_FIELDS)
+
+
+def _every_section_config(path):
+    """A schema-valid config with every section and every number-typed
+    field set, holding ``path``: a discrete plant for ``system.A`` and
+    ``system.B``, a growing ``delta`` schedule for ``delta.rate``."""
+    cfg = model_free_config()
+    cfg["params"].update({"P0": WEIGHTS["Q"], "beta": 1.0, "lambda": 0.5})
+    cfg["simulate"] = {"x0": [0.1, 0.1, 0.2], "steps": 10,
+                       "gain": [[0.0, 0.0, 0.0]]}
+    cfg["compare"] = {"trials": 2, "gain_tol": 1e-4}
+    if path[:2] in (("system", "A"), ("system", "B")):
+        cfg["system"] = {"A": np.eye(3).tolist(), "B": [[0.0], [1.0], [0.0]]}
+    if path[-1] == "rate":
+        cfg["params"]["delta"] = {"rate": 0.7}
+    return json.loads(json.dumps(cfg))   # a deep copy
+
+
+@pytest.mark.parametrize("command", ["solve", "discretize", "simulate",
+                                     "compare"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("path", NUMBER_FIELDS, ids=lambda path: ".".join(
+    map(str, path)))
+def test_non_finite_number_is_refused_by_field(tmp_path, capsys, path,
+                                               literal, command):
+    # every command validates the whole config, so a field it does not
+    # read is refused as one it reads, and report.json, which copies the
+    # config, holds no Infinity
+    cfg = _every_section_config(path)
+    assert cli._validator().is_valid(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "BAD"
+    (tmp_path / "c.json").write_text(
+        json.dumps(cfg).replace('"BAD"', literal))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 2
+    field = "$" + "".join(f"[{key}]" if key == 0 else f".{key}"
+                          for key in path)
+    value = "nan" if literal == "NaN" else "inf"
+    assert f"c.json: field {field}: {value} is not " in capsys.readouterr().err
     assert os.listdir(out) == []
 
 
@@ -696,7 +774,7 @@ def test_plotdata_requires_oracle(tmp_path):
                                     "spi-model-free"])
 def test_overflowing_gain_is_a_config_error(tmp_path, capsys, solver):
     # 1e400 is valid JSON that parses to inf, which json.dumps cannot
-    # write; the matrix rule refuses it as a config error before any solve
+    # write; the schema refuses it as a config error before any solve
     text = json.dumps(model_free_config()).replace(
         '"K0": [[0.0, 0.0, 0.0]]', '"K0": [[1e400, 0.0, 0.0]]')
     assert "1e400" in text
@@ -704,7 +782,8 @@ def test_overflowing_gain_is_a_config_error(tmp_path, capsys, solver):
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", str(tmp_path / "c.json"),
                      "--solver", solver, "--out", str(out)]) == 2
-    assert "params.K0 has non-finite entries" in capsys.readouterr().err
+    assert "field $.params.K0[0][0]: inf is not of type 'number'" \
+        in capsys.readouterr().err
     assert os.listdir(out) == []
 
 
@@ -718,8 +797,8 @@ def test_infinite_noise_frequency_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", str(tmp_path / "c.json"),
                      "--out", str(out)]) == 2
-    assert ("invalid params.data.noise: freq_low and freq_high must bound "
-            "a finite range, got [-10.0, inf]") in capsys.readouterr().err
+    assert ("field $.params.data.noise.freq_high: inf is not of type "
+            "'number'") in capsys.readouterr().err
     assert os.listdir(out) == []
 
 
@@ -728,7 +807,8 @@ def test_plotdata_rejects_nan_report(tmp_path, capsys):
     report.write_text('{"trace": [], "oracle": {"P": [[NaN]], "K": [[0.0]]}}')
     assert cli.main(["plotdata", "--report", str(report),
                      "--out", str(tmp_path)]) == 2
-    assert f"{report}: NaN is not a valid number" in capsys.readouterr().err
+    assert f"{report}: oracle P has non-finite entries" \
+        in capsys.readouterr().err
     assert not (tmp_path / "p_error.dat").exists()
 
 
@@ -907,6 +987,44 @@ def test_shipped_compare_matches_paper_headline(tmp_path):
         ["spi-model-free", "100", "0", "10.880000000000001"],
         ["vi", "100", "0", "114.37"]]
     assert all(float(row[-1]) > 0.0 for row in rows[1:])
+
+
+def test_compare_reads_a_gain_tol_beyond_a_double(tmp_path):
+    # the schema admits a 400-digit gain_tol; compared exactly, it counts
+    # every first gain as within tolerance, as the largest doubles do
+    tables = []
+    for value in (1e308, 10**400):
+        cfg = json.loads((CONFIGS / "power_compare.json").read_text())
+        cfg["compare"].update(gain_tol=value, trials=3)
+        out = tmp_path / str(len(tables))
+        assert cli.main(["compare", "--config",
+                         write_config(tmp_path / "c.json", cfg),
+                         "--out", str(out)]) == 0
+        tables.append([row[:-1] for row in _csv_rows(out / "comparison.csv")])
+    assert tables[0] == tables[1]
+    assert [row[2] for row in tables[1][1:]] == ["0", "0"]
+
+
+def test_compare_spawns_each_trial_seed_when_the_trial_starts(tmp_path,
+                                                            monkeypatch):
+    # one child at a time keeps memory flat in the trial count and gives
+    # the children of spawn(trials), in order
+    children = []
+
+    class Spy(np.random.SeedSequence):
+        def spawn(self, n_children):
+            assert n_children == 1
+            children.extend(super().spawn(n_children))
+            return children[-1:]
+
+    monkeypatch.setattr(np.random, "SeedSequence", Spy)
+    assert run_edited_shipped_config(tmp_path, "compare",
+                                     "power_compare.json",
+                                     ("compare", "solvers"), ["vi"]) == 0
+    monkeypatch.undo()
+    assert [(c.entropy, c.spawn_key) for c in children] == [
+        (c.entropy, c.spawn_key)
+        for c in np.random.SeedSequence(2024).spawn(100)]
 
 
 def test_shipped_configs_are_valid():

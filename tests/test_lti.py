@@ -179,6 +179,15 @@ def test_simulate_refuses_steps_it_cannot_allocate(steps):
     assert calls == []
 
 
+@pytest.mark.parametrize("num_terms", [10**15, 10**18])
+def test_exploration_input_refuses_num_terms_it_cannot_allocate(num_terms):
+    # numpy's MemoryError from drawing the frequencies becomes the one
+    # refusal that names num_terms
+    with pytest.raises(InvalidProblemError, match=(
+            f"^num_terms = {num_terms} too large for m = 1: ")):
+        lti.exploration_input(1, num_terms=num_terms)
+
+
 def test_gain_policy_sign():
     # state feedback enters the plant as u = -K x
     sys_d = lti.LinearSystem(np.eye(2), np.array([[1.0], [0.0]]))
