@@ -5,10 +5,11 @@ monomial vectors, spectral radius, numerical rank, the complex Schur
 form with the spectral radius read off it, and a discrete Lyapunov
 solver whose kernel is chosen by the state dimension: up to
 ``KRONECKER_MAX_N`` states, one real LU of the n^2 x n^2 Kronecker
-system (O(n^6), ~24 µs at n=3 and ~63 µs at n=8); above it, the
-Bartels-Stewart back-substitution on the complex Schur form (O(n^3),
-~160 µs at n=10 and ~1 ms at n=40).  All functions are pure and
-operate on plain ``numpy`` arrays.
+system (O(n^6)); above it, the modal solve on one eigendecomposition
+(O(n^3)), gated by the eigenvectors' conditioning and by its own
+residual, with the Bartels-Stewart back-substitution on the complex
+Schur form as its fallback.  All functions are pure and operate on
+plain ``numpy`` arrays.
 
 It also holds the package's input rules: :func:`_as_float`, the one
 conversion of outside input into a float array, with which the matrix
@@ -32,6 +33,7 @@ ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``.
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -51,18 +53,31 @@ __all__ = [
     "is_positive_definite", "is_positive_semidefinite", "sym_sqrt",
 ]
 
-# Reject Lyapunov factors closer to the unit circle than this; the
-# triangular systems of the Schur solver, whose diagonals are
-# conj(l_i) l_j - 1 over eigenvalue pairs, become near-singular beyond it,
-# and so does the Kronecker system, whose eigenvalues are 1 - l_i l_j.
+# Reject Lyapunov factors closer to the unit circle than this; beyond it
+# 1 - conj(l_i) l_j over eigenvalue pairs comes near 0: the modal solve
+# divides by it, the Schur solver's triangular systems have it, negated,
+# on their diagonals, and the Kronecker system's eigenvalues are
+# 1 - l_i l_j.
 STABILITY_MARGIN = 1e-9
 # Largest state dimension whose Lyapunov equations are solved as one real
-# n^2 x n^2 Kronecker system; above it, by back-substitution on the complex
-# Schur form.  The two kernels cost the same near n = 11 (one evaluation,
-# factor and solve, BLAS 1 thread): 24 vs 82 µs at n=3, 63 vs 124 µs at
-# n=8 and 132 vs 156 µs at n=10.  The cutoff keeps a margin below that
-# crossover, as the LU's cost grows ~1.4x per added state.
+# n^2 x n^2 Kronecker system; above it, by the modal solve.  The two
+# kernels cost the same near n = 9 (one evaluation, factor and solve,
+# best of 9 x 200, BLAS 1 thread, 2-core Xeon VM): 36 vs 76 µs at n=3,
+# 93 vs 95 µs at n=8, 97 vs 97 µs at n=9 and 138 vs 111 µs at n=10.  The
+# LU's cost grows ~1.4x per added state; the cutoff stays at 8, below the
+# crossover, so that no answer of up to 8 states changes.
 KRONECKER_MAX_N = 8
+# The modal solve's answer is taken only when the eigenvectors' Frobenius
+# condition number ||V||_F ||V^-1||_F is at most MODAL_MAX_COND, and its
+# residual ||F' P F - P + W||_F at most MODAL_RESIDUAL_RTOL (||F||_F^2
+# ||P||_F + ||W||_F); otherwise the Schur path solves.  Neither gate
+# suffices alone: with the residual gate only, a wide-sweep plant of the
+# tests with ||P*||_F ~ 2e10 takes 34 evaluations instead of 26 and ends
+# 2e-9 from the Schur path's P; with the conditioning gate only, a
+# non-normal factor of radius 0.15 gets a P 4.5e-12 from the Kronecker
+# oracle's, against the Schur path's 3e-15.
+MODAL_MAX_COND = 1e3
+MODAL_RESIDUAL_RTOL = 1e-13
 # Largest asymmetry, relative to max |S_ij|, of a symmetric matrix.
 SYMMETRY_RTOL = 1e-10
 # Eigenvalues w at or below PD_RTOL max |w| do not count as positive.
@@ -293,15 +308,53 @@ def schur(F):
     return T, Z @ Q, rho
 
 
+class _Modal(NamedTuple):
+    """Eigendecomposition ``F = V diag(lam) V^-1`` of a real matrix, the
+    ``U`` of a modal factor ``(F, _Modal, rho)``."""
+
+    lam: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
+
+
+def _modal_factor(F):
+    """The modal factor ``(F, _Modal(lam, V, V^-1), rho)`` of real square
+    ``F``, from one LAPACK ``dgeev`` with right vectors only.  ``dgeev``
+    stores the vector ``v`` of a complex pair as the real columns ``Re v,
+    Im v``, so ``V = vr N`` with ``N`` block diagonal, a 2 x 2 block
+    ``[[1, 1], [i, -i]]`` per pair, and ``V^-1 = N^-1 vr^-1``, where
+    ``N^-1`` is ``N^H`` with each pair's rows halved and ``vr^-1`` one
+    real ``dgesv``.  A singular ``vr`` gives an infinite ``V^-1``, which
+    fails :func:`_modal`'s conditioning gate."""
+    n = len(F)
+    wr, wi, _, vr, info = scipy.linalg.lapack.dgeev(F, compute_vl=0)
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise EigenvalueConvergenceError(
+            f"eigenvalue iteration did not converge (LAPACK info {info})")
+    _, _, R, info = scipy.linalg.lapack.dgesv(vr, np.eye(n))
+    first = wi[:-1] > 0   # the first of a pair, and the next its conjugate
+    N = np.zeros((n, n), dtype=complex)
+    N.flat[::n + 1] = np.where(wi < 0, -1j, 1.0)
+    N.flat[1::n + 1] = first
+    N.flat[n::n + 1] = 1j * first
+    Vinv = (N.conj().T @ R) * np.where(wi != 0, 0.5, 1.0)[:, None]
+    if info > 0:
+        Vinv[:] = np.inf
+    return (F, _Modal(wr + 1j * wi, vr @ N, Vinv),
+            float(np.hypot(wr, wi).max()))
+
+
 def _stein_factor(F):
     """The factor of square ``F`` that :func:`_stein` solves on, as
     ``(T, U, rho)`` with ``rho`` its spectral radius.  Up to
     ``KRONECKER_MAX_N`` states it is ``F`` itself with ``U = None``, and
     ``rho`` comes from LAPACK ``dgees`` run without Schur vectors (the
-    radius :func:`schur` reads off, to the bit); above it, :func:`schur`."""
-    if len(F) > KRONECKER_MAX_N:
-        return schur(F)
+    radius :func:`schur` reads off, to the bit); above it, the modal
+    factor of :func:`_modal_factor`, ``T = F`` with ``U`` a
+    :class:`_Modal`."""
     F = _as_matrix(F, "F", square=True)
+    if len(F) > KRONECKER_MAX_N:
+        return _modal_factor(F)
     _, _, wr, wi, _, _, info = scipy.linalg.lapack.dgees(
         lambda wr, wi: False, F, compute_v=0)
     if info != 0:  # pragma: no cover - LAPACK failure
@@ -347,16 +400,51 @@ def _bartels_stewart(T, U, W):
     return (U @ X.T @ U.conj().T).real
 
 
-def _stein(T, U, rho, W):
-    """Solve :func:`solve_discrete_lyapunov` on the factor ``(T, U, rho)``
-    of ``F``, from :func:`_stein_factor` or :func:`schur`: the Kronecker
-    system of ``T = F`` when ``U`` is None, else back-substitution on the
-    Schur form."""
+def _modal(F, M, cum, W):
+    """``P`` with ``F' P F - P + W = 0`` for ``F = cum F0`` and ``M`` the
+    :class:`_Modal` of ``F0``: ``X = V^H P V`` solves ``conj(l_i) l_j
+    X_ij - X_ij + (V^H W V)_ij = 0`` entrywise over the eigenvalues ``l =
+    cum lam`` of ``F``, and ``P = Re(V^-H X V^-1)``, exactly symmetrized.
+    ``None``, for the Schur path to take over, unless the eigenvectors
+    are well conditioned, ``||V||_F ||V^-1||_F <= MODAL_MAX_COND`` (the
+    columns have unit norm, so ``||V||_F = sqrt(n)``), and ``P`` is
+    finite and passes ``||F' P F - P + W||_F <= MODAL_RESIDUAL_RTOL
+    (||F||_F^2 ||P||_F + ||W||_F)``."""
+    Vinv = M.Vinv.ravel()
+    if not len(F) * np.vdot(Vinv, Vinv).real <= MODAL_MAX_COND**2:
+        return None
+    X = (M.V.conj().T @ W @ M.V) / (
+        1.0 - cum * cum * (M.lam.conj()[:, None] * M.lam))
+    P = (M.Vinv.conj().T @ X @ M.Vinv).real
+    P = (P + P.T) / 2.0
+    res = F.T @ P @ F - P + W
+    norm = np.linalg.norm   # the bound is finite only for a finite P
+    if not norm(res) <= MODAL_RESIDUAL_RTOL * (norm(F)**2 * norm(P)
+                                                + norm(W)) < np.inf:
+        return None
+    return P
+
+
+def _stein(T, U, rho, W, cum=1.0):
+    """Solve ``cum^2 F' P F - P + W = 0`` on the factor ``(T, U, rho)`` of
+    ``F``, from :func:`_stein_factor` or :func:`schur`: the modal solve
+    when ``U`` is a :class:`_Modal` and its gates pass (its ``P`` is then
+    finite and exactly symmetric); else the Kronecker system of ``cum T``
+    when ``U`` is None, or back-substitution on ``cum`` times a complex
+    Schur form: ``(T, U)`` itself, or that of ``T = F`` where a modal gate
+    failed."""
+    rho = cum * rho
     if rho >= 1.0 - STABILITY_MARGIN:
         raise UnstableMatrixError(
             f"F must be Schur stable, spectral radius is {rho:.6g}", rho=rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _kronecker(T, W) if U is None else _bartels_stewart(T, U, W)
+        if isinstance(U, _Modal):
+            P = _modal(cum * T, U, cum, W)
+            if P is not None:
+                return P
+            T, U, _ = schur(T)
+        P = (_kronecker(cum * T, W) if U is None else
+             _bartels_stewart(cum * T, U, W))
     if not np.all(np.isfinite(P)):
         raise IllConditionedError("Lyapunov solution is not finite")
     return (P + P.T) / 2.0
@@ -369,15 +457,22 @@ def solve_discrete_lyapunov(F, W):
 
     - Up to ``KRONECKER_MAX_N`` states, one real LU (LAPACK ``dgesv``) of
       the n^2 x n^2 system ``(I - F' kron F') vec(P) = vec(W)``, at
-      O(n^6) cost, ~24 µs at n=3 and ~63 µs at n=8.
-    - Above it, the Schur method of Bartels & Stewart (1972) in the
-      column form of Kitagawa (1977), at O(n^3) cost, ~160 µs at n=10.
-      With the complex Schur form ``F = U T U^H`` of :func:`schur`, the
-      unknown ``X = U^H P U`` satisfies ``T^H X T - X + U^H W U = 0``.
-      Column ``j`` of that equation only involves columns ``0..j`` of
-      ``X``, so ``X`` is found one column at a time, each from a
-      lower-triangular system with diagonal ``conj(l_i) l_j - 1`` over
-      the eigenvalues ``l`` of ``F``.
+      O(n^6) cost.
+    - Above it, the modal solve (:func:`_modal`), at O(n^3) cost: with
+      ``F = V diag(l) V^-1`` from one LAPACK ``dgeev``, the unknown ``X
+      = V^H P V`` satisfies ``conj(l_i) l_j X_ij - X_ij + (V^H W V)_ij =
+      0``, one division per entry.  Its answer is taken only when
+      ``||V||_F ||V^-1||_F <= MODAL_MAX_COND`` and its residual is at
+      most ``MODAL_RESIDUAL_RTOL (||F||_F^2 ||P||_F + ||W||_F)``.
+    - Otherwise, the Schur method of Bartels & Stewart (1972) in the
+      column form of Kitagawa (1977), also O(n^3) but 1.5-2.5x the
+      modal solve's time at n = 20 and 40.  With the complex Schur
+      form ``F = U T U^H`` of :func:`schur`, the unknown ``X = U^H P U``
+      satisfies ``T^H X T - X + U^H W U = 0``.  Column ``j`` of that
+      equation only involves columns ``0..j`` of ``X``, so ``X`` is
+      found one column at a time, each from a lower-triangular system
+      with diagonal ``conj(l_i) l_j - 1`` over the eigenvalues ``l`` of
+      ``F``.
 
     The result is exactly symmetrized, and is positive (semi)definite
     whenever ``W`` is and ``F`` is Schur stable.
@@ -385,9 +480,9 @@ def solve_discrete_lyapunov(F, W):
     Raises
     ------
     UnstableMatrixError
-        If the spectral radius of ``F``, read off its real Schur form, is
-        at least ``1 - STABILITY_MARGIN``; the equation is then not safely
-        solvable.
+        If the spectral radius of ``F``, read off its real Schur form or
+        its eigenvalues, is at least ``1 - STABILITY_MARGIN``; the
+        equation is then not safely solvable.
     IllConditionedError
         If the solution is not finite, or the Kronecker system is
         singular.

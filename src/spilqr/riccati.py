@@ -235,10 +235,9 @@ def _check_start(K0, weights, m, n, lam, tol, i_max):
 
 def _evaluate(factor, W, cum):
     """Solve ``cum^2 F' P F - P + W = 0`` on the factor of ``F`` from
-    ``matkit._stein_factor``."""
-    T, U, rho = factor
+    ``matkit._stein_factor``, which ``matkit._stein`` scales by ``cum``."""
     try:
-        return matkit._stein(cum * T, U, cum * rho, W)
+        return matkit._stein(*factor, W, cum)
     except UnstableMatrixError as exc:
         raise UnstableScaledSystemError(
             f"scaled closed loop is not Schur stable at factor {cum:.6g} "
@@ -266,19 +265,22 @@ def _model_step(sys, weights, K0, lam):
     """The model-based ``step`` of :func:`_scaling_pi` from gain ``K0``
     (Lyapunov evaluation, scaled improvement, interior-point factor of
     weight ``lam``) and ``rho(A - B K0)``.  One factorization
-    (``matkit._stein_factor``) per evaluation: a scaling step (``cum <
-    1``) factors its improved gain for the next one, a scale-1 step its
-    own gain unless handed one; the final gain never.
+    (``matkit._stein_factor``: the closed loop itself up to
+    ``matkit.KRONECKER_MAX_N`` states, its eigendecomposition above) per
+    evaluation: a scaling step (``cum < 1``) factors its improved gain
+    for the next one, a scale-1 step its own gain unless handed one; the
+    final gain never.
 
     The step runs on the plant balanced by the diagonal ``D`` of LAPACK
-    ``gebal``, whose powers of 2 make every change of coordinates exact:
+    ``dgebal`` run to scale only (``scipy.linalg.matrix_balance``'s ``D``
+    at ``permute=False``, without its argument handling), whose powers of
+    2 make every change of coordinates exact:
     ``(D^-1 A D, D^-1 B)`` with weight ``D Q D`` and gains ``K D``, and
     ``P`` and ``K`` mapped back.  The same plant with its states in other
     units balances alike, so the factors, and with them the answer
     and the evaluation count, do not depend on those units; a plant that
     is already balanced has ``D = I``."""
-    _, (d, _) = scipy.linalg.matrix_balance(sys.A, permute=False,
-                                            separate=True)
+    d = scipy.linalg.lapack.dgebal(sys.A, scale=1, permute=0)[3]
     A, B = sys.A * d / d[:, None], sys.B / d[:, None]
     Q, R = weights.Q * d * d[:, None], weights.R
     factor = matkit._stein_factor(A - B @ (K0 * d))

@@ -369,12 +369,24 @@ def _check_lyapunov(F, W, P):
         assert err <= 1e-12 * cond * np.linalg.norm(P_ref)
 
 
+# Settings that open each modal gate: any eigenvector basis, and any
+# residual below ||F||_F^2 ||P||_F + ||W||_F (the bound must stay finite).
+OPEN_GATES = {"MODAL_MAX_COND": np.inf, "MODAL_RESIDUAL_RTOL": 1.0}
+
+
+def _modal_kernel(F, W):
+    """The modal solve of ``F' P F - P + W = 0`` as its gates leave it:
+    ``P``, or ``None`` where a gate hands over to the Schur path."""
+    return matkit._modal(F, matkit._modal_factor(F)[1], 1.0, W)
+
+
 @pytest.mark.parametrize("n", [matkit.KRONECKER_MAX_N,
                                matkit.KRONECKER_MAX_N + 1])
 @pytest.mark.parametrize("definite", [True, False])
 def test_lyapunov_kernels_near_unit_circle(n, definite):
-    # both kernels on both sides of the cutoff, at radius 1 - 1e-6
-    # attained at -rho; the public solve runs the one its size selects
+    # every kernel on both sides of the cutoff, at radius 1 - 1e-6
+    # attained at -rho; the public solve runs the one its size and the
+    # modal gates select
     rng = np.random.default_rng(15)
     F = _lyapunov_factor(rng, n, 1.0 - 1e-6, True, 0.5, 1.0)
     G = rng.standard_normal((n, n))
@@ -382,27 +394,36 @@ def test_lyapunov_kernels_near_unit_circle(n, definite):
     T, U, rho = matkit.schur(F)
     kernels = {"kronecker": matkit._stein(F, None, rho, W),
                "schur": matkit._stein(T, U, rho, W)}
+    modal = _modal_kernel(F, W)
+    if modal is not None:
+        kernels["modal"] = modal
     for P in kernels.values():
         _check_lyapunov(F, W, P)
-    chosen = "kronecker" if n <= matkit.KRONECKER_MAX_N else "schur"
+    chosen = ("kronecker" if n <= matkit.KRONECKER_MAX_N else
+              "schur" if modal is None else "modal")
     assert np.array_equal(matkit.solve_discrete_lyapunov(F, W),
                           kernels[chosen])
 
 
 def test_stein_factor_chosen_by_size():
     # up to the cutoff the factor is F itself, with the radius schur
-    # reads off to the bit; above it, schur's factor
+    # reads off to the bit; above it, the modal factor F = V diag(lam)
+    # V^-1, with unit eigenvector columns and schur's radius
     rng = np.random.default_rng(16)
     for n in range(1, matkit.KRONECKER_MAX_N + 3):
         for pair_share in (0.0, 0.5, 1.0):
             F = _lyapunov_factor(rng, n, 0.9, False, pair_share, 1.0)
             T, U, rho = matkit._stein_factor(F)
-            T_ref, U_ref, rho_ref = matkit.schur(F)
-            assert rho == rho_ref
+            rho_ref = matkit.schur(F)[2]
+            assert np.array_equal(T, F)
             if n <= matkit.KRONECKER_MAX_N:
-                assert U is None and np.array_equal(T, F)
-            else:
-                assert np.array_equal(T, T_ref) and np.array_equal(U, U_ref)
+                assert U is None and rho == rho_ref
+                continue
+            assert isinstance(U, matkit._Modal)
+            assert abs(rho - rho_ref) <= 1e-13 * rho_ref
+            assert np.abs(np.linalg.norm(U.V, axis=0) - 1.0).max() < 1e-14
+            assert np.abs(U.Vinv @ U.V - np.eye(n)).max() < 1e-10
+            assert np.abs(U.V * U.lam @ U.Vinv - F).max() < 1e-10
     with pytest.raises(InvalidProblemError):
         matkit._stein_factor(np.array([[np.nan]]))
 
@@ -427,6 +448,63 @@ def test_kronecker_kernel_refuses_singular_system():
     # whatever radius the factor carries
     with pytest.raises(IllConditionedError, match="singular"):
         matkit._stein(np.eye(2), None, 0.5, np.eye(2))
+
+
+@pytest.mark.parametrize("diagonal", [0.5, 0.0])
+def test_defective_factor_falls_back_to_the_schur_path(diagonal):
+    # a 12 x 12 Jordan block at 0.5 (cond(vr) ~ 1e176) and the nilpotent
+    # shift (vr singular) have no basis of eigenvectors: the modal gates
+    # refuse both, and the public solve is the Schur path, bit for bit
+    n = 12
+    F = diagonal * np.eye(n) + np.eye(n, k=1)
+    G = np.random.default_rng(17).standard_normal((n, n))
+    for W in (np.eye(n), G @ G.T):
+        assert _modal_kernel(F, W) is None
+        P = matkit.solve_discrete_lyapunov(F, W)
+        assert np.array_equal(P, matkit._stein(*matkit.schur(F), W))
+        _check_lyapunov(F, W, P)
+
+
+def test_modal_gates_keep_a_wrong_answer_out(monkeypatch):
+    # on this draw the modal solve without its gates fails criterion 8's
+    # check; the public solve passes it
+    n = 10
+    rng = np.random.default_rng(132)
+    F = _lyapunov_factor(rng, n, 1.0 - 1e-3, False, 0.5, 1.0)
+    G = rng.standard_normal((n, n))
+    W = G @ G.T
+    _check_lyapunov(F, W, matkit.solve_discrete_lyapunov(F, W))
+    for gate, value in OPEN_GATES.items():
+        monkeypatch.setattr(matkit, gate, value)
+    with pytest.raises(AssertionError):
+        _check_lyapunov(F, W, _modal_kernel(F, W))
+
+
+@pytest.mark.parametrize("gate, draw", [
+    # cond(V) ~ 2.3e3 with the residual inside its bound
+    ("MODAL_MAX_COND", (4, 9, 0.9, False, 0.0, 1.0)),
+    # cond(V) ~ 580 with the residual ~ 37x its bound
+    ("MODAL_RESIDUAL_RTOL", (10, 10, 0.15, True, 0.5, 0.2)),
+])
+def test_each_modal_gate_alone_keeps_an_inaccurate_answer_out(gate, draw,
+                                                              monkeypatch):
+    # on each draw only one gate refuses the modal solve, whose P is then
+    # 10x or more further from the Kronecker oracle than the Schur path's
+    seed, n, rho, minus_one, pair_share, coupling = draw
+    rng = np.random.default_rng(seed)
+    F = _lyapunov_factor(rng, n, rho, minus_one, pair_share, coupling)
+    G = rng.standard_normal((n, n))
+    W = G @ G.T
+    P_ref, _ = _kronecker_lyapunov(F, W)
+
+    def error(P):
+        return np.linalg.norm(P - P_ref) / np.linalg.norm(P_ref)
+
+    P = matkit.solve_discrete_lyapunov(F, W)
+    assert np.array_equal(P, matkit._stein(*matkit.schur(F), W))
+    assert error(P) <= 5e-14
+    monkeypatch.setattr(matkit, gate, OPEN_GATES[gate])
+    assert error(matkit.solve_discrete_lyapunov(F, W)) > 5e-14
 
 
 def test_lyapunov_factor_spectrum():

@@ -8,7 +8,7 @@ from spilqr.exceptions import (
     UnstableScaledSystemError,
 )
 
-from conftest import POWER_K_REF, POWER_P_REF
+from conftest import POWER_K_REF, POWER_P_REF, random_destabilizing_gain
 
 K0_ZERO = np.zeros((1, 3))
 
@@ -298,25 +298,54 @@ def test_solver_one_eigensolve_per_iteration(power_system, power_weights,
                                matkit.KRONECKER_MAX_N + 1])
 def test_evaluation_kernel_chosen_by_state_dimension(n, monkeypatch):
     # up to the cutoff no evaluation goes through the complex Schur form;
-    # above it every one does, each factored once
+    # above it every one is a modal solve, each factored once, and only
+    # one that a gate refuses goes through the Schur form, of its factor
     rng = np.random.default_rng(31)
     A = rng.standard_normal((n, n))
     sys_d = lti.LinearSystem(A / matkit.spectral_radius(A) * 1.1,
                              rng.standard_normal((n, 2)))
     weights = lti.CostWeights(np.eye(n), np.eye(2))
-    factored, schur_calls = [], []
-    factor, schur = matkit._stein_factor, matkit.schur
+    factored, refused, schur_calls = [], [], []
+    factor, modal, schur = matkit._stein_factor, matkit._modal, matkit.schur
     monkeypatch.setattr(matkit, "_stein_factor",
                         lambda F: factored.append(F) or factor(F))
+    monkeypatch.setattr(matkit, "_modal", lambda F, M, cum, W: refused.append(
+        (P := modal(F, M, cum, W)) is None) or P)
     monkeypatch.setattr(matkit, "schur",
                         lambda F: schur_calls.append(F) or schur(F))
     report = model_based.spi_model_based(sys_d, weights, np.zeros((2, n)),
                                          tol=1e-8)
     assert report.handoff_index >= 1
     assert len(factored) == report.solution.iterations
-    through_schur = [] if n <= matkit.KRONECKER_MAX_N else factored
+    if n <= matkit.KRONECKER_MAX_N:
+        assert refused == schur_calls == []
+        return
+    assert len(refused) == len(factored)
+    through_schur = [F for F, r in zip(factored, refused) if r]
     assert len(schur_calls) == len(through_schur)
     assert all(S is F for S, F in zip(schur_calls, through_schur))
+
+
+def test_modal_solve_keeps_the_schur_path_answers(wide_sweep, monkeypatch):
+    # above the cutoff the solver takes as many evaluations as with every
+    # factor the Schur form, to the same P within 1e-11 and a Riccati
+    # residual within 3e-13 ||P||_F: the first 24 wide-sweep plants of 10
+    # and 20 states, and an mb-dense-style plant (n=20, m=2, unit weights)
+    rng = np.random.default_rng(37)
+    A = rng.standard_normal((20, 20))
+    sys_d = lti.LinearSystem(A / matkit.spectral_radius(A) * 1.1,
+                             rng.standard_normal((20, 2)))
+    cases = [case for case in wide_sweep if case[0].n in (10, 20)][:24]
+    cases.append((sys_d, lti.CostWeights(np.eye(20), np.eye(2)),
+                  random_destabilizing_gain(rng, sys_d)))
+    modal = [model_based.spi_model_based(*case, tol=1e-9).solution
+             for case in cases]
+    monkeypatch.setattr(matkit, "_stein_factor", matkit.schur)
+    for case, sol in zip(cases, modal):
+        ref = model_based.spi_model_based(*case, tol=1e-9).solution
+        assert sol.iterations == ref.iterations
+        assert np.linalg.norm(sol.P - ref.P) <= 1e-11 * np.linalg.norm(ref.P)
+        assert sol.residual <= 3e-13 * np.linalg.norm(sol.P)
 
 
 def test_power_plant_solve_skips_the_schur_form(power_system, power_weights,
