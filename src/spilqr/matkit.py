@@ -6,10 +6,11 @@ form with the spectral radius read off it, and a discrete Lyapunov
 solver whose kernel is chosen by the state dimension: up to
 ``KRONECKER_MAX_N`` states, one real LU of the n^2 x n^2 Kronecker
 system (O(n^6)); above it, the modal solve on one eigendecomposition
-(O(n^3)), gated by the eigenvectors' conditioning and by its own
-residual, with the Bartels-Stewart back-substitution on the complex
-Schur form as its fallback.  All functions are pure and operate on
-plain ``numpy`` arrays.
+(O(n^3)) with one correction on the same factor, gated by the
+eigenvectors' conditioning and by its own residual, with the
+Bartels-Stewart back-substitution on the complex Schur form as its
+fallback.  All functions are pure and operate on plain ``numpy``
+arrays.
 
 It also holds the package's input rules: :func:`_as_float`, the one
 conversion of outside input into a float array, with which the matrix
@@ -61,21 +62,23 @@ __all__ = [
 STABILITY_MARGIN = 1e-9
 # Largest state dimension whose Lyapunov equations are solved as one real
 # n^2 x n^2 Kronecker system; above it, by the modal solve.  The two
-# kernels cost the same near n = 9 (one evaluation, factor and solve,
-# best of 9 x 200, BLAS 1 thread, 2-core Xeon VM): 36 vs 76 µs at n=3,
-# 93 vs 95 µs at n=8, 97 vs 97 µs at n=9 and 138 vs 111 µs at n=10.  The
-# LU's cost grows ~1.4x per added state; the cutoff stays at 8, below the
-# crossover, so that no answer of up to 8 states changes.
+# kernels cost the same between n = 9 and 10 (one evaluation, factor,
+# solve and correction, best of 9 x 200, BLAS 1 thread, 2-core Xeon VM):
+# 19 vs 63 µs at n=3, 55 vs 83 µs at n=8, 74 vs 90 µs at n=9 and 105 vs
+# 93 µs at n=10.  The LU's cost grows ~1.4x per added state; the cutoff
+# stays at 8, below the crossover, so that no answer of up to 8 states
+# changes.
 KRONECKER_MAX_N = 8
-# The modal solve's answer is taken only when the eigenvectors' Frobenius
-# condition number ||V||_F ||V^-1||_F is at most MODAL_MAX_COND, and its
-# residual ||F' P F - P + W||_F at most MODAL_RESIDUAL_RTOL (||F||_F^2
-# ||P||_F + ||W||_F); otherwise the Schur path solves.  Neither gate
-# suffices alone: with the residual gate only, a wide-sweep plant of the
-# tests with ||P*||_F ~ 2e10 takes 34 evaluations instead of 26 and ends
-# 2e-9 from the Schur path's P; with the conditioning gate only, a
-# non-normal factor of radius 0.15 gets a P 4.5e-12 from the Kronecker
-# oracle's, against the Schur path's 3e-15.
+# The modal solve's corrected answer is taken only when the eigenvectors'
+# Frobenius condition number ||V||_F ||V^-1||_F is at most MODAL_MAX_COND,
+# and its residual ||F' P F - P + W||_F at most MODAL_RESIDUAL_RTOL
+# (||F||_F^2 ||P||_F + ||W||_F); otherwise the Schur path solves.  A small
+# residual does not make P accurate when V is ill conditioned: on a
+# non-normal factor of radius 0.15 with cond(V) ~ 2e6 the corrected modal
+# P passes the residual gate 4e-13 from the Kronecker oracle's, against
+# the Schur path's 2e-15.  The residual gate checks the answer against F
+# itself, which the conditioning gate cannot: it keeps out a non-finite
+# P, and one whose factor is not F's.
 MODAL_MAX_COND = 1e3
 MODAL_RESIDUAL_RTOL = 1e-13
 # Largest asymmetry, relative to max |S_ij|, of a symmetric matrix.
@@ -324,8 +327,9 @@ def _modal_factor(F):
     Im v``, so ``V = vr N`` with ``N`` block diagonal, a 2 x 2 block
     ``[[1, 1], [i, -i]]`` per pair, and ``V^-1 = N^-1 vr^-1``, where
     ``N^-1`` is ``N^H`` with each pair's rows halved and ``vr^-1`` one
-    real ``dgesv``.  A singular ``vr`` gives an infinite ``V^-1``, which
-    fails :func:`_modal`'s conditioning gate."""
+    real ``dgesv``.  A singular ``vr`` gives an infinite ``V^-1``, and
+    one whose inverse overflows a non-finite one; either fails
+    :func:`_modal`'s conditioning gate."""
     n = len(F)
     wr, wi, _, vr, info = scipy.linalg.lapack.dgeev(F, compute_vl=0)
     if info != 0:  # pragma: no cover - LAPACK failure
@@ -337,7 +341,8 @@ def _modal_factor(F):
     N.flat[::n + 1] = np.where(wi < 0, -1j, 1.0)
     N.flat[1::n + 1] = first
     N.flat[n::n + 1] = 1j * first
-    Vinv = (N.conj().T @ R) * np.where(wi != 0, 0.5, 1.0)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        Vinv = (N.conj().T @ R) * np.where(wi != 0, 0.5, 1.0)[:, None]
     if info > 0:
         Vinv[:] = np.inf
     return (F, _Modal(wr + 1j * wi, vr @ N, Vinv),
@@ -404,19 +409,26 @@ def _modal(F, M, cum, W):
     """``P`` with ``F' P F - P + W = 0`` for ``F = cum F0`` and ``M`` the
     :class:`_Modal` of ``F0``: ``X = V^H P V`` solves ``conj(l_i) l_j
     X_ij - X_ij + (V^H W V)_ij = 0`` entrywise over the eigenvalues ``l =
-    cum lam`` of ``F``, and ``P = Re(V^-H X V^-1)``, exactly symmetrized.
-    ``None``, for the Schur path to take over, unless the eigenvectors
-    are well conditioned, ``||V||_F ||V^-1||_F <= MODAL_MAX_COND`` (the
-    columns have unit norm, so ``||V||_F = sqrt(n)``), and ``P`` is
-    finite and passes ``||F' P F - P + W||_F <= MODAL_RESIDUAL_RTOL
-    (||F||_F^2 ||P||_F + ||W||_F)``."""
+    cum lam`` of ``F``, and ``P = Re(V^-H X V^-1)``, exactly symmetrized;
+    then one correction on the same factor adds the solve with the
+    residual ``F' P F - P + W`` in place of ``W``, which brings ``P``'s
+    residual down to rounding.  ``None``, for the Schur path to take
+    over, unless the eigenvectors are well conditioned, ``||V||_F
+    ||V^-1||_F <= MODAL_MAX_COND`` (the columns have unit norm, so
+    ``||V||_F = sqrt(n)``), and the corrected ``P`` is finite and passes
+    ``||F' P F - P + W||_F <= MODAL_RESIDUAL_RTOL (||F||_F^2 ||P||_F +
+    ||W||_F)``."""
     Vinv = M.Vinv.ravel()
     if not len(F) * np.vdot(Vinv, Vinv).real <= MODAL_MAX_COND**2:
         return None
-    X = (M.V.conj().T @ W @ M.V) / (
-        1.0 - cum * cum * (M.lam.conj()[:, None] * M.lam))
-    P = (M.Vinv.conj().T @ X @ M.Vinv).real
-    P = (P + P.T) / 2.0
+    D = 1.0 - cum * cum * (M.lam.conj()[:, None] * M.lam)
+
+    def solve(W):
+        P = (M.Vinv.conj().T @ ((M.V.conj().T @ W @ M.V) / D) @ M.Vinv).real
+        return (P + P.T) / 2.0
+
+    P = solve(W)
+    P += solve(F.T @ P @ F - P + W)
     res = F.T @ P @ F - P + W
     norm = np.linalg.norm   # the bound is finite only for a finite P
     if not norm(res) <= MODAL_RESIDUAL_RTOL * (norm(F)**2 * norm(P)
@@ -461,11 +473,13 @@ def solve_discrete_lyapunov(F, W):
     - Above it, the modal solve (:func:`_modal`), at O(n^3) cost: with
       ``F = V diag(l) V^-1`` from one LAPACK ``dgeev``, the unknown ``X
       = V^H P V`` satisfies ``conj(l_i) l_j X_ij - X_ij + (V^H W V)_ij =
-      0``, one division per entry.  Its answer is taken only when
-      ``||V||_F ||V^-1||_F <= MODAL_MAX_COND`` and its residual is at
-      most ``MODAL_RESIDUAL_RTOL (||F||_F^2 ||P||_F + ||W||_F)``.
+      0``, one division per entry; one more solve on the same factor,
+      with the residual in place of ``W``, corrects ``P``.  Its answer
+      is taken only when ``||V||_F ||V^-1||_F <= MODAL_MAX_COND`` and
+      its residual is at most ``MODAL_RESIDUAL_RTOL (||F||_F^2 ||P||_F +
+      ||W||_F)``.
     - Otherwise, the Schur method of Bartels & Stewart (1972) in the
-      column form of Kitagawa (1977), also O(n^3) but 1.5-2.5x the
+      column form of Kitagawa (1977), also O(n^3) but 1.3-1.5x the
       modal solve's time at n = 20 and 40.  With the complex Schur
       form ``F = U T U^H`` of :func:`schur`, the unknown ``X = U^H P U``
       satisfies ``T^H X T - X + U^H W U = 0``.  Column ``j`` of that

@@ -450,12 +450,13 @@ def test_kronecker_kernel_refuses_singular_system():
         matkit._stein(np.eye(2), None, 0.5, np.eye(2))
 
 
-@pytest.mark.parametrize("diagonal", [0.5, 0.0])
-def test_defective_factor_falls_back_to_the_schur_path(diagonal):
-    # a 12 x 12 Jordan block at 0.5 (cond(vr) ~ 1e176) and the nilpotent
-    # shift (vr singular) have no basis of eigenvectors: the modal gates
-    # refuse both, and the public solve is the Schur path, bit for bit
-    n = 12
+@pytest.mark.parametrize("n, diagonal", [(12, 0.5), (12, 0.0), (20, 0.1)])
+def test_defective_factor_falls_back_to_the_schur_path(n, diagonal):
+    # Jordan blocks have no basis of eigenvectors: at 0.5 (n = 12) vr's
+    # inverse reaches ~1e176, the nilpotent shift's vr is singular, and
+    # at 0.1 (n = 20) dgesv's inverse of vr overflows; the modal gates
+    # refuse all three, and the public solve is the Schur path, bit for
+    # bit (under the suite's warnings-as-errors, with no warning)
     F = diagonal * np.eye(n) + np.eye(n, k=1)
     G = np.random.default_rng(17).standard_normal((n, n))
     for W in (np.eye(n), G @ G.T):
@@ -466,34 +467,32 @@ def test_defective_factor_falls_back_to_the_schur_path(diagonal):
 
 
 def test_modal_gates_keep_a_wrong_answer_out(monkeypatch):
-    # on this draw the modal solve without its gates fails criterion 8's
-    # check; the public solve passes it
-    n = 10
+    # on this draw (cond(V) ~ 5e10) the modal solve without its gates
+    # fails criterion 8's check, corrected or not; each gate alone
+    # refuses it, and the public solve passes
+    n = 20
     rng = np.random.default_rng(132)
-    F = _lyapunov_factor(rng, n, 1.0 - 1e-3, False, 0.5, 1.0)
+    F = _lyapunov_factor(rng, n, 0.2, False, 0.0, 1.0)
     G = rng.standard_normal((n, n))
     W = G @ G.T
     _check_lyapunov(F, W, matkit.solve_discrete_lyapunov(F, W))
+    for gate, value in OPEN_GATES.items():
+        with monkeypatch.context() as opened:
+            opened.setattr(matkit, gate, value)
+            assert _modal_kernel(F, W) is None
     for gate, value in OPEN_GATES.items():
         monkeypatch.setattr(matkit, gate, value)
     with pytest.raises(AssertionError):
         _check_lyapunov(F, W, _modal_kernel(F, W))
 
 
-@pytest.mark.parametrize("gate, draw", [
-    # cond(V) ~ 2.3e3 with the residual inside its bound
-    ("MODAL_MAX_COND", (4, 9, 0.9, False, 0.0, 1.0)),
-    # cond(V) ~ 580 with the residual ~ 37x its bound
-    ("MODAL_RESIDUAL_RTOL", (10, 10, 0.15, True, 0.5, 0.2)),
-])
-def test_each_modal_gate_alone_keeps_an_inaccurate_answer_out(gate, draw,
-                                                              monkeypatch):
-    # on each draw only one gate refuses the modal solve, whose P is then
-    # 10x or more further from the Kronecker oracle than the Schur path's
-    seed, n, rho, minus_one, pair_share, coupling = draw
-    rng = np.random.default_rng(seed)
-    F = _lyapunov_factor(rng, n, rho, minus_one, pair_share, coupling)
-    G = rng.standard_normal((n, n))
+def test_conditioning_gate_keeps_an_inaccurate_answer_out(monkeypatch):
+    # cond(V) ~ 2e6 with the corrected residual inside its bound: only the
+    # conditioning gate refuses, and the modal P it keeps out is ~250x
+    # further from the Kronecker oracle than the Schur path's
+    rng = np.random.default_rng(6)
+    F = _lyapunov_factor(rng, 9, 0.15, True, 0.0, 1.0)
+    G = rng.standard_normal((9, 9))
     W = G @ G.T
     P_ref, _ = _kronecker_lyapunov(F, W)
 
@@ -503,8 +502,50 @@ def test_each_modal_gate_alone_keeps_an_inaccurate_answer_out(gate, draw,
     P = matkit.solve_discrete_lyapunov(F, W)
     assert np.array_equal(P, matkit._stein(*matkit.schur(F), W))
     assert error(P) <= 5e-14
-    monkeypatch.setattr(matkit, gate, OPEN_GATES[gate])
+    monkeypatch.setattr(matkit, "MODAL_MAX_COND", np.inf)
     assert error(matkit.solve_discrete_lyapunov(F, W)) > 5e-14
+
+
+def test_residual_gate_checks_the_answer_against_F(monkeypatch):
+    # the residual is taken with F itself, so an answer that does not
+    # solve F's equation is refused however well conditioned its
+    # eigenvectors (cond(V) ~ 24 here): with the factor's eigenvalues off
+    # by 1e-3, which the correction cannot undo, opening the gate lets
+    # through a P ~4e-5 from the Kronecker oracle's
+    rng = np.random.default_rng(18)
+    F = _lyapunov_factor(rng, 10, 0.9, False, 0.5, 1.0)
+    G = rng.standard_normal((10, 10))
+    W = G @ G.T
+    P_ref, _ = _kronecker_lyapunov(F, W)
+    M = matkit._modal_factor(F)[1]
+    off = M._replace(lam=M.lam * (1.0 + 1e-3))
+    P = matkit._modal(F, M, 1.0, W)
+    assert np.linalg.norm(P - P_ref) <= 1e-13 * np.linalg.norm(P_ref)
+    assert matkit._modal(F, off, 1.0, W) is None
+    monkeypatch.setattr(matkit, "MODAL_RESIDUAL_RTOL", 1.0)
+    P = matkit._modal(F, off, 1.0, W)
+    assert np.linalg.norm(P - P_ref) > 1e-9 * np.linalg.norm(P_ref)
+
+
+def test_modal_correction_reaches_rounding():
+    # the one correction on the modal factor brings a well-conditioned
+    # solve's residual down to rounding: far inside its gate, and below
+    # the uncorrected solve's
+    rng = np.random.default_rng(19)
+    F = _lyapunov_factor(rng, 20, 0.95, False, 0.5, 1.0)
+    G = rng.standard_normal((20, 20))
+    W = G @ G.T
+    M = matkit._modal_factor(F)[1]
+    P = matkit._modal(F, M, 1.0, W)
+    X = (M.V.conj().T @ W @ M.V) / (1.0 - M.lam.conj()[:, None] * M.lam)
+    P0 = (M.Vinv.conj().T @ X @ M.Vinv).real
+
+    def residual(P):
+        return np.linalg.norm(F.T @ P @ F - P + W)
+
+    bound = np.linalg.norm(F)**2 * np.linalg.norm(P) + np.linalg.norm(W)
+    assert residual(P) <= 1e-15 * bound
+    assert residual(P) < residual((P0 + P0.T) / 2.0)
 
 
 def test_lyapunov_factor_spectrum():
