@@ -351,12 +351,14 @@ def cmd_solve(args):
 
 def _load_gain(sim, shape):
     """The ``shape`` gain of a simulate section: inline, the ``K`` of a
-    gain file, or zero."""
-    if sim.get("gain") is not None:
-        return _matrix(sim["gain"], "gain", shape)
-    if "gain_file" not in sim:
+    gain file, or zero; only one of the first two may be set."""
+    gain, path = sim.get("gain"), sim.get("gain_file")
+    if gain is not None and path is not None:
+        raise ConfigError("simulate takes gain or gain_file, not both")
+    if gain is not None:
+        return _matrix(gain, "gain", shape)
+    if path is None:
         return np.zeros(shape)
-    path = sim["gain_file"]
     payload = _read_json(path, "gain file")
     if not isinstance(payload, dict) or "K" not in payload:
         raise ConfigError(f"{path} has no 'K' entry")

@@ -21,7 +21,7 @@ bounds the improved scaled loop's radius by ``sqrt(mu)``
 (:func:`scaling_bound`).
 """
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg.lapack
@@ -47,7 +47,6 @@ def unknown_count(n, m):
     return n * (n + 1) // 2 + m * n + m * (m + 1) // 2
 
 
-@dataclass(frozen=True, repr=False)
 class RegressionData:
     """The certified sample blocks of one recorded trajectory.
 
@@ -63,18 +62,11 @@ class RegressionData:
     entries beyond ``lti.DIVERGENCE_LIMIT`` in magnitude before any
     monomial is formed, and the excitation rank condition
     (:class:`RankDeficientError` unless the recording excites all
-    ``unknown_count(n, m)`` unknowns).  Every instance is certified, and
-    the solvers do not check it again.
+    ``unknown_count(n, m)`` unknowns).  Every instance is certified and
+    read-only, so the solvers do not check it again; ``==`` is identity.
     """
 
-    traj: InitVar[lti.Trajectory]
-    states: np.ndarray = field(init=False)
-    inputs: np.ndarray = field(init=False)
-    d_x: np.ndarray = field(init=False)
-    D_x: np.ndarray = field(init=False)
-    d_u: np.ndarray = field(init=False)
-
-    def __post_init__(self, traj):
+    def __init__(self, traj):
         X = matkit._as_matrix(traj.states, "states")   # x_0 .. x_l
         U = matkit._as_matrix(traj.inputs, "inputs")
         for name, block in (("states", X), ("inputs", U)):
@@ -104,11 +96,10 @@ class RegressionData:
         kept, and the blocks are O(l (n + m)^2)."""
         return f"RegressionData(n={self.n}, m={self.m}, l={self.l})"
 
-    def _repr_pretty_(self, p, cycle):
-        """The pretty-printing hook of IPython and ``hypothesis``, which
-        would otherwise list the dataclass's init fields, the trajectory
-        that is not kept among them."""
-        p.text(repr(self))
+    def _read_only(self, name, *value):
+        raise AttributeError(f"RegressionData is read-only ({name!r})")
+
+    __setattr__ = __delattr__ = _read_only
 
 
 @dataclass(frozen=True)

@@ -366,14 +366,15 @@ def _drop(*path):
     return edit
 
 
-def _gain_file(text):
-    """Config edit: a simulate section whose gain comes from a file."""
+def _gain_file(text, **inline):
+    """Config edit: a simulate section whose gain comes from a file, and
+    from the ``gain`` of ``inline`` too if it names one."""
     def edit(cfg, tmp_path):
         path = tmp_path / "gain.json"
         if text is not None:
             path.write_text(text)
         cfg["simulate"] = {"x0": [0.1, 0.1, 0.2], "steps": 10,
-                           "gain_file": str(path)}
+                           "gain_file": str(path), **inline}
     return edit
 
 
@@ -394,6 +395,10 @@ def _gain_file(text):
      "gain must be 1 x 3"),
     ("simulate", _gain_file(None), "cannot read gain file"),
     ("simulate", _gain_file('{"P": [[1.0]]}'), "has no 'K' entry"),
+    # the inline gain ran and the file's went unread, without a word
+    ("simulate", _gain_file('{"K": [[0.0, 0.0, 0.0]]}',
+                            gain=[[1.0, 2.0, 3.0]]),
+     "simulate takes gain or gain_file, not both"),
     ("solve", _set(("system",), {"A": [[0.5, 0.0]], "B": [[1.0]]}),
      "invalid system: A must be square"),
     ("solve", _set(("weights", "Q"), [[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1]]),
@@ -432,9 +437,9 @@ def _gain_file(text):
      f"invalid params.data.noise: num_terms = {10**15} too large for m = 1: "),
 ], ids=["R-shape", "K0-shape", "P0-shape", "x0-length", "no-weights",
         "no-x0", "no-solver", "no-simulate", "gain-shape", "no-gain-file",
-        "gain-file-without-K", "A-not-square", "Q-not-symmetric",
-        "Q-ragged", "gain-file-not-an-object", "gain-file-K-shape",
-        "gain-file-K-ragged", "repeated-compare-solver",
+        "gain-file-without-K", "gain-and-gain-file", "A-not-square",
+        "Q-not-symmetric", "Q-ragged", "gain-file-not-an-object",
+        "gain-file-K-shape", "gain-file-K-ragged", "repeated-compare-solver",
         "noise-frequency-range-overflows", "K0-huge-integer",
         "sample-time-huge-integer", "data-x0-1e400", "simulate-x0-1e400",
         "gain_tol-1e400", "num-terms-unallocatable"])

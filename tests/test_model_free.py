@@ -115,12 +115,26 @@ def test_regression_data_is_certified_however_built(power_system):
 
 def test_regression_data_takes_only_the_trajectory(power_data):
     # every block, and n, m and l, derive from the one input; no block
-    # can be set apart from the others, not even through replace()
+    # can be set, deleted or replaced apart from the others
     params = inspect.signature(model_free.RegressionData).parameters
     assert list(params) == ["traj"]
     assert (power_data.n, power_data.m, power_data.l) == (3, 1, 30)
-    with pytest.raises(ValueError, match="InitVar|init=False"):
+    with pytest.raises(TypeError, match="dataclass instances"):
         replace(power_data, d_x=power_data.d_x[:-1])
+    with pytest.raises(AttributeError, match="read-only"):
+        power_data.d_x = power_data.d_x[:-1]
+    with pytest.raises(AttributeError, match="read-only"):
+        del power_data.d_x
+    assert power_data.d_x.shape == (30, 6)
+
+
+def test_regression_data_compares_by_identity(power_system):
+    # two recordings of one trajectory hold equal blocks, yet are two
+    # recordings: == and hash neither compare the arrays nor raise
+    traj = power_recording(power_system)
+    a, b = model_free.RegressionData(traj), model_free.RegressionData(traj)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_regression_data_prints(power_data):
