@@ -9,18 +9,18 @@ trajectory is collected once under probing input, certified once
 (:class:`RegressionData`) and reused by every iteration (off-policy).
 
 The regressor's columns are divided by their 2-norms, so the units of
-the recording change neither its rank test nor its solution.  The
-scaling divisor ``b`` is found by probing: a candidate works exactly
-when the regressed value matrix has a Cholesky factor (is positive
-definite), one LAPACK ``potrf`` per probe.  The gain improves by the
-kernel every solver shares, and the per-iteration inflation factor comes
-from the rule of the model-based solver, :func:`riccati._interior_factor`,
-fed with a radius bound that the data certify: the largest eigenvalue
-``mu`` of the pencil ``(P - Q - K'RK, P)``, from one LAPACK ``dsygvd``,
-bounds the improved scaled loop's radius by ``sqrt(mu)``
-(:func:`scaling_bound`).
+the recording change neither its rank test nor its solution, which is
+one LAPACK ``dgelsy`` (pivoted QR).  The divisor ``b`` is found by
+probing: a candidate works exactly when the regressed value matrix has a
+Cholesky factor (is positive definite), one LAPACK ``potrf`` per probe.
+The gain improves by the kernel every solver shares, and the inflation
+factor comes from the model-based rule, :func:`riccati._interior_factor`,
+fed with a radius bound the data certify (:func:`scaling_bound`): the
+largest eigenvalue ``mu`` of the pencil ``(P - Q - K'RK, P)``, one LAPACK
+``dsygvd``, bounds the improved scaled loop's radius by ``sqrt(mu)``.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +28,7 @@ import scipy.linalg.lapack
 
 from . import lti, matkit, riccati
 from .exceptions import (
+    DimensionMismatchError,
     InvalidProblemError,
     ProbesExhaustedError,
     RankDeficientError,
@@ -159,32 +160,51 @@ def assemble_theta_gamma(data, K, cum, weights):
 
 
 def solve_regression(theta, gamma, n, m):
-    """Least-squares solution of ``theta z = -gamma`` unpacked into
-    ``(P, M, L)``.
+    """Least-squares solution of ``theta z = -gamma`` as ``(P, M, L)``.
 
-    Uses an orthogonal factorization of the equilibrated ``theta``
-    (``matkit._equilibrate``) rather than explicit normal equations.
-    ``theta`` and ``gamma``, as an ``l x 1`` column, follow the matrix
-    rule.  Raises :class:`RankDeficientError` when the regressor loses
-    column rank, which signals insufficient excitation.
+    One LAPACK ``dgelsy`` (pivoted QR) on the equilibrated ``theta``
+    (``matkit._equilibrate``) at ``rcond = eps max(l, p)``.  ``theta`` and
+    ``gamma``, a length-``l`` vector or an ``l x 1`` column, follow the
+    matrix rule.  A QR rank below ``p`` raises :class:`RankDeficientError`,
+    which signals insufficient excitation.
     """
     cols = unknown_count(n, m)
     theta = matkit._as_matrix(theta, "theta", cols=cols)
-    gamma = matkit._as_matrix(
-        np.reshape(matkit._as_float(gamma, "gamma"), (-1, 1)), "gamma",
-        rows=len(theta))
+    l, gamma = len(theta), matkit._as_float(gamma, "gamma")
+    gamma = matkit._as_matrix(np.atleast_2d(gamma.T).T, "gamma", rows=l)
+    if gamma.shape[1] != 1:
+        raise DimensionMismatchError(f"gamma must be a length-{l} vector or "
+                                     f"{l} x 1, got {gamma.shape}")
+    rcond, lwork, index, halving = _regression_setup(l, n, m)
     scaled, norms = matkit._equilibrate(theta)
-    z, _, rank, _ = np.linalg.lstsq(scaled, -gamma[:, 0], rcond=None)
+    rhs = np.zeros((max(l, cols), 1))   # dgelsy takes max(l, p) rows
+    np.negative(gamma, out=rhs[:l])
+    _, x, _, rank, _ = scipy.linalg.lapack.dgelsy(
+        scaled, rhs, np.zeros(cols, np.int32), rcond, lwork)
     if rank < cols:
         raise RankDeficientError(
             f"regressor rank {rank} < {cols}; re-collect data with "
             f"richer probing input")
-    z /= norms
-    np_pack = n * (n + 1) // 2
-    P = matkit.unvecs(z[:np_pack])
-    M = matkit.unvec(z[np_pack:np_pack + n * m], n, m)
-    L = matkit.unvecs(z[np_pack + n * m:])
-    return RegressionSolution(P=P, M=M, L=L)
+    zh = x[:cols, 0] / norms * halving
+    return RegressionSolution(*(zh[i] for i in index))
+
+
+@functools.cache
+def _regression_setup(l, n, m):
+    """Per shape, built once and read-only: ``dgelsy``'s ``rcond`` and lwork,
+    and the gather and factor that unpack ``z`` as ``unvecs``/``unvec`` do."""
+    p, n_p = unknown_count(n, m), n * (n + 1) // 2
+    rcond = np.finfo(float).eps * max(l, p)
+    lwork = int(scipy.linalg.lapack.dgelsy_lwork(l, p, 1, rcond)[0])
+    (i, j), (r, c) = matkit._triu_indices(n), matkit._triu_indices(m)
+    P, L = np.empty((n, n), np.intp), np.empty((m, m), np.intp)
+    P[i, j] = P[j, i] = np.arange(n_p)
+    L[r, c] = L[c, r] = np.arange(n_p + n * m, p)
+    index = (P, n_p + np.arange(n * m).reshape((n, m), order="F"), L)
+    halving = np.r_[matkit._halving(n), np.ones(n * m), matkit._halving(m)]
+    for a in (*index, halving):
+        a.flags.writeable = False
+    return rcond, lwork, index, halving
 
 
 def _solve_iteration(data, K, cum, weights):
@@ -225,10 +245,10 @@ def search_b(data, K0, weights, b_init, delta, max_probes):
         sol = _solve_iteration(data, K0, 1.0 / b, weights)
         if scipy.linalg.lapack.dpotrf(sol.P, lower=1)[1] == 0:
             return b, sol, probe
-        b += increment
+        probed, b = b, b + increment
     raise ProbesExhaustedError(
         f"no scaling divisor found in {max_probes} probes "
-        f"(last candidate {b:.6g})")
+        f"(last candidate {probed:.6g})")
 
 
 def scaling_bound(P, K_next, weights):

@@ -280,6 +280,51 @@ def test_regression_rejects_rank_deficiency():
         model_free.solve_regression(theta, np.zeros(12), 2, 1)
 
 
+def test_regression_with_fewer_rows_than_unknowns_is_rank_deficient():
+    # dgelsy takes a right-hand side of max(l, p) rows; a 4 x 6 regressor
+    # has rank at most 4, and is refused by name, not by the wrapper
+    theta = np.random.default_rng(3).standard_normal((4, 6))
+    with pytest.raises(RankDeficientError, match="^regressor rank 4 < 6;"):
+        model_free.solve_regression(theta, np.ones(4), 2, 1)
+
+
+def test_regression_with_a_duplicated_column_is_rank_deficient():
+    theta = np.random.default_rng(4).standard_normal((12, 6))
+    theta[:, 5] = theta[:, 2]
+    with pytest.raises(RankDeficientError, match="^regressor rank 5 < 6;"):
+        model_free.solve_regression(theta, np.ones(12), 2, 1)
+
+
+def test_regression_matches_lstsq_on_the_clean_sweep(sweep):
+    # the pivoted QR solves the same equilibrated least squares as the
+    # SVD of np.linalg.lstsq: the first regression of every case (K0 at
+    # the first probe's scale, 1) agrees to 1e-10 relative
+    for i, case in enumerate(sweep):
+        data = case["data"]
+        theta, gamma = model_free.assemble_theta_gamma(
+            data, case["K0"], 1.0, case["weights"])
+        sol = model_free.solve_regression(theta, gamma, data.n, data.m)
+        z = np.concatenate([matkit.vecs(sol.P), matkit.vec(sol.M),
+                            matkit.vecs(sol.L)])
+        scaled, norms = matkit._equilibrate(theta)
+        want = np.linalg.lstsq(scaled, -gamma, rcond=None)[0] / norms
+        assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(want), i
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (4, 2), (8, 2)])
+def test_regression_unpacks_like_unvecs_and_unvec(n, m):
+    # an identity regressor returns -gamma exactly, so the unpacked blocks
+    # are the gather of z, which must be unvecs / unvec / unvecs bit for bit
+    p, n_p = model_free.unknown_count(n, m), n * (n + 1) // 2
+    z = np.random.default_rng(n * 10 + m).standard_normal(p)
+    sol = model_free.solve_regression(np.eye(p), -z, n, m)
+    want = (matkit.unvecs(z[:n_p]), matkit.unvec(z[n_p:n_p + n * m], n, m),
+            matkit.unvecs(z[n_p + n * m:]))
+    for got, block in zip((sol.P, sol.M, sol.L), want):
+        assert got.shape == block.shape
+        assert np.array_equal(got, block)
+
+
 def test_regression_uniqueness_by_perturbation(power_system, power_weights,
                                                power_data):
     # any nonzero perturbation of the solution strictly increases the
@@ -432,6 +477,16 @@ def test_search_b_exhausts_probes(power_data, power_weights):
                             max_probes=3)
 
 
+def test_search_b_exhaustion_names_the_last_probed_divisor(power_data,
+                                                           power_weights):
+    # two probes, at 1.0 and 1.5; 2.0 is never probed
+    with pytest.raises(ProbesExhaustedError, match=re.escape(
+            "no scaling divisor found in 2 probes (last candidate 1.5)")):
+        model_free.search_b(power_data, 100.0 * np.ones((1, 3)),
+                            power_weights, b_init=1.0, delta=0.5,
+                            max_probes=2)
+
+
 def test_regression_validates_shapes(power_data, power_weights):
     with pytest.raises(DimensionMismatchError, match="K must be 1 x 3"):
         model_free.assemble_theta_gamma(power_data, np.zeros((1, 2)), 0.5,
@@ -448,6 +503,18 @@ def test_regression_validates_shapes(power_data, power_weights):
     with pytest.raises(DimensionMismatchError, match=re.escape(
             "gamma must have 30 rows, got (29, 1)")):
         model_free.solve_regression(theta, gamma[:-1], 3, 1)
+    # a vector or a column, never another array of l entries
+    theta = np.random.default_rng(5).standard_normal((12, 6))
+    for bad in (np.ones((6, 2)), np.ones((1, 12)), np.ones((12, 1, 1))):
+        with pytest.raises(DimensionMismatchError, match="^gamma must"):
+            model_free.solve_regression(theta, bad, 2, 1)
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            "gamma must be a length-12 vector or 12 x 1, got (12, 2)")):
+        model_free.solve_regression(theta, np.ones((12, 2)), 2, 1)
+    column = model_free.solve_regression(theta, np.ones((12, 1)), 2, 1)
+    vector = model_free.solve_regression(theta, np.ones(12), 2, 1)
+    assert all(np.array_equal(getattr(column, f), getattr(vector, f))
+               for f in "PML")
 
 
 def test_regression_refuses_a_zero_column(power_data, power_weights):
