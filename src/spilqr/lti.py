@@ -24,7 +24,8 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+# eq=False here and below: == and hash by identity, not by array fields
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Plant ``x_{k+1} = A x_k + B u_k`` with state matrix A (n x n) and
     input matrix B (n x m)."""
@@ -47,7 +48,7 @@ class LinearSystem:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostWeights:
     """Running cost weights: Q symmetric positive semidefinite on the state,
     R symmetric positive definite on the input."""
@@ -66,7 +67,7 @@ class CostWeights:
         object.__setattr__(self, "R", R)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded rollout: ``states`` holds x_0..x_l (l+1 rows), ``inputs``
     holds u_0..u_{l-1} (l rows)."""

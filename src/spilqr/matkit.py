@@ -1,32 +1,33 @@
 """Dense real-matrix kernels used by every solver module.
 
-Provides symmetric (half-)vectorization and its inverse, quadratic-form
-monomial vectors, spectral radius, numerical rank, the complex Schur
-form with the spectral radius read off it, and a discrete Lyapunov
-solver whose kernel is chosen by the state dimension: up to
-``KRONECKER_MAX_N`` states, one real LU of the n^2 x n^2 Kronecker
-system (O(n^6)); above it, the modal solve on one eigendecomposition
-(O(n^3)) with one correction on the same factor, gated by the
-eigenvectors' conditioning and by its own residual, with the
-Bartels-Stewart back-substitution on the complex Schur form as its
+Provides rows of quadratic-form monomials, spectral radius, numerical
+rank, the complex Schur form with the spectral radius read off it, and
+a discrete Lyapunov solver whose kernel is chosen by the state
+dimension: up to ``KRONECKER_MAX_N`` states, one real LU of the n^2 x
+n^2 Kronecker system (O(n^6)); above it, the modal solve on one
+eigendecomposition (O(n^3)) with one correction on the same factor,
+gated by the eigenvectors' conditioning and by its own residual, with
+the Bartels-Stewart back-substitution on the complex Schur form as its
 fallback.  All functions are pure and operate on plain ``numpy``
 arrays.
 
 It also holds the package's input rules: :func:`_as_float`, the one
 conversion of outside input into a float array, with which the matrix
 rule :func:`_as_matrix` starts, and the setting rules
-:func:`_check_budget` and :func:`_check_positive`.  The vectorization
-kernels convert by :func:`_as_float` too, and take non-finite entries.
+:func:`_check_budget` and :func:`_check_positive`.  :func:`vecv_rows`
+converts by :func:`_as_float` too, and takes non-finite entries.
 
 Conventions
 -----------
-``vecs(S)`` packs the upper triangle of a symmetric matrix row by row,
-diagonal entries once and off-diagonal entries doubled::
+The data-driven regression (``model_free``) packs its unknowns in this
+notation.  ``vecs(S)`` is the upper triangle of a symmetric matrix row
+by row, diagonal entries once and off-diagonal entries doubled::
 
     vecs(S) = [s11, 2 s12, ..., 2 s1n, s22, 2 s23, ..., snn]
 
 ``vecv(z)`` lists the monomials ``z_i z_j`` for ``i <= j`` in the same
-ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``.
+ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``;
+:func:`vecv_rows` gives it for each row of a matrix.
 
 ``vec(M)`` stacks columns (Fortran order), matching the identity
 ``(y' ⊗ x') vec(M) == x' M y``.
@@ -48,8 +49,7 @@ from .exceptions import (
 )
 
 __all__ = [
-    "vecs", "unvecs", "vecv", "vecv_rows", "vec", "unvec",
-    "spectral_radius", "numerical_rank", "schur",
+    "vecv_rows", "spectral_radius", "numerical_rank", "schur",
     "solve_discrete_lyapunov", "check_symmetric",
     "is_positive_definite", "is_positive_semidefinite", "sym_sqrt",
 ]
@@ -132,10 +132,11 @@ def _check_budget(value, name, floor=1):
 
 def _real(value):
     """``value`` as a float when it is a number that a double holds (a
-    string, even a numeric one, is not), else NaN, which every bound
-    refuses."""
+    string, even a numeric one, is not, nor is a boolean), else NaN,
+    which every bound refuses."""
     try:
-        return math.nan if isinstance(value, (str, bytes)) else float(value)
+        return (math.nan if isinstance(value, (str, bytes, bool, np.bool_))
+                else float(value))
     except (TypeError, ValueError, OverflowError):   # None, or 10**400
         return math.nan
 
@@ -172,7 +173,7 @@ def _triu_indices(n):
 @functools.cache
 def _halving(n):
     """Per packed entry of an ``n x n`` matrix, 1 on the diagonal and 0.5
-    off it: the factor that undoes :func:`vecs`'s doubling, built once per
+    off it: the factor that undoes ``vecs``'s doubling, built once per
     size and shared read-only.  ``v * 0.5`` is ``v / 2.0`` to the bit."""
     i, j = _triu_indices(n)
     h = np.where(i == j, 1.0, 0.5)
@@ -180,60 +181,11 @@ def _halving(n):
     return h
 
 
-def vecs(S):
-    """Half-vectorize a symmetric matrix, doubling off-diagonal entries.
-
-    The result has length ``n (n + 1) / 2`` and satisfies
-    ``vecv(x) @ vecs(S) == x' S x`` for every vector ``x``.
-    """
-    S = check_symmetric(S, "S")
-    n = S.shape[0]
-    i, j = _triu_indices(n)
-    return S[i, j] * np.where(i == j, 1.0, 2.0)
-
-
-def unvecs(v):
-    """Inverse of :func:`vecs`: rebuild the symmetric matrix.
-
-    The length of ``v`` must be a triangular number ``n (n + 1) / 2``.
-    """
-    v = _as_float(v, "v").ravel()
-    n = (math.isqrt(8 * v.size + 1) - 1) // 2
-    if n * (n + 1) // 2 != v.size:
-        raise DimensionMismatchError(
-            f"length {v.size} is not a packed symmetric size n(n+1)/2")
-    S = np.empty((n, n))
-    i, j = _triu_indices(n)
-    S[i, j] = S[j, i] = v * _halving(n)
-    return S
-
-
-def vecv(z):
-    """Quadratic monomials ``z_i z_j`` for ``i <= j``, squares un-doubled."""
-    z = _as_float(z, "z").ravel()
-    i, j = _triu_indices(z.size)
-    return z[i] * z[j]
-
-
 def vecv_rows(Z):
-    """Row-wise :func:`vecv` of an ``l x n`` array; returns ``l x n(n+1)/2``."""
+    """Row-wise ``vecv`` of an ``l x n`` array; returns ``l x n(n+1)/2``."""
     Z = _as_float(Z, "Z")
     i, j = _triu_indices(Z.shape[1])
     return Z[:, i] * Z[:, j]
-
-
-def vec(M):
-    """Column-stacking vectorization of a matrix."""
-    return _as_float(M, "M").ravel(order="F")
-
-
-def unvec(v, rows, cols):
-    """Inverse of :func:`vec` for the given shape."""
-    v = _as_float(v, "v").ravel()
-    if min(rows, cols) < 0 or v.size != rows * cols:
-        raise DimensionMismatchError(
-            f"length {v.size} does not match shape ({rows}, {cols})")
-    return v.reshape((rows, cols), order="F")
 
 
 def spectral_radius(A):

@@ -39,7 +39,7 @@ __all__ = [
     "RegressionData", "RegressionSolution",
     "build_regression_data", "check_rank_condition",
     "assemble_theta_gamma", "solve_regression",
-    "search_b", "scaling_bound", "spi_model_free",
+    "search_b", "scaling_bound", "spi_model_free", "unknown_count",
 ]
 
 
@@ -103,7 +103,8 @@ class RegressionData:
     __setattr__ = __delattr__ = _read_only
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, not by the array fields
+@dataclass(frozen=True, eq=False)
 class RegressionSolution:
     """Unpacked regression unknowns for one iteration: the symmetric
     value matrix ``P`` and the auxiliary blocks ``M = A'PB`` (n x m)
@@ -192,7 +193,9 @@ def solve_regression(theta, gamma, n, m):
 @functools.cache
 def _regression_setup(l, n, m):
     """Per shape, built once and read-only: ``dgelsy``'s ``rcond`` and lwork,
-    and the gather and factor that unpack ``z`` as ``unvecs``/``unvec`` do."""
+    and the gather and factor that unpack ``z = [vecs(P); vec(M);
+    vecs(L)]`` (``matkit``'s notation): the halving of ``vecs``'s
+    doubled entries, then ``P``, ``M`` and ``L`` by index."""
     p, n_p = unknown_count(n, m), n * (n + 1) // 2
     rcond = np.finfo(float).eps * max(l, p)
     lwork = int(scipy.linalg.lapack.dgelsy_lwork(l, p, 1, rcond)[0])

@@ -2,10 +2,10 @@
 two-phase loop that every policy-iteration solver runs on.
 
 Each Riccati kernel has one home: every gain ``(R/c^2 + B'PB)^{-1} B'PA``
-is one LAPACK ``dgesv`` (:func:`_solve_gain`), and :func:`riccati_step`
-and :func:`value_iteration` run one sweep (:func:`_sweep`).  Around them:
-the Riccati residual; the relative stop :func:`_converged` of every
-solver; the loop :func:`_scaling_pi` of both scaling solvers and of
+is one LAPACK ``dgesv`` (:func:`_solve_gain`), and every sweep of
+:func:`value_iteration` is one :func:`_sweep`.  Around them: the
+Riccati residual; the relative stop :func:`_converged` of every solver;
+the loop :func:`_scaling_pi` of both scaling solvers and of
 Hewer's method (divisor 1), its records :class:`SpiState` and
 :class:`SpiReport` and its model-based step; value iteration, which
 converges from any positive semidefinite seed and is the tests' oracle;
@@ -32,7 +32,7 @@ from .exceptions import (
 
 __all__ = [
     "AreSolution", "SpiState", "SpiReport", "are_residual", "optimal_gain",
-    "riccati_step", "hewer_pi", "value_iteration", "dare_reference",
+    "hewer_pi", "value_iteration", "dare_reference",
 ]
 
 SPI_MAX_ITER = 500
@@ -45,7 +45,8 @@ DARE_RESIDUAL_RTOL = 1e-8
 MAX_HEADROOM = 1e12
 
 
-@dataclass(frozen=True)
+# eq=False here and below: == and hash by identity, not by array fields
+@dataclass(frozen=True, eq=False)
 class AreSolution:
     """Converged Riccati pair.
 
@@ -67,7 +68,7 @@ class AreSolution:
     trace: list = field(default_factory=list, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpiState:
     """One iteration record of :func:`_scaling_pi`.
 
@@ -102,7 +103,7 @@ class SpiState:
         return None if self.rho_closed is None else self.cum * self.rho_closed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpiReport:
     """Full record of a scaling solve.
 
@@ -210,14 +211,6 @@ def are_residual(sys, weights, P):
     BtP = sys.B.T @ P
     K = _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
     return _residual(sys, weights, P, K)
-
-
-def riccati_step(sys, weights, P):
-    """One value-iteration sweep ``P <- Q + A'PA - A'PB (R+B'PB)^{-1} B'PA``
-    and its gain, both from ``P`` as the matrix rule symmetrizes it."""
-    _check_weights(weights, sys.n, sys.m)
-    return _sweep(sys.A, sys.B, weights.Q, weights.R,
-                  matkit.check_symmetric(P, "P", sys.n))
 
 
 def _check_start(K0, weights, m, n, lam, tol, i_max):
@@ -405,9 +398,8 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     Slower than policy iteration but needs no stabilizing start; serves
     as the independent route to the Riccati solution in the tests.  It
     stops on :func:`_converged`, the relative stop of every solver.
-    ``sys``, ``weights`` and ``P0`` are validated once; each sweep is the
-    unchecked kernel of :func:`riccati_step`, so the iterates, the trace
-    and the sweep count are those of that recursion, to the bit.
+    ``sys``, ``weights`` and ``P0`` are validated once, and each sweep is
+    one unchecked :func:`_sweep`.
 
     Raises
     ------

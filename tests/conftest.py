@@ -34,6 +34,20 @@ WIDE_N_CHOICES = (2, 3, 5, 10, 20, 40)
 WIDE_PLANT_RHO = (0.3, 3.0)
 
 
+def vecs(S):
+    """``vecs`` of ``matkit``'s notation, the tests' packing of a known
+    symmetric ``P`` or ``L``: the upper triangle of ``S``, exactly
+    symmetrized, row by row, off-diagonal entries doubled."""
+    S = (S + S.T) / 2.0
+    i, j = np.triu_indices(len(S))
+    return S[i, j] * np.where(i == j, 1.0, 2.0)
+
+
+def vec(M):
+    """``vec`` of ``matkit``'s notation: the columns of ``M``, stacked."""
+    return M.ravel(order="F")
+
+
 @pytest.fixture(scope="session")
 def power_system():
     return benchmarks.power_plant()

@@ -14,7 +14,7 @@ import pytest
 
 from spilqr import cli, matkit, model_based, model_free, riccati
 
-from conftest import POWER_K_REF, POWER_P_REF
+from conftest import POWER_K_REF, POWER_P_REF, vec, vecs
 
 try:
     from test_cli import model_based_config, model_free_config, write_config
@@ -138,7 +138,7 @@ def test_criterion_5_regression_identity(corpus_runs):
         P = model_based.scaled_policy_evaluation(sys_d, weights, K0, cum)
         M = sys_d.A.T @ P @ sys_d.B
         L = sys_d.B.T @ P @ sys_d.B
-        z = np.concatenate([matkit.vecs(P), matkit.vec(M), matkit.vecs(L)])
+        z = np.concatenate([vecs(P), vec(M), vecs(L)])
         theta, gamma = model_free.assemble_theta_gamma(data, K0, cum,
                                                        weights)
         worst_row = max(worst_row, np.abs(theta @ z + gamma).max())
@@ -209,7 +209,7 @@ def test_criterion_8_kernel_property_sweep():
         G = rng.standard_normal((n, n))
         S = G + G.T
         x = rng.standard_normal(n)
-        lhs = matkit.vecv(x) @ matkit.vecs(S)
+        lhs = matkit.vecv_rows(x[None])[0] @ vecs(S)
         rhs = x @ S @ x
         if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
             quad_ok = False
@@ -218,7 +218,7 @@ def test_criterion_8_kernel_property_sweep():
         n = int(rng.integers(2, 5))
         x = rng.standard_normal(n)
         M = rng.standard_normal((n, n))
-        lhs = np.kron(x, x) @ matkit.vec(M)
+        lhs = model_free._row_kron(x[None], x[None])[0] @ vec(M)
         rhs = x @ M @ x
         if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
             kron_ok = False

@@ -12,24 +12,15 @@ from spilqr.exceptions import (
     UnstableMatrixError,
 )
 
-from conftest import POWER_A_REF, POWER_RHO_OPEN
-
-
-def test_vecs_identity_matrix():
-    assert np.array_equal(matkit.vecs(np.eye(2)), [1.0, 0.0, 1.0])
-
-
-def test_vecs_doubles_off_diagonal():
-    S = np.array([[1.0, 2.0], [2.0, 3.0]])
-    assert np.array_equal(matkit.vecs(S), [1.0, 4.0, 3.0])
+from conftest import POWER_A_REF, POWER_RHO_OPEN, vec, vecs
 
 
 def test_vecv_basis_vector():
-    assert np.array_equal(matkit.vecv([1.0, 0.0]), [1.0, 0.0, 0.0])
+    assert np.array_equal(matkit.vecv_rows([[1.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
 
 def test_vecv_monomials():
-    assert np.array_equal(matkit.vecv([2.0, 3.0]), [4.0, 6.0, 9.0])
+    assert np.array_equal(matkit.vecv_rows([[2.0, 3.0]]), [[4.0, 6.0, 9.0]])
 
 
 def test_vecs_vecv_quadratic_form():
@@ -39,42 +30,8 @@ def test_vecs_vecv_quadratic_form():
         S = G + G.T
         x = rng.standard_normal(3)
         expected = x @ S @ x
-        got = matkit.vecv(x) @ matkit.vecs(S)
+        got = matkit.vecv_rows(x[None])[0] @ vecs(S)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-def test_unvecs_roundtrip():
-    rng = np.random.default_rng(1)
-    for n in (1, 2, 3, 5):
-        G = rng.standard_normal((n, n))
-        S = G + G.T
-        assert np.allclose(matkit.unvecs(matkit.vecs(S)), S, atol=1e-14)
-        v = rng.standard_normal(n * (n + 1) // 2)
-        assert np.allclose(matkit.vecs(matkit.unvecs(v)), v, atol=1e-14)
-
-
-def test_unvecs_rejects_bad_length():
-    with pytest.raises(DimensionMismatchError):
-        matkit.unvecs(np.arange(4.0))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_unvecs_matches_the_halving_rule_bit_for_bit(n):
-    # the cached factor 0.5 against the rule it replaced, v / 2.0 off the
-    # diagonal, on entries of every scale, subnormals and odd ones included
-    rng = np.random.default_rng(n)
-    v = rng.standard_normal(n * (n + 1) // 2) * 10.0 ** rng.integers(
-        -320, 300, n * (n + 1) // 2)
-    v[0] = 5e-324   # the smallest subnormal: halving it rounds to 0
-    i, j = np.triu_indices(n)
-    want = np.zeros((n, n))
-    want[i, j] = np.where(i == j, v, v / 2.0)
-    want[j, i] = want[i, j]
-    got = matkit.unvecs(v)
-    assert got.tobytes() == want.tobytes()
-    assert matkit._halving(n) is matkit._halving(n)
-    with pytest.raises(ValueError):
-        matkit._halving(n)[0] = 2.0
 
 
 def test_equilibrate_norms_match_linalg_norm_bit_for_bit():
@@ -110,24 +67,8 @@ def test_kron_vec_identity():
     for _ in range(200):
         x = rng.standard_normal(3)
         M = rng.standard_normal((3, 3))
-        got = np.kron(x, x) @ matkit.vec(M)
+        got = np.kron(x, x) @ vec(M)
         assert got == pytest.approx(x @ M @ x, rel=1e-12, abs=1e-12)
-
-
-def test_vec_unvec_roundtrip():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((3, 2))
-    assert np.array_equal(matkit.unvec(matkit.vec(M), 3, 2), M)
-    with pytest.raises(DimensionMismatchError,
-                       match=r"length 5 does not match shape \(3, 2\)"):
-        matkit.unvec(np.arange(5.0), 3, 2)
-
-
-def test_unvec_refuses_a_negative_shape():
-    # (-1) x (-1) has one entry, and numpy's reshape names neither size
-    with pytest.raises(DimensionMismatchError,
-                       match=r"length 1 does not match shape \(-1, -1\)"):
-        matkit.unvec([1.0], -1, -1)
 
 
 def test_spectral_radius_diagonal():

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
-from spilqr import lti, matkit, model_based, model_free, riccati
+from spilqr import benchmarks, lti, matkit, model_based, model_free, riccati
 from spilqr.exceptions import (
     DimensionMismatchError,
     InvalidProblemError,
@@ -18,7 +18,7 @@ from spilqr.exceptions import (
     UnstableScaledSystemError,
 )
 
-from conftest import POWER_K_REF, POWER_P_REF
+from conftest import POWER_K_REF, POWER_P_REF, vec, vecs
 
 K0_ZERO = np.zeros((1, 3))
 
@@ -63,7 +63,7 @@ def test_build_blocks_quadratic_form_rows(power_data):
     delta_xx = row_kron(power_data.states, power_data.states)
     for k in (0, 7, 29):
         x = power_data.states[k]
-        got = delta_xx[k] @ matkit.vec(M)
+        got = delta_xx[k] @ vec(M)
         assert got == pytest.approx(x @ M @ x, rel=1e-12, abs=1e-12)
 
 
@@ -137,6 +137,32 @@ def test_regression_data_compares_by_identity(power_system):
     assert len({a, b, a}) == 2
 
 
+# Two equal instances of each frozen record that holds arrays.
+RECORDS = {
+    "LinearSystem": benchmarks.power_plant,
+    "CostWeights": benchmarks.power_plant_weights,
+    "Trajectory": lambda: lti.Trajectory(np.ones((4, 3)), np.ones((3, 1))),
+    "AreSolution": lambda: riccati.AreSolution(POWER_P_REF, POWER_K_REF,
+                                               None, 1),
+    "SpiState": lambda: riccati.SpiState(0, POWER_K_REF, POWER_P_REF),
+    "SpiState-1x1": lambda: riccati.SpiState(0, np.eye(1), np.eye(1)),
+    "SpiReport": lambda: riccati.SpiReport(
+        [], [], riccati.AreSolution(POWER_P_REF, POWER_K_REF, None, 1), 1.0),
+    "RegressionSolution": lambda: model_free.RegressionSolution(
+        POWER_P_REF, np.zeros((3, 1)), np.eye(1)),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS))
+def test_records_compare_by_identity(record):
+    # a generated __eq__ compares the array fields, and raises on arrays
+    # of more than one entry; two equal records are two objects, so ==
+    # and hash work by identity, and never raise
+    a, b = RECORDS[record](), RECORDS[record]()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_regression_data_prints(power_data):
     # hypothesis prints a failing example's arguments with its own pretty
     # printer; the recording names its sizes, not the trajectory it drops
@@ -178,8 +204,7 @@ def test_theta_gamma_zero_gain_structure(power_data, power_weights):
     X, U = power_data.states, power_data.inputs
     assert np.allclose(theta[:, 6:9], -2 * cum**2 * row_kron(U, X))
     assert np.allclose(theta[:, 9:], -cum**2 * power_data.d_u)
-    assert np.allclose(gamma, row_kron(X, X) @ matkit.vec(
-        power_weights.Q))
+    assert np.allclose(gamma, row_kron(X, X) @ vec(power_weights.Q))
 
 
 def test_theta_gamma_rowwise_identity(power_system, power_weights,
@@ -187,7 +212,7 @@ def test_theta_gamma_rowwise_identity(power_system, power_weights,
     # the evaluation identity holds sample by sample at the true blocks
     cum = 1.0 / (matkit.spectral_radius(power_system.A) + 1.0)
     P, M, L = _true_blocks(power_system, power_weights, K0_ZERO, cum)
-    z = np.concatenate([matkit.vecs(P), matkit.vec(M), matkit.vecs(L)])
+    z = np.concatenate([vecs(P), vec(M), vecs(L)])
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, cum,
                                                    power_weights)
     assert np.abs(theta @ z + gamma).max() < 1e-8
@@ -214,7 +239,7 @@ def _gain_case(m):
 def test_theta_gamma_rowwise_identity_nonzero_gain(m):
     sys_d, weights, data, K, cum = _gain_case(m)
     P, M, L = _true_blocks(sys_d, weights, K, cum)
-    z = np.concatenate([matkit.vecs(P), matkit.vec(M), matkit.vecs(L)])
+    z = np.concatenate([vecs(P), vec(M), vecs(L)])
     theta, gamma = model_free.assemble_theta_gamma(data, K, cum, weights)
     assert np.abs(theta @ z + gamma).max() < 1e-9 * np.abs(gamma).max()
 
@@ -231,7 +256,7 @@ def test_theta_gamma_match_kronecker_formula(m):
         -2.0 * g2 * (delta_xx @ np.kron(K.T, np.eye(data.n)) + delta_ux),
         g2 * (matkit.vecv_rows(X @ K.T) - data.d_u),
     ])
-    want_gamma = delta_xx @ matkit.vec(weights.Q + K.T @ weights.R @ K)
+    want_gamma = delta_xx @ vec(weights.Q + K.T @ weights.R @ K)
     theta, gamma = model_free.assemble_theta_gamma(data, K, cum, weights)
     assert theta.shape == want_theta.shape
     assert np.abs(theta - want_theta).max() <= \
@@ -304,25 +329,39 @@ def test_regression_matches_lstsq_on_the_clean_sweep(sweep):
         theta, gamma = model_free.assemble_theta_gamma(
             data, case["K0"], 1.0, case["weights"])
         sol = model_free.solve_regression(theta, gamma, data.n, data.m)
-        z = np.concatenate([matkit.vecs(sol.P), matkit.vec(sol.M),
-                            matkit.vecs(sol.L)])
+        z = np.concatenate([vecs(sol.P), vec(sol.M), vecs(sol.L)])
         scaled, norms = matkit._equilibrate(theta)
         want = np.linalg.lstsq(scaled, -gamma, rcond=None)[0] / norms
         assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(want), i
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (4, 2), (8, 2)])
-def test_regression_unpacks_like_unvecs_and_unvec(n, m):
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 9)
+                                  for m in (1, 2)])
+def test_regression_unpacks_by_the_halving_rule_bit_for_bit(n, m):
     # an identity regressor returns -gamma exactly, so the unpacked blocks
-    # are the gather of z, which must be unvecs / unvec / unvecs bit for bit
+    # are the gather of z: P and L halve its off-diagonal entries, as
+    # v / 2.0 does, and M takes its columns; entries span 1e+-200 (near
+    # 1e+-300 dgelsy rescales the right-hand side, which moves its bits)
+    # and include subnormals, which halving rounds to 0
     p, n_p = model_free.unknown_count(n, m), n * (n + 1) // 2
-    z = np.random.default_rng(n * 10 + m).standard_normal(p)
+    rng = np.random.default_rng(n * 10 + m)
+    z = rng.standard_normal(p) * 10.0 ** rng.integers(-200, 200, p)
+    (i, j), (r, c) = np.triu_indices(n), np.triu_indices(m)
+    off = np.r_[i != j, np.zeros(n * m, bool), r != c]
+    z[np.flatnonzero(off)[::2]] = 5e-324   # the smallest subnormal
     sol = model_free.solve_regression(np.eye(p), -z, n, m)
-    want = (matkit.unvecs(z[:n_p]), matkit.unvec(z[n_p:n_p + n * m], n, m),
-            matkit.unvecs(z[n_p + n * m:]))
-    for got, block in zip((sol.P, sol.M, sol.L), want):
+    want_P, want_L = np.empty((n, n)), np.empty((m, m))
+    v, w = z[:n_p], z[n_p + n * m:]
+    want_P[i, j] = want_P[j, i] = np.where(i == j, v, v / 2.0)
+    want_L[r, c] = want_L[c, r] = np.where(r == c, w, w / 2.0)
+    want_M = z[n_p:n_p + n * m].reshape((n, m), order="F")
+    for got, block in zip((sol.P, sol.M, sol.L), (want_P, want_M, want_L)):
         assert got.shape == block.shape
-        assert np.array_equal(got, block)
+        assert got.tobytes() == block.tobytes()
+    for size in (n, m):
+        assert matkit._halving(size) is matkit._halving(size)
+        with pytest.raises(ValueError):
+            matkit._halving(size)[0] = 2.0
 
 
 def test_regression_uniqueness_by_perturbation(power_system, power_weights,
@@ -333,8 +372,7 @@ def test_regression_uniqueness_by_perturbation(power_system, power_weights,
     theta, gamma = model_free.assemble_theta_gamma(power_data, K0_ZERO, cum,
                                                    power_weights)
     sol = model_free.solve_regression(theta, gamma, 3, 1)
-    z = np.concatenate([matkit.vecs(sol.P), matkit.vec(sol.M),
-                        matkit.vecs(sol.L)])
+    z = np.concatenate([vecs(sol.P), vec(sol.M), vecs(sol.L)])
     base = np.linalg.norm(theta @ z + gamma)
     rng = np.random.default_rng(41)
     for _ in range(100):
@@ -911,8 +949,6 @@ ENTRY_POINTS = {
                      riccati.are_residual(s, w, P)),
     "optimal-gain": ("PQR", lambda s, w, d, K, P:
                      riccati.optimal_gain(s, w, P)),
-    "riccati-step": ("PQR", lambda s, w, d, K, P:
-                     riccati.riccati_step(s, w, P)),
 }
 MISMATCH_CASES = [(bad, solver) for solver, (takes, _) in ENTRY_POINTS.items()
                   for bad in takes]
@@ -1040,8 +1076,6 @@ REFUSALS = {
                        riccati.optimal_gain(s, w, spoil(POWER_P_REF, x))),
     "are-residual-P": (non_finite("P"), lambda s, w, d, x:
                        riccati.are_residual(s, w, spoil(POWER_P_REF, x))),
-    "riccati-step-P": (non_finite("P"), lambda s, w, d, x:
-                       riccati.riccati_step(s, w, spoil(POWER_P_REF, x))),
     "mb-K0": (non_finite("K0"), lambda s, w, d, x:
               model_based.spi_model_based(s, w, spoil(K0_ZERO, x))),
     "scaled-evaluation-K": (non_finite("K"), lambda s, w, d, x:
@@ -1121,7 +1155,7 @@ def lam_outside(x):
 X0 = [0.1, 0.1, 0.2]
 # Entries that take an input no NaN case above covers: a state or input
 # that simulate accepts when not finite (its rollout names the divergence),
-# the vectorization kernels, which take non-finite entries as they are,
+# the monomial kernel vecv_rows, which takes non-finite entries as they are,
 # the solvers' own real settings, and the probing input's frequency bounds.
 CONVERSION_REFUSALS = {
     "simulate-x0": (non_finite("x0"), lambda s, w, d, x:
@@ -1130,14 +1164,8 @@ CONVERSION_REFUSALS = {
     "simulate-policy-input": (non_finite("policy input"), lambda s, w, d, x:
                               lti.simulate(s, X0, lambda k, state:
                                            spoil([0.0], x), 1)),
-    "vec-M": (non_finite("M"), lambda s, w, d, x: matkit.vec(spoil(s.A, x))),
-    "unvec-v": (non_finite("v"), lambda s, w, d, x:
-                matkit.unvec(spoil(np.zeros(6), x), 3, 2)),
-    "vecv-z": (non_finite("z"), lambda s, w, d, x: matkit.vecv(spoil(X0, x))),
     "vecv-rows-Z": (non_finite("Z"), lambda s, w, d, x:
                     matkit.vecv_rows(spoil(np.ones((4, 3)), x))),
-    "unvecs-v": (non_finite("v"), lambda s, w, d, x:
-                 matkit.unvecs(spoil(np.zeros(6), x))),
     "hewer-tol": (not_positive("tol"), lambda s, w, d, x:
                   riccati.hewer_pi(s, w, POWER_K_REF, tol=x)),
     "vi-tol": (not_positive("tol"), lambda s, w, d, x:
@@ -1172,14 +1200,14 @@ REAL_SETTINGS = {
     "zoh-T", "rank-tol", "scaled-evaluation-cum", "scaled-improvement-cum",
     "choose-c-cum", "assemble-cum", "gain-update-cum", "search-b-b_init",
     "search-b-delta", *(entry for entry in CONVERSION_REFUSALS
-                        if not entry.startswith(("simulate-", "vec",
-                                                 "unvec")))}
+                        if not entry.startswith(("simulate-", "vecv-")))}
 HUGE = 10**400   # an integer beyond the largest double
 # A matrix entry no float array holds: ragged rows, which make any matrix
 # ragged, text and HUGE; and a setting that is not a real number.
 UNCONVERTIBLE = {"ragged": [[0.0], [0.0, 0.0]], "text": "x",
                  "huge-integer": HUGE}
-NOT_REAL = {"numeric-string": "0.5", "none": None, "huge-integer": HUGE}
+NOT_REAL = {"numeric-string": "0.5", "none": None, "huge-integer": HUGE,
+            "bool": True}
 CONVERSION_CASES = [
     (entry, label, x) for entry in {**REFUSALS, **CONVERSION_REFUSALS}
     for label, x in (NOT_REAL if entry in REAL_SETTINGS

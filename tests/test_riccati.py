@@ -449,12 +449,14 @@ def test_dare_reference_bound_is_relative_to_p(power_system,
 
 
 def riccati_step_recursion(sys_d, weights, tol):
-    """Value iteration spelled out with the public one-sweep function and
-    the stop of every solver."""
+    """Value iteration spelled out with the one-sweep kernel, on each
+    iterate as the matrix rule symmetrizes it, and the stop of every
+    solver."""
     P, last = np.zeros((sys_d.n, sys_d.n)), math.inf
     trace = []
     while True:
-        P_next, K = riccati.riccati_step(sys_d, weights, P)
+        P_next, K = riccati._sweep(sys_d.A, sys_d.B, weights.Q, weights.R,
+                                   matkit.check_symmetric(P))
         trace.append((P, K))
         stop, step = riccati._converged(P_next, P, last, tol)
         if stop:
@@ -499,28 +501,10 @@ def test_value_iteration_is_the_riccati_step_recursion_multi_input(corpus):
         assert_same_recursion(sys_d, weights)
 
 
-def test_riccati_step_sweeps_the_symmetrized_value_matrix(corpus):
-    # the gain and the next value matrix both come from the P that the
-    # matrix rule returns, so antisymmetric noise inside SYMMETRY_RTOL
-    # changes neither
-    rng = np.random.default_rng(8)
-    for case in corpus[:10]:
-        sys_d, weights = case["sys"], case["weights"]
-        P = riccati.dare_reference(sys_d, weights).P
-        E = rng.standard_normal(P.shape)
-        noisy = P + 1e-12 * np.abs(P).max() * (E - E.T)
-        step = riccati.riccati_step(sys_d, weights, noisy)
-        clean = riccati.riccati_step(sys_d, weights,
-                                     matkit.check_symmetric(noisy))
-        assert np.array_equal(step[0], clean[0])
-        assert np.array_equal(step[1], clean[1])
-
-
 @pytest.mark.parametrize("entry", [
-    riccati.optimal_gain, riccati.are_residual, riccati.riccati_step,
+    riccati.optimal_gain, riccati.are_residual,
     lambda s, w, P: model_based.scaled_policy_improvement(s, w, P, 0.5)],
-    ids=["optimal_gain", "are_residual", "riccati_step",
-         "scaled_policy_improvement"])
+    ids=["optimal_gain", "are_residual", "scaled_policy_improvement"])
 def test_value_matrix_passes_the_matrix_rule_once(power_system,
                                                   power_weights, monkeypatch,
                                                   entry):
