@@ -364,6 +364,24 @@ def test_regression_unpacks_by_the_halving_rule_bit_for_bit(n, m):
             matkit._halving(size)[0] = 2.0
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (4, 2), (8, 2)])
+def test_regression_unpacks_like_unvecs_and_unvec(n, m):
+    # an identity regressor returns -gamma exactly, so the gather must undo
+    # the packing [vecs(P); vec(M); vecs(L)] of known blocks bit for bit,
+    # as unvecs / unvec / unvecs of matkit's notation would
+    p = model_free.unknown_count(n, m)
+    rng = np.random.default_rng(n * 10 + m)
+    G, H = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    P, L = (G + G.T) / 2.0, (H + H.T) / 2.0
+    M = rng.standard_normal((n, m))
+    z = np.concatenate([vecs(P), vec(M), vecs(L)])
+    assert z.shape == (p,)
+    sol = model_free.solve_regression(np.eye(p), -z, n, m)
+    for got, block in zip((sol.P, sol.M, sol.L), (P, M, L)):
+        assert got.shape == block.shape
+        assert np.array_equal(got, block)
+
+
 def test_regression_uniqueness_by_perturbation(power_system, power_weights,
                                                power_data):
     # any nonzero perturbation of the solution strictly increases the
