@@ -471,7 +471,12 @@ def is_positive_definite(S):
 
 def is_positive_semidefinite(S):
     """Whether no eigenvalue of symmetric S is below ``-_threshold``."""
-    w = np.linalg.eigvalsh(check_symmetric(S, "S"))
+    return _semidefinite(check_symmetric(S, "S"))
+
+
+def _semidefinite(S):
+    """:func:`is_positive_semidefinite` of an ``S`` already checked."""
+    w = np.linalg.eigvalsh(S)
     return bool(np.all(w >= -_threshold(w)))
 
 

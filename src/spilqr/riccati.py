@@ -9,15 +9,16 @@ the loop :func:`_scaling_pi` of both scaling solvers and of
 Hewer's method (divisor 1), its records :class:`SpiState` and
 :class:`SpiReport` and its model-based step; value iteration, which
 converges from any positive semidefinite seed and is the tests' oracle;
-and :func:`dare_reference`, the CLI's checked Schur-method DARE solve.
+and :func:`dare_reference`, the CLI's checked Schur-method DARE solve,
+scipy's ``solve_discrete_are`` run as its LAPACK calls (:func:`_schur_dare`).
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
+from numpy.linalg import LinAlgError
 
 from . import matkit
 from .exceptions import (
@@ -194,9 +195,10 @@ def _residual(sys, weights, P, K):
 
 
 def _stabilizing(sys, weights, P, what):
-    """The gain ``K`` of ``P`` and its Riccati residual, once ``A - BK`` is
-    Schur stable; :class:`InvalidProblemError` naming ``what`` otherwise."""
-    K = optimal_gain(sys, weights, P)
+    """The gain ``K`` of a checked ``P`` and its Riccati residual, once ``A -
+    BK`` is Schur stable; :class:`InvalidProblemError` naming ``what``."""
+    BtP = sys.B.T @ P
+    K = _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
     rho = matkit.spectral_radius(sys.A - sys.B @ K)
     if rho >= 1.0:
         raise InvalidProblemError(f"{what} does not stabilize the plant "
@@ -421,7 +423,7 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
     _check_weights(weights, sys.n, sys.m)
     P = (np.zeros((sys.n, sys.n)) if P0 is None
          else matkit.check_symmetric(P0, "P0", sys.n))
-    if not matkit.is_positive_semidefinite(P):
+    if not matkit._semidefinite(P):
         raise InvalidProblemError("P0 must be positive semidefinite")
     A, B, Q, R = sys.A, sys.B, weights.Q, weights.R
     trace, last = [], math.inf
@@ -447,15 +449,72 @@ def value_iteration(sys, weights, P0=None, tol=1e-10, max_iter=100_000):
                        trace=trace)
 
 
+def _schur_dare(A, B, Q, R):
+    """``scipy.linalg.solve_discrete_are(A, B, Q, R)`` bit for bit, as its
+    LAPACK calls for real data, each made as scipy's wrappers make it: the
+    pencil balanced (``dgebal``) and deflated (``dgeqrf``, ``dorgqr``), its
+    QZ form (``dgges``, ``dtgsen``), and ``u10 u00^-1`` (``dgetrf``,
+    ``dtrtrs``).  No argument checks; ``LinAlgError`` with scipy's texts,
+    and by name where a QZ step fails (scipy only warns of ``dgges``'s)."""
+    lapack, (n, m) = scipy.linalg.lapack, B.shape
+    H = np.zeros((2 * n + m, 2 * n + m))
+    H[:n, :n], H[:n, 2 * n:], H[n:2 * n, :n] = A, B, -Q
+    H[n:2 * n, n:2 * n], H[2 * n:, 2 * n:] = np.eye(n), R
+    J = np.zeros_like(H)
+    J[:n, :n], J[n:2 * n, n:2 * n], J[2 * n:, n:2 * n] = np.eye(n), A.T, -B.T
+    M = np.abs(H) + np.abs(J)
+    np.fill_diagonal(M, 0.0)
+    sca = lapack.dgebal(M, scale=1, permute=0)[3]
+    if (sca != 1.0).any():   # scipy's allclose test: dgebal scales by 2^k
+        sca = np.log2(sca)
+        s = np.round((sca[n:2 * n] - sca[:n]) / 2)
+        sca = 2 ** np.concatenate((s, -s, sca[2 * n:]))
+        H *= sca[:, None] * np.reciprocal(sca)
+        J *= sca[:, None] * np.reciprocal(sca)
+    def lwork(f, *args):   # the workspace query of scipy's wrappers
+        return int(f(*args, lwork=-1)[-2][0])
+    Z, C = np.empty_like(H), H[:, -m:]
+    Z[:, :m], tau = lapack.dgeqrf(C, lwork=lwork(lapack.dgeqrf, C))[:2]
+    Z = lapack.dorgqr(Z, tau, lwork=lwork(lapack.dorgqr, Z, tau),
+                      overwrite_a=1)[0][:, m:].T
+    H, J = Z.dot(H[:, :2 * n]), Z.dot(J[:, :2 * n])
+    *qz, info = lapack.dgges(lambda x: None, H, J, sort_t=0, overwrite_a=1,
+                             overwrite_b=1,
+                             lwork=lwork(lapack.dgges, lambda x: None, H, J))
+    if info:
+        raise LinAlgError(f"QZ iteration failed (dgges info {info})")
+    alphar, alphai, beta = qz[3:6]
+    select, finite = np.zeros(2 * n, dtype=bool), beta != 0
+    select[finite] = abs((alphar + alphai * 1j)[finite] / beta[finite]) < 1.0
+    *_, u, _, _, _, _, info = lapack.dtgsen(select, *qz[:2], *qz[6:8], ijob=0,
+                                            lwork=8 * n + 16, liwork=1)
+    if info:
+        raise LinAlgError(f"QZ reordering failed (dtgsen info {info})")
+    u00, u10 = u[:n, :n], u[n:, :n]
+    lu, piv, _ = lapack.dgetrf(u00)
+    if 1 / np.linalg.cond(np.triu(lu)) < np.spacing(1.0):
+        raise LinAlgError("Failed to find a finite solution.")
+    # scipy's factors are C-ordered, so its dtrtrs calls read lu.T
+    y = lapack.dtrtrs(lu.T, lapack.dtrtrs(lu.T, u10.T, lower=1)[0],
+                      unitdiag=1)[0]
+    x = y.T.dot(lapack.dlaswp(np.eye(n), piv)) * (sca[:n, None] * sca[:n])
+    u_sym = u00.T.dot(u10)
+    threshold = max(np.spacing(1000.0), 0.1 * np.abs(u_sym).sum(0).max())
+    if np.abs(u_sym - u_sym.T).sum(0).max() > threshold:
+        raise LinAlgError("The associated symplectic pencil has eigenvalues "
+                          "too close to the unit circle")
+    return (x + x.T) / 2
+
+
 def dare_reference(sys, weights):
     """Optimal pair from one Schur-method solve of the discrete ARE.
 
-    Calls ``scipy.linalg.solve_discrete_are`` (the generalized Schur
-    method of Laub and of Arnold & Laub) and verifies the result before
-    returning it: ``P`` is finite and positive semidefinite, the gain it
-    induces makes ``A - BK`` Schur stable, and the Riccati residual is at
-    most ``DARE_RESIDUAL_RTOL * ||P||_F``.  ``iterations`` is 0:
-    the solve is direct.
+    Runs ``scipy.linalg.solve_discrete_are`` (the generalized Schur method
+    of Laub and of Arnold & Laub) as its LAPACK calls, :func:`_schur_dare`,
+    and checks the result once before returning it: ``P`` is finite and
+    positive semidefinite, the gain it induces makes ``A - BK`` Schur
+    stable, and the Riccati residual is at most ``DARE_RESIDUAL_RTOL *
+    ||P||_F``.  ``iterations`` is 0: the solve is direct.
 
     Raises
     ------
@@ -466,13 +525,12 @@ def dare_reference(sys, weights):
     """
     _check_weights(weights, sys.n, sys.m)
     try:
-        P = scipy.linalg.solve_discrete_are(sys.A, sys.B, weights.Q,
-                                            weights.R)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        P = _schur_dare(sys.A, sys.B, weights.Q, weights.R)
+    except LinAlgError as exc:
         raise InvalidProblemError(
             f"DARE solve failed, no stabilizing solution: {exc}") from exc
     P = matkit.check_symmetric(P, "DARE solution", sys.n)
-    if not matkit.is_positive_semidefinite(P):
+    if not matkit._semidefinite(P):
         raise InvalidProblemError("DARE solution is not positive semidefinite")
     K, residual = _stabilizing(sys, weights, P, "DARE solution")
     bound = DARE_RESIDUAL_RTOL * float(np.linalg.norm(P, "fro"))

@@ -401,11 +401,50 @@ def test_dare_reference_matches_value_iteration(power_system, power_weights,
 @pytest.mark.parametrize("Q", [np.eye(2), np.diag([0.0, 1.0])],
                          ids=["mode-weighted", "mode-unweighted"])
 def test_dare_reference_rejects_unstabilizable_plant(Q):
-    # the first mode (1.5) is unstable and the input cannot reach it
+    # the first mode (1.5) is unstable and the input cannot reach it;
+    # the refusal is scipy's, by its text, and warns of nothing
     sys_d = lti.LinearSystem(np.diag([1.5, 0.5]), np.array([[0.0], [1.0]]))
     weights = lti.CostWeights(Q, np.eye(1))
-    with pytest.raises(InvalidProblemError, match="no stabilizing"):
+    text = r"Failed to find a finite solution\."
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{text}$"):
+        scipy.linalg.solve_discrete_are(sys_d.A, sys_d.B, Q, np.eye(1))
+    with pytest.raises(InvalidProblemError,
+                       match=f"^DARE solve failed, no stabilizing solution: "
+                             f"{text}$"):
         riccati.dare_reference(sys_d, weights)
+
+
+def test_schur_dare_is_scipy_to_the_bit(power_system, power_weights, sweep,
+                                        wide_sweep):
+    # the kernel runs solve_discrete_are's LAPACK calls: the same P, bit
+    # for bit, on every plant where scipy answers, balanced or not
+    cases = [(power_system, scale * power_weights.Q, scale * power_weights.R)
+             for scale in (1.0, 1e-13)]
+    cases += [(case["sys"], case["weights"].Q, case["weights"].R)
+              for case in sweep]
+    cases += [(sys_d, weights.Q, weights.R)
+              for sys_d, weights, _ in wide_sweep if sys_d.n <= 20]
+    for sys_d, Q, R in cases:
+        P = scipy.linalg.solve_discrete_are(sys_d.A, sys_d.B, Q, R)
+        assert np.array_equal(riccati._schur_dare(sys_d.A, sys_d.B, Q, R), P)
+    assert len(cases) == 2 + 150 + 507
+
+
+def test_dare_reference_refuses_a_failed_qz_iteration(power_system,
+                                                      power_weights,
+                                                      monkeypatch):
+    # scipy warns and goes on when dgges reports a failed QZ iteration;
+    # the reference refuses it by name, with no warning
+    dgges = scipy.linalg.lapack.dgges
+
+    def failing(*args, **kwargs):
+        *result, info = dgges(*args, **kwargs)
+        return (*result, 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgges", failing)
+    with pytest.raises(InvalidProblemError,
+                       match=r"QZ iteration failed \(dgges info 1\)"):
+        riccati.dare_reference(power_system, power_weights)
 
 
 def test_value_iteration_refuses_a_gain_that_does_not_stabilize():
@@ -432,8 +471,7 @@ def test_value_iteration_refuses_a_gain_that_does_not_stabilize():
 def test_dare_reference_verifies_the_solve(power_system, power_weights,
                                            monkeypatch, bad_P, reason):
     P_opt = riccati.dare_reference(power_system, power_weights).P
-    monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
-                        lambda *args: bad_P(P_opt))
+    monkeypatch.setattr(riccati, "_schur_dare", lambda *args: bad_P(P_opt))
     with pytest.raises(InvalidProblemError, match=reason):
         riccati.dare_reference(power_system, power_weights)
 
@@ -501,14 +539,19 @@ def test_value_iteration_is_the_riccati_step_recursion_multi_input(corpus):
         assert_same_recursion(sys_d, weights)
 
 
-@pytest.mark.parametrize("entry", [
-    riccati.optimal_gain, riccati.are_residual,
-    lambda s, w, P: model_based.scaled_policy_improvement(s, w, P, 0.5)],
-    ids=["optimal_gain", "are_residual", "scaled_policy_improvement"])
+@pytest.mark.parametrize("entry, expected", [
+    (riccati.optimal_gain, ["P"]), (riccati.are_residual, ["P"]),
+    (lambda s, w, P: model_based.scaled_policy_improvement(s, w, P, 0.5),
+     ["P"]),
+    (lambda s, w, P: riccati.dare_reference(s, w), ["DARE solution"]),
+    (lambda s, w, P: riccati.value_iteration(s, w, P0=np.eye(3)), ["P0"])],
+    ids=["optimal_gain", "are_residual", "scaled_policy_improvement",
+         "dare_reference", "value_iteration"])
 def test_value_matrix_passes_the_matrix_rule_once(power_system,
                                                   power_weights, monkeypatch,
-                                                  entry):
-    # one _as_matrix call per entry, whatever else it asks of P
+                                                  entry, expected):
+    # one _as_matrix call per value matrix, whatever else is asked of it;
+    # value iteration's sweeps keep P finite and exactly symmetric
     names = []
     as_matrix = matkit._as_matrix
 
@@ -518,7 +561,7 @@ def test_value_matrix_passes_the_matrix_rule_once(power_system,
 
     monkeypatch.setattr(matkit, "_as_matrix", counting)
     entry(power_system, power_weights, POWER_P_REF)
-    assert names == ["P"]
+    assert names == expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
