@@ -59,7 +59,7 @@ class CostWeights:
     def __post_init__(self):
         Q = matkit.check_symmetric(self.Q, "Q")
         R = matkit.check_symmetric(self.R, "R")
-        if not matkit.is_positive_semidefinite(Q):
+        if not matkit._semidefinite(Q):
             raise InvalidProblemError("Q must be positive semidefinite")
         if not matkit.is_positive_definite(R):
             raise InvalidProblemError("R must be positive definite")
@@ -198,7 +198,6 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     def policy(k, x):
         return np.sin(omega * k).sum(axis=1)
 
-    policy.frequencies = omega
     return policy
 
 

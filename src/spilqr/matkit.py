@@ -1,39 +1,21 @@
 """Dense real-matrix kernels used by every solver module.
 
-Provides rows of quadratic-form monomials, spectral radius, numerical
-rank, the complex Schur form with the spectral radius read off it, and
-a discrete Lyapunov solver whose kernel is chosen by the state
-dimension: up to ``KRONECKER_MAX_N`` states, one real LU of the n^2 x
-n^2 Kronecker system (O(n^6)); above it, the modal solve on one
-eigendecomposition (O(n^3)) with one correction on the same factor,
-gated by the eigenvectors' conditioning and by its own residual, with
-the Bartels-Stewart back-substitution on the complex Schur form as its
-fallback.  All functions are pure and operate on plain ``numpy``
-arrays.
+Provides spectral radius, numerical rank, the complex Schur form with
+the spectral radius read off it, and a discrete Lyapunov solver whose
+kernel is chosen by the state dimension: up to ``KRONECKER_MAX_N``
+states, one real LU of the n^2 x n^2 Kronecker system (O(n^6)); above
+it, the modal solve on one eigendecomposition (O(n^3)) with one
+correction on the same factor, gated by the eigenvectors' conditioning
+and by its own residual, with the Bartels-Stewart back-substitution on
+the complex Schur form as its fallback.  All functions are pure and
+operate on plain ``numpy`` arrays.
 
 It also holds the package's input rules: :func:`_as_float`, the one
 conversion of outside input into a float array, with which the matrix
 rule :func:`_as_matrix` starts, and the setting rules
-:func:`_check_budget` and :func:`_check_positive`.  :func:`vecv_rows`
-converts by :func:`_as_float` too, and takes non-finite entries.
-
-Conventions
------------
-The data-driven regression (``model_free``) packs its unknowns in this
-notation.  ``vecs(S)`` is the upper triangle of a symmetric matrix row
-by row, diagonal entries once and off-diagonal entries doubled::
-
-    vecs(S) = [s11, 2 s12, ..., 2 s1n, s22, 2 s23, ..., snn]
-
-``vecv(z)`` lists the monomials ``z_i z_j`` for ``i <= j`` in the same
-ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``;
-:func:`vecv_rows` gives it for each row of a matrix.
-
-``vec(M)`` stacks columns (Fortran order), matching the identity
-``(y' ⊗ x') vec(M) == x' M y``.
+:func:`_check_budget` and :func:`_check_positive`.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -49,9 +31,8 @@ from .exceptions import (
 )
 
 __all__ = [
-    "vecv_rows", "spectral_radius", "numerical_rank", "schur",
-    "solve_discrete_lyapunov", "check_symmetric",
-    "is_positive_definite", "is_positive_semidefinite", "sym_sqrt",
+    "spectral_radius", "numerical_rank", "schur", "solve_discrete_lyapunov",
+    "check_symmetric", "is_positive_definite", "sym_sqrt",
 ]
 
 # Reject Lyapunov factors closer to the unit circle than this; beyond it
@@ -158,34 +139,6 @@ def check_symmetric(S, name="matrix", n=None):
     if np.abs(S - S.T).max() > SYMMETRY_RTOL * np.abs(S).max():
         raise InvalidProblemError(f"{name} is not symmetric")
     return (S + S.T) / 2.0
-
-
-@functools.cache
-def _triu_indices(n):
-    """Row-major upper-triangle indices of an ``n x n`` matrix, built once
-    per size and shared read-only."""
-    i, j = np.triu_indices(n)
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
-
-
-@functools.cache
-def _halving(n):
-    """Per packed entry of an ``n x n`` matrix, 1 on the diagonal and 0.5
-    off it: the factor that undoes ``vecs``'s doubling, built once per
-    size and shared read-only.  ``v * 0.5`` is ``v / 2.0`` to the bit."""
-    i, j = _triu_indices(n)
-    h = np.where(i == j, 1.0, 0.5)
-    h.flags.writeable = False
-    return h
-
-
-def vecv_rows(Z):
-    """Row-wise ``vecv`` of an ``l x n`` array; returns ``l x n(n+1)/2``."""
-    Z = _as_float(Z, "Z")
-    i, j = _triu_indices(Z.shape[1])
-    return Z[:, i] * Z[:, j]
 
 
 def spectral_radius(A):
@@ -469,13 +422,9 @@ def is_positive_definite(S):
     return bool(np.all(w > _threshold(w)))
 
 
-def is_positive_semidefinite(S):
-    """Whether no eigenvalue of symmetric S is below ``-_threshold``."""
-    return _semidefinite(check_symmetric(S, "S"))
-
-
 def _semidefinite(S):
-    """:func:`is_positive_semidefinite` of an ``S`` already checked."""
+    """Whether no eigenvalue of symmetric ``S``, already checked, is below
+    ``-_threshold``."""
     w = np.linalg.eigvalsh(S)
     return bool(np.all(w >= -_threshold(w)))
 

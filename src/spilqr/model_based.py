@@ -49,8 +49,8 @@ def scaled_policy_improvement(sys, weights, P, cum):
     At ``cum == 1`` this is the ordinary policy-improvement step.
     """
     riccati._check_weights(weights, sys.n, sys.m)
-    BtP = sys.B.T @ matkit.check_symmetric(P, "P", sys.n)
-    return riccati._improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R, cum)
+    return riccati._greedy_gain(sys.A, sys.B, weights.R,
+                                matkit.check_symmetric(P, "P", sys.n), cum)
 
 
 def choose_c(sys, K_next, cum, lam):

@@ -8,6 +8,18 @@ value matrix ``P`` together with the auxiliary blocks ``M = A'PB`` and
 trajectory is collected once under probing input, certified once
 (:class:`RegressionData`) and reused by every iteration (off-policy).
 
+The unknowns are packed as ``z = [vecs(P); vec(M); vecs(L)]``.
+``vecs(S)`` is the upper triangle of a symmetric matrix row by row,
+diagonal entries once and off-diagonal entries doubled::
+
+    vecs(S) = [s11, 2 s12, ..., 2 s1n, s22, 2 s23, ..., snn]
+
+``vecv(z)`` lists the monomials ``z_i z_j`` for ``i <= j`` in the same
+ordering, squares un-doubled, so that ``vecv(x) @ vecs(S) == x' S x``;
+:func:`_vecv_rows` gives it for each row of a matrix.  ``vec(M)``
+stacks columns (Fortran order), so that ``(y' ⊗ x') vec(M) == x' M y``;
+:func:`_row_kron` gives those rows.
+
 The regressor's columns are divided by their 2-norms, so the units of
 the recording change neither its rank test nor its solution, which is
 one LAPACK ``dgelsy`` (pivoted QR).  The divisor ``b`` is found by
@@ -75,10 +87,10 @@ class RegressionData:
                 raise InvalidProblemError(
                     f"{name} exceed {lti.DIVERGENCE_LIMIT:g} in magnitude; "
                     f"the recording diverged")
-        V = matkit.vecv_rows(X)
+        V = _vecv_rows(X)
         for name, block in (("states", X[:-1].copy()), ("inputs", U.copy()),
                             ("d_x", V[:-1]), ("D_x", V[1:]),
-                            ("d_u", matkit.vecv_rows(U))):
+                            ("d_u", _vecv_rows(U))):
             object.__setattr__(self, name, block)
         if not check_rank_condition(self):
             unknowns = unknown_count(self.n, self.m)
@@ -113,6 +125,22 @@ class RegressionSolution:
     P: np.ndarray
     M: np.ndarray
     L: np.ndarray
+
+
+@functools.cache
+def _triu_indices(n):
+    """Row-major upper-triangle indices of an ``n x n`` matrix, the order of
+    ``vecs`` and ``vecv``, built once per size and shared read-only."""
+    i, j = np.triu_indices(n)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
+def _vecv_rows(Z):
+    """Row ``k`` is ``vecv(Z[k])``, for a float ``l x n`` array ``Z``."""
+    i, j = _triu_indices(Z.shape[1])
+    return Z[:, i] * Z[:, j]
 
 
 def _row_kron(V, X):
@@ -153,7 +181,7 @@ def assemble_theta_gamma(data, K, cum, weights):
     theta = np.concatenate([
         g2 * data.D_x - data.d_x,
         -2.0 * g2 * _row_kron(data.inputs + XKt, X),
-        g2 * (matkit.vecv_rows(XKt) - data.d_u),
+        g2 * (_vecv_rows(XKt) - data.d_u),
     ], axis=1)
     XW = X @ (weights.Q + K.T @ weights.R @ K)
     XW *= X
@@ -194,17 +222,18 @@ def solve_regression(theta, gamma, n, m):
 def _regression_setup(l, n, m):
     """Per shape, built once and read-only: ``dgelsy``'s ``rcond`` and lwork,
     and the gather and factor that unpack ``z = [vecs(P); vec(M);
-    vecs(L)]`` (``matkit``'s notation): the halving of ``vecs``'s
-    doubled entries, then ``P``, ``M`` and ``L`` by index."""
+    vecs(L)]``: the halving of ``vecs``'s doubled entries (``v * 0.5`` is
+    ``v / 2.0`` to the bit), then ``P``, ``M`` and ``L`` by index."""
     p, n_p = unknown_count(n, m), n * (n + 1) // 2
     rcond = np.finfo(float).eps * max(l, p)
     lwork = int(scipy.linalg.lapack.dgelsy_lwork(l, p, 1, rcond)[0])
-    (i, j), (r, c) = matkit._triu_indices(n), matkit._triu_indices(m)
+    (i, j), (r, c) = _triu_indices(n), _triu_indices(m)
     P, L = np.empty((n, n), np.intp), np.empty((m, m), np.intp)
     P[i, j] = P[j, i] = np.arange(n_p)
     L[r, c] = L[c, r] = np.arange(n_p + n * m, p)
     index = (P, n_p + np.arange(n * m).reshape((n, m), order="F"), L)
-    halving = np.r_[matkit._halving(n), np.ones(n * m), matkit._halving(m)]
+    halving = np.r_[np.where(i == j, 1.0, 0.5), np.ones(n * m),
+                    np.where(r == c, 1.0, 0.5)]
     for a in (*index, halving):
         a.flags.writeable = False
     return rcond, lwork, index, halving

@@ -172,6 +172,13 @@ def _improved_gain(L, N, R, cum=1.0):
     return _solve_gain(L + R / cum**2, N)
 
 
+def _greedy_gain(A, B, R, P, cum=1.0):
+    """:func:`_improved_gain` of a symmetric ``P`` on the plant ``(A, B)``:
+    ``BtP = B'P``, then ``L = BtP B`` and ``N = BtP A``."""
+    BtP = B.T @ P
+    return _improved_gain(BtP @ B, BtP @ A, R, cum)
+
+
 def _sweep(A, B, Q, R, P):
     """``Q + A'P(A - BK)`` exactly symmetrized, and ``K = (R + B'PB)^{-1}
     B'PA``, for a symmetric ``P``; ``.dot`` is ``@`` at half the overhead."""
@@ -184,8 +191,8 @@ def _sweep(A, B, Q, R, P):
 def optimal_gain(sys, weights, P):
     """Feedback gain ``(R + B'PB)^{-1} B'PA`` induced by a value matrix."""
     _check_weights(weights, sys.n, sys.m)
-    BtP = sys.B.T @ matkit.check_symmetric(P, "P", sys.n)
-    return _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
+    return _greedy_gain(sys.A, sys.B, weights.R,
+                        matkit.check_symmetric(P, "P", sys.n))
 
 
 def _residual(sys, weights, P, K):
@@ -197,8 +204,7 @@ def _residual(sys, weights, P, K):
 def _stabilizing(sys, weights, P, what):
     """The gain ``K`` of a checked ``P`` and its Riccati residual, once ``A -
     BK`` is Schur stable; :class:`InvalidProblemError` naming ``what``."""
-    BtP = sys.B.T @ P
-    K = _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
+    K = _greedy_gain(sys.A, sys.B, weights.R, P)
     rho = matkit.spectral_radius(sys.A - sys.B @ K)
     if rho >= 1.0:
         raise InvalidProblemError(f"{what} does not stabilize the plant "
@@ -210,8 +216,7 @@ def are_residual(sys, weights, P):
     """Frobenius norm of ``A'PA - P - A'PB (R + B'PB)^{-1} B'PA + Q``."""
     _check_weights(weights, sys.n, sys.m)
     P = matkit.check_symmetric(P, "P", sys.n)
-    BtP = sys.B.T @ P
-    K = _improved_gain(BtP @ sys.B, BtP @ sys.A, weights.R)
+    K = _greedy_gain(sys.A, sys.B, weights.R, P)
     return _residual(sys, weights, P, K)
 
 
@@ -287,8 +292,7 @@ def _model_step(sys, weights, K0, lam):
             factor = matkit._stein_factor(A - B @ K)
         W = Q + K.T @ R @ K
         P = _evaluate(factor, (W + W.T) / 2.0, cum)
-        BtP = B.T @ P   # P comes out of the solve exactly symmetric
-        K_next = _improved_gain(BtP @ B, BtP @ A, R, cum)
+        K_next = _greedy_gain(A, B, R, P, cum)   # P exactly symmetric
         rho = factor[2]
         factor = matkit._stein_factor(A - B @ K_next) if cum < 1.0 else None
         c = _interior_factor(cum * factor[2], lam) if cum < 1.0 else 1.0

@@ -209,7 +209,7 @@ def test_criterion_8_kernel_property_sweep():
         G = rng.standard_normal((n, n))
         S = G + G.T
         x = rng.standard_normal(n)
-        lhs = matkit.vecv_rows(x[None])[0] @ vecs(S)
+        lhs = model_free._vecv_rows(x[None])[0] @ vecs(S)
         rhs = x @ S @ x
         if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
             quad_ok = False

@@ -217,9 +217,12 @@ def test_exploration_input_channels_independent():
 
 def test_exploration_frequencies_uniform():
     # KS test at alpha = 0.01 on 1e5 frequency draws
+    # that the policy sums sin(w k) over, replayed from its seed
     policy = lti.exploration_input(1, num_terms=100_000, seed=14)
-    draws = policy.frequencies.ravel()
-    stat = scipy.stats.kstest(draws, scipy.stats.uniform(-10, 20).cdf)
+    omega = np.random.default_rng(14).uniform(-10.0, 10.0, (1, 100_000))
+    for k in (1, 2, 7):
+        assert np.array_equal(policy(k, None), np.sin(omega * k).sum(axis=1))
+    stat = scipy.stats.kstest(omega.ravel(), scipy.stats.uniform(-10, 20).cdf)
     assert stat.pvalue > 0.01
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spilqr import lti, matkit
+from spilqr import lti, matkit, model_free
 from spilqr.exceptions import (
     DimensionMismatchError,
     IllConditionedError,
@@ -15,12 +15,15 @@ from spilqr.exceptions import (
 from conftest import POWER_A_REF, POWER_RHO_OPEN, vec, vecs
 
 
+# the regression's monomial kernel, private to model_free
 def test_vecv_basis_vector():
-    assert np.array_equal(matkit.vecv_rows([[1.0, 0.0]]), [[1.0, 0.0, 0.0]])
+    assert np.array_equal(model_free._vecv_rows(np.array([[1.0, 0.0]])),
+                          [[1.0, 0.0, 0.0]])
 
 
 def test_vecv_monomials():
-    assert np.array_equal(matkit.vecv_rows([[2.0, 3.0]]), [[4.0, 6.0, 9.0]])
+    assert np.array_equal(model_free._vecv_rows(np.array([[2.0, 3.0]])),
+                          [[4.0, 6.0, 9.0]])
 
 
 def test_vecs_vecv_quadratic_form():
@@ -30,7 +33,7 @@ def test_vecs_vecv_quadratic_form():
         S = G + G.T
         x = rng.standard_normal(3)
         expected = x @ S @ x
-        got = matkit.vecv_rows(x[None])[0] @ vecs(S)
+        got = model_free._vecv_rows(x[None])[0] @ vecs(S)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -597,9 +600,9 @@ def test_is_positive_definite():
 
 
 def test_is_positive_semidefinite():
-    assert matkit.is_positive_semidefinite(np.eye(2))
-    assert matkit.is_positive_semidefinite(np.diag([1.0, 0.0]))
-    assert not matkit.is_positive_semidefinite(np.diag([1.0, -0.1]))
+    assert matkit._semidefinite(np.eye(2))
+    assert matkit._semidefinite(np.diag([1.0, 0.0]))
+    assert not matkit._semidefinite(np.diag([1.0, -0.1]))
 
 
 def test_definiteness_threshold_scales_with_largest_eigenvalue():
@@ -609,8 +612,8 @@ def test_definiteness_threshold_scales_with_largest_eigenvalue():
     tol = matkit.PD_RTOL * big
     assert matkit.is_positive_definite(np.diag([big, 2.0 * tol]))
     assert not matkit.is_positive_definite(np.diag([big, 0.5 * tol]))
-    assert matkit.is_positive_semidefinite(np.diag([big, -0.5 * tol]))
-    assert not matkit.is_positive_semidefinite(np.diag([big, -2.0 * tol]))
+    assert matkit._semidefinite(np.diag([big, -0.5 * tol]))
+    assert not matkit._semidefinite(np.diag([big, -2.0 * tol]))
     assert np.array_equal(matkit.sym_sqrt(np.diag([big, -0.5 * tol])),
                           np.diag([1e3, 0.0]))
     with pytest.raises(InvalidProblemError):
@@ -641,7 +644,7 @@ def test_thresholds_are_relative_at_every_scale(scale):
     # positive scale are judged alike, however small the scale
     assert matkit.is_positive_definite(scale * np.diag([1.0, 1e-9]))
     assert not matkit.is_positive_definite(scale * np.diag([1.0, 1e-11]))
-    assert not matkit.is_positive_semidefinite(scale * np.diag([1.0, -1e-9]))
+    assert not matkit._semidefinite(scale * np.diag([1.0, -1e-9]))
     with pytest.raises(InvalidProblemError, match="S is not symmetric"):
         matkit.check_symmetric(scale * np.array([[1.0, 1e-9], [0.0, 1.0]]),
                                "S")
@@ -674,8 +677,8 @@ def test_check_symmetric_of_a_given_size():
 
 
 def test_triu_indices_built_once_and_read_only():
-    i, j = matkit._triu_indices(4)
-    assert matkit._triu_indices(4)[0] is i
+    i, j = model_free._triu_indices(4)
+    assert model_free._triu_indices(4)[0] is i
     assert np.array_equal(i, np.triu_indices(4)[0])
     assert np.array_equal(j, np.triu_indices(4)[1])
     with pytest.raises(ValueError):

@@ -254,7 +254,7 @@ def test_theta_gamma_match_kronecker_formula(m):
     want_theta = np.hstack([
         g2 * data.D_x - data.d_x,
         -2.0 * g2 * (delta_xx @ np.kron(K.T, np.eye(data.n)) + delta_ux),
-        g2 * (matkit.vecv_rows(X @ K.T) - data.d_u),
+        g2 * (model_free._vecv_rows(X @ K.T) - data.d_u),
     ])
     want_gamma = delta_xx @ vec(weights.Q + K.T @ weights.R @ K)
     theta, gamma = model_free.assemble_theta_gamma(data, K, cum, weights)
@@ -335,6 +335,27 @@ def test_regression_matches_lstsq_on_the_clean_sweep(sweep):
         assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(want), i
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_kernel_follows_vecs_at_every_size(n):
+    # the regression runs at n = 3 (the power plant) and at n = 8: at every
+    # size up to 8, _triu_indices walks the upper triangle row by row, the
+    # order of conftest's vecs, and vecv(x) @ vecs(S) is x'Sx
+    i, j = model_free._triu_indices(n)
+    rows = [(a, b) for a in range(n) for b in range(a, n)]
+    assert list(zip(i.tolist(), j.tolist())) == rows
+    S = np.arange(1.0, n * n + 1).reshape(n, n)
+    S = S + S.T
+    assert vecs(S).tolist() == [S[a, b] * (1 if a == b else 2)
+                                for a, b in rows]
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        G = rng.standard_normal((n, n))
+        S = G + G.T
+        x = rng.standard_normal(n)
+        got = model_free._vecv_rows(x[None])[0] @ vecs(S)
+        assert got == pytest.approx(x @ S @ x, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 9)
                                   for m in (1, 2)])
 def test_regression_unpacks_by_the_halving_rule_bit_for_bit(n, m):
@@ -358,10 +379,14 @@ def test_regression_unpacks_by_the_halving_rule_bit_for_bit(n, m):
     for got, block in zip((sol.P, sol.M, sol.L), (want_P, want_M, want_L)):
         assert got.shape == block.shape
         assert got.tobytes() == block.tobytes()
-    for size in (n, m):
-        assert matkit._halving(size) is matkit._halving(size)
+    # the gather and the halving are built once per shape, read-only
+    setup = model_free._regression_setup(p, n, m)
+    assert model_free._regression_setup(p, n, m) is setup
+    _, _, index, halving = setup
+    for a in (*index, halving):
+        assert not a.flags.writeable
         with pytest.raises(ValueError):
-            matkit._halving(size)[0] = 2.0
+            a.flat[0] = 0
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (4, 2), (8, 2)])
@@ -1173,7 +1198,6 @@ def lam_outside(x):
 X0 = [0.1, 0.1, 0.2]
 # Entries that take an input no NaN case above covers: a state or input
 # that simulate accepts when not finite (its rollout names the divergence),
-# the monomial kernel vecv_rows, which takes non-finite entries as they are,
 # the solvers' own real settings, and the probing input's frequency bounds.
 CONVERSION_REFUSALS = {
     "simulate-x0": (non_finite("x0"), lambda s, w, d, x:
@@ -1182,8 +1206,6 @@ CONVERSION_REFUSALS = {
     "simulate-policy-input": (non_finite("policy input"), lambda s, w, d, x:
                               lti.simulate(s, X0, lambda k, state:
                                            spoil([0.0], x), 1)),
-    "vecv-rows-Z": (non_finite("Z"), lambda s, w, d, x:
-                    matkit.vecv_rows(spoil(np.ones((4, 3)), x))),
     "hewer-tol": (not_positive("tol"), lambda s, w, d, x:
                   riccati.hewer_pi(s, w, POWER_K_REF, tol=x)),
     "vi-tol": (not_positive("tol"), lambda s, w, d, x:
@@ -1218,7 +1240,7 @@ REAL_SETTINGS = {
     "zoh-T", "rank-tol", "scaled-evaluation-cum", "scaled-improvement-cum",
     "choose-c-cum", "assemble-cum", "gain-update-cum", "search-b-b_init",
     "search-b-delta", *(entry for entry in CONVERSION_REFUSALS
-                        if not entry.startswith(("simulate-", "vecv-")))}
+                        if not entry.startswith("simulate-"))}
 HUGE = 10**400   # an integer beyond the largest double
 # A matrix entry no float array holds: ragged rows, which make any matrix
 # ragged, text and HUGE; and a setting that is not a real number.

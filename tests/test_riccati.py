@@ -544,9 +544,12 @@ def test_value_iteration_is_the_riccati_step_recursion_multi_input(corpus):
     (lambda s, w, P: model_based.scaled_policy_improvement(s, w, P, 0.5),
      ["P"]),
     (lambda s, w, P: riccati.dare_reference(s, w), ["DARE solution"]),
-    (lambda s, w, P: riccati.value_iteration(s, w, P0=np.eye(3)), ["P0"])],
+    (lambda s, w, P: riccati.value_iteration(s, w, P0=np.eye(3)), ["P0"]),
+    # Q is judged once checked; R's definiteness test checks it again, "S"
+    (lambda s, w, P: lti.CostWeights(np.eye(3), np.eye(1)),
+     ["Q", "R", "S"])],
     ids=["optimal_gain", "are_residual", "scaled_policy_improvement",
-         "dare_reference", "value_iteration"])
+         "dare_reference", "value_iteration", "cost_weights"])
 def test_value_matrix_passes_the_matrix_rule_once(power_system,
                                                   power_weights, monkeypatch,
                                                   entry, expected):
