@@ -36,14 +36,20 @@ from .exceptions import (
     UnstableScaledSystemError,
 )
 from .lti import CostWeights, LinearSystem, Trajectory
-from .model_based import SpiReport, SpiState, spi_model_based
+from .model_based import spi_model_based
 from .model_free import (
     RegressionData,
     RegressionSolution,
     build_regression_data,
     spi_model_free,
 )
-from .riccati import AreSolution, hewer_pi, value_iteration
+from .riccati import (
+    AreSolution,
+    SpiReport,
+    SpiState,
+    hewer_pi,
+    value_iteration,
+)
 
 __version__ = "0.1.0"
 

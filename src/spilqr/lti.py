@@ -18,7 +18,7 @@ from .exceptions import (
 __all__ = [
     "LinearSystem", "CostWeights", "Trajectory",
     "zoh_discretize", "simulate", "exploration_input",
-    "controllability_matrix", "is_controllable", "is_observable",
+    "is_controllable", "is_observable",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -201,21 +201,11 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     return policy
 
 
-def controllability_matrix(sys):
-    """Block matrix ``[B, AB, ..., A^{n-1} B]``."""
-    blocks = []
-    M = sys.B
-    for _ in range(sys.n):
-        blocks.append(M)
-        M = sys.A @ M
-    return np.hstack(blocks)
-
-
 def is_controllable(sys):
     """Whether the pair (A, B) is controllable: the controllability
-    matrix of ``(A / rho(A), B)``, or of ``(A, B)`` when ``rho(A) = 0``,
-    has full row rank once each row is divided by its 2-norm
-    (``matkit._full_column_rank`` of its transpose).
+    matrix ``[B, A'B, ..., A'^{n-1} B]`` of ``A' = A / rho(A)``, or of
+    ``A' = A`` when ``rho(A) = 0``, has full row rank once each row is
+    divided by its 2-norm (``matkit._full_column_rank`` of its transpose).
 
     ``(alpha A, B)`` is controllable exactly when ``(A, B)`` is, for any
     ``alpha != 0``.  Without the rescaling, the Krylov blocks ``A^k B`` of
@@ -225,8 +215,11 @@ def is_controllable(sys):
     the row norms undo.
     """
     rho = matkit.spectral_radius(sys.A)
-    scaled = LinearSystem(sys.A / rho if rho > 0 else sys.A, sys.B)
-    return matkit._full_column_rank(controllability_matrix(scaled).T)
+    A = sys.A / rho if rho > 0 else sys.A
+    blocks = [sys.B]
+    for _ in range(sys.n - 1):
+        blocks.append(A @ blocks[-1])
+    return matkit._full_column_rank(np.hstack(blocks).T)
 
 
 def is_observable(A, C):

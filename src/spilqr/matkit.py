@@ -32,7 +32,7 @@ from .exceptions import (
 
 __all__ = [
     "spectral_radius", "numerical_rank", "schur", "solve_discrete_lyapunov",
-    "check_symmetric", "is_positive_definite", "sym_sqrt",
+    "check_symmetric", "is_positive_definite",
 ]
 
 # Reject Lyapunov factors closer to the unit circle than this; beyond it
@@ -189,26 +189,31 @@ def _full_column_rank(A):
     return numerical_rank(_equilibrate(A)[0], RANK_TOL) == A.shape[1]
 
 
+def _dgees(F, compute_v=1):
+    """``(S, wr, wi, Z, rho)`` from LAPACK ``dgees`` of ``F``: the real
+    Schur form, the eigenvalues' real and imaginary parts, the Schur
+    vectors (where ``compute_v``) and the largest eigenvalue modulus."""
+    S, _, wr, wi, Z, _, info = scipy.linalg.lapack.dgees(
+        lambda wr, wi: False, F, compute_v=compute_v)
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise EigenvalueConvergenceError(
+            f"Schur iteration did not converge (LAPACK info {info})")
+    return S, wr, wi, Z, float(np.hypot(wr, wi).max())
+
+
 def schur(F):
     """Complex Schur form ``F = U T U^H`` of a real square matrix, ``T``
     upper triangular and ``U`` unitary, and its spectral radius ``rho``.
 
-    LAPACK ``dgees`` gives the real Schur form and the eigenvalues, whose
-    largest modulus is ``rho``.  Each 2 x 2 block of a complex pair is
-    split by the rotation whose first column is an eigenvector of the
-    block, as in ``scipy.linalg.rsf2csf``, all of them as one ``Q``."""
-    F = _as_matrix(F, "F", square=True)
-    S, _, wr, wi, Z, _, info = scipy.linalg.lapack.dgees(
-        lambda wr, wi: False, F)
-    if info != 0:  # pragma: no cover - LAPACK failure
-        raise EigenvalueConvergenceError(
-            f"Schur iteration did not converge (LAPACK info {info})")
-    rho = float(np.hypot(wr, wi).max())
+    :func:`_dgees` gives the real Schur form and ``rho``.  Each 2 x 2 block
+    of a complex pair is split by the rotation whose first column is an
+    eigenvector of the block, as in ``scipy.linalg.rsf2csf``, in one ``Q``."""
+    S, wr, wi, Z, rho = _dgees(_as_matrix(F, "F", square=True))
     k = np.flatnonzero(wi > 0)   # first row of each block
     mu = wr[k] - S[k + 1, k + 1] + 1j * wi[k]
     h = np.hypot(np.abs(mu), S[k + 1, k])
     c, s = mu / h, S[k + 1, k] / h
-    Q = np.eye(len(F), dtype=complex)
+    Q = np.eye(len(S), dtype=complex)
     Q[k, k], Q[k, k + 1] = c, -s
     Q[k + 1, k], Q[k + 1, k + 1] = s, c.conj()
     T = Q.conj().T @ S @ Q
@@ -255,22 +260,15 @@ def _modal_factor(F):
 
 
 def _stein_factor(F):
-    """The factor of square ``F`` that :func:`_stein` solves on, as
-    ``(T, U, rho)`` with ``rho`` its spectral radius.  Up to
-    ``KRONECKER_MAX_N`` states it is ``F`` itself with ``U = None``, and
-    ``rho`` comes from LAPACK ``dgees`` run without Schur vectors (the
-    radius :func:`schur` reads off, to the bit); above it, the modal
-    factor of :func:`_modal_factor`, ``T = F`` with ``U`` a
-    :class:`_Modal`."""
+    """The factor ``(T, U, rho)`` of square ``F`` that :func:`_stein` solves
+    on, ``rho`` its spectral radius.  Up to ``KRONECKER_MAX_N`` states it
+    is ``F`` itself with ``U = None`` and ``rho`` from :func:`_dgees`
+    without Schur vectors, as in :func:`schur`; above it, the modal factor
+    of :func:`_modal_factor`, ``T = F`` with ``U`` a :class:`_Modal`."""
     F = _as_matrix(F, "F", square=True)
     if len(F) > KRONECKER_MAX_N:
         return _modal_factor(F)
-    _, _, wr, wi, _, _, info = scipy.linalg.lapack.dgees(
-        lambda wr, wi: False, F, compute_v=0)
-    if info != 0:  # pragma: no cover - LAPACK failure
-        raise EigenvalueConvergenceError(
-            f"Schur iteration did not converge (LAPACK info {info})")
-    return F, None, float(np.hypot(wr, wi).max())
+    return F, None, _dgees(F, compute_v=0)[-1]
 
 
 def _kronecker(F, W):
@@ -427,15 +425,3 @@ def _semidefinite(S):
     ``-_threshold``."""
     w = np.linalg.eigvalsh(S)
     return bool(np.all(w >= -_threshold(w)))
-
-
-def sym_sqrt(S):
-    """Symmetric square root of a positive semidefinite matrix.
-
-    Small negative eigenvalues from round-off are clipped to zero.
-    """
-    S = check_symmetric(S, "S")
-    w, V = np.linalg.eigh(S)
-    if np.any(w < -_threshold(w)):
-        raise InvalidProblemError("matrix is not positive semidefinite")
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T

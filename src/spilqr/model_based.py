@@ -15,13 +15,13 @@ job.
 
 from dataclasses import replace
 
+import numpy as np
+
 from . import matkit, riccati
 from .exceptions import InvalidProblemError
 from .lti import is_controllable, is_observable
-from .riccati import SpiReport, SpiState
 
 __all__ = [
-    "SpiState", "SpiReport",
     "scaled_policy_evaluation", "scaled_policy_improvement",
     "choose_c", "spi_model_based",
 ]
@@ -84,14 +84,15 @@ def spi_model_based(sys, weights, K0, beta=1.0, lam=0.5, tol=1e-5,
     step test widened by ``q/(1-q)`` for the step ratio ``q < 1``.
     ``i_max`` bounds the policy evaluations of both phases together.
 
-    Returns a :class:`SpiReport`; ``report.solution`` carries the
+    Returns a :class:`riccati.SpiReport`; ``report.solution`` carries the
     converged pair and its Riccati residual.
     """
     K = riccati._check_start(K0, weights, sys.m, sys.n, lam, tol, i_max)
     matkit._check_positive(beta, "beta")
     if not is_controllable(sys):
         raise InvalidProblemError("the pair (A, B) must be controllable")
-    if not is_observable(sys.A, matkit.sym_sqrt(weights.Q)):
+    w, V = np.linalg.eigh(weights.Q)   # sqrt(Q), round-off below 0 clipped
+    if not is_observable(sys.A, (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T):
         raise InvalidProblemError(
             "the pair (A, sqrt(Q)) must be observable")
     step, rho0 = riccati._model_step(sys, weights, K, lam)

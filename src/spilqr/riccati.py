@@ -306,8 +306,8 @@ def _converged(P, P_prev, last, tol):
     solver, ``step max(1, q/(1-q)) <= tol ||P||_F`` and ``q < 1`` for ``q``
     its ratio to the step before (``last``, ``math.inf`` at first); the
     widened step bounds ``||P - P*||_F`` at rate q.  Each norm is one
-    ``dot``, the bits of ``np.linalg.norm(x, "fro")``."""
-    d, p = (P - P_prev).ravel(), P.ravel()
+    ``dot`` in memory order, the bits of ``np.linalg.norm(x, "fro")``."""
+    d, p = (P - P_prev).ravel(order="K"), P.ravel(order="K")
     step = math.sqrt(d.dot(d))
     q = step / last
     return (q < 1.0 and step * max(1.0, q / (1.0 - q))

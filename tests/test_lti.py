@@ -287,9 +287,17 @@ def test_controllability_nilpotent_plant():
     assert not lti.is_observable(A, np.eye(4)[[0]])
 
 
+def _krylov(A, B):
+    """The controllability matrix ``[B, AB, ..., A^{n-1} B]``."""
+    blocks = [B]
+    for _ in range(len(A) - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def test_power_plant_controllable(power_system):
     assert lti.is_controllable(power_system)
-    C = lti.controllability_matrix(power_system)
+    C = _krylov(power_system.A, power_system.B)
     assert matkit.numerical_rank(C, 1e-8) == 3
 
 
@@ -300,8 +308,8 @@ def test_observability_cases():
 
 
 def test_power_plant_observable(power_system, power_weights):
-    assert lti.is_observable(power_system.A,
-                             matkit.sym_sqrt(power_weights.Q))
+    w, V = np.linalg.eigh(power_weights.Q)
+    assert lti.is_observable(power_system.A, (V * np.sqrt(w)) @ V.T)
 
 
 def _test_plants():
@@ -331,8 +339,7 @@ def test_rank_decisions_on_plants_match_untransposed_svd():
     for A, B in _test_plants():
         for pair in ((A, B), (A.T, B)):
             rho = matkit.spectral_radius(pair[0])
-            K = lti.controllability_matrix(lti.LinearSystem(
-                pair[0] / rho if rho > 0 else pair[0], pair[1]))
+            K = _krylov(pair[0] / rho if rho > 0 else pair[0], pair[1])
             s = np.linalg.svd(K, compute_uv=False)
             assert matkit.numerical_rank(K, matkit.RANK_TOL) \
                 == np.count_nonzero(s > matkit.RANK_TOL * s[0])
@@ -342,8 +349,8 @@ def test_observable_full_rank_output_skips_krylov(monkeypatch):
     # a C of full column rank decides observability for every A; a
     # rank-deficient C still takes the Krylov test
     built = []
-    krylov = lti.controllability_matrix
-    monkeypatch.setattr(lti, "controllability_matrix",
+    krylov = lti.is_controllable
+    monkeypatch.setattr(lti, "is_controllable",
                         lambda sys: built.append(sys) or krylov(sys))
     rng = np.random.default_rng(19)
     for A, _ in _test_plants():

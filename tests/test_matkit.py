@@ -607,17 +607,13 @@ def test_is_positive_semidefinite():
 
 def test_definiteness_threshold_scales_with_largest_eigenvalue():
     # an eigenvalue w counts as zero within PD_RTOL max |w|, the same
-    # bound for both definiteness tests and for sym_sqrt's check
+    # bound for both definiteness tests
     big = 1e6
     tol = matkit.PD_RTOL * big
     assert matkit.is_positive_definite(np.diag([big, 2.0 * tol]))
     assert not matkit.is_positive_definite(np.diag([big, 0.5 * tol]))
     assert matkit._semidefinite(np.diag([big, -0.5 * tol]))
     assert not matkit._semidefinite(np.diag([big, -2.0 * tol]))
-    assert np.array_equal(matkit.sym_sqrt(np.diag([big, -0.5 * tol])),
-                          np.diag([1e3, 0.0]))
-    with pytest.raises(InvalidProblemError):
-        matkit.sym_sqrt(np.diag([big, -2.0 * tol]))
 
 
 def test_lyapunov_rejects_overflowing_solution():
@@ -626,16 +622,6 @@ def test_lyapunov_rejects_overflowing_solution():
     # also when warnings are errors
     with pytest.raises(IllConditionedError):
         matkit.solve_discrete_lyapunov(0.99 * np.eye(2), 1e307 * np.eye(2))
-
-
-def test_sym_sqrt():
-    rng = np.random.default_rng(10)
-    G = rng.standard_normal((4, 4))
-    S = G @ G.T
-    root = matkit.sym_sqrt(S)
-    assert np.allclose(root @ root, S, atol=1e-10)
-    with pytest.raises(InvalidProblemError):
-        matkit.sym_sqrt(np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])

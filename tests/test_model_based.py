@@ -343,6 +343,32 @@ def test_evaluation_kernel_chosen_by_state_dimension(n, monkeypatch):
     assert all(S is F for S, F in zip(schur_calls, through_schur))
 
 
+@pytest.mark.parametrize("plant", ["power", "n20"])
+def test_structural_checks_rebuild_nothing(plant, power_system,
+                                           power_weights, monkeypatch):
+    # the controllability test forms its Krylov blocks on the plant's own
+    # arrays, and sqrt(Q) comes from the checked Q without a second
+    # symmetry check: no plant is built and no matrix named "S" is judged
+    if plant == "power":
+        sys_d, weights, K0 = power_system, power_weights, K0_ZERO
+    else:
+        sys_d, K0 = _plant_through_refused_loops()
+        weights = lti.CostWeights(np.eye(20), np.eye(2))
+    built, names = [], []
+    post_init, as_matrix = lti.LinearSystem.__post_init__, matkit._as_matrix
+
+    def counting(A, name="matrix", *args, **kwargs):
+        names.append(name)
+        return as_matrix(A, name, *args, **kwargs)
+
+    monkeypatch.setattr(lti.LinearSystem, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(matkit, "_as_matrix", counting)
+    model_based.spi_model_based(sys_d, weights, K0)
+    assert built == []
+    assert names and "S" not in names
+
+
 def test_modal_solve_keeps_the_schur_path_answers(wide_sweep, monkeypatch):
     # above the cutoff the solver takes as many evaluations as with every
     # factor the Schur form, to the same P within 1e-11, on all 195

@@ -503,6 +503,26 @@ def riccati_step_recursion(sys_d, weights, tol):
         P, last = P_next, step
 
 
+LAYOUTS = {"C": lambda M, n: M[:n, :n].copy(),
+           "F": lambda M, n: np.asfortranarray(M[:n, :n]),
+           "strided": lambda M, n: M[::2, ::2].T}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS)
+def test_converged_step_is_the_frobenius_norm_in_every_layout(layout):
+    # the step is np.linalg.norm(P - P_prev, "fro") to the bit, which sums
+    # the entries in memory order, whatever the layout of the pair
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        G = scale * rng.standard_normal((2, 2 * n, 2 * n))
+        P, P_prev = (layout(M, n) for M in G)
+        assert P.flags.c_contiguous == (layout is LAYOUTS["C"])
+        _, step = riccati._converged(P, P_prev, math.inf, 1e-8)
+        assert step == np.linalg.norm(P - P_prev, "fro")
+
+
 def assert_same_recursion(sys_d, weights):
     sol = riccati.value_iteration(sys_d, weights, tol=1e-10)
     P, K, trace = riccati_step_recursion(sys_d, weights, tol=1e-10)
