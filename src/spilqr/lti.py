@@ -201,6 +201,16 @@ def exploration_input(m, num_terms=100, freq_low=-10.0, freq_high=10.0,
     return policy
 
 
+def _krylov_full_rank(A, B):
+    """The Krylov test of :func:`is_controllable` on checked arrays."""
+    rho = matkit.spectral_radius(A)
+    A = A / rho if rho > 0 else A
+    blocks = [B]
+    for _ in range(len(A) - 1):
+        blocks.append(A @ blocks[-1])
+    return matkit._full_column_rank(np.hstack(blocks).T)
+
+
 def is_controllable(sys):
     """Whether the pair (A, B) is controllable: the controllability
     matrix ``[B, A'B, ..., A'^{n-1} B]`` of ``A' = A / rho(A)``, or of
@@ -214,12 +224,7 @@ def is_controllable(sys):
     ``x' = T x`` with ``T`` diagonal, multiply the rows by ``T``, which
     the row norms undo.
     """
-    rho = matkit.spectral_radius(sys.A)
-    A = sys.A / rho if rho > 0 else sys.A
-    blocks = [sys.B]
-    for _ in range(sys.n - 1):
-        blocks.append(A @ blocks[-1])
-    return matkit._full_column_rank(np.hstack(blocks).T)
+    return _krylov_full_rank(sys.A, sys.B)
 
 
 def is_observable(A, C):
@@ -229,5 +234,4 @@ def is_observable(A, C):
     A = matkit._as_matrix(A, "A", square=True)
     C = matkit._as_matrix(np.atleast_2d(matkit._as_float(C, "C")), "C",
                           cols=len(A))
-    return matkit._full_column_rank(C) or is_controllable(
-        LinearSystem(A.T, C.T))
+    return matkit._full_column_rank(C) or _krylov_full_rank(A.T, C.T)

@@ -241,7 +241,8 @@ def _evaluate(factor, W, cum):
     except UnstableMatrixError as exc:
         raise UnstableScaledSystemError(
             f"scaled closed loop is not Schur stable at factor {cum:.6g} "
-            f"(spectral radius {exc.rho:.6g})", rho=exc.rho) from exc
+            f"(spectral radius {exc.rho!r} >= 1 - {matkit.STABILITY_MARGIN:g})",
+            rho=exc.rho) from exc
 
 
 def _headroom(rho):
@@ -378,10 +379,8 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     DimensionMismatchError
         If ``K0`` or the weights do not match the plant.
     NotStabilizingError
-        If ``rho(A - B K0) >= 1`` (read off the first factor); use
-        the scaling solvers when no stabilizing gain is available.
-    UnstableScaledSystemError
-        If ``rho(A - B K0)`` lies within ``matkit.STABILITY_MARGIN`` of 1.
+        If ``rho(A - B K0) >= 1 - matkit.STABILITY_MARGIN`` (read off the
+        first factor); without a stabilizing gain use a scaling solver.
     MaxIterationsError
         If the stop is not reached within ``max_iter`` evaluations.
     """
@@ -390,10 +389,10 @@ def hewer_pi(sys, weights, K0, tol=1e-9, max_iter=100):
     _check_weights(weights, sys.n, sys.m)
     K = _check_gain(K0, sys.m, sys.n, "K0")
     step, rho0 = _model_step(sys, weights, K, None)   # b = 1 never scales
-    if rho0 >= 1.0:
+    if rho0 >= 1.0 - matkit.STABILITY_MARGIN:
         raise NotStabilizingError(
-            f"initial gain does not stabilize the plant "
-            f"(spectral radius {rho0:.6g})", rho=rho0)
+            f"initial gain does not stabilize the plant (spectral radius "
+            f"{rho0!r} >= 1 - {matkit.STABILITY_MARGIN:g})", rho=rho0)
     sol = _scaling_pi(step, K, 1.0, tol, max_iter).solution
     return replace(sol, residual=_residual(sys, weights, sol.P, sol.K))
 

@@ -349,9 +349,9 @@ def test_observable_full_rank_output_skips_krylov(monkeypatch):
     # a C of full column rank decides observability for every A; a
     # rank-deficient C still takes the Krylov test
     built = []
-    krylov = lti.is_controllable
-    monkeypatch.setattr(lti, "is_controllable",
-                        lambda sys: built.append(sys) or krylov(sys))
+    krylov = lti._krylov_full_rank
+    monkeypatch.setattr(lti, "_krylov_full_rank",
+                        lambda A, B: built.append(A) or krylov(A, B))
     rng = np.random.default_rng(19)
     for A, _ in _test_plants():
         n = A.shape[0]

@@ -343,14 +343,19 @@ def test_evaluation_kernel_chosen_by_state_dimension(n, monkeypatch):
     assert all(S is F for S, F in zip(schur_calls, through_schur))
 
 
-@pytest.mark.parametrize("plant", ["power", "n20"])
+@pytest.mark.parametrize("plant", ["power", "n20", "rank-1-Q"])
 def test_structural_checks_rebuild_nothing(plant, power_system,
                                            power_weights, monkeypatch):
     # the controllability test forms its Krylov blocks on the plant's own
-    # arrays, and sqrt(Q) comes from the checked Q without a second
-    # symmetry check: no plant is built and no matrix named "S" is judged
+    # arrays, as does the observability test's dual one, which a
+    # rank-deficient Q takes, and sqrt(Q) comes from the checked Q without
+    # a second symmetry check: no plant is built and no matrix named "S"
+    # is judged
     if plant == "power":
         sys_d, weights, K0 = power_system, power_weights, K0_ZERO
+    elif plant == "rank-1-Q":
+        sys_d, K0 = power_system, K0_ZERO
+        weights = lti.CostWeights(np.ones((3, 3)), power_weights.R)
     else:
         sys_d, K0 = _plant_through_refused_loops()
         weights = lti.CostWeights(np.eye(20), np.eye(2))

@@ -12,6 +12,7 @@ from spilqr.exceptions import (
     MaxIterationsError,
     NotStabilizingError,
     SingularMatrixError,
+    UnstableScaledSystemError,
 )
 
 from conftest import POWER_K_REF, POWER_P_REF
@@ -68,6 +69,23 @@ def test_hewer_rejects_nonstabilizing_start(power_system, power_weights):
     with pytest.raises(NotStabilizingError) as err:
         riccati.hewer_pi(power_system, power_weights, np.zeros((1, 3)))
     assert err.value.rho == pytest.approx(1.0176, abs=1e-3)
+
+
+def test_hewer_refuses_a_start_within_the_margin_as_not_stabilizing():
+    # rho(A - B K0) = 1 - 5e-10 is Schur stable, but within
+    # matkit.STABILITY_MARGIN of 1, where no evaluation is safe; neither
+    # refusal may print that radius as 1
+    sys_d = lti.LinearSystem(np.diag([1.0 - 5e-10, 0.5]), [[0.0], [1.0]])
+    weights = lti.CostWeights(np.eye(2), np.eye(1))
+    with pytest.raises(NotStabilizingError, match=r"does not stabilize the "
+                       r"plant \(spectral radius 0\.9999999995 >= 1 - "
+                       r"1e-09\)") as err:
+        riccati.hewer_pi(sys_d, weights, np.zeros((1, 2)))
+    assert err.value.rho == 1.0 - 5e-10
+    with pytest.raises(UnstableScaledSystemError, match=r"at factor 1 "
+                       r"\(spectral radius 0\.9999999995 >= 1 - 1e-09\)"):
+        model_based.scaled_policy_evaluation(sys_d, weights,
+                                             np.zeros((1, 2)), 1.0)
 
 
 def test_hewer_rejects_misshapen_start(power_system, power_weights):
@@ -412,6 +430,25 @@ def test_dare_reference_rejects_unstabilizable_plant(Q):
                        match=f"^DARE solve failed, no stabilizing solution: "
                              f"{text}$"):
         riccati.dare_reference(sys_d, weights)
+
+
+def test_dare_reference_rejects_a_pencil_at_the_unit_circle():
+    # an orthogonal A puts every mode on the unit circle, and a B of size
+    # 2e-8 barely moves them, so the symplectic pencil has eigenvalues at
+    # the circle; scipy and the kernel refuse it with the same text
+    rng = np.random.default_rng(0)
+    A = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    B = 2e-8 * rng.standard_normal((3, 1))
+    Q, R = 0.0655 * np.eye(3), np.eye(1)
+    text = (r"The associated symplectic pencil has eigenvalues too close to "
+            r"the unit circle")
+    for solve in (scipy.linalg.solve_discrete_are, riccati._schur_dare):
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{text}$"):
+            solve(A, B, Q, R)
+    with pytest.raises(InvalidProblemError,
+                       match=f"^DARE solve failed, no stabilizing solution: "
+                             f"{text}$"):
+        riccati.dare_reference(lti.LinearSystem(A, B), lti.CostWeights(Q, R))
 
 
 def test_schur_dare_is_scipy_to_the_bit(power_system, power_weights, sweep,
