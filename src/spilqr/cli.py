@@ -68,20 +68,46 @@ def _inline_refs(node, defs):
     return {key: _inline_refs(value, defs) for key, value in node.items()}
 
 
+def _is_number(v):
+    """The config's "number": an int that is not a bool, or a finite float."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
+# the "items" of the schema's vector and matrix rows, and of its matrix
+_NUMBER = {"type": "number"}
+_ROW = {"type": "array", "minItems": 1, "items": _NUMBER}
+
+
 @functools.cache
 def _validator():
     """The config validator, built once per process; its "integer" refuses
     ``500.0`` and its "number" the non-finite floats (``NaN``, ``Infinity``,
-    ``1e400``) that JSON Schema admits and the settings do not.  The
+    ``1e400``) that JSON Schema admits and the settings do not.  Its
+    "items" passes an array of numbers, or of non-empty number rows, in
+    one loop and hands any other instance, every invalid one included, to
+    jsonschema's own "items", so the errors are jsonschema's.  The
     schema's local ``$ref``s are resolved once here.  The packaged schema
     is checked against its metaschema by the tests, not here."""
     schema = _load_schema()
     cls = validator_for(schema)
-    return extend(cls, type_checker=cls.TYPE_CHECKER.redefine_many({
-        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
-        "number": lambda _, v: isinstance(v, int) and not isinstance(v, bool)
-        or isinstance(v, float) and math.isfinite(v)}))(
-            _inline_refs(schema, schema["$defs"]))
+    items = cls.VALIDATORS["items"]
+
+    def numbers(validator, sub, instance, schema):
+        if isinstance(instance, list) and (
+                sub == _NUMBER and all(map(_is_number, instance))
+                or sub == _ROW and all(isinstance(row, list) and row
+                                       and all(map(_is_number, row))
+                                       for row in instance)):
+            return
+        yield from items(validator, sub, instance, schema)
+
+    return extend(cls, validators={"items": numbers},
+                  type_checker=cls.TYPE_CHECKER.redefine_many({
+                      "integer": lambda _, v: isinstance(v, int)
+                      and not isinstance(v, bool),
+                      "number": lambda _, v: _is_number(v)}))(
+        _inline_refs(schema, schema["$defs"]))
 
 
 def _read_json(path, what):
@@ -185,29 +211,34 @@ def collect_trajectory(sys, cfg, seed):
 
 def _rows(report, sys):
     """Report rows of a :class:`riccati.SpiReport`: per phase, each
-    record's fields with its matrices as lists and its norms and radii.  A
-    record without ``rho_closed`` takes it from one stacked eigensolve."""
-    phases = ((1, report.phase1_trace), (2, report.phase2_trace))
-    F = np.array([sys.A - sys.B @ s.K_tilde for _, records in phases
-                  for s in records if s.rho_closed is None])
-    radii = iter(matkit.spectral_radius(F.reshape(-1, sys.n, sys.n)).tolist())
-    rows = []
-    for phase, records in phases:
-        P_prev = None
-        for s in records:
-            P = s.P_tilde
-            rho = next(radii) if s.rho_closed is None else s.rho_closed
-            row = dict(vars(s), phase=phase, K=s.K_tilde.tolist(),
-                       rho_closed=rho, rho_scaled=s.cum * rho,
-                       P=None, P_norm=None, dP_norm=None)
-            del row["K_tilde"], row["P_tilde"]
-            if P is not None:
-                row.update(P=P.tolist(),
-                           P_norm=float(np.linalg.norm(P, "fro")))
-                if P_prev is not None:
-                    row["dP_norm"] = float(np.linalg.norm(P - P_prev, "fro"))
-                P_prev = P
-            rows.append(row)
+    record's fields with its matrices as lists, its radii, and the
+    Frobenius norms of its ``P`` and of the step from the phase's previous
+    ``P``.  The gains and value matrices are stacked and listed once; a
+    record without ``rho_closed`` takes it from one stacked eigensolve of
+    ``A - B K``; each norm is one ``dot``, ``np.linalg.norm``'s bits."""
+    records = [(phase, s) for phase, trace in ((1, report.phase1_trace),
+                                               (2, report.phase2_trace))
+               for s in trace]
+    Ks = np.array([s.K_tilde for _, s in records]).reshape(-1, sys.m, sys.n)
+    lacking = np.array([s.rho_closed is None for _, s in records], bool)
+    radii = iter(matkit.spectral_radius(sys.A - sys.B @ Ks[lacking]).tolist())
+    Ps = np.array([s.P_tilde for _, s in records if s.P_tilde is not None]
+                  ).reshape(-1, sys.n * sys.n)
+    P_lists = iter(Ps.reshape(-1, sys.n, sys.n).tolist())
+    norms = iter([math.sqrt(p.dot(p)) for p in Ps])
+    steps = iter([None] + [math.sqrt(d.dot(d)) for d in Ps[1:] - Ps[:-1]])
+    rows, P_phase = [], None
+    for (phase, s), K in zip(records, Ks.tolist()):
+        rho = next(radii) if s.rho_closed is None else s.rho_closed
+        row = dict(vars(s), phase=phase, K=K, rho_closed=rho,
+                   rho_scaled=s.cum * rho, P=None, P_norm=None, dP_norm=None)
+        del row["K_tilde"], row["P_tilde"]
+        if s.P_tilde is not None:
+            step = next(steps)   # from the last P, of this phase or not
+            row.update(P=next(P_lists), P_norm=next(norms),
+                       dP_norm=step if P_phase == phase else None)
+            P_phase = phase
+        rows.append(row)
     return rows
 
 
@@ -274,9 +305,10 @@ SOLVERS = tuple(SETTINGS)
 
 
 def _run(name, sys_d, weights, K0, P0, data, params, tol):
-    """Run one solver with the settings ``params`` holds; returns its
-    :class:`riccati.SpiReport` (Hewer's method and value iteration, which
-    never scale, as scale-1 phase-2 records) and the elapsed seconds."""
+    """Run one solver with the settings ``params`` holds; returns the
+    library's result (an :class:`riccati.AreSolution` of Hewer's method and
+    value iteration, an :class:`riccati.SpiReport` of a scaling solver) and
+    the elapsed seconds."""
     opts = {kw: params[key] for key, kw in SETTINGS[name].items()
             if key in params}
     if isinstance(opts.get("delta"), dict):   # growing schedule {"rate"}
@@ -293,12 +325,7 @@ def _run(name, sys_d, weights, K0, P0, data, params, tol):
                                              **opts)
     else:
         result = model_free.spi_model_free(data, K0, weights, tol=tol, **opts)
-    elapsed = time.perf_counter() - t0
-    if not isinstance(result, riccati.SpiReport):   # never scaled
-        result = riccati.SpiReport([], [
-            riccati.SpiState(i, K_tilde=K, P_tilde=P)
-            for i, (P, K) in enumerate(result.trace)], result, b=1.0)
-    return result, elapsed
+    return result, time.perf_counter() - t0
 
 
 def cmd_solve(args):
@@ -311,6 +338,10 @@ def cmd_solve(args):
             if name == "spi-model-free" else None)
     result, elapsed = _run(name, sys_d, weights, K0, P0, data, params,
                            params.get("tol", 1e-5))
+    if isinstance(result, riccati.AreSolution):   # never scaled
+        result = riccati.SpiReport([], [
+            riccati.SpiState(i, K_tilde=K, P_tilde=P)
+            for i, (P, K) in enumerate(result.trace)], result, b=1.0)
     sol, rows = result.solution, _rows(result, sys_d)
     # only the data-driven solver, which never sees the plant, leaves it unset
     residual = (sol.residual if sol.residual is not None
@@ -404,14 +435,25 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _iterations_to_tolerance(report, K_ref, tol):
-    """Index of the first gain of ``report`` within ``tol`` of ``K_ref``, or
-    ``None``: its first record's gain, then ``report.gain_sequence()``;
-    distances compare exactly, to a ``tol`` too large for a double too."""
-    first = (report.phase1_trace or report.phase2_trace)[0]
-    gains = [first.K_tilde, *report.gain_sequence()]
-    return next((idx for idx, K in enumerate(gains)
-                 if float(np.linalg.norm(K - K_ref, "fro")) < tol), None)
+def _counted_gains(result):
+    """The gains ``compare`` counts in a solver's result, and its divisor
+    probes: a :class:`riccati.SpiReport`'s first record's gain, then its
+    ``gain_sequence()``; the gains of an :class:`riccati.AreSolution`'s
+    trace, then its final gain."""
+    if isinstance(result, riccati.SpiReport):
+        first = (result.phase1_trace or result.phase2_trace)[0]
+        return [first.K_tilde, *result.gain_sequence()], result.probes
+    return [K for _, K in result.trace] + [result.K], 0
+
+
+def _iterations_to_tolerance(gains, K_ref, tol):
+    """Index of the first of ``gains`` within ``tol`` of ``K_ref``, or
+    ``None``.  ``K_ref`` is subtracted from the stack once; each distance
+    is one ``dot``, ``np.linalg.norm(K - K_ref, "fro")``'s bits, and
+    compares exactly, to a ``tol`` too large for a double too."""
+    distances = (np.array(gains) - K_ref).reshape(len(gains), -1)
+    return next((idx for idx, d in enumerate(distances)
+                 if math.sqrt(d.dot(d)) < tol), None)
 
 
 def cmd_compare(args):
@@ -448,11 +490,12 @@ def cmd_compare(args):
                 log.info("trial %d solver %s failed: %s", t, name, exc)
                 r["failed"].append(f"{type(exc).__name__}: {exc}")
                 continue
-            iters = _iterations_to_tolerance(result, ref.K, gain_tol)
+            gains, probes = _counted_gains(result)
+            iters = _iterations_to_tolerance(gains, ref.K, gain_tol)
             if iters is None:
                 r["failed"].append("no gain came within gain_tol")
             else:
-                r["iters"].append(iters + result.probes)
+                r["iters"].append(iters + probes)
                 r["times"].append(elapsed)
 
     table = []

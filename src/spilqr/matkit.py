@@ -351,7 +351,8 @@ def _stein(T, U, rho, W, cum=1.0):
     rho = cum * rho
     if rho >= 1.0 - STABILITY_MARGIN:
         raise UnstableMatrixError(
-            f"F must be Schur stable, spectral radius is {rho:.6g}", rho=rho)
+            f"F must be Schur stable (spectral radius {rho!r} >= 1 - "
+            f"{STABILITY_MARGIN:g})", rho=rho)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(U, _Modal):
             P = _modal(cum * T, U, cum, W)

@@ -670,11 +670,12 @@ def test_compare_trivial_start_converges_immediately(power_system,
     P0 = power_oracle.P
     K0 = riccati.optimal_gain(power_system, power_weights, P0)
     for name in ("vi", "hewer", "spi-model-based", "spi-model-free"):
-        report, _ = cli._run(name, power_system, power_weights, K0, P0,
+        result, _ = cli._run(name, power_system, power_weights, K0, P0,
                              power_data, {}, 1e-9)
-        iters = cli._iterations_to_tolerance(report, power_oracle.K, 1e-4)
+        gains, probes = cli._counted_gains(result)
+        iters = cli._iterations_to_tolerance(gains, power_oracle.K, 1e-4)
         assert iters is not None, name
-        assert iters + report.probes <= 2, (name, iters, report.probes)
+        assert iters + probes <= 2, (name, iters, probes)
 
 
 @pytest.mark.parametrize("name", list(cli.SOLVERS))
@@ -698,18 +699,39 @@ def test_compare_counts_the_gains_of_a_scaling_solve(sweep, name):
             sol = (riccati.hewer_pi(sys_d, weights, K0, tol=1e-8)
                    if name == "hewer"
                    else riccati.value_iteration(sys_d, weights, tol=1e-8))
-        report, _ = cli._run(name, sys_d, weights, K0, None, data, {}, 1e-8)
+        result, _ = cli._run(name, sys_d, weights, K0, None, data, {}, 1e-8)
+        counted, _ = cli._counted_gains(result)
         if name in ("hewer", "vi"):
             gains = [K for _, K in sol.trace] + [sol.K]
         else:
-            assert report.handoff_index == lib.handoff_index
+            assert result.handoff_index == lib.handoff_index
             gains = [lib.phase1_trace[0].K_tilde, *lib.gain_sequence()]
         for K in gains:
             first = next(idx for idx, G in enumerate(gains)
                          if np.array_equal(G, K))
-            assert cli._iterations_to_tolerance(report, K, tiny) == first
-        assert cli._iterations_to_tolerance(report, 2 * gains[-1],
+            assert cli._iterations_to_tolerance(counted, K, tiny) == first
+        assert cli._iterations_to_tolerance(counted, 2 * gains[-1],
                                             tiny) is None
+
+
+@pytest.mark.parametrize("name", ["vi", "spi-model-free"])
+def test_compare_count_at_gain_tol_boundary(power_system, power_weights,
+                                            power_oracle, power_data, name):
+    # gain_tol at each gain's exact np.linalg.norm distance from K_ref and
+    # at the two doubles beside it: the count is the per-gain walk's index,
+    # which a distance one bit off would move
+    result, _ = cli._run(name, power_system, power_weights, np.zeros((1, 3)),
+                         None, power_data, {}, 1e-9)
+    gains, _ = cli._counted_gains(result)
+    distances = [float(np.linalg.norm(K - power_oracle.K, "fro"))
+                 for K in gains]
+    assert len(gains) > 5
+    for d in distances:
+        for tol in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+            walk = next((idx for idx, dist in enumerate(distances)
+                         if dist < tol), None)
+            assert cli._iterations_to_tolerance(
+                gains, power_oracle.K, tol) == walk, (d, tol)
 
 
 def test_compare_counts_a_solve_that_never_reaches_gain_tol(tmp_path,
@@ -907,6 +929,15 @@ def test_shipped_trace_matches_reference(tmp_path, solver):
                     <= 1e-10 * abs(float(expected)), where
 
 
+def test_compare_all_matches_reference(tmp_path):
+    # the table of compare on every solver, as CI runs it and
+    # tests/reference/regenerate.py writes it, wall time aside: counts and
+    # mean iterations exactly
+    assert regenerate.compare_all(tmp_path) == 0
+    assert (regenerate.table(tmp_path / "comparison.csv")
+            == (regenerate.HERE / regenerate.COMPARISON).read_text())
+
+
 def _library_records(solver, cfg):
     """``(phase, record)`` pairs of a direct library solve of ``cfg``:
     the plant, weights, settings and recording the CLI uses, with the
@@ -937,31 +968,47 @@ def _library_records(solver, cfg):
 @pytest.mark.parametrize("solver", regenerate.SOLVERS)
 def test_report_trace_is_the_library_record(tmp_path, solver):
     # every report.json row carries its library record bit for bit; a row
-    # without a model-based rho_closed takes its radius from the row builder
+    # without a model-based rho_closed takes its radius from the row builder,
+    # as spectral_radius(A - B K) of the record's gain.  P_norm is
+    # np.linalg.norm(P, "fro") of the record and dP_norm the same norm of
+    # the step from the previous P of the same phase, bit for bit
     assert regenerate.solve(solver, tmp_path) == 0
     rows = json.loads((tmp_path / "report.json").read_text())["trace"]
     cfg = json.loads(regenerate.CONFIG.read_text())
     if solver == "hewer":
         cfg["params"]["K0"] = regenerate.HEWER_K0
+    sys_d = cli._problem(cfg, None)[0]
     records = _library_records(solver, cfg)
     assert len(rows) == len(records) > 1
+    P_prev = {}
     for row, (phase, s) in zip(rows, records):
+        where = (row["i"], phase)
         assert row["phase"] == phase
         for key in ("i", "b", "c", "cum", "bound"):
-            assert row[key] == s[key], (row["i"], key)
+            assert row[key] == s[key], (where, key)
         assert np.array_equal(row["K"], s["K_tilde"])
-        assert (row["P"] is None if s["P_tilde"] is None
-                else np.array_equal(row["P"], s["P_tilde"]))
-        if s["rho_closed"] is not None:
-            assert row["rho_closed"] == s["rho_closed"]
+        rho = (matkit.spectral_radius(sys_d.A - sys_d.B @ s["K_tilde"])
+               if s["rho_closed"] is None else s["rho_closed"])
+        assert row["rho_closed"] == rho, where
+        assert row["rho_scaled"] == s["cum"] * rho, where
+        P = s["P_tilde"]
+        if P is None:
+            assert row["P"] is row["P_norm"] is row["dP_norm"] is None
+            continue
+        assert np.array_equal(row["P"], P)
+        assert row["P_norm"] == np.linalg.norm(P, "fro"), where
+        assert row["dP_norm"] == (
+            None if phase not in P_prev
+            else np.linalg.norm(P - P_prev[phase], "fro")), where
+        P_prev[phase] = P
 
 
 def test_phase1_of_a_solve_that_starts_at_scale_1_is_the_handoff_alone(
-        power_system, power_weights, power_data):
+        tmp_path, power_system, power_weights, power_data):
     # a scaling solve whose first scale 1/b is already >= 1 still records
     # its handoff: data-driven from half the optimal gain (b = 1) and
     # model-based from the optimal gain with beta = 0.01 (b < 1).  Only the
-    # CLI's reports of the two solvers that never scale have no phase 1.
+    # solve reports of the two solvers that never scale have no phase 1.
     K_opt = riccati.dare_reference(power_system, power_weights).K
     mf = model_free.spi_model_free(power_data, 0.5 * K_opt, power_weights)
     mb = model_based.spi_model_based(power_system, power_weights, K_opt,
@@ -973,11 +1020,18 @@ def test_phase1_of_a_solve_that_starts_at_scale_1_is_the_handoff_alone(
         assert handoff.P_tilde is None
         assert handoff.cum == 1.0 / report.b >= 1.0
         assert handoff.K_tilde is report.phase2_trace[0].K_tilde
+    cfg = model_based_config()
+    cfg["params"]["K0"] = K_opt.tolist()
+    cfg = write_config(tmp_path / "c.json", cfg)
     for name in ("hewer", "vi"):
-        report, _ = cli._run(name, power_system, power_weights, K_opt, None,
-                             None, {}, 1e-8)
-        assert report.phase1_trace == [] and report.b == 1.0
-        assert all(s.b == s.c == s.cum == 1.0 for s in report.phase2_trace)
+        out = tmp_path / name
+        assert cli.main(["solve", "--config", cfg, "--solver", name,
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "b" not in report and "handoff_index" not in report
+        assert len(report["trace"]) > 1
+        assert all(row["phase"] == 2 and row["b"] == row["c"] == row["cum"]
+                   == 1.0 for row in report["trace"])
 
 
 def test_shipped_compare_matches_paper_headline(tmp_path):
@@ -1061,6 +1115,19 @@ def test_load_config_never_checks_schema(tmp_path, monkeypatch):
     assert calls == []
 
 
+def _jsonschema_validator(schema):
+    """jsonschema's own validator class of ``schema`` with the config's
+    "integer" and "number" (finite) and nothing else of its own."""
+    cls = jsonschema.validators.validator_for(schema)
+    return jsonschema.validators.extend(
+        cls, type_checker=cls.TYPE_CHECKER.redefine_many({
+            "integer": lambda _, v: isinstance(v, int)
+            and not isinstance(v, bool),
+            "number": lambda _, v: not isinstance(v, bool) and (
+                isinstance(v, int)
+                or isinstance(v, float) and np.isfinite(v))}))
+
+
 @pytest.mark.parametrize("edit, keyword", [
     (lambda c: c["params"].update(beta="one"), "type"),
     (lambda c: c.update(extra=1), "additionalProperties"),
@@ -1069,14 +1136,24 @@ def test_load_config_never_checks_schema(tmp_path, monkeypatch):
     # best_match descends into the oneOf branch that nearly matched
     (lambda c: c["params"].update(delta={"rate": 0.5, "x": 1}),
      "additionalProperties"),
+    # number arrays, which the config validator passes in one loop when
+    # they are valid
+    (lambda c: c.update(weights=dict(WEIGHTS, Q=[[1.0, 0, 0], [0, 1.0, "0"],
+                                                 [0, 0, 1.0]])), "type"),
+    (lambda c: c["params"]["K0"].append([]), "minItems"),
+    (lambda c: c["params"].update(data={"x0": [0.1, INF, 0.2]}), "type"),
+    (lambda c: c.update(weights=dict(WEIGHTS, R=[1.0])), "type"),
 ], ids=["wrong-type", "extra-property", "oneOf-miss", "negative-seed",
-        "oneOf-branch"])
+        "oneOf-branch", "string-in-matrix-row", "empty-matrix-row",
+        "infinite-vector-entry", "number-for-matrix-row"])
 def test_config_error_text_matches_jsonschema(tmp_path, edit, keyword):
     cfg_dict = model_based_config()
     edit(cfg_dict)
     cfg = write_config(tmp_path / "c.json", cfg_dict)
+    schema = cli._load_schema()
     with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(cfg_dict, cli._load_schema())
+        jsonschema.validate(cfg_dict, schema,
+                            cls=_jsonschema_validator(schema))
     exc = expected.value
     assert exc.validator == keyword
     with pytest.raises(ConfigError) as got:

@@ -567,6 +567,19 @@ def test_lyapunov_rejects_unstable_factor():
         matkit.solve_discrete_lyapunov(np.diag([1.0 - 1e-12, 0.5]), np.eye(2))
 
 
+@pytest.mark.parametrize("n", [2, matkit.KRONECKER_MAX_N + 2])
+def test_lyapunov_refusal_inside_the_margin_names_it(n):
+    # a radius below 1 but within the margin is refused as what it is, by
+    # both the Kronecker kernel and the modal one
+    rho = 1.0 - 5e-10
+    with pytest.raises(UnstableMatrixError) as err:
+        matkit.solve_discrete_lyapunov(np.diag([rho] + [0.5] * (n - 1)),
+                                       np.eye(n))
+    assert err.value.rho == rho
+    assert str(err.value) == (f"F must be Schur stable (spectral radius "
+                              f"{rho!r} >= 1 - {matkit.STABILITY_MARGIN:g})")
+
+
 def test_lyapunov_rejects_mismatched_sizes():
     for F, W, message in (
             (np.zeros((2, 2)), np.eye(3), "W must be 2 x 2, got (3, 3)"),
