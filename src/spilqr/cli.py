@@ -441,7 +441,7 @@ def _counted_gains(result):
     ``gain_sequence()``; the gains of an :class:`riccati.AreSolution`'s
     trace, then its final gain."""
     if isinstance(result, riccati.SpiReport):
-        first = (result.phase1_trace or result.phase2_trace)[0]
+        first = result.phase1_trace[0]
         return [first.K_tilde, *result.gain_sequence()], result.probes
     return [K for _, K in result.trace] + [result.K], 0
 

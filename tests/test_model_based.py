@@ -241,6 +241,34 @@ def test_solver_rejects_uncontrollable_plant(power_weights):
         model_based.spi_model_based(sys_u, power_weights, K0_ZERO)
 
 
+def _hidden_unreachable_mode(lam):
+    # a mode at lam that B cannot reach, beside a reachable unstable pair,
+    # hidden by an orthogonal change of basis (CI's hidden-1.2 row)
+    V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    A = V.T @ np.array([[0.9, 0.3, 0.0], [0.0, 1.1, 0.0], [0.0, 0.0, lam]]) @ V
+    return lti.LinearSystem(A, V.T @ np.array([[0.0], [1.0], [0.0]]))
+
+
+@pytest.mark.parametrize("lam", [1.2, 1.0, -1.5])
+def test_solver_rejects_hidden_unreachable_mode(lam):
+    weights = lti.CostWeights(np.eye(3), np.eye(1))
+    with pytest.raises(InvalidProblemError, match="must be controllable"):
+        model_based.spi_model_based(_hidden_unreachable_mode(lam), weights,
+                                    K0_ZERO)
+
+
+@pytest.mark.parametrize("lam", [
+    1.2,
+    pytest.param(1.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "A - BK keeps the unreachable unit eigenvalue, and its radius rounds "
+        "to 1 - 2.2e-16, below the strict check's 1"))),
+    -1.5])
+def test_reference_rejects_hidden_unreachable_mode(lam):
+    weights = lti.CostWeights(np.eye(3), np.eye(1))
+    with pytest.raises(InvalidProblemError):
+        riccati.dare_reference(_hidden_unreachable_mode(lam), weights)
+
+
 def test_solver_rejects_unobservable_weights(power_system):
     weights = lti.CostWeights(np.zeros((3, 3)), np.eye(1))
     with pytest.raises(InvalidProblemError):
